@@ -3,18 +3,21 @@
 Every verb maps to one library operation.  Output is canonical JSON on
 stdout (byte-identical for identical inputs and seed); a timing summary goes
 to stderr.  Exit codes: 0 success / checks passed, 1 a mathematical check
-failed (witness in the output), 2 usage or parse errors.
+failed (witness in the output), 2 usage or parse errors, or a computation
+that needed a symmetric word longer than the word cap.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
 
 from . import hkr, jsonio, selftest as selftest_mod
-from .coalg import CoalgElem, exp as coalg_exp, ln as coalg_ln, vect_is_zero
+from .coalg import (CoalgElem, OrderOverflowError, exp as coalg_exp, ln as coalg_ln,
+                    vect_is_zero)
 from .diffop import gerstenhaber, hochschild_d
 from .grammar import ParseError, parse_element
 from .linf import (conjugation_twist, linf_identity_check, mc_push,
@@ -312,9 +315,13 @@ def build_parser():
     return ap
 
 
+# parsing does not change the parser, so one serves every run() in a process
+_shared_parser = functools.cache(build_parser)
+
+
 def run(argv):
     """Entry point returning the exit code (output goes to stdout/stderr)."""
-    ap = build_parser()
+    ap = _shared_parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as ex:
@@ -331,6 +338,9 @@ def run(argv):
         return USAGE_ERROR
     except ValueError as ex:
         sys.stderr.write(f"error: {ex}\n")
+        return USAGE_ERROR
+    except OrderOverflowError as ex:
+        sys.stderr.write(f"error: word cap exceeded: {ex}\n")
         return USAGE_ERROR
     _emit(doc, args)
     sys.stderr.write(f"linfty {args.verb}: {time.time() - t0:.3f}s\n")

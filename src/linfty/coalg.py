@@ -334,10 +334,6 @@ class CoalgElem:
         return " + ".join(bits)
 
 
-def tensor_equal(a, b):
-    return a == b
-
-
 def tensor_of(x: CoalgElem, y: CoalgElem):
     out = {}
     for w1, c1 in x.words.items():

@@ -19,12 +19,14 @@ both with plain ``apply``-level evaluation, are part of the test harness:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
-from .poly import Poly, multi_indices_up_to
-from .scalars import ksign, rational_field
+from .poly import Poly, _compositions
+from .scalars import _acc, _acc_neg, ksign, rational_field
 
 
 def _zero_mi(n):
@@ -32,18 +34,20 @@ def _zero_mi(n):
 
 
 def _mi_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def _mi_norm(a):
     return sum(a)
 
 
+@functools.cache
 def _splits(j, parts):
     """Decompositions j = a_1 + ... + a_parts with multinomial coefficients.
 
-    Yields (tuple of multi-indices, coefficient).  Componentwise: the
-    coefficient is the product over variables of multinomials.
+    Returns a tuple of (tuple of multi-indices, int coefficient).
+    Componentwise: the coefficient is the product over variables of
+    multinomials.  Memoised: the keys are small multi-indices.
     """
     n = len(j)
     per_var = []
@@ -56,22 +60,15 @@ def _splits(j, parts):
                 coef //= math.factorial(c)
             combos.append((comp, coef))
         per_var.append(combos)
+    out = []
     for choice in itertools.product(*per_var):
         coef = 1
         for _, c in choice:
             coef *= c
         parts_out = tuple(tuple(choice[v][0][k] for v in range(n))
                           for k in range(parts))
-        yield parts_out, coef
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+        out.append((parts_out, coef))
+    return tuple(out)
 
 
 class PolyDiffOp:
@@ -127,23 +124,27 @@ class PolyDiffOp:
             raise ValueError("variable count mismatch")
         out = dict(self.terms)
         for w, c in other.terms.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return PolyDiffOp(self.n, out, self.alg)
+            _acc(out, w, c)
+        return _op(self.n, self.alg, out)
 
     def __neg__(self):
-        return PolyDiffOp(self.n, {w: -c for w, c in self.terms.items()}, self.alg)
+        return _op(self.n, self.alg, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        if self.n != other.n:
+            raise ValueError("variable count mismatch")
+        out = dict(self.terms)
+        for w, c in other.terms.items():
+            _acc_neg(out, w, c)
+        return _op(self.n, self.alg, out)
 
     def scale(self, q):
-        return PolyDiffOp(self.n, {w: c.scale(q) for w, c in self.terms.items()},
-                          self.alg)
+        out = {}
+        for w, c in self.terms.items():
+            qc = c.scale(q)
+            if qc:
+                out[w] = qc
+        return _op(self.n, self.alg, out)
 
     __rmul__ = scale
 
@@ -157,8 +158,8 @@ class PolyDiffOp:
         return True if p is None else (not ds or ds[0] == p)
 
     def component(self, p):
-        return PolyDiffOp(self.n, {w: c for w, c in self.terms.items()
-                                   if len(w) - 1 == p}, self.alg)
+        return _op(self.n, self.alg, {w: c for w, c in self.terms.items()
+                                      if len(w) - 1 == p})
 
     def order(self):
         """max over terms of the largest per-slot derivative weight."""
@@ -217,6 +218,15 @@ class PolyDiffOp:
         return f"PolyDiffOp<{self.text()}>"
 
 
+def _op(n, alg, terms):
+    """PolyDiffOp from canonical parts: tuple-of-tuple words, nonzero Polys."""
+    phi = object.__new__(PolyDiffOp)
+    phi.n = n
+    phi.alg = alg
+    phi.terms = terms
+    return phi
+
+
 def mu(n, alg=None) -> PolyDiffOp:
     """The multiplication operator (f, g) -> f*g, degree 1, order 0."""
     z = _zero_mi(n)
@@ -235,20 +245,16 @@ def _insert_term(n, alg, w1, c1, i, w2, c2):
     """
     j = w1[i]
     q = len(w2)  # arity of the inserted operator
+    head, tail = w1[:i], w1[i + 1:]
     out = {}
     for parts, coef in _splits(j, q + 1):
         a_c, rest = parts[0], parts[1:]
         coeff = c1 * c2.partial_word(a_c)
         if not coeff:
             continue
-        coeff = coeff.scale(coef)
-        word = w1[:i] + tuple(_mi_add(l, a) for l, a in zip(w2, rest)) + w1[i + 1:]
-        s = out.get(word)
-        s = coeff if s is None else s + coeff
-        if s:
-            out[word] = s
-        else:
-            out.pop(word, None)
+        if coef != 1:
+            coeff = coeff.scale(coef)
+        _acc(out, head + tuple(map(_mi_add, w2, rest)) + tail, coeff)
     return out
 
 
@@ -262,17 +268,10 @@ def circ_bar(phi: PolyDiffOp, psi: PolyDiffOp) -> PolyDiffOp:
             q = len(w2) - 1
             for i in range(len(w1)):
                 part = _insert_term(phi.n, phi.alg, w1, c1, i, w2, c2)
-                flip = ksign(i * q) == -1
+                put = _acc_neg if ksign(i * q) == -1 else _acc
                 for word, coeff in part.items():
-                    if flip:
-                        coeff = -coeff
-                    s = acc.get(word)
-                    s = coeff if s is None else s + coeff
-                    if s:
-                        acc[word] = s
-                    else:
-                        acc.pop(word, None)
-    return PolyDiffOp(phi.n, acc, phi.alg)
+                    put(acc, word, coeff)
+    return _op(phi.n, phi.alg, acc)
 
 
 def gerstenhaber(phi: PolyDiffOp, psi: PolyDiffOp) -> PolyDiffOp:
@@ -301,26 +300,19 @@ def hochschild_d(phi: PolyDiffOp) -> PolyDiffOp:
     n = phi.n
     z = _zero_mi(n)
     out = {}
-
-    def add(word, coeff):
-        s = out.get(word)
-        s = coeff if s is None else s + coeff
-        if s:
-            out[word] = s
-        else:
-            out.pop(word, None)
-
     for w, c in phi.terms.items():
         p = len(w) - 1
-        add(w + (z,), c)
-        add((z,) + w, c.scale(ksign(p)))
+        _acc(out, w + (z,), c)
+        (_acc if p % 2 == 0 else _acc_neg)(out, (z,) + w, c)
         for i in range(p + 1):
             sgn = ksign(p) * ksign(i)
-            for parts, coef in _splits(w[i], 2):
-                a, b = parts
+            for (a, b), coef in _splits(w[i], 2):
                 word = w[:i] + (a, b) + w[i + 1:]
-                add(word, c.scale(-sgn * coef))
-    return PolyDiffOp(n, out, phi.alg)
+                if coef == 1:
+                    (_acc_neg if sgn == 1 else _acc)(out, word, c)
+                else:
+                    _acc(out, word, c.scale(-sgn * coef))
+    return _op(n, phi.alg, out)
 
 
 def filtration_check(phi: PolyDiffOp, psi: PolyDiffOp) -> bool:
@@ -445,23 +437,14 @@ def transform(phi: PolyDiffOp, M, M_inv) -> PolyDiffOp:
     out = {}
     for w, c in phi.terms.items():
         c2 = c.subs_linear(M)
+        if not c2:
+            continue
         slot_choices = [slot_image(j) for j in w]
         for combo in itertools.product(*(s.items() for s in slot_choices)):
             word = tuple(mi for mi, _ in combo)
             q = Fraction(1)
             for _, qq in combo:
                 q *= qq
-            s = out.get(word)
-            t = c2.scale(q)
-            s = t if s is None else s + t
-            if s:
-                out[word] = s
-            else:
-                out.pop(word, None)
-    return PolyDiffOp(n, out, phi.alg)
+            _acc(out, word, c2.scale(q))
+    return _op(n, phi.alg, out)
 
-
-def basis_words(n, p, max_order):
-    """All degree-p derivative words with per-slot order <= max_order."""
-    mis = multi_indices_up_to(n, max_order)
-    return list(itertools.product(mis, repeat=p + 1))

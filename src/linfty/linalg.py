@@ -72,8 +72,3 @@ def nullspace(rows, ncols):
                 vec[pc] = -v
         basis.append(tuple(vec))
     return basis
-
-
-def rank_of_columns(columns) -> int:
-    """Rank of a matrix given as sparse columns (transpose-invariant)."""
-    return rank(columns)

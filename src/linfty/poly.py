@@ -13,10 +13,10 @@ the rational field.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
+from operator import add, sub
 
-from .scalars import CoeffDGA, DgaElem, frac, frac_str, rational_field
+from .scalars import CoeffDGA, DgaElem, _acc, _acc_neg, frac, frac_str, rational_field
 
 
 class Infinity:
@@ -135,7 +135,7 @@ class Poly:
     def same_shape(self, other):
         if self.n != other.n:
             raise ValueError("variable count mismatch")
-        if self.alg != other.alg:
+        if self.alg is not other.alg and self.alg != other.alg:
             raise ValueError("coefficient algebra mismatch")
 
     # -- arithmetic ----------------------------------------------------------
@@ -144,27 +144,35 @@ class Poly:
         self.same_shape(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Poly(self.n, out, _min_trunc(self.trunc, other.trunc), self.alg)
+            _acc(out, e, c)
+        return _poly_cut(self, out, _min_trunc(self.trunc, other.trunc))
 
     def __neg__(self):
-        return Poly(self.n, {e: -c for e, c in self.terms.items()}, self.trunc, self.alg)
+        return _poly(self.n, self.alg, {e: -c for e, c in self.terms.items()}, self.trunc)
 
     def __sub__(self, other):
-        return self + (-other)
+        self.same_shape(other)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            _acc_neg(out, e, c)
+        return _poly_cut(self, out, _min_trunc(self.trunc, other.trunc))
 
     def scale(self, q):
         if isinstance(q, DgaElem):
-            return Poly(self.n, {e: q * c for e, c in self.terms.items()},
-                        self.trunc, self.alg)
-        q = frac(q)
-        return Poly(self.n, {e: c.scale(q) for e, c in self.terms.items()},
-                    self.trunc, self.alg)
+            out = {}
+            for e, c in self.terms.items():
+                qc = q * c
+                if qc:
+                    out[e] = qc
+            return _poly(self.n, self.alg, out, self.trunc)
+        if not isinstance(q, int):
+            q = frac(q)
+        if q == 1:
+            return self
+        if not q:
+            return _poly(self.n, self.alg, {}, self.trunc)
+        return _poly(self.n, self.alg, {e: c.scale(q) for e, c in self.terms.items()},
+                     self.trunc)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, DgaElem)):
@@ -174,17 +182,13 @@ class Poly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 if trunc is not None and sum(e) >= trunc:
                     continue
                 c = c1 * c2
-                s = out.get(e)
-                s = c if s is None else s + c
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Poly(self.n, out, trunc, self.alg)
+                if c:
+                    _acc(out, e, c)
+        return _poly(self.n, self.alg, out, trunc)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -212,15 +216,32 @@ class Poly:
             e2[i - 1] = k - 1
             out[tuple(e2)] = c.scale(k)
         trunc = None if self.trunc is None else max(self.trunc - 1, 0)
-        return Poly(self.n, out, trunc, self.alg)
+        return _poly(self.n, self.alg, out, trunc)
 
     def partial_word(self, word):
-        """Iterated partials: word is a multi-index (j_1, ..., j_n)."""
-        f = self
-        for i, k in enumerate(word, start=1):
-            for _ in range(k):
-                f = f.partial(i)
-        return f
+        """Iterated partials: word is a multi-index (j_1, ..., j_n).
+
+        One pass: t^e goes to e!/(e-j)! t^(e-j), an integer falling factorial.
+        """
+        for i, k in enumerate(word[self.n:], start=self.n + 1):
+            if k > 0:
+                raise ValueError(f"variable index {i} out of range 1..{self.n}")
+        j = tuple(max(k, 0) for k in word[:self.n]) + (0,) * (self.n - len(word))
+        order = sum(j)
+        if not order:
+            return self
+        out = {}
+        for e, c in self.terms.items():
+            mult = 1
+            for ev, jv in zip(e, j):
+                if ev < jv:
+                    break
+                for x in range(ev - jv + 1, ev + 1):
+                    mult *= x
+            else:
+                out[tuple(map(sub, e, j))] = c if mult == 1 else c.scale(mult)
+        trunc = None if self.trunc is None else max(self.trunc - order, 0)
+        return _poly(self.n, self.alg, out, trunc)
 
     def adic_order(self):
         if not self.terms:
@@ -230,8 +251,7 @@ class Poly:
     def truncate(self, N):
         if N < 0:
             raise ValueError("truncation threshold must be >= 0")
-        return Poly(self.n, {e: c for e, c in self.terms.items() if sum(e) < N},
-                    _min_trunc(self.trunc, N), self.alg)
+        return _poly_cut(self, self.terms, _min_trunc(self.trunc, N))
 
     def subs_linear(self, M):
         """Substitute t_i -> sum_j M[i][j] t_j (matrix rows are 1-based vars)."""
@@ -292,6 +312,23 @@ class Poly:
         if self.trunc is not None:
             s += f" (+O(deg {self.trunc}))"
         return s
+
+
+def _poly(n, alg, terms, trunc):
+    """Poly from canonical parts: tuple exponents below trunc, nonzero DgaElems."""
+    f = object.__new__(Poly)
+    f.n = n
+    f.alg = alg
+    f.terms = terms
+    f.trunc = trunc
+    return f
+
+
+def _poly_cut(f, terms, trunc):
+    """Like ``_poly`` with f's shape, dropping the terms of degree >= trunc."""
+    if trunc is not None:
+        terms = {e: c for e, c in terms.items() if sum(e) < trunc}
+    return _poly(f.n, f.alg, terms, trunc)
 
 
 def monomials_up_to(n, max_degree):

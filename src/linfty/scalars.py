@@ -17,6 +17,9 @@ import itertools
 import json
 from fractions import Fraction
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
 
 def frac(x) -> Fraction:
     """Coerce ints, Fractions and 'num/den' strings to Fraction."""
@@ -74,6 +77,8 @@ class CoeffDGA:
     unit_index  position of the unit
     ideal       frozenset of basis indices spanning the designated ideal m
     nilpotency_order  smallest N with m^N = 0 (1 when the ideal is zero)
+    table       table[i][j] = ((k, q), ...), the nonzero terms of mul[(i, j)],
+                with q an int whenever it is integral; built once from mul
 
     Instances are immutable after construction; all operations are pure.
     """
@@ -87,6 +92,10 @@ class CoeffDGA:
         self.unit_index = unit_index
         self.ideal = frozenset(ideal)
         self.index = {name: i for i, name in enumerate(self.basis)}
+        self.table = [[tuple((k, q.numerator if q.denominator == 1 else q)
+                             for k, q in self.mul.get((i, j), {}).items() if q)
+                       for j in range(len(self.basis))]
+                      for i in range(len(self.basis))]
         if nilpotency_order is None:
             nilpotency_order = self._compute_nilpotency_order()
         self.nilpotency_order = nilpotency_order
@@ -111,17 +120,17 @@ class CoeffDGA:
     # -- elements ----------------------------------------------------------
 
     def zero(self):
-        return DgaElem(self, {})
+        return _elem(self, {})
 
     def one(self):
-        return DgaElem(self, {self.unit_index: Fraction(1)})
+        return _elem(self, {self.unit_index: _ONE})
 
     def scalar(self, q):
         q = frac(q)
-        return DgaElem(self, {self.unit_index: q} if q else {})
+        return _elem(self, {self.unit_index: q} if q else {})
 
     def gen(self, name):
-        return DgaElem(self, {self.index[name]: Fraction(1)})
+        return _elem(self, {self.index[name]: _ONE})
 
     def elem(self, coeffs):
         """Element from {index-or-name: scalar}."""
@@ -134,7 +143,7 @@ class CoeffDGA:
         return DgaElem(self, {i: q for i, q in out.items() if q})
 
     def basis_elem(self, i):
-        return DgaElem(self, {i: Fraction(1)})
+        return _elem(self, {i: _ONE})
 
     def mul_basis(self, i, j):
         """Product of basis elements as a sparse {k: Fraction} dict."""
@@ -200,7 +209,10 @@ class CoeffDGA:
 
 
 class DgaElem:
-    """Sparse element of a CoeffDGA: {basis index: Fraction}."""
+    """Sparse element of a CoeffDGA: {basis index: Fraction}.
+
+    Elements are immutable: operations may return an operand unchanged.
+    """
 
     __slots__ = ("alg", "coeffs")
 
@@ -215,46 +227,52 @@ class DgaElem:
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        return isinstance(other, DgaElem) and self.alg == other.alg and self.coeffs == other.coeffs
+        return (isinstance(other, DgaElem)
+                and (self.alg is other.alg or self.alg == other.alg)
+                and self.coeffs == other.coeffs)
 
     def __add__(self, other):
         out = dict(self.coeffs)
         for i, q in other.coeffs.items():
-            s = out.get(i, Fraction(0)) + q
-            if s:
-                out[i] = s
-            else:
-                out.pop(i, None)
-        return DgaElem(self.alg, out)
+            _acc(out, i, q)
+        return _elem(self.alg, out)
 
     def __neg__(self):
-        return DgaElem(self.alg, {i: -q for i, q in self.coeffs.items()})
+        return _elem(self.alg, {i: -q for i, q in self.coeffs.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        out = dict(self.coeffs)
+        for i, q in other.coeffs.items():
+            _acc_neg(out, i, q)
+        return _elem(self.alg, out)
 
     def scale(self, q):
-        q = frac(q)
+        """q times self for an exact rational q; +-1 costs no arithmetic."""
+        if not isinstance(q, int):
+            q = frac(q)
+        if q == 1:
+            return self
+        if q == -1:
+            return _elem(self.alg, {i: -c for i, c in self.coeffs.items()})
         if not q:
-            return self.alg.zero()
-        return DgaElem(self.alg, {i: q * c for i, c in self.coeffs.items()})
+            return _elem(self.alg, {})
+        return _elem(self.alg, {i: c * q for i, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        if other.alg is not self.alg and other.alg != self.alg:
+        alg = self.alg
+        if other.alg is not alg and other.alg != alg:
             raise ValueError("DgaElem product across different algebras")
+        table = alg.table
         out = {}
         for i, a in self.coeffs.items():
+            row = table[i]
             for j, b in other.coeffs.items():
                 ab = a * b
-                for k, q in self.alg.mul_basis(i, j).items():
-                    s = out.get(k, Fraction(0)) + ab * q
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
-        return DgaElem(self.alg, out)
+                for k, q in row[j]:
+                    _acc(out, k, ab if q == 1 else -ab if q == -1 else ab * q)
+        return _elem(alg, out)
 
     __rmul__ = scale
 
@@ -279,7 +297,7 @@ class DgaElem:
 
     def rational_part(self):
         """Coefficient of the unit basis element."""
-        return self.coeffs.get(self.alg.unit_index, Fraction(0))
+        return self.coeffs.get(self.alg.unit_index, _ZERO)
 
     def to_pairs(self):
         return [[i, frac_str(q)] for i, q in sorted(self.coeffs.items())]
@@ -297,6 +315,40 @@ class DgaElem:
             else:
                 bits.append(f"{frac_str(q)}*{name}")
         return " + ".join(bits)
+
+
+def _acc(out, key, c):
+    """out[key] += c for a nonzero c, dropping the key when the sum vanishes."""
+    s = out.get(key)
+    if s is None:
+        out[key] = c
+    else:
+        s = s + c
+        if s:
+            out[key] = s
+        else:
+            del out[key]
+
+
+def _acc_neg(out, key, c):
+    """out[key] -= c for a nonzero c, dropping the key when the difference vanishes."""
+    s = out.get(key)
+    if s is None:
+        out[key] = -c
+    else:
+        s = s - c
+        if s:
+            out[key] = s
+        else:
+            del out[key]
+
+
+def _elem(alg, coeffs):
+    """DgaElem from a dict the caller built without zero values; no copy."""
+    x = object.__new__(DgaElem)
+    x.alg = alg
+    x.coeffs = coeffs
+    return x
 
 
 # ---------------------------------------------------------------------------

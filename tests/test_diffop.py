@@ -1,9 +1,12 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from linfty.diffop import (PolyDiffOp, adic_continuity_check, extend_to_series,
+from linfty.diffop import (PolyDiffOp, _splits, adic_continuity_check, extend_to_series,
                            filtration_check, gerstenhaber,
                            gerstenhaber_apply_oracle, hochschild_apply_oracle,
                            hochschild_d, mu, transform)
@@ -250,3 +253,25 @@ class TestTransform:
                 gerstenhaber(transform(a, M, Minv), transform(b, M, Minv))
             assert transform(hochschild_d(a), M, Minv) == \
                 hochschild_d(transform(a, M, Minv))
+
+
+class TestSplits:
+    @given(st.lists(st.integers(0, 2), min_size=1, max_size=3).map(tuple),
+           st.integers(1, 3))
+    @settings(max_examples=60)
+    def test_equals_brute_force_enumeration(self, j, parts):
+        boxes = list(itertools.product(*(range(x + 1) for x in j)))
+        want = {}
+        for split in itertools.product(boxes, repeat=parts):
+            if tuple(map(sum, zip(*split))) != j:
+                continue
+            weight = 1
+            for v, total in enumerate(j):
+                weight *= math.factorial(total)
+                for a in split:
+                    weight //= math.factorial(a[v])
+            want[split] = weight
+        got = _splits(j, parts)
+        assert len(got) == len(want)
+        assert dict(got) == want
+        assert all(isinstance(c, int) for _, c in got)

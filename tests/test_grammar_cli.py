@@ -2,11 +2,15 @@ import io
 import contextlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import linfty
 from linfty import jsonio, samples
 from linfty.cli import run
 from linfty.diffop import PolyDiffOp
@@ -215,3 +219,37 @@ class TestCli:
         alg, om, phi = jsonio.instance_from_json(doc)
         doc2 = jsonio.instance_to_json(alg, omega=om, morphism=phi)
         assert jsonio.dumps(doc) == jsonio.dumps(doc2)
+
+    def test_consecutive_runs_match_isolated_processes(self):
+        calls = [["hochschild", "D[2]", "--n", "1"],
+                 ["apply", "t1*D[2,0]", "t1^3"],  # --n back to its default
+                 ["hkr-report", "--n", "1", "--trunc", "2", "--order", "2",
+                  "--window", "-1", "0"],
+                 ["hkr-report", "--n", "1"],  # --window, --trunc back to defaults
+                 ["schouten", "bogus(", "--n", "2"],
+                 ["poisson-check", "t1*d1/\\d2", "--n", "2"]]
+        in_process = [capture(argv) for argv in calls]
+        src = os.path.dirname(os.path.dirname(linfty.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        for argv, (code, out) in zip(calls, in_process):
+            proc = subprocess.run([sys.executable, "-m", "linfty.cli", *argv],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert (code, out) == (proc.returncode, proc.stdout), argv
+
+    def test_word_cap_overflow_exits_two(self, tmp_path):
+        from linfty.samples import default_coefficients
+        doc = {"coeff": default_coefficients(4).to_json_dict(),  # Q[h]/(h^4)
+               "algebra": {"name": "split_line",
+                           "basis": [{"name": "x", "degree": 0},
+                                     {"name": "y", "degree": 1}],
+                           "d": [["x", {"y": "1"}]], "bracket": []},
+               "omega": {"y": {"h": "1"}}}
+        path = tmp_path / "split_line.json"
+        path.write_text(json.dumps(doc))
+        for verb in ("exp", "twist-check"):
+            buf, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
+                code = run([verb, "--instance", str(path), "--word-cap", "1"])
+            assert code == 2 and buf.getvalue() == ""
+            message = err.getvalue()
+            assert message.count("\n") == 1 and "W=1" in message, message

@@ -135,3 +135,22 @@ class TestSubstitution:
         M = [[1, 1], [0, 1]]
         f, g = Poly.monomial((1, 1)), t(2) + Poly.one(2)
         assert (f * g).subs_linear(M) == f.subs_linear(M) * g.subs_linear(M)
+
+
+class TestPartialWord:
+    @given(polys(n=3, max_degree=4), st.tuples(*([st.integers(0, 3)] * 3)),
+           st.one_of(st.none(), st.integers(0, 6)))
+    @settings(max_examples=150)
+    def test_equals_iterated_partials(self, f, word, trunc):
+        f = Poly(3, f.terms, trunc)
+        g = f
+        for i, k in enumerate(word, start=1):
+            for _ in range(k):
+                g = g.partial(i)
+        assert f.partial_word(word) == g
+
+    def test_index_out_of_range(self):
+        assert Poly.var(1, 2).partial_word((1,)) == Poly.one(2)
+        assert Poly.var(1, 2).partial_word((1, 0, 0)) == Poly.one(2)
+        with pytest.raises(ValueError, match="out of range"):
+            Poly.var(1, 2).partial_word((0, 0, 1))

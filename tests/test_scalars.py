@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from linfty.scalars import (CoeffDGA, dga_check, dga_tensor,
                             make_truncated_poly_dga, rational_field)
@@ -144,3 +144,68 @@ class TestTensor:
         B = CoeffDGA.from_json(A.to_json())
         assert B == A
         assert B.nilpotency_order == A.nilpotency_order
+
+
+# ---------------------------------------------------------------------------
+# DgaElem arithmetic against naive references written from alg.mul
+# ---------------------------------------------------------------------------
+
+ALGEBRAS = (
+    rational_field(),
+    make_truncated_poly_dga([0], 4),                                   # Q[h]/(h^4)
+    dga_tensor(make_truncated_poly_dga([1, 1], 2),
+               make_truncated_poly_dga([0], 3)),                       # Λ(θ1,θ2)⊗Q[h]/(h^3)
+)
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def elem_pairs(draw):
+    A = draw(st.sampled_from(ALGEBRAS))
+    idx = st.integers(0, len(A) - 1)
+    xd = draw(st.dictionaries(idx, small_rationals, max_size=len(A)))
+    yd = draw(st.dictionaries(idx, small_rationals, max_size=len(A)))
+    if draw(st.booleans()):  # make some coefficients of x + y cancel
+        yd = {i: yd.get(i, 0) - xd.get(i, 0) for i in set(xd) | set(yd)}
+    return A, A.elem(xd), A.elem(yd)
+
+
+def naive_mul(A, x, y):
+    out = {}
+    for i, a in x.coeffs.items():
+        for j, b in y.coeffs.items():
+            for k, q in A.mul.get((i, j), {}).items():
+                out[k] = out.get(k, 0) + a * b * q
+    return {k: v for k, v in out.items() if v}
+
+
+def naive_combine(x, y, sign):
+    out = dict(x.coeffs)
+    for i, q in y.coeffs.items():
+        out[i] = out.get(i, 0) + sign * q
+    return {k: v for k, v in out.items() if v}
+
+
+class TestDgaElemKernels:
+    @given(elem_pairs(), small_rationals)
+    @settings(max_examples=300)
+    def test_against_naive_reference(self, pair, q):
+        A, x, y = pair
+        results = {"mul": (x * y, naive_mul(A, x, y)),
+                   "add": (x + y, naive_combine(x, y, 1)),
+                   "sub": (x - y, naive_combine(x, y, -1)),
+                   "neg": (-x, {i: -c for i, c in x.coeffs.items()}),
+                   "scale": (x.scale(q), {i: q * c for i, c in x.coeffs.items() if q})}
+        for name, (got, want) in results.items():
+            assert got.coeffs == want, name
+            assert got.alg is A and all(got.coeffs.values()), name
+
+    @given(elem_pairs(), st.sampled_from([1, -1, 0, 2, Fraction(1), Fraction(-1)]))
+    def test_scale_by_integers(self, pair, k):
+        _, x, _ = pair
+        assert x.scale(k).coeffs == {i: k * c for i, c in x.coeffs.items() if k}
+        assert (x * k).coeffs == x.scale(k).coeffs
+
+    def test_scale_rejects_inexact_scalars(self):
+        with pytest.raises(TypeError):
+            rational_field().one().scale(0.5)
