@@ -10,6 +10,7 @@ that needed a symmetric word longer than the word cap.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -24,18 +25,35 @@ from .linf import (conjugation_twist, linf_identity_check, mc_push,
                    mc_residue, operators_agree, twist_coder, twist_morphism,
                    MCElement)
 from .polyvec import is_poisson, schouten, wedge
-from .scalars import frac_str
+from .scalars import _acc
 
 USAGE_ERROR, CHECK_FAILED, OK = 2, 1, 0
 
 
-def _load_instance(args):
+def _read_document(args):
+    """The JSON document named by --instance; '-' reads stdin."""
     if args.instance == "-":
-        doc = json.load(sys.stdin)
-    else:
-        with open(args.instance) as fh:
-            doc = json.load(fh)
-    return jsonio.instance_from_json(doc, W=args.word_cap)
+        return json.load(sys.stdin)
+    with open(args.instance) as fh:
+        return json.load(fh)
+
+
+@contextlib.contextmanager
+def _loading():
+    """A key missing from an input document, or a name it does not define, is a
+    parse error (exit 2), not a failed check."""
+    try:
+        yield
+    except KeyError as ex:
+        raise ParseError(f"input document: missing key or unknown name {ex}", 0) from None
+
+
+def _load_instance(args, doc=None):
+    """(algebra, omega, morphism) from doc, by default the --instance document."""
+    if doc is None:
+        doc = _read_document(args)
+    with _loading():
+        return jsonio.instance_from_json(doc, W=args.word_cap)
 
 
 def _emit(doc, args):
@@ -104,19 +122,15 @@ def cmd_exp(args):
 
 
 def cmd_ln(args):
-    if args.instance == "-":
-        doc = json.load(sys.stdin)
-    else:
-        with open(args.instance) as fh:
-            doc = json.load(fh)
-    algebra, _, _ = jsonio.instance_from_json(doc, W=args.word_cap)
+    doc = _read_document(args)
+    algebra, _, _ = _load_instance(args, doc)
     sh = algebra.shifted
     words = {}
-    for entry in doc["element"]:
-        w = tuple(sh.index[nm] for nm in entry["word"])
-        c = jsonio.coeff_from_json(algebra.module.coeff, entry["coeff"])
-        x = words.get(w)
-        words[w] = c if x is None else x + c
+    with _loading():
+        for entry in doc["element"]:
+            c = jsonio.coeff_from_json(algebra.module.coeff, entry["coeff"])
+            if c:
+                _acc(words, tuple(sh.index[nm] for nm in entry["word"]), c)
     elem = CoalgElem(sh, words, args.word_cap)
     return OK, {"verb": "ln", "result": coalg_ln(elem).to_json_list()}
 
@@ -228,7 +242,7 @@ def cmd_extend(args):
     algebra, omega, morphism = _load_instance(args)
     if morphism is None:
         raise ParseError("instance needs a 'morphism' entry", 0)
-    with open(args.coeff_algebra) as fh:
+    with open(args.coeff_algebra) as fh, _loading():
         A = CoeffDGA.from_json(fh.read())
     ext = extend_multilinear(morphism, A, W=args.word_cap)
     import random

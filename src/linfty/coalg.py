@@ -26,7 +26,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .scalars import CoeffDGA, DgaElem, ValidationReport, frac, ksign, rational_field
+from .scalars import (CoeffDGA, DgaElem, ValidationReport, _acc, _acc_neg, frac_str, ksign,
+                      rational_field)
 
 
 class OrderOverflowError(Exception):
@@ -141,23 +142,29 @@ def split_sign(module, word, positions):
 
 # -- elements of g[1] are sparse {basis index: C-coefficient} dicts ---------
 
-def vect_add(a, b):
-    out = dict(a)
-    for i, c in b.items():
-        s = out.get(i)
-        s = c if s is None else s + c
-        if s:
-            out[i] = s
-        else:
-            out.pop(i, None)
+def vect_acc(out, v, q=1):
+    """out += q * v in place, for a DgaElem or rational q; returns out.
+
+    Works on any sparse dict of DgaElem values (vects, coalgebra words).
+    """
+    if isinstance(q, DgaElem):
+        terms = ((i, q * c) for i, c in v.items())
+    elif q == 1:
+        terms = v.items()
+    else:
+        terms = ((i, c.scale(q)) for i, c in v.items())
+    for i, c in terms:
+        if c:
+            _acc(out, i, c)
     return out
 
 
+def vect_add(a, b):
+    return vect_acc(dict(a), b)
+
+
 def vect_scale(a, q):
-    if isinstance(q, DgaElem):
-        return {i: q * c for i, c in a.items() if q * c}
-    q = frac(q)
-    return {i: c.scale(q) for i, c in a.items() if c.scale(q)} if q else {}
+    return vect_acc({}, a, q)
 
 
 def vect_is_zero(a):
@@ -190,14 +197,7 @@ class CoalgElem:
             if len(cw) > W:
                 raise OrderOverflowError(
                     f"word of order {len(cw)} exceeds the cap W={W}")
-            if sign == -1:
-                c = -c
-            s = clean.get(cw)
-            s = c if s is None else s + c
-            if s:
-                clean[cw] = s
-            else:
-                clean.pop(cw, None)
+            (_acc if sign == 1 else _acc_neg)(clean, cw, c)
         self.words = clean
 
     @classmethod
@@ -227,28 +227,18 @@ class CoalgElem:
                 and self.words == other.words)
 
     def __add__(self, other):
-        out = dict(self.words)
-        for w, c in other.words.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return CoalgElem(self.module, out, max(self.W, other.W))
+        return _coalg(self.module, vect_add(self.words, other.words),
+                      max(self.W, other.W))
 
     def __neg__(self):
-        return CoalgElem(self.module, {w: -c for w, c in self.words.items()}, self.W)
+        return _coalg(self.module, {w: -c for w, c in self.words.items()}, self.W)
 
     def __sub__(self, other):
-        return self + (-other)
+        return _coalg(self.module, vect_acc(dict(self.words), other.words, -1),
+                      max(self.W, other.W))
 
     def scale(self, q):
-        if isinstance(q, DgaElem):
-            return CoalgElem(self.module,
-                             {w: q * c for w, c in self.words.items()}, self.W)
-        return CoalgElem(self.module,
-                         {w: c.scale(frac(q)) for w, c in self.words.items()}, self.W)
+        return _coalg(self.module, vect_scale(self.words, q), self.W)
 
     def __mul__(self, other):
         """Product in the symmetric algebra (coefficients commute, degree 0)."""
@@ -263,19 +253,13 @@ class CoalgElem:
                     raise OrderOverflowError(
                         f"product word of order {len(w)} exceeds W={self.W}")
                 c = c1 * c2
-                if sign == -1:
-                    c = -c
-                s = out.get(w)
-                s = c if s is None else s + c
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
-        return CoalgElem(self.module, out, self.W)
+                if c:
+                    (_acc if sign == 1 else _acc_neg)(out, w, c)
+        return _coalg(self.module, out, self.W)
 
     def order_component(self, j):
-        return CoalgElem(self.module,
-                         {w: c for w, c in self.words.items() if len(w) == j}, self.W)
+        return _coalg(self.module,
+                      {w: c for w, c in self.words.items() if len(w) == j}, self.W)
 
     def max_order(self):
         return max((len(w) for w in self.words), default=0)
@@ -297,14 +281,7 @@ class CoalgElem:
                     left = tuple(w[i] for i in positions)
                     right = tuple(w[i] for i in range(len(w)) if i not in sel)
                     sign = split_sign(self.module, w, positions)
-                    key = (left, right)
-                    add = c.scale(sign)
-                    s = out.get(key)
-                    s = add if s is None else s + add
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
+                    (_acc if sign == 1 else _acc_neg)(out, (left, right), c)
         return out
 
     def names(self):
@@ -312,7 +289,6 @@ class CoalgElem:
         return {tuple(m.gen_name(i) for i in w): c for w, c in self.words.items()}
 
     def to_json_list(self):
-        from .scalars import frac_str
         out = []
         for w in sorted(self.words):
             c = self.words[w]
@@ -332,6 +308,15 @@ class CoalgElem:
             mono = "*".join(self.module.gen_name(i) for i in w) if w else "1"
             bits.append(f"({c!r})·{mono}")
         return " + ".join(bits)
+
+
+def _coalg(module, words, W):
+    """CoalgElem from canonical words of order <= W with nonzero values; no copy."""
+    x = object.__new__(CoalgElem)
+    x.module = module
+    x.W = W
+    x.words = words
+    return x
 
 
 def tensor_of(x: CoalgElem, y: CoalgElem):
@@ -379,11 +364,8 @@ class TaylorSeq:
                 sign, cw = r
                 if len(cw) != j:
                     raise ValueError("word length disagrees with its order key")
-                v = {i: (c if isinstance(c, DgaElem) else source.coeff.scalar(c))
-                     for i, c in v.items()}
-                v = {i: c for i, c in v.items() if c}
-                if sign == -1:
-                    v = vect_scale(v, Fraction(-1))
+                v = vect_scale({i: (c if isinstance(c, DgaElem) else source.coeff.scalar(c))
+                                for i, c in v.items()}, sign)
                 if vect_is_zero(v):
                     continue
                 want = word_degree(source, cw) + shift
@@ -396,8 +378,7 @@ class TaylorSeq:
                     if degs != {want}:
                         raise ValueError(
                             f"inhomogeneous value on {cw}: degrees {sorted(degs)}, expected {want}")
-                prev = ntab.get(cw)
-                ntab[cw] = v if prev is None else vect_add(prev, v)
+                vect_acc(ntab.setdefault(cw, {}), v)
             if ntab:
                 norm[j] = ntab
         self.maps = norm
@@ -416,7 +397,7 @@ class TaylorSeq:
             return {}
         sign, cw = r
         v = table.get(cw, {})
-        return vect_scale(v, Fraction(sign)) if sign == -1 else dict(v)
+        return vect_scale(v, -1) if sign == -1 else dict(v)
 
     def eval_elements(self, elements):
         """Multilinear evaluation on a list of vects."""
@@ -431,10 +412,7 @@ class TaylorSeq:
                 coeff = c if coeff is None else coeff * c
             if coeff is None or not coeff:
                 continue
-            v = self.eval_word(letters)
-            if vect_is_zero(v):
-                continue
-            out = vect_add(out, vect_scale(v, coeff))
+            vect_acc(out, self.eval_word(letters), coeff)
         return out
 
     def scale(self, q):
@@ -476,7 +454,8 @@ def coder_from_taylor(T: TaylorSeq, W) -> CoalgOperator:
     maxj = T.max_j()
 
     def act(x: CoalgElem) -> CoalgElem:
-        out = CoalgElem.zero(module, max(W, x.W))
+        # an output word is never longer than its input word, so it fits the cap
+        out = {}
         for w, c in x.words.items():
             for r in range(1, min(len(w), maxj) + 1):
                 for positions in itertools.combinations(range(len(w)), r):
@@ -484,22 +463,15 @@ def coder_from_taylor(T: TaylorSeq, W) -> CoalgOperator:
                     sub = tuple(w[i] for i in positions)
                     rest = tuple(w[i] for i in range(len(w)) if i not in sel)
                     sign = split_sign(module, w, positions)
-                    val = T.eval_word(sub)
-                    if vect_is_zero(val):
-                        continue
-                    words = {}
-                    for i, cv in val.items():
+                    for i, cv in T.eval_word(sub).items():
                         r2 = canon_word(module, (i,) + rest)
                         if r2 is None:
                             continue
                         s2, cw = r2
-                        coeff = (c * cv).scale(sign * s2)
-                        if not coeff:
-                            continue
-                        prev = words.get(cw)
-                        words[cw] = coeff if prev is None else prev + coeff
-                    out = out + CoalgElem(module, words, out.W)
-        return out
+                        coeff = c * cv
+                        if coeff:
+                            (_acc if sign * s2 == 1 else _acc_neg)(out, cw, coeff)
+        return _coalg(module, out, max(W, x.W))
 
     return CoalgOperator(module, module, 1, act, "coderivation")
 
@@ -531,12 +503,11 @@ def morph_from_taylor(T: TaylorSeq, W) -> CoalgOperator:
 
     def act(x: CoalgElem) -> CoalgElem:
         Wout = max(W, x.W)
-        out = CoalgElem.zero(tgt, Wout)
+        out = {}
         for w, c in x.words.items():
             if not w:
-                out = out + CoalgElem(tgt, {(): c}, Wout)
+                _acc(out, (), c)
                 continue
-            acc = {}
             for blocks in set_partitions(range(len(w))):
                 blocks = sorted(blocks, key=lambda b: b[0])
                 if any(len(b) > maxj for b in blocks):
@@ -563,19 +534,12 @@ def morph_from_taylor(T: TaylorSeq, W) -> CoalgOperator:
                     if len(cw) > Wout:
                         raise OrderOverflowError(
                             f"morphism output word exceeds W={Wout}")
-                    coeff = c.scale(sign * s2)
+                    coeff = c
                     for _, cv in combo:
                         coeff = coeff * cv
-                    if not coeff:
-                        continue
-                    prev = acc.get(cw)
-                    s = coeff if prev is None else prev + coeff
-                    if s:
-                        acc[cw] = s
-                    else:
-                        acc.pop(cw, None)
-            out = out + CoalgElem(tgt, acc, Wout)
-        return out
+                    if coeff:
+                        (_acc if sign * s2 == 1 else _acc_neg)(out, cw, coeff)
+        return _coalg(tgt, out, Wout)
 
     return CoalgOperator(src, tgt, 0, act, "morphism")
 
@@ -589,15 +553,6 @@ def taylor_of(op: CoalgOperator, j, W=None) -> dict:
         if not vect_is_zero(v):
             out[w] = v
     return out
-
-
-def taylor_seq_of(op: CoalgOperator, max_j, intent, W=None) -> TaylorSeq:
-    maps = {}
-    for j in range(1, max_j + 1):
-        t = taylor_of(op, j, W)
-        if t:
-            maps[j] = t
-    return TaylorSeq(op.source, op.target, maps, intent)
 
 
 # ---------------------------------------------------------------------------
@@ -634,13 +589,8 @@ def is_primitive(x: CoalgElem) -> bool:
     lhs = x.comult()
     rhs = {}
     for w, c in x.words.items():
-        for key in ((w, ()), ((), w)):
-            s = rhs.get(key)
-            s = c if s is None else s + c
-            if s:
-                rhs[key] = s
-            else:
-                rhs.pop(key, None)
+        _acc(rhs, (w, ()), c)
+        _acc(rhs, ((), w), c)
     return lhs == rhs
 
 
@@ -670,25 +620,15 @@ def check_coderivation(op: CoalgOperator, W, max_order=None) -> ValidationReport
         for (w1, w2), c in x.comult().items():
             left = op(CoalgElem(module, {w1: module.coeff.one()}, W))
             for v, cv in left.words.items():
-                key = (v, w2)
                 add = c * cv
-                s = rhs.get(key)
-                s = add if s is None else s + add
-                if s:
-                    rhs[key] = s
-                else:
-                    rhs.pop(key, None)
+                if add:
+                    _acc(rhs, (v, w2), add)
             right = op(CoalgElem(module, {w2: module.coeff.one()}, W))
-            sgn = ksign(op.degree * word_degree(module, w1))
+            put = _acc if ksign(op.degree * word_degree(module, w1)) == 1 else _acc_neg
             for v, cv in right.words.items():
-                key = (w1, v)
-                add = (c * cv).scale(sgn)
-                s = rhs.get(key)
-                s = add if s is None else s + add
-                if s:
-                    rhs[key] = s
-                else:
-                    rhs.pop(key, None)
+                add = c * cv
+                if add:
+                    put(rhs, (w1, v), add)
         if lhs != rhs:
             rep.add("coderivation", [module.gen_name(i) for i in w],
                     "Delta Q != (Q x 1 + 1 x Q) Delta")
@@ -716,14 +656,9 @@ def check_comorphism(op: CoalgOperator, W, max_order=None) -> ValidationReport:
             right = op(CoalgElem(src, {w2: src.coeff.one()}, W))
             for v1, c1 in left.words.items():
                 for v2, c2 in right.words.items():
-                    key = (v1, v2)
                     add = c * c1 * c2
-                    s = rhs.get(key)
-                    s = add if s is None else s + add
-                    if s:
-                        rhs[key] = s
-                    else:
-                        rhs.pop(key, None)
+                    if add:
+                        _acc(rhs, (v1, v2), add)
         if lhs != rhs:
             rep.add("comorphism", [src.gen_name(i) for i in w],
                     "Delta Psi != (Psi x Psi) Delta")
@@ -748,23 +683,14 @@ def tau(x: CoalgElem) -> dict:
     for w, c in x.words.items():
         for perm in itertools.permutations(range(len(w))):
             sign = perm_sign(x.module, w, list(perm))
-            key = tuple(w[p] for p in perm)
-            add = c.scale(sign)
-            s = out.get(key)
-            s = add if s is None else s + add
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            (_acc if sign == 1 else _acc_neg)(out, tuple(w[p] for p in perm), c)
     return out
 
 
 def pi_tilde(module, tensor_elem, W) -> CoalgElem:
     """Averaged projection (1/j!) back onto the symmetric coalgebra."""
-    out = CoalgElem.zero(module, W)
-    for word, c in tensor_elem.items():
-        out = out + CoalgElem(module, {word: c.scale(Fraction(1, math.factorial(len(word))))}, W)
-    return out
+    return CoalgElem(module, {word: c.scale(Fraction(1, math.factorial(len(word))))
+                              for word, c in tensor_elem.items()}, W)
 
 
 def tensor_comult(tensor_elem) -> dict:
@@ -772,11 +698,5 @@ def tensor_comult(tensor_elem) -> dict:
     out = {}
     for w, c in tensor_elem.items():
         for p in range(len(w) + 1):
-            key = (w[:p], w[p:])
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            _acc(out, (w[:p], w[p:]), c)
     return out

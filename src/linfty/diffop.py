@@ -87,12 +87,7 @@ class PolyDiffOp:
                 continue
             if not isinstance(w, tuple) or (w and not isinstance(w[0], tuple)):
                 w = tuple(tuple(j) for j in w)
-            s = clean.get(w)
-            s = c if s is None else s + c
-            if s:
-                clean[w] = s
-            else:
-                clean.pop(w, None)
+            _acc(clean, w, c)
         self.terms = clean
 
     @classmethod
@@ -429,9 +424,8 @@ def transform(phi: PolyDiffOp, M, M_inv) -> PolyDiffOp:
                             continue
                         e = list(mi)
                         e[k] += 1
-                        key = tuple(e)
-                        nxt[key] = nxt.get(key, Fraction(0)) + q * c
-                acc = {k: v for k, v in nxt.items() if v}
+                        _acc(nxt, tuple(e), q * c)
+                acc = nxt
         return acc
 
     out = {}

@@ -23,12 +23,12 @@ import math
 import random
 from fractions import Fraction
 
-from .diffop import PolyDiffOp, gerstenhaber, hochschild_d, mu, transform as d_transform
-from .linalg import rank, row_reduce
+from .diffop import PolyDiffOp, _op, gerstenhaber, hochschild_d, transform as d_transform
+from .linalg import rank
 from .linf import identity_sign_data
 from .poly import Poly, monomials_up_to, multi_indices_up_to
-from .polyvec import PolyVec, schouten, transform as t_transform, wedge
-from .scalars import CoeffDGA, DgaElem, frac_str, ksign, rational_field
+from .polyvec import PolyVec, schouten, transform as t_transform
+from .scalars import CoeffDGA, _acc, frac_str, ksign
 
 
 def u1(alpha: PolyVec) -> PolyDiffOp:
@@ -41,23 +41,12 @@ def u1(alpha: PolyVec) -> PolyDiffOp:
     out = {}
     for w, f in alpha.terms.items():
         p = len(w)
-        if p == 0:
-            key = ()
-            prev = out.get(key)
-            out[key] = f if prev is None else prev + f
-            continue
+        # p = 0 (a function) is the identity: 1/0! and one empty permutation
         scale = Fraction(1, math.factorial(p))
         for perm in itertools.permutations(range(p)):
-            sgn = _perm_sign(perm)
             word = tuple(_unit_mi(n, w[k]) for k in perm)
-            add = f.scale(scale * sgn)
-            prev = out.get(word)
-            s = add if prev is None else prev + add
-            if s:
-                out[word] = s
-            else:
-                out.pop(word, None)
-    op = PolyDiffOp(n, out, alpha.alg)
+            _acc(out, word, f.scale(scale * _perm_sign(perm)))
+    op = _op(n, alpha.alg, out)
     assert op.is_normalized() and op.order() <= 1
     return op
 
@@ -161,8 +150,8 @@ def op_coords(op: PolyDiffOp, index, where=""):
             if key not in index:
                 raise ValueError(
                     f"operator leaves the declared slice at {key} {where}")
-            out[index[key]] = out.get(index[key], Fraction(0)) + r
-    return {k: v for k, v in out.items() if v}
+            _acc(out, index[key], r)
+    return out
 
 
 def d_matrix(spec: TruncationSpec, p):
@@ -473,8 +462,10 @@ def tensor_t_d(A: CoeffDGA, elem, d_of=None):
         for ai2, q in A.diff.get(ai, {}).items():
             _acc(out, ai2, g.scale(q))
         if d_of is not None:
-            _acc(out, ai, d_of(g).scale(ksign(A.degrees[ai])))
-    return {k: v for k, v in out.items() if not v.is_zero()}
+            dg = d_of(g)
+            if dg:
+                _acc(out, ai, dg.scale(ksign(A.degrees[ai])))
+    return out
 
 
 def tensor_bracket(A: CoeffDGA, e1, e2, bracket, degree_of):
@@ -488,18 +479,7 @@ def tensor_bracket(A: CoeffDGA, e1, e2, bracket, degree_of):
             sgn = ksign(A.degrees[a2] * degree_of(g1))
             for ak, q in A.mul_basis(a1, a2).items():
                 _acc(out, ak, br.scale(q * sgn))
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def _acc(store, key, val):
-    if val.is_zero():
-        return
-    prev = store.get(key)
-    s = val if prev is None else prev + val
-    if s.is_zero():
-        store.pop(key, None)
-    else:
-        store[key] = s
+    return out
 
 
 def m_adic_order(A: CoeffDGA, keys):
@@ -517,7 +497,7 @@ def m_adic_order(A: CoeffDGA, keys):
             nxt = set()
             for i in power:
                 for j in A.ideal:
-                    nxt.update(m for m, q in A.mul_basis(i, j).items() if q)
+                    nxt.update(A.mul_basis(i, j))
             power = nxt
     return k - 1
 
@@ -556,14 +536,13 @@ def mc_bivector_workflow(pi: PolyVec, A: CoeffDGA, a_elem=None) -> dict:
         raise ValueError("a must be homogeneous")
     a_deg = a_degs.pop() if a_degs else 0
 
-    omega = {ai: pi.scale(q) for ai, q in a_elem.items() if q}
+    omega = {ai: pi.scale(q) for ai, q in a_elem.items() if q and pi}
     deg_pi = 1
 
     res_t = tensor_t_d(A, omega)
     br_t = tensor_bracket(A, omega, omega, schouten, lambda g: deg_pi)
     for k, v in br_t.items():
         _acc(res_t, k, v.scale(Fraction(1, 2)))
-    res_t = {k: v for k, v in res_t.items() if not v.is_zero()}
     if res_t:
         raise ValueError("w = a x pi does not satisfy the MC equation")
 
@@ -573,7 +552,6 @@ def mc_bivector_workflow(pi: PolyVec, A: CoeffDGA, a_elem=None) -> dict:
     br_d = tensor_bracket(A, omega_p, omega_p, gerstenhaber, lambda g: deg_pi)
     for k, v in br_d.items():
         _acc(res_d, k, v.scale(Fraction(1, 2)))
-    res_d = {k: v for k, v in res_d.items() if not v.is_zero()}
 
     order = m_adic_order(A, res_d) if res_d else None
     return {

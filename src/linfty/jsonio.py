@@ -17,7 +17,6 @@ where a coeff is either a "num/den" string (a rational multiple of 1) or a
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .coalg import GradedBasisModule, TaylorSeq
 from .linf import LinfAlgebra, LinfMorphism, MCElement

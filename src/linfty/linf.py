@@ -23,15 +23,12 @@ and the two are compared word for word in the test suite.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 
 from .coalg import (CoalgElem, CoalgOperator, GradedBasisModule, TaylorSeq,
-                    canon_word, check_coderivation, check_comorphism,
-                    coder_from_taylor, compose, exp, is_grouplike, ln,
-                    morph_from_taylor, split_sign, taylor_seq_of, vect_add,
-                    vect_degree, vect_is_zero, vect_scale, word_degree)
-from .scalars import CoeffDGA, DgaElem, ValidationReport, frac, ksign, rational_field
+                    coder_from_taylor, exp, morph_from_taylor, vect_acc,
+                    vect_degree, vect_is_zero, vect_scale)
+from .scalars import CoeffDGA, DgaElem, ValidationReport, _acc, ksign
 
 
 # ---------------------------------------------------------------------------
@@ -41,12 +38,11 @@ from .scalars import CoeffDGA, DgaElem, ValidationReport, frac, ksign, rational_
 def _as_vect(module, v):
     out = {}
     for k, c in v.items():
-        i = module.index[k] if isinstance(k, str) else k
         if not isinstance(c, DgaElem):
             c = module.coeff.scalar(c)
         if c:
-            out[i] = out.get(i, module.coeff.zero()) + c
-    return {i: c for i, c in out.items() if c}
+            _acc(out, module.index[k] if isinstance(k, str) else k, c)
+    return out
 
 
 def complete_bracket(module, bracket):
@@ -59,7 +55,7 @@ def complete_bracket(module, bracket):
     for (i, j) in list(out.keys()):
         if (j, i) not in out:
             sign = -ksign(module.degree(i) * module.degree(j))
-            out[(j, i)] = vect_scale(out[(i, j)], Fraction(sign))
+            out[(j, i)] = vect_scale(out[(i, j)], sign)
     return out
 
 
@@ -72,7 +68,7 @@ def dgla_check(module, d_table, bracket_table) -> ValidationReport:
     def dd(v):
         out = {}
         for i, c in v.items():
-            out = vect_add(out, vect_scale(d_table.get(i, {}), c))
+            vect_acc(out, d_table.get(i, {}), c)
         return out
 
     def br(i, j):
@@ -82,7 +78,7 @@ def dgla_check(module, d_table, bracket_table) -> ValidationReport:
         out = {}
         for i, c in v.items():
             for j, c2 in w.items():
-                out = vect_add(out, vect_scale(br(i, j), c * c2))
+                vect_acc(out, br(i, j), c * c2)
         return out
 
     for i in range(n):
@@ -98,24 +94,19 @@ def dgla_check(module, d_table, bracket_table) -> ValidationReport:
         if v and vect_degree(module, v) != want:
             rep.add("grading", [module.gen_name(i), module.gen_name(j)],
                     "bracket is not degree-additive")
-        anti = vect_add(v, vect_scale(br(j, i),
-                                      Fraction(ksign(module.degree(i) * module.degree(j)))))
+        anti = vect_acc(dict(v), br(j, i), ksign(module.degree(i) * module.degree(j)))
         if anti:
             rep.add("antisymmetry", [module.gen_name(i), module.gen_name(j)],
                     "[x,y] != -(-1)^{|x||y|}[y,x]")
-        lhs = dd(v)
-        rhs = vect_add(br_elem(d_table.get(i, {}), {j: C.one()}),
-                       vect_scale(br_elem({i: C.one()}, d_table.get(j, {})),
-                                  Fraction(ksign(module.degree(i)))))
-        if vect_add(lhs, vect_scale(rhs, Fraction(-1))):
+        rhs = vect_acc(br_elem(d_table.get(i, {}), {j: C.one()}),
+                       br_elem({i: C.one()}, d_table.get(j, {})), ksign(module.degree(i)))
+        if vect_acc(dd(v), rhs, -1):
             rep.add("leibniz", [module.gen_name(i), module.gen_name(j)],
                     "d[x,y] != [dx,y] + (-1)^{|x|}[x,dy]")
     for i, j, k in itertools.product(range(n), repeat=3):
-        lhs = br_elem({i: C.one()}, br(j, k))
-        rhs = vect_add(br_elem(br(i, j), {k: C.one()}),
-                       vect_scale(br_elem({j: C.one()}, br(i, k)),
-                                  Fraction(ksign(module.degree(i) * module.degree(j)))))
-        if vect_add(lhs, vect_scale(rhs, Fraction(-1))):
+        rhs = vect_acc(br_elem(br(i, j), {k: C.one()}), br_elem({j: C.one()}, br(i, k)),
+                       ksign(module.degree(i) * module.degree(j)))
+        if vect_acc(br_elem({i: C.one()}, br(j, k)), rhs, -1):
             rep.add("jacobi", [module.gen_name(i), module.gen_name(j), module.gen_name(k)],
                     "[x,[y,z]] != [[x,y],z] + (-1)^{|x||y|}[y,[x,z]]")
     return rep
@@ -133,7 +124,7 @@ def taylor_from_dgla(module, d_table, bracket_table, shifted=None) -> TaylorSeq:
         i, j = w
         v = bracket_table.get((i, j), {})
         if v:
-            maps[2][w] = vect_scale(v, Fraction(ksign(module.degree(i) + 1)))
+            maps[2][w] = vect_scale(v, ksign(module.degree(i) + 1))
     maps = {j: t for j, t in maps.items() if t}
     return TaylorSeq(sh, sh, maps, "coderivation")
 
@@ -148,7 +139,7 @@ def dgla_tables_from_taylor(module, T: TaylorSeq):
     for i, j in itertools.product(range(n), repeat=2):
         v = T.eval_word((i, j))
         if v:
-            bracket[(i, j)] = vect_scale(v, Fraction(ksign(module.degree(i) + 1)))
+            bracket[(i, j)] = vect_scale(v, ksign(module.degree(i) + 1))
     return d_table, bracket
 
 
@@ -212,7 +203,7 @@ class LinfAlgebra:
         d_table, _ = self.dgla_tables()
         out = {}
         for i, c in v.items():
-            out = vect_add(out, vect_scale(d_table.get(i, {}), c))
+            vect_acc(out, d_table.get(i, {}), c)
         return out
 
     def bracket_of(self, v, w):
@@ -220,7 +211,7 @@ class LinfAlgebra:
         out = {}
         for i, c in v.items():
             for j, c2 in w.items():
-                out = vect_add(out, vect_scale(bracket.get((i, j), {}), c * c2))
+                vect_acc(out, bracket.get((i, j), {}), c * c2)
         return out
 
     def check_square_zero(self, max_order) -> ValidationReport:
@@ -343,10 +334,11 @@ def _taylor_sum_on_powers(taylor: TaylorSeq, omega_elem: CoalgElem, extra_word=(
         if power.is_zero():
             break
         if i >= start:
+            inv = Fraction(1, fact)
             for w, c in power.words.items():
                 v = taylor.eval_word(w + tuple(extra_word))
-                if not vect_is_zero(v):
-                    out = vect_add(out, vect_scale(vect_scale(v, c), Fraction(1, fact)))
+                if v:
+                    vect_acc(out, v, c.scale(inv))
         if i > taylor.max_j():
             break
     return out
@@ -367,8 +359,7 @@ def mc_residue(algebra: LinfAlgebra, omega) -> dict:
 def mc_residue_dgla(algebra: LinfAlgebra, omega) -> dict:
     """Closed form d(w) + 1/2 [w,w] (independent path for DGLA provenance)."""
     omega = _as_vect(algebra.module, omega)
-    return vect_add(algebra.d_of(omega),
-                    vect_scale(algebra.bracket_of(omega, omega), Fraction(1, 2)))
+    return vect_acc(algebra.d_of(omega), algebra.bracket_of(omega, omega), Fraction(1, 2))
 
 
 def mc_push(psi: LinfMorphism, omega: MCElement) -> MCElement:
@@ -389,9 +380,8 @@ def twist_taylor(taylor: TaylorSeq, omega_elem: CoalgElem, out_source=None,
     for i in range(1, top + 1):
         tab = {}
         for w in module.words(i):
-            v = dict(taylor.eval_word(w))
-            extra = _taylor_sum_on_powers(taylor, omega_elem, extra_word=w)
-            v = vect_add(v, extra)
+            v = vect_acc(taylor.eval_word(w),
+                         _taylor_sum_on_powers(taylor, omega_elem, extra_word=w))
             if not vect_is_zero(v):
                 tab[w] = v
         if tab:
@@ -440,7 +430,7 @@ def conjugation_twist(algebra: LinfAlgebra, omega, headroom=None) -> CoalgOperat
     horizon = algebra.module.coeff.nilpotency_order
     big = algebra.W + (headroom if headroom is not None else 2 * (horizon - 1))
     e = exp(CoalgElem.from_vect(sh, om_vect, big))
-    e_inv = exp(CoalgElem.from_vect(sh, vect_scale(om_vect, Fraction(-1)), big))
+    e_inv = exp(CoalgElem.from_vect(sh, vect_scale(om_vect, -1), big))
 
     def act(x: CoalgElem) -> CoalgElem:
         lifted = CoalgElem(sh, x.words, big)
@@ -457,7 +447,7 @@ def conjugation_twist_morphism(psi: LinfMorphism, omega: MCElement,
     horizon = psi.source.module.coeff.nilpotency_order
     big = psi.W + (headroom if headroom is not None else 2 * (horizon - 1))
     e = exp(CoalgElem.from_vect(sh_s, omega.vect, big))
-    e_inv_t = exp(CoalgElem.from_vect(sh_t, vect_scale(omega_t.vect, Fraction(-1)), big))
+    e_inv_t = exp(CoalgElem.from_vect(sh_t, vect_scale(omega_t.vect, -1), big))
 
     def act(x: CoalgElem) -> CoalgElem:
         lifted = CoalgElem(sh_s, x.words, big)
@@ -538,11 +528,9 @@ def explicit_identity_residual(psi_taylor: TaylorSeq, source: LinfAlgebra,
         return psi_taylor.eval_elements(vs)
 
     unit_vect = [{i: C.one()} for i in letters]
-    out = {}
 
     # d'(psi_i(w))
-    v = psi_taylor.eval_word(letters)
-    out = vect_add(out, target.d_of(v))
+    out = target.d_of(psi_taylor.eval_word(letters))
 
     # bracket-target terms
     for B, rest, sign in signs["bracket_target"]:
@@ -550,7 +538,7 @@ def explicit_identity_residual(psi_taylor: TaylorSeq, source: LinfAlgebra,
         vc = psi_on_vects([unit_vect[p] for p in rest])
         if vect_is_zero(vb) or vect_is_zero(vc):
             continue
-        out = vect_add(out, vect_scale(target.bracket_of(vb, vc), Fraction(sign)))
+        vect_acc(out, target.bracket_of(vb, vc), sign)
 
     # internal-d terms (subtracted)
     for k, sign in signs["internal_d"]:
@@ -558,7 +546,7 @@ def explicit_identity_residual(psi_taylor: TaylorSeq, source: LinfAlgebra,
         if vect_is_zero(dv):
             continue
         args = [dv] + [unit_vect[p] for p in range(len(letters)) if p != k]
-        out = vect_add(out, vect_scale(psi_on_vects(args), Fraction(-sign)))
+        vect_acc(out, psi_on_vects(args), -sign)
 
     # bracket-source terms (subtracted)
     for k, l, sign in signs["bracket_source"]:
@@ -566,7 +554,7 @@ def explicit_identity_residual(psi_taylor: TaylorSeq, source: LinfAlgebra,
         if vect_is_zero(bv):
             continue
         args = [bv] + [unit_vect[p] for p in range(len(letters)) if p not in (k, l)]
-        out = vect_add(out, vect_scale(psi_on_vects(args), Fraction(-sign)))
+        vect_acc(out, psi_on_vects(args), -sign)
 
     return out
 
@@ -579,7 +567,7 @@ def coalgebra_identity_residual(psi_taylor: TaylorSeq, source: LinfAlgebra,
     x = CoalgElem(source.shifted, {tuple(word): source.module.coeff.one()}, W)
     lhs = target.Q(psi(x)).ln()
     rhs = psi(source.Q(x)).ln()
-    return vect_add(lhs, vect_scale(rhs, Fraction(-1)))
+    return vect_acc(lhs, rhs, -1)
 
 
 def linf_identity_check(psi_taylor: TaylorSeq, source: LinfAlgebra,
@@ -589,7 +577,7 @@ def linf_identity_check(psi_taylor: TaylorSeq, source: LinfAlgebra,
     for w in words:
         a = explicit_identity_residual(psi_taylor, source, target, w)
         b = coalgebra_identity_residual(psi_taylor, source, target, w)
-        if vect_add(a, vect_scale(b, Fraction(-1))):
+        if vect_acc(a, b, -1):
             rep.add("identity_paths", [source.shifted.gen_name(i) for i in w],
                     "explicit identity disagrees with the coalgebra computation")
     return rep
@@ -625,21 +613,17 @@ def tensor_dgla(A: CoeffDGA, algebra: LinfAlgebra, W=None, check=True):
     pair_index = {p: i for i, p in enumerate(pairs)}
     C = module.coeff
 
-    def embed(ai, gvect, coeff=Fraction(1)):
-        out = {}
-        for gi, c in gvect.items():
-            out[pair_index[(ai, gi)]] = c.scale(coeff) if isinstance(coeff, Fraction) else c * coeff
-        return out
+    def embed(ai, gvect):
+        return {pair_index[(ai, gi)]: c for gi, c in gvect.items()}
 
     td = {}
     for idx, (ai, gi) in enumerate(pairs):
         out = {}
         # d_A part
         for ai2, q in A.diff.get(ai, {}).items():
-            out = vect_add(out, {pair_index[(ai2, gi)]: C.scalar(q)})
+            _acc(out, pair_index[(ai2, gi)], C.scalar(q))
         # (-1)^{deg a} a x d_g part
-        sgn = ksign(A.degrees[ai])
-        out = vect_add(out, vect_scale(embed(ai, d_table.get(gi, {})), Fraction(sgn)))
+        vect_acc(out, embed(ai, d_table.get(gi, {})), ksign(A.degrees[ai]))
         if out:
             td[idx] = out
 
@@ -652,7 +636,7 @@ def tensor_dgla(A: CoeffDGA, algebra: LinfAlgebra, W=None, check=True):
             sgn = ksign(A.degrees[a2] * module.degree(g1))
             out = {}
             for ak, q in A.mul_basis(a1, a2).items():
-                out = vect_add(out, vect_scale(embed(ak, br), Fraction(sgn) * q))
+                vect_acc(out, embed(ak, br), sgn * q)
             if out:
                 tb[(i1, i2)] = out
 
@@ -698,23 +682,17 @@ def extend_multilinear(psi: LinfMorphism, A: CoeffDGA, W=None,
                 crossing = sum(psi.source.module.degree(g) - 1 for _, g in letters[:k])
                 sign *= ksign(A.degrees[a_part[k]] * crossing)
             # product a_1...a_j in A
-            prod = {A.unit_index: Fraction(1)}
+            prod = {A.unit_index: 1}
             for ak in a_part:
                 nxt = {}
                 for cur, q in prod.items():
                     for res, q2 in A.mul_basis(cur, ak).items():
-                        nxt[res] = nxt.get(res, Fraction(0)) + q * q2
-                prod = {k2: v for k2, v in nxt.items() if v}
-            if not prod:
-                continue
-            out = {}
-            for ares, q in prod.items():
-                for gi, c in base.items():
-                    key = t_pair_index[(ares, gi)]
-                    add = c.scale(q * sign)
-                    out = vect_add(out, {key: add})
-            if out:
-                tab[w] = out
+                        _acc(nxt, res, q * q2)
+                prod = nxt
+            # (ares, gi) -> key is one-to-one, so no two terms share a key
+            if prod:
+                tab[w] = {t_pair_index[(ares, gi)]: c.scale(q * sign)
+                          for ares, q in prod.items() for gi, c in base.items()}
         if tab:
             maps[j] = tab
     T = TaylorSeq(sh_src, tgt_ext.shifted, maps, "morphism")

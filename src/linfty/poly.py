@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add, sub
 
-from .scalars import CoeffDGA, DgaElem, _acc, _acc_neg, frac, frac_str, rational_field
+from .scalars import DgaElem, _acc, _acc_neg, frac, frac_str, rational_field
 
 
 class Infinity:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .poly import Poly
-from .scalars import ksign, rational_field
+from .scalars import _acc, _acc_neg, ksign, rational_field
 
 
 def _merge_word(word):
@@ -59,13 +59,7 @@ class PolyVec:
             sign, cw = r
             if len(cw) > n:
                 continue  # wedge beyond the dimension vanishes
-            g = f if sign == 1 else -f
-            s = clean.get(cw)
-            s = g if s is None else s + g
-            if s:
-                clean[cw] = s
-            else:
-                clean.pop(cw, None)
+            (_acc if sign == 1 else _acc_neg)(clean, cw, f)
         self.terms = clean
 
     @classmethod
@@ -97,12 +91,7 @@ class PolyVec:
             raise ValueError("variable count mismatch")
         out = dict(self.terms)
         for w, f in other.terms.items():
-            s = out.get(w)
-            s = f if s is None else s + f
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
+            _acc(out, w, f)
         return PolyVec(self.n, out, self.alg)
 
     def __neg__(self):
@@ -163,7 +152,6 @@ class PolyVec:
 def wedge(a: PolyVec, b: PolyVec) -> PolyVec:
     if a.n != b.n:
         raise ValueError("variable count mismatch")
-    out = PolyVec.zero(a.n, a.alg)
     acc = {}
     for w1, f1 in a.terms.items():
         for w2, f2 in b.terms.items():
@@ -172,14 +160,8 @@ def wedge(a: PolyVec, b: PolyVec) -> PolyVec:
                 continue
             sign, w = r
             f = f1 * f2
-            if sign == -1:
-                f = -f
-            s = acc.get(w)
-            s = f if s is None else s + f
-            if s:
-                acc[w] = s
-            else:
-                acc.pop(w, None)
+            if f:
+                (_acc if sign == 1 else _acc_neg)(acc, w, f)
     return PolyVec(a.n, acc, a.alg)
 
 
@@ -204,9 +186,9 @@ def _bracket_terms(n, alg, w1, f1, w2, f2) -> PolyVec:
         a = _vf_apply(i, f1, f2)
         if a:
             out[(j,)] = a
-        b = -_vf_apply(j, f2, f1)
+        b = _vf_apply(j, f2, f1)
         if b:
-            out[(i,)] = out.get((i,), Poly.zero(n, alg)) + b
+            _acc_neg(out, (i,), b)
         return PolyVec(n, out, alg)
     if k >= 2:
         # w1 = a1 ^ a2 with a1 = f1*d_{first}, a2 = rest of the word

@@ -11,13 +11,12 @@ vanishes.  All generators take an explicit seed through ``random.Random``.
 from __future__ import annotations
 
 import itertools
-import random
 from fractions import Fraction
 
-from .coalg import GradedBasisModule, TaylorSeq, vect_add, vect_scale, word_degree
+from .coalg import GradedBasisModule, TaylorSeq, vect_acc, word_degree
 from .linalg import nullspace
 from .linf import LinfAlgebra, LinfMorphism, MCElement, mc_residue
-from .scalars import CoeffDGA, make_truncated_poly_dga, rational_field
+from .scalars import CoeffDGA, _acc, make_truncated_poly_dga
 
 
 FAMILIES = {
@@ -69,8 +68,8 @@ def change_basis_dgla(module, d_table, bracket_table, P, Pinv, C):
             for i in range(n):
                 q = Pinv[j][i]
                 if q:
-                    out[i] = out.get(i, C.zero()) + c.scale(q)
-        return {i: c for i, c in out.items() if c}
+                    _acc(out, i, c.scale(q))
+        return out
 
     def old_vect(table, i):
         return table.get(i, {})
@@ -80,7 +79,7 @@ def change_basis_dgla(module, d_table, bracket_table, P, Pinv, C):
         acc = {}
         for j in range(n):
             if P[i][j]:
-                acc = vect_add(acc, vect_scale(old_vect(d_table, j), P[i][j]))
+                vect_acc(acc, old_vect(d_table, j), P[i][j])
         acc = to_new(acc)
         if acc:
             d_new[i] = acc
@@ -95,7 +94,7 @@ def change_basis_dgla(module, d_table, bracket_table, P, Pinv, C):
                     continue
                 v = bracket_table.get((j1, j2), {})
                 if v:
-                    acc = vect_add(acc, vect_scale(v, P[i1][j1] * P[i2][j2]))
+                    vect_acc(acc, v, P[i1][j1] * P[i2][j2])
         acc = to_new(acc)
         if acc:
             br_new[(i1, i2)] = acc

@@ -74,6 +74,8 @@ class CoeffDGA:
     degrees     integer degree per basis element
     mul         dict (i, j) -> {k: Fraction}, the product b_i * b_j
     diff        dict i -> {k: Fraction}, the degree +1 differential
+                (zero values are dropped on construction; the (i, j) and i
+                keys stay, since ``dga_check`` reads them)
     unit_index  position of the unit
     ideal       frozenset of basis indices spanning the designated ideal m
     nilpotency_order  smallest N with m^N = 0 (1 when the ideal is zero)
@@ -87,13 +89,13 @@ class CoeffDGA:
                  nilpotency_order=None):
         self.basis = tuple(basis)
         self.degrees = tuple(degrees)
-        self.mul = {k: dict(v) for k, v in mul.items()}
-        self.diff = {k: dict(v) for k, v in diff.items()}
+        self.mul = {k: {i: q for i, q in v.items() if q} for k, v in mul.items()}
+        self.diff = {k: {i: q for i, q in v.items() if q} for k, v in diff.items()}
         self.unit_index = unit_index
         self.ideal = frozenset(ideal)
         self.index = {name: i for i, name in enumerate(self.basis)}
         self.table = [[tuple((k, q.numerator if q.denominator == 1 else q)
-                             for k, q in self.mul.get((i, j), {}).items() if q)
+                             for k, q in self.mul.get((i, j), {}).items())
                        for j in range(len(self.basis))]
                       for i in range(len(self.basis))]
         if nilpotency_order is None:
@@ -136,11 +138,10 @@ class CoeffDGA:
         """Element from {index-or-name: scalar}."""
         out = {}
         for k, v in coeffs.items():
-            i = self.index[k] if isinstance(k, str) else k
             q = frac(v)
             if q:
-                out[i] = out.get(i, Fraction(0)) + q
-        return DgaElem(self, {i: q for i, q in out.items() if q})
+                _acc(out, self.index[k] if isinstance(k, str) else k, q)
+        return _elem(self, out)
 
     def basis_elem(self, i):
         return _elem(self, {i: _ONE})
@@ -172,7 +173,7 @@ class CoeffDGA:
             nxt = set()
             for i in span:
                 for j in self.ideal:
-                    nxt.update(k for k, q in self.mul_basis(i, j).items() if q)
+                    nxt.update(self.mul_basis(i, j))
             span = nxt
             if order > len(self.basis) + 2:
                 raise ValueError("designated ideal is not nilpotent")
@@ -280,12 +281,8 @@ class DgaElem:
         out = {}
         for i, a in self.coeffs.items():
             for k, q in self.alg.diff.get(i, {}).items():
-                s = out.get(k, Fraction(0)) + a * q
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return DgaElem(self.alg, out)
+                _acc(out, k, a * q)
+        return _elem(self.alg, out)
 
     def degree(self):
         """Common degree of the support, or None if zero or mixed."""
@@ -436,7 +433,7 @@ def dga_check(A: CoeffDGA) -> ValidationReport:
         nxt = set()
         for i in span:
             for j in A.ideal:
-                nxt.update(k for k, q in A.mul_basis(i, j).items() if q)
+                nxt.update(A.mul_basis(i, j))
         span = nxt
     if span:
         rep.add("nilpotency", sorted(A.basis[i] for i in span),
@@ -448,7 +445,7 @@ def dga_check(A: CoeffDGA) -> ValidationReport:
             nxt = set()
             for i in span:
                 for j in A.ideal:
-                    nxt.update(k for k, q in A.mul_basis(i, j).items() if q)
+                    nxt.update(A.mul_basis(i, j))
             span = nxt
         if not span:
             rep.add("nilpotency", [], "nilpotency_order is not minimal")
@@ -543,7 +540,7 @@ def make_truncated_poly_dga(generator_degrees, truncation_order, names=None,
         gen_d = {}
         for g, nm in enumerate(names):
             gen_d[g] = [(name_to_exps[t], frac(q))
-                        for t, q in differential.get(nm, {}).items()]
+                        for t, q in differential.get(nm, {}).items() if frac(q)]
         for e in monos:
             out = {}
             # Leibniz over the factors of the monomial, in canonical generator order
@@ -563,12 +560,7 @@ def make_truncated_poly_dga(generator_degrees, truncation_order, names=None,
                     if r is None:
                         continue
                     s2, ee = r
-                    key = idx[ee]
-                    val = out.get(key, Fraction(0)) + Fraction(sign * s2 * mult) * q
-                    if val:
-                        out[key] = val
-                    else:
-                        out.pop(key, None)
+                    _acc(out, idx[ee], sign * s2 * mult * q)
             diff[idx[e]] = out
 
     ideal = [i for i, e in enumerate(monos) if any(e)]
@@ -610,22 +602,20 @@ def dga_tensor(A: CoeffDGA, B: CoeffDGA) -> CoeffDGA:
     for p1 in pairs:
         for p2 in pairs:
             sign = (-1) ** (A.degrees[p2[0]] * B.degrees[p1[1]])
-            out = {}
-            for ka, qa in A.mul_basis(p1[0], p2[0]).items():
-                for kb, qb in B.mul_basis(p1[1], p2[1]).items():
-                    out[idx[(ka, kb)]] = Fraction(sign) * qa * qb
-            mul[(idx[p1], idx[p2])] = {k: q for k, q in out.items() if q}
+            mul[(idx[p1], idx[p2])] = {
+                idx[(ka, kb)]: sign * qa * qb
+                for ka, qa in A.mul_basis(p1[0], p2[0]).items()
+                for kb, qb in B.mul_basis(p1[1], p2[1]).items()}
 
     diff = {}
     for p in pairs:
         out = {}
         for ka, qa in A.diff.get(p[0], {}).items():
-            out[idx[(ka, p[1])]] = out.get(idx[(ka, p[1])], Fraction(0)) + qa
+            _acc(out, idx[(ka, p[1])], qa)
         sgn = (-1) ** A.degrees[p[0]]
         for kb, qb in B.diff.get(p[1], {}).items():
-            key = idx[(p[0], kb)]
-            out[key] = out.get(key, Fraction(0)) + Fraction(sgn) * qb
-        diff[idx[p]] = {k: q for k, q in out.items() if q}
+            _acc(out, idx[(p[0], kb)], sgn * qb)
+        diff[idx[p]] = out
 
     unit = idx[(A.unit_index, B.unit_index)]
     ideal = [idx[p] for p in pairs if p[0] in A.ideal or p[1] in B.ideal]

@@ -3,14 +3,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linfty.coalg import (CoalgElem, CoalgOperator, GradedBasisModule,
-                          OrderOverflowError, TaylorSeq, check_coderivation,
+                          OrderOverflowError, TaylorSeq, canon_word, check_coderivation,
                           check_comorphism, coder_from_taylor, compose, exp,
                           is_grouplike, is_invertible, is_primitive, ln,
                           morph_from_taylor, pi_tilde, tau, taylor_of,
                           tensor_comult, tensor_of, vect_add, vect_is_zero,
                           word_degree)
+from linfty.poly import Poly
+from linfty.polyvec import PolyVec, wedge
 from linfty.scalars import make_truncated_poly_dga, rational_field
 
 W = 4
@@ -328,3 +331,89 @@ class TestPrimitives:
         gc = CoalgElem.generator(module, "c", W)
         assert is_primitive(ga + gc.scale(Fraction(2)))
         assert not is_primitive(ga + ga * ga)
+
+
+# ---------------------------------------------------------------------------
+# results built without the public constructor, checked against it, over
+# Q[h]/(h^3) with an odd letter, where products and repeated odd letters vanish
+# ---------------------------------------------------------------------------
+
+C3 = make_truncated_poly_dga([0], 3)
+MOD = GradedBasisModule("g", [("a", 0), ("b", 0), ("c", 1), ("e", -1)], C3)
+small_q = st.fractions(-2, 2, max_denominator=2)
+coefficients = st.builds(lambda i, q: C3.basis_elem(i).scale(q), st.integers(0, 2), small_q)
+elements = st.dictionaries(st.lists(st.integers(0, len(MOD) - 1), max_size=2).map(tuple),
+                           coefficients, max_size=5).map(lambda d: CoalgElem(MOD, d, W))
+
+
+def assert_canonical(x):
+    """x equals its re-canonicalisation, holds no zero and fits its word cap."""
+    assert CoalgElem(x.module, dict(x.words), x.W).words == x.words
+    assert all(x.words.values())
+    assert all(len(w) <= x.W for w in x.words)
+
+
+def naive_sum(dicts):
+    out = {}
+    for d in dicts:
+        for k, v in d.items():
+            out[k] = out[k] + v if k in out else v
+    return {k: v for k, v in out.items() if v}
+
+
+class TestTrustedResults:
+    @given(elements, elements, coefficients, small_q)
+    @settings(max_examples=150)
+    def test_element_arithmetic(self, x, y, c, q):
+        minus_y = {w: -v for w, v in y.words.items()}
+        by_c = naive_sum({w: c * v} for w, v in x.words.items())
+        by_q = naive_sum({w: v.scale(q)} for w, v in x.words.items())
+        for name, got, want in [("add", x + y, naive_sum([x.words, y.words])),
+                                ("sub", x - y, naive_sum([x.words, minus_y])),
+                                ("neg", -y, minus_y),
+                                ("mul", x * y, None),
+                                ("scale by a nilpotent", x.scale(c), by_c),
+                                ("scale by a rational", x.scale(q), by_q)]:
+            assert_canonical(got)
+            assert want is None or got.words == want, name
+
+    @given(elements)
+    @settings(max_examples=100)
+    def test_comult(self, x):
+        got = x.comult()
+        assert all(got.values())
+        for left, right in got:
+            assert canon_word(MOD, left) == (1, left) and canon_word(MOD, right) == (1, right)
+        assert got == naive_sum(CoalgElem(MOD, {w: c}, W).comult() for w, c in x.words.items())
+
+    @given(st.integers(0, 2 ** 32), elements)
+    @settings(max_examples=60)
+    def test_operators(self, seed, x):
+        rng = random.Random(seed)
+        for op in (coder_from_taylor(rand_taylor(rng, MOD, "coderivation", 2), W),
+                   morph_from_taylor(rand_taylor(rng, MOD, "morphism", 2), W)):
+            got = op(x)
+            assert_canonical(got)
+            assert got.words == naive_sum(op(CoalgElem(MOD, {w: c}, W)).words
+                                          for w, c in x.words.items())
+
+    @given(st.integers(0, 2 ** 32))
+    @settings(max_examples=100)
+    def test_polyvec_add_and_wedge(self, seed):
+        rng = random.Random(seed)
+        n = 3
+
+        def rand_polyvec():
+            terms = {}
+            for _ in range(rng.randint(0, 3)):
+                word = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, 2))))
+                exps = tuple(rng.randint(0, 1) for _ in range(n))
+                c = C3.basis_elem(rng.randint(0, 2)).scale(rng.choice([-1, 1, 2]))
+                terms[word] = Poly(n, {exps: c}, alg=C3)
+            return PolyVec(n, terms, C3)
+
+        a, b = rand_polyvec(), rand_polyvec()
+        for got in (a + b, a + (-a), wedge(a, b), wedge(a, a)):
+            assert PolyVec(n, dict(got.terms), C3).terms == got.terms
+            assert all(got.terms.values())
+            assert all(len(w) <= n for w in got.terms)

@@ -253,3 +253,42 @@ class TestCli:
             assert code == 2 and buf.getvalue() == ""
             message = err.getvalue()
             assert message.count("\n") == 1 and "W=1" in message, message
+
+    def test_ln_verb(self, instance_file, monkeypatch):
+        with open(instance_file) as fh:
+            doc = json.load(fh)
+        doc["element"] = [{"word": [], "coeff": "1"},
+                          {"word": ["y"], "coeff": {"h": "2"}},
+                          {"word": ["x", "y"], "coeff": "-1/2"},
+                          {"word": ["z"], "coeff": "1"},
+                          {"word": ["z"], "coeff": "-1"},  # cancels the one before
+                          {"word": ["x"], "coeff": "0"}]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, out = capture(["ln", "--instance", "-"])
+        assert code == 0
+        assert json.loads(out)["result"] == [{"coeff": [["h", "2"]], "word": ["y"]}]
+
+    def test_instance_key_errors_exit_two(self, instance_file, tmp_path):
+        with open(instance_file) as fh:
+            doc = json.load(fh)
+        cases = [
+            (["ln"], doc, "'element'"),
+            (["ln"], {**doc, "element": [{"word": ["nope"], "coeff": "1"}]}, "'nope'"),
+            (["twist-check"], {**doc, "omega": {"nope": {"h": "1"}}}, "'nope'"),
+            (["twist-check"], {**doc, "omega": {"y": {"q": "1"}}}, "'q'"),
+            (["twist-check"], {k: v for k, v in doc.items() if k != "algebra"}, "'algebra'"),
+        ]
+        apath = tmp_path / "A.json"
+        apath.write_text(json.dumps({"basis": [{"name": "1", "degree": 0}], "d": [],
+                                     "unit": 0}))
+        cases.append((["extend", "--coeff-algebra", str(apath)], doc, "'mul'"))
+        for k, (argv, case, key) in enumerate(cases):
+            path = tmp_path / f"case{k}.json"
+            path.write_text(json.dumps(case))
+            buf, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
+                code = run([*argv, "--instance", str(path)])
+            message = err.getvalue()
+            assert code == 2 and buf.getvalue() == "", argv
+            assert message.startswith("error: ") and message.count("\n") == 1, message
+            assert key in message, message

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,19 @@ class TestDgaCheck:
         rep = dga_check(bad)
         assert not rep.ok
         assert any(v["witness"] == ["th", "th"] for v in rep.violations)
+
+    def test_explicit_zero_constants_are_dropped(self):
+        A = make_truncated_poly_dga([0, 1], 3)
+        doc = json.loads(A.to_json())
+        for entry in doc["mul"]:  # a "0" for every basis index a product lacks
+            present = {k for k, _ in entry[2]}
+            entry[2] += [[k, "0"] for k in range(len(A)) if k not in present]
+        for entry in doc["d"]:
+            entry[1].append([0, "0"])
+        B = CoeffDGA.from_json_dict(doc)
+        assert B == A and B.to_json() == A.to_json()
+        assert all(q for table in (B.mul, B.diff) for v in table.values() for q in v.values())
+        assert dga_check(B).ok
 
     def test_missing_entry_is_structural(self):
         L = make_truncated_poly_dga([1], 2)
