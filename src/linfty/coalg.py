@@ -568,7 +568,7 @@ def exp(omega: CoalgElem) -> CoalgElem:
             raise ValueError("exp needs letters of suspension degree 0")
         if not c.in_ideal():
             raise ValueError("exp requires nilpotent coefficients")
-    out = CoalgElem.unit(omega.module, omega.W)
+    out = {(): omega.module.coeff.one()}
     power = CoalgElem.unit(omega.module, omega.W)
     i = 0
     while True:
@@ -576,8 +576,8 @@ def exp(omega: CoalgElem) -> CoalgElem:
         power = power * omega
         if power.is_zero():
             break
-        out = out + power.scale(Fraction(1, math.factorial(i)))
-    return out
+        vect_acc(out, power.words, Fraction(1, math.factorial(i)))
+    return _coalg(omega.module, out, omega.W)
 
 
 def ln(e: CoalgElem) -> CoalgElem:

@@ -80,7 +80,7 @@ def u1_chain_check(n, samples, seed=0, max_degree=2) -> dict:
 def random_polyvec(n, rng, p=None, max_degree=2, terms=2):
     p = p if p is not None else rng.randint(-1, n - 1)
     words = list(itertools.combinations(range(1, n + 1), p + 1))
-    out = PolyVec.zero(n)
+    out = {}
     for _ in range(terms):
         w = rng.choice(words)
         f = Poly.zero(n)
@@ -90,8 +90,8 @@ def random_polyvec(n, rng, p=None, max_degree=2, terms=2):
                 continue
             f = f + Poly.monomial(e, Fraction(rng.randint(-2, 2)))
         if f:
-            out = out + PolyVec(n, {w: f})
-    return out
+            _acc(out, w, f)
+    return PolyVec(n, out)
 
 
 # ---------------------------------------------------------------------------

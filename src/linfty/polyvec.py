@@ -211,11 +211,12 @@ def schouten(a: PolyVec, b: PolyVec) -> PolyVec:
     """Schouten-Nijenhuis bracket, bilinear over the stored terms."""
     if a.n != b.n:
         raise ValueError("variable count mismatch")
-    out = PolyVec.zero(a.n, a.alg)
+    out = {}
     for w1, f1 in a.terms.items():
         for w2, f2 in b.terms.items():
-            out = out + _bracket_terms(a.n, a.alg, w1, f1, w2, f2)
-    return out
+            for w, f in _bracket_terms(a.n, a.alg, w1, f1, w2, f2).terms.items():
+                _acc(out, w, f)
+    return PolyVec(a.n, out, a.alg)
 
 
 def is_poisson(pi: PolyVec) -> bool:
@@ -233,16 +234,18 @@ def transform(alpha: PolyVec, M, M_inv) -> PolyVec:
     transform respects wedge and Schouten (used for equivariance checks).
     """
     n = alpha.n
-    out = PolyVec.zero(n, alpha.alg)
+    one = Poly.one(n, alpha.alg)
+    out = {}
     for w, f in alpha.terms.items():
         base = PolyVec.from_function(f.subs_linear(M))
         for i in w:
             # sigma d_i sigma^{-1} = sum_j (M^{-1})_{ji} d_j
-            d_img = PolyVec.zero(n, alpha.alg)
+            d_img = {}
             for j in range(1, n + 1):
                 c = Fraction(M_inv[j - 1][i - 1])
                 if c:
-                    d_img = d_img + PolyVec.basis((j,), n, alg=alpha.alg).scale(c)
-            base = wedge(base, d_img)
-        out = out + base
-    return out
+                    d_img[(j,)] = one.scale(c)
+            base = wedge(base, PolyVec(n, d_img, alpha.alg))
+        for cw, g in base.terms.items():
+            _acc(out, cw, g)
+    return PolyVec(n, out, alpha.alg)

@@ -395,7 +395,7 @@ def dga_check(A: CoeffDGA) -> ValidationReport:
 
     # super-commutativity and odd squares
     for i, j in itertools.product(range(n), repeat=2):
-        sign = (-1) ** (A.degrees[i] * A.degrees[j])
+        sign = ksign(A.degrees[i] * A.degrees[j])
         if prod(j, i) != prod(i, j).scale(sign):
             rep.add("commutativity", [A.basis[i], A.basis[j]],
                     "b*a != (-1)^{deg a deg b} a*b")
@@ -416,7 +416,7 @@ def dga_check(A: CoeffDGA) -> ValidationReport:
     for i, j in itertools.product(range(n), repeat=2):
         lhs = prod(i, j).d()
         rhs = (A.basis_elem(i).d() * A.basis_elem(j)) + \
-            (A.basis_elem(i) * A.basis_elem(j).d()).scale((-1) ** A.degrees[i])
+            (A.basis_elem(i) * A.basis_elem(j).d()).scale(ksign(A.degrees[i]))
         if lhs != rhs:
             rep.add("leibniz", [A.basis[i], A.basis[j]],
                     "d(ab) != d(a)b + (-1)^{deg a} a d(b)")
@@ -553,7 +553,7 @@ def make_truncated_poly_dga(generator_degrees, truncation_order, names=None,
                     sign = 1
                     # d (odd) moves past the factors preceding g
                     for h in range(g):
-                        sign *= (-1) ** (degrees[h] * e[h])
+                        sign *= ksign(degrees[h] * e[h])
                     # even g: the e[g] identical factors each get hit, same sign
                     mult = e[g] if degrees[g] % 2 == 0 else 1
                     r = mono_mul(tgt, rest)
@@ -601,7 +601,7 @@ def dga_tensor(A: CoeffDGA, B: CoeffDGA) -> CoeffDGA:
     mul = {}
     for p1 in pairs:
         for p2 in pairs:
-            sign = (-1) ** (A.degrees[p2[0]] * B.degrees[p1[1]])
+            sign = ksign(A.degrees[p2[0]] * B.degrees[p1[1]])
             mul[(idx[p1], idx[p2])] = {
                 idx[(ka, kb)]: sign * qa * qb
                 for ka, qa in A.mul_basis(p1[0], p2[0]).items()
@@ -612,7 +612,7 @@ def dga_tensor(A: CoeffDGA, B: CoeffDGA) -> CoeffDGA:
         out = {}
         for ka, qa in A.diff.get(p[0], {}).items():
             _acc(out, idx[(ka, p[1])], qa)
-        sgn = (-1) ** A.degrees[p[0]]
+        sgn = ksign(A.degrees[p[0]])
         for kb, qb in B.diff.get(p[1], {}).items():
             _acc(out, idx[(p[0], kb)], sgn * qb)
         diff[idx[p]] = out

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from linfty.coalg import (CoalgElem, CoalgOperator, GradedBasisModule,
                           tensor_comult, tensor_of, vect_add, vect_is_zero,
                           word_degree)
 from linfty.poly import Poly
-from linfty.polyvec import PolyVec, wedge
+from linfty.polyvec import PolyVec, schouten, wedge
 from linfty.scalars import make_truncated_poly_dga, rational_field
 
 W = 4
@@ -413,7 +414,26 @@ class TestTrustedResults:
             return PolyVec(n, terms, C3)
 
         a, b = rand_polyvec(), rand_polyvec()
-        for got in (a + b, a + (-a), wedge(a, b), wedge(a, a)):
+        for got in (a + b, a + (-a), wedge(a, b), wedge(a, a), schouten(a, b)):
             assert PolyVec(n, dict(got.terms), C3).terms == got.terms
             assert all(got.terms.values())
             assert all(len(w) <= n for w in got.terms)
+        want = PolyVec.zero(n, C3)
+        for w1, f1 in a.terms.items():
+            for w2, f2 in b.terms.items():
+                want = want + schouten(PolyVec(n, {w1: f1}, C3), PolyVec(n, {w2: f2}, C3))
+        assert schouten(a, b) == want
+
+    @given(st.dictionaries(st.sampled_from([MOD.index["a"], MOD.index["b"]]),
+                           st.builds(lambda i, q: C3.basis_elem(i).scale(q),
+                                     st.integers(1, 2), small_q), max_size=2))
+    @settings(max_examples=60)
+    def test_exp(self, vect):
+        omega = CoalgElem.from_vect(MOD, vect, W)
+        got = exp(omega)
+        assert_canonical(got)
+        powers, power = [{(): C3.one()}], CoalgElem.unit(MOD, W)
+        for i in range(1, W + 1):
+            power = power * omega
+            powers.append(power.scale(Fraction(1, math.factorial(i))).words)
+        assert got.words == naive_sum(powers)

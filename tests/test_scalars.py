@@ -140,6 +140,17 @@ class TestTensor:
         th = T.gen("th")
         assert th.d() == T.gen("y")
 
+    def test_negative_degrees_stay_exact(self):
+        # d(a*b) = -a*c: d passes the odd a of degree -1, a sign (-1)^{-1}
+        A = make_truncated_poly_dga([-1, -1, 0], 2, names=["a", "b", "c"],
+                                    differential={"b": {"c": 1}})
+        assert A.diff[A.index["a*b"]] == {A.index["a*c"]: Fraction(-1)}
+        for T in (A, dga_tensor(make_truncated_poly_dga([-1], 2), make_truncated_poly_dga([1], 2)),
+                  dga_tensor(A, make_truncated_poly_dga([-2, 1], 3))):
+            assert all(isinstance(q, Fraction)
+                       for table in (T.mul, T.diff) for v in table.values() for q in v.values())
+            assert dga_check(T).ok
+
     def test_associativity_up_to_identification(self):
         A = make_truncated_poly_dga([0], 2)
         B = make_truncated_poly_dga([1], 2)
