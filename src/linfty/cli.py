@@ -40,12 +40,14 @@ def _read_document(args):
 
 @contextlib.contextmanager
 def _loading():
-    """A key missing from an input document, or a name it does not define, is a
-    parse error (exit 2), not a failed check."""
+    """A key missing from an input document, a name it does not define, or an
+    entry of the wrong JSON type is a parse error (exit 2), not a failed check."""
     try:
         yield
     except KeyError as ex:
         raise ParseError(f"input document: missing key or unknown name {ex}", 0) from None
+    except TypeError as ex:
+        raise ParseError(f"input document: wrong JSON type: {ex}", 0) from None
 
 
 def _load_instance(args, doc=None):
@@ -242,6 +244,8 @@ def cmd_extend(args):
     algebra, omega, morphism = _load_instance(args)
     if morphism is None:
         raise ParseError("instance needs a 'morphism' entry", 0)
+    if args.coeff_algebra is None:
+        raise ParseError("extend needs --coeff-algebra", 0)
     with open(args.coeff_algebra) as fh, _loading():
         A = CoeffDGA.from_json(fh.read())
     ext = extend_multilinear(morphism, A, W=args.word_cap)

@@ -25,7 +25,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .poly import Poly, _compositions
+from .poly import Poly, _compositions, _min_trunc, _poly_cut
 from .scalars import _acc, _acc_neg, ksign, rational_field
 
 
@@ -175,18 +175,20 @@ class PolyDiffOp:
     def apply(self, args):
         """Multilinear evaluation on Polys; requires arity-homogeneous terms."""
         args = list(args)
-        out = Poly.zero(self.n, self.alg)
         if self.terms and not self.is_homogeneous(len(args) - 1):
             raise ValueError(
                 f"arity mismatch: operator degrees {self.degrees()}, got {len(args)} args")
+        out, trunc = {}, None
         for w, c in self.terms.items():
             if len(w) != len(args):
                 raise ValueError("arity mismatch")
             term = c
             for j, a in zip(w, args):
                 term = term * a.partial_word(j)
-            out = out + term
-        return out
+            trunc = _min_trunc(trunc, term.trunc)
+            for e, q in term.terms.items():
+                _acc(out, e, q)
+        return _poly_cut(Poly.zero(self.n, self.alg), out, trunc)
 
     def text(self):
         if not self.terms:

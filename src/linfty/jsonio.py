@@ -19,8 +19,21 @@ from __future__ import annotations
 import json
 
 from .coalg import GradedBasisModule, TaylorSeq
+from .grammar import ParseError
 from .linf import LinfAlgebra, LinfMorphism, MCElement
 from .scalars import CoeffDGA, DgaElem, frac, frac_str, rational_field
+
+
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+               int: "a number", float: "a number", type(None): "null"}
+
+
+def _expect(doc, kind, where, wanted=None):
+    """doc, or a ParseError naming the entry `where` when doc is not a `kind`."""
+    if not isinstance(doc, kind):
+        raise ParseError(f"{where}: expected {wanted or _JSON_TYPES[kind]}, "
+                         f"got {_JSON_TYPES.get(type(doc), type(doc).__name__)}", 0)
+    return doc
 
 
 def coeff_to_json(c: DgaElem):
@@ -29,9 +42,10 @@ def coeff_to_json(c: DgaElem):
     return {c.alg.basis[i]: frac_str(q) for i, q in sorted(c.coeffs.items())}
 
 
-def coeff_from_json(C: CoeffDGA, doc) -> DgaElem:
+def coeff_from_json(C: CoeffDGA, doc, where="coefficient") -> DgaElem:
     if isinstance(doc, str):
         return C.scalar(frac(doc))
+    _expect(doc, dict, where, 'a "num/den" string or an object')
     return C.elem({name: frac(q) for name, q in doc.items()})
 
 
@@ -39,9 +53,9 @@ def vect_to_json(module, v):
     return {module.gen_name(i): coeff_to_json(c) for i, c in sorted(v.items())}
 
 
-def vect_from_json(module, doc):
-    return {module.index[name]: coeff_from_json(module.coeff, val)
-            for name, val in doc.items()}
+def vect_from_json(module, doc, where="vector"):
+    return {module.index[name]: coeff_from_json(module.coeff, val, f"{where} entry {name!r}")
+            for name, val in _expect(doc, dict, where).items()}
 
 
 def algebra_to_json(alg: LinfAlgebra) -> dict:
@@ -60,8 +74,9 @@ def algebra_to_json(alg: LinfAlgebra) -> dict:
 def algebra_from_json(doc, C: CoeffDGA, W=6, check=True) -> LinfAlgebra:
     module = GradedBasisModule(doc.get("name", "g"),
                                [(b["name"], b["degree"]) for b in doc["basis"]], C)
-    d_table = {entry[0]: vect_from_json(module, entry[1]) for entry in doc.get("d", [])}
-    bracket = {(pair[0], pair[1]): vect_from_json(module, val)
+    d_table = {entry[0]: vect_from_json(module, entry[1], f"d of {entry[0]!r}")
+               for entry in doc.get("d", [])}
+    bracket = {(pair[0], pair[1]): vect_from_json(module, val, f"bracket of {pair}")
                for pair, val in doc.get("bracket", [])}
     bracket = {(module.index[i] if isinstance(i, str) else i,
                 module.index[j] if isinstance(j, str) else j): v
@@ -85,7 +100,7 @@ def taylor_from_json(doc, source_shifted, target_shifted, intent) -> TaylorSeq:
         tab = {}
         for word_names, val in entries:
             w = tuple(source_shifted.index[nm] for nm in word_names)
-            tab[w] = vect_from_json(target_shifted, val)
+            tab[w] = vect_from_json(target_shifted, val, f"taylor value on {word_names}")
         maps[int(j)] = tab
     return TaylorSeq(source_shifted, target_shifted, maps, intent)
 
@@ -108,16 +123,19 @@ def instance_to_json(algebra: LinfAlgebra, omega=None, morphism: LinfMorphism = 
 
 def instance_from_json(doc, W=6, check=True):
     """Returns (algebra, omega vect or None, morphism or None)."""
-    cdoc = doc.get("coeff", "Q")
+    cdoc = _expect(doc, dict, "instance document").get("coeff", "Q")
     C = rational_field() if cdoc == "Q" else CoeffDGA.from_json_dict(cdoc)
-    algebra = algebra_from_json(doc["algebra"], C, W=W, check=check)
+    algebra = algebra_from_json(_expect(doc["algebra"], dict, "algebra"), C, W=W,
+                                check=check)
     omega = None
     if "omega" in doc:
-        omega = vect_from_json(algebra.module, doc["omega"])
+        omega = vect_from_json(algebra.module, doc["omega"], "omega")
     morphism = None
     if "morphism" in doc:
-        target = algebra_from_json(doc["morphism"]["target"], C, W=W, check=check)
-        T = taylor_from_json(doc["morphism"]["taylor"], algebra.shifted,
+        mdoc = _expect(doc["morphism"], dict, "morphism")
+        target = algebra_from_json(_expect(mdoc["target"], dict, "morphism target"), C,
+                                   W=W, check=check)
+        T = taylor_from_json(mdoc["taylor"], algebra.shifted,
                              target.shifted, "morphism")
         morphism = LinfMorphism(algebra, target, T, check=check)
     return algebra, omega, morphism

@@ -587,10 +587,8 @@ def linf_identity_check(psi_taylor: TaylorSeq, source: LinfAlgebra,
 # A-multilinear extension and the degree-count bound
 # ---------------------------------------------------------------------------
 
-def tensor_module(A: CoeffDGA, module: GradedBasisModule, positive_only=False):
+def tensor_module(A: CoeffDGA, module: GradedBasisModule):
     """A x g with paired basis and added degrees (coefficients stay over C)."""
-    if positive_only and any(d < 0 for d in A.degrees):
-        raise ValueError("expected a non-negatively graded algebra")
     gens = []
     pairs = []
     for ai in range(len(A)):
@@ -664,37 +662,54 @@ def extend_multilinear(psi: LinfMorphism, A: CoeffDGA, W=None,
     s_pairs = src_ext.tensor_pairs
     t_pair_index = {p: i for i, p in enumerate(tgt_ext.tensor_pairs)}
     sh_src = src_ext.shifted
-    C = psi.source.module.coeff
+    g_deg = psi.source.module.degree
+    taylor = psi.taylor
+    top = taylor.max_j()
+    # every sorted g-multiset that is part of a word with a Taylor value
+    wanted = {sub for table in taylor.maps.values() for cw in table
+              for k in range(1, len(cw) + 1) for sub in itertools.combinations(cw, k)}
+    values = {}   # eval_word by g-part, shared by words with other a-parts
 
-    maps = {}
-    for j, table in psi.taylor.maps.items():
-        tab = {}
-        for w in sh_src.words(j):
-            letters = [s_pairs[i] for i in w]
-            a_part = [a for a, _ in letters]
-            g_part = tuple(g for _, g in letters)
-            base = psi.taylor.eval_word(g_part)
-            if vect_is_zero(base):
-                continue
-            # Koszul: each a_k crosses the suspended g_1..g_{k-1}
-            sign = 1
-            for k in range(len(letters)):
-                crossing = sum(psi.source.module.degree(g) - 1 for _, g in letters[:k])
-                sign *= ksign(A.degrees[a_part[k]] * crossing)
-            # product a_1...a_j in A
-            prod = {A.unit_index: 1}
-            for ak in a_part:
-                nxt = {}
-                for cur, q in prod.items():
-                    for res, q2 in A.mul_basis(cur, ak).items():
-                        _acc(nxt, res, q * q2)
-                prod = nxt
+    tabs = {j: {} for j in taylor.maps}
+    # Depth-first over the canonical words, each order in words(j) order (the
+    # children of a prefix are pushed largest letter first).  A stack entry is
+    # (word, g-part, a_1...a_k in A, Koszul sign, suspended degrees crossed);
+    # each a_k crosses the suspended g_1..g_{k-1}.  A prefix is dropped when
+    # its product is zero (right multiplication keeps it zero) or no Taylor
+    # word contains its g-multiset (every extension then evaluates to {}).
+    # The stack is explicit: a recursive closure would be a reference cycle
+    # left to the garbage collector on every call.
+    stack = [((), (), {A.unit_index: 1}, 1, 0)]
+    while stack:
+        w, g_part, prod, sign, crossing = stack.pop()
+        tab = tabs.get(len(w))
+        if tab is not None:
+            base = values.get(g_part)
+            if base is None:
+                base = values[g_part] = taylor.eval_word(g_part)
             # (ares, gi) -> key is one-to-one, so no two terms share a key
-            if prod:
+            if base:
                 tab[w] = {t_pair_index[(ares, gi)]: c.scale(q * sign)
                           for ares, q in prod.items() for gi, c in base.items()}
-        if tab:
-            maps[j] = tab
+        if len(w) == top:
+            continue
+        first = w[-1] if w else 0
+        for i in range(len(s_pairs) - 1, first - 1, -1):
+            if i == first and w and sh_src.degree(i) % 2:
+                continue  # a repeated odd letter kills the word
+            a, g = s_pairs[i]
+            g_next = g_part + (g,)
+            if tuple(sorted(g_next)) not in wanted:
+                continue
+            nxt = {}
+            for cur, q in prod.items():
+                for res, q2 in A.mul_basis(cur, a).items():
+                    _acc(nxt, res, q * q2)
+            if nxt:
+                stack.append((w + (i,), g_next, nxt,
+                              sign * ksign(A.degrees[a] * crossing),
+                              crossing + g_deg(g) - 1))
+    maps = {j: tab for j, tab in tabs.items() if tab}
     T = TaylorSeq(sh_src, tgt_ext.shifted, maps, "morphism")
     return LinfMorphism(src_ext, tgt_ext, T, check=False)
 

@@ -257,21 +257,24 @@ class Poly:
         """Substitute t_i -> sum_j M[i][j] t_j (matrix rows are 1-based vars)."""
         if len(M) != self.n or any(len(row) != self.n for row in M):
             raise ValueError("substitution matrix must be n x n")
+        units = [tuple(int(k == j) for k in range(self.n)) for j in range(self.n)]
         images = []
-        for i in range(self.n):
-            img = Poly.zero(self.n, self.alg)
-            for j in range(self.n):
-                if M[i][j]:
-                    img = img + Poly.var(j + 1, self.n, self.alg).scale(frac(M[i][j]))
-            images.append(img)
-        out = Poly.zero(self.n, self.alg)
+        for row in M:
+            img = {}
+            for e, q in zip(units, row):
+                if q and frac(q):
+                    img[e] = self.alg.scalar(q)
+            images.append(_poly(self.n, self.alg, img, None))
+        out = {}
         for e, c in self.terms.items():
             term = Poly.const(self.n, c, self.alg)
             for i, k in enumerate(e):
                 for _ in range(k):
                     term = term * images[i]
-            out = out + term
-        return Poly(self.n, out.terms, self.trunc, self.alg)
+            for e2, c2 in term.terms.items():
+                _acc(out, e2, c2)
+        # a linear substitution keeps every degree, so no term reaches trunc
+        return _poly(self.n, self.alg, out, self.trunc)
 
     # -- text form -------------------------------------------------------------
 

@@ -59,6 +59,23 @@ class TestApply:
         with pytest.raises(ValueError):
             mu(2).apply([Poly.one(2)])
 
+    @given(st.integers(0, 2 ** 32), st.integers(-1, 2))
+    @settings(max_examples=80)
+    def test_equals_naive_sum(self, seed, p):
+        rng = random.Random(seed)
+        op = rand_op(rng, 2, p, max_order=2) + rand_op(rng, 2, p, max_order=1)
+        args = [Poly(2, rand_poly(rng, 2, maxdeg=2).terms, rng.choice((None, 1, 2, 3)))
+                for _ in range(p + 1)]
+        want = Poly.zero(2)
+        for w, c in op.terms.items():
+            term = c
+            for j, a in zip(w, args):
+                term = term * a.partial_word(j)
+            want = want + term
+        got = op.apply(args)
+        assert got == want and got.trunc == want.trunc
+        assert list(got.terms.items()) == list(want.terms.items())
+
 
 class TestGerstenhaber:
     def test_insertion_of_function(self):

@@ -17,6 +17,7 @@ from linfty.diffop import PolyDiffOp
 from linfty.grammar import ParseError, parse_element
 from linfty.poly import Poly
 from linfty.polyvec import PolyVec
+from linfty.scalars import make_truncated_poly_dga
 
 
 def rand_poly(rng, n, maxdeg=3):
@@ -282,13 +283,45 @@ class TestCli:
         apath.write_text(json.dumps({"basis": [{"name": "1", "degree": 0}], "d": [],
                                      "unit": 0}))
         cases.append((["extend", "--coeff-algebra", str(apath)], doc, "'mul'"))
-        for k, (argv, case, key) in enumerate(cases):
-            path = tmp_path / f"case{k}.json"
-            path.write_text(json.dumps(case))
-            buf, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
-                code = run([*argv, "--instance", str(path)])
-            message = err.getvalue()
-            assert code == 2 and buf.getvalue() == "", argv
-            assert message.startswith("error: ") and message.count("\n") == 1, message
-            assert key in message, message
+        assert_usage_errors(cases, tmp_path)
+
+    def test_instance_type_errors_exit_two(self, instance_file, tmp_path):
+        # a wrong JSON type is a usage error, never a traceback; the error names
+        # the entry wherever the loader checks its type
+        with open(instance_file) as fh:
+            doc = json.load(fh)
+        name = next(iter(doc["omega"]))
+        apath, alist = tmp_path / "A.json", tmp_path / "Alist.json"
+        apath.write_text(make_truncated_poly_dga([1], 2).to_json())
+        alist.write_text("[]")
+        named = [({**doc, "omega": [name]}, "omega: expected an object, got an array"),
+                 ({**doc, "omega": {name: 1}},
+                  f"omega entry {name!r}: expected a \"num/den\" string or an object, "
+                  "got a number"),
+                 ([doc], "instance document: expected an object, got an array")]
+        cases = [(argv, case, key) for case, key in named
+                 for argv in (["mc-check"], ["twist-check"],
+                              ["extend", "--coeff-algebra", str(apath)])]
+        wrong = "input document: wrong JSON type"
+        cases += [(["mc-check"], {**doc, "omega": {name: {"h": 0.5}}}, wrong),
+                  (["twist-check"], {**doc, "algebra": {**doc["algebra"], "basis": {"x": 0}}},
+                   wrong),
+                  (["extend", "--coeff-algebra", str(alist)], doc, wrong),
+                  (["extend", "--coeff-algebra", str(apath)], {**doc, "coeff": []}, wrong),
+                  (["extend"], doc, "extend needs --coeff-algebra")]
+        assert_usage_errors(cases, tmp_path)
+
+
+def assert_usage_errors(cases, tmp_path):
+    """Each (argv, instance document, fragment) exits 2 with one error line
+    holding the fragment, and prints nothing on stdout."""
+    for k, (argv, case, key) in enumerate(cases):
+        path = tmp_path / f"case{k}.json"
+        path.write_text(json.dumps(case))
+        buf, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
+            code = run([*argv, "--instance", str(path)])
+        message = err.getvalue()
+        assert code == 2 and buf.getvalue() == "", argv
+        assert message.startswith("error: ") and message.count("\n") == 1, message
+        assert key in message, message

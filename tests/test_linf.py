@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import os
@@ -5,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from linfty.coalg import (CoalgElem, GradedBasisModule, TaylorSeq, exp,
                           vect_is_zero, vect_scale, word_degree)
@@ -20,7 +22,8 @@ from linfty.samples import (default_coefficients, sample_abelian_pair,
                             sample_dgla, sample_mc, sample_non_mc,
                             sample_nonstrict_morphism,
                             strict_base_change_morphism)
-from linfty.scalars import make_truncated_poly_dga, rational_field
+from linfty.scalars import (CoeffDGA, _acc, dga_tensor, ksign, make_truncated_poly_dga,
+                            rational_field)
 
 HERE = os.path.dirname(__file__)
 W = 6
@@ -427,6 +430,112 @@ class TestExtension:
                                                "morphism"), check=True)
             ext = extend_multilinear(psi, A, W)
             assert ext.check_intertwines(2).ok
+
+
+def random_morphism(rng, degs, top, density, target_degs=None):
+    """A base-field morphism between abelian algebras of the given degrees (the
+    target's default to the source's), with a sparse random Taylor table of every
+    arity up to top."""
+    QQ = rational_field()
+    ms = GradedBasisModule("s", [(f"s{i}", d) for i, d in enumerate(degs)], QQ)
+    mt = GradedBasisModule("t", [(f"t{i}", d) for i, d in enumerate(target_degs or degs)],
+                           QQ)
+    src, tgt = LinfAlgebra.abelian(ms, W), LinfAlgebra.abelian(mt, W)
+    maps = {}
+    for j in range(1, top + 1):
+        for w in src.shifted.words(j):
+            v = {g: QQ.scalar(rng.choice((-2, -1, Fraction(1, 2), 1, 3)))
+                 for g in range(len(mt))
+                 if tgt.shifted.degree(g) == word_degree(src.shifted, w)
+                 and rng.random() < density}
+            if v:
+                maps.setdefault(j, {})[w] = v
+    return LinfMorphism(src, tgt, TaylorSeq(src.shifted, tgt.shifted, maps, "morphism"),
+                        check=False)
+
+
+def reference_extension(psi, A, src_ext, tgt_ext):
+    """Psi_A the direct way: every canonical word of the extended module, with
+    its sign and its product a_1...a_j in A rebuilt from scratch."""
+    s_pairs = src_ext.tensor_pairs
+    t_pair_index = {p: i for i, p in enumerate(tgt_ext.tensor_pairs)}
+    maps = {}
+    for j in psi.taylor.maps:
+        tab = {}
+        for w in src_ext.shifted.words(j):
+            letters = [s_pairs[i] for i in w]
+            base = psi.taylor.eval_word(tuple(g for _, g in letters))
+            if not base:
+                continue
+            sign = 1
+            for k, (a, _) in enumerate(letters):
+                crossing = sum(psi.source.module.degree(g) - 1 for _, g in letters[:k])
+                sign *= ksign(A.degrees[a] * crossing)
+            prod = {A.unit_index: 1}
+            for a, _ in letters:
+                nxt = {}
+                for cur, q in prod.items():
+                    for res, q2 in A.mul_basis(cur, a).items():
+                        _acc(nxt, res, q * q2)
+                prod = nxt
+            if prod:
+                tab[w] = {t_pair_index[(ares, gi)]: c.scale(q * sign)
+                          for ares, q in prod.items() for gi, c in base.items()}
+        if tab:
+            maps[j] = tab
+    return TaylorSeq(src_ext.shifted, tgt_ext.shifted, maps, "morphism")
+
+
+def _listed(taylor):
+    return [(j, [(w, list(v.items())) for w, v in tab.items()])
+            for j, tab in taylor.maps.items()]
+
+
+_ODD_SQUARE = CoeffDGA(  # e odd with e*e = f: associative, not graded-commutative
+    ["1", "e", "f"], [0, 1, 2],
+    {(0, 0): {0: Fraction(1)}, (0, 1): {1: Fraction(1)}, (1, 0): {1: Fraction(1)},
+     (0, 2): {2: Fraction(1)}, (2, 0): {2: Fraction(1)}, (1, 1): {2: Fraction(1)}},
+    {}, 0, {1, 2})
+EXTENSION_ALGEBRAS = (
+    dga_tensor(make_truncated_poly_dga([1, 1], 2, names=["th1", "th2"]),
+               make_truncated_poly_dga([0], 3)),                 # Λ(θ1,θ2)⊗Q[h]/(h^3)
+    make_truncated_poly_dga([0], 4),                              # Q[h]/(h^4)
+    make_truncated_poly_dga([-1, -1, 0], 2, names=["a", "b", "c"],
+                            differential={"b": {"c": 1}}),        # odd a, b of degree -1
+    _ODD_SQUARE,   # only the odd-repeat guard keeps (e|g)(e|g) out of the table
+)
+
+
+class TestExtensionWalk:
+    @given(st.sampled_from(EXTENSION_ALGEBRAS),
+           st.lists(st.integers(-1, 2), min_size=1, max_size=3),
+           st.integers(1, 3), st.sampled_from((0.4, 0.7, 1.0)), st.integers(0, 2 ** 32))
+    @example(EXTENSION_ALGEBRAS[0], [0, 1, 1], 3, 1.0, 0)
+    @example(EXTENSION_ALGEBRAS[2], [-1, 0, 2], 3, 0.7, 0)
+    @example(_ODD_SQUARE, [1], 2, 1.0, 1)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_whole_module_reference(self, A, degs, top, density, seed):
+        # same keys, values and order as the loop over every word of words(j);
+        # the target has a letter in every degree a word of order <= 3 can reach
+        psi = random_morphism(random.Random(seed), degs, top, density, range(-5, 5))
+        ext = extend_multilinear(psi, A, W, check=False)
+        ref = reference_extension(psi, A, ext.source, ext.target)
+        assert _listed(ext.taylor) == _listed(ref)
+
+    def test_leaves_no_reference_cycles(self):
+        # a recursive closure in the walk would leave cycles for the collector
+        rng = random.Random(71)
+        A = EXTENSION_ALGEBRAS[0]
+        inputs = [random_morphism(rng, sorted(rng.choice([0, 1]) for _ in range(dim)), 3, 0.8)
+                  for dim in (2, 3, 3)]
+        gc.collect()
+        gc.disable()
+        try:
+            for psi in inputs:
+                extend_multilinear(psi, A, W, check=False)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestFinitenessBound:

@@ -136,6 +136,28 @@ class TestSubstitution:
         f, g = Poly.monomial((1, 1)), t(2) + Poly.one(2)
         assert (f * g).subs_linear(M) == f.subs_linear(M) * g.subs_linear(M)
 
+    @given(polys(n=3, max_degree=3),
+           st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=3),
+                    min_size=9, max_size=9),
+           st.one_of(st.none(), st.integers(0, 5)))
+    @settings(max_examples=100)
+    def test_equals_naive_sum(self, f, entries, trunc):
+        f = Poly(3, f.terms, trunc)
+        M = [entries[3 * i:3 * i + 3] for i in range(3)]
+        images = [sum((t(j + 1, 3).scale(q) for j, q in enumerate(row)), Poly.zero(3))
+                  for row in M]
+        want = Poly.zero(3)
+        for e, c in f.terms.items():
+            term = Poly.const(3, c)
+            for i, k in enumerate(e):
+                for _ in range(k):
+                    term = term * images[i]
+            want = want + term
+        want = Poly(3, want.terms, trunc)
+        got = f.subs_linear(M)
+        assert got == want
+        assert list(got.terms.items()) == list(want.terms.items())
+
 
 class TestPartialWord:
     @given(polys(n=3, max_degree=4), st.tuples(*([st.integers(0, 3)] * 3)),
