@@ -9,7 +9,7 @@ word, which is the content of the twist theorem at desk scale.
 
 import random
 
-from linfty.coalg import GradedBasisModule, vect_is_zero
+from linfty.coalg import GradedBasisModule
 from linfty.linf import (LinfAlgebra, LinfMorphism, MCElement,
                          conjugation_twist, dgla_tables_from_taylor, mc_push,
                          mc_residue, operators_agree, twist_coder,

@@ -17,8 +17,7 @@ import sys
 import time
 
 from . import hkr, jsonio, selftest as selftest_mod
-from .coalg import (CoalgElem, OrderOverflowError, exp as coalg_exp, ln as coalg_ln,
-                    vect_is_zero)
+from .coalg import CoalgElem, OrderOverflowError, exp as coalg_exp, ln as coalg_ln
 from .diffop import gerstenhaber, hochschild_d
 from .grammar import ParseError, parse_element
 from .linf import (conjugation_twist, linf_identity_check, mc_push,
@@ -45,9 +44,9 @@ def _loading():
     try:
         yield
     except KeyError as ex:
-        raise ParseError(f"input document: missing key or unknown name {ex}", 0) from None
+        raise ParseError(f"input document: missing key or unknown name {ex}") from None
     except TypeError as ex:
-        raise ParseError(f"input document: wrong JSON type: {ex}", 0) from None
+        raise ParseError(f"input document: wrong JSON type: {ex}") from None
 
 
 def _load_instance(args, doc=None):
@@ -117,7 +116,7 @@ def cmd_poisson_check(args):
 def cmd_exp(args):
     algebra, omega, _ = _load_instance(args)
     if omega is None:
-        raise ParseError("instance needs an 'omega' entry", 0)
+        raise ParseError("instance needs an 'omega' entry")
     om = CoalgElem.from_vect(algebra.shifted, omega, args.word_cap)
     e = coalg_exp(om)
     return OK, {"verb": "exp", "result": e.to_json_list()}
@@ -140,7 +139,7 @@ def cmd_ln(args):
 def cmd_mc_check(args):
     algebra, omega, _ = _load_instance(args)
     res = mc_residue(algebra, omega or {})
-    ok = vect_is_zero(res)
+    ok = not res
     return (OK if ok else CHECK_FAILED), {
         "verb": "mc-check", "mc": ok,
         "residue": jsonio.vect_to_json(algebra.module, res)}
@@ -149,7 +148,7 @@ def cmd_mc_check(args):
 def _mc_gate(algebra, omega):
     """Residue check shared by the verbs that require a Maurer-Cartan omega."""
     res = mc_residue(algebra, omega or {})
-    if vect_is_zero(res):
+    if not res:
         return None
     return (CHECK_FAILED, {"mc": False,
                            "residue": jsonio.vect_to_json(algebra.module, res)})
@@ -158,7 +157,7 @@ def _mc_gate(algebra, omega):
 def cmd_mc_push(args):
     algebra, omega, morphism = _load_instance(args)
     if morphism is None:
-        raise ParseError("instance needs a 'morphism' entry", 0)
+        raise ParseError("instance needs a 'morphism' entry")
     gate = _mc_gate(algebra, omega)
     if gate:
         gate[1]["verb"] = "mc-push"
@@ -166,7 +165,7 @@ def cmd_mc_push(args):
     om = MCElement(algebra, omega or {}, check=True)
     pushed = mc_push(morphism, om)
     naturality = morphism.psi(om.exp()) == pushed.exp()
-    ok = naturality and vect_is_zero(mc_residue(morphism.target, pushed.vect))
+    ok = naturality and not mc_residue(morphism.target, pushed.vect)
     return (OK if ok else CHECK_FAILED), {
         "verb": "mc-push",
         "omega_prime": jsonio.vect_to_json(morphism.target.module, pushed.vect),
@@ -225,7 +224,7 @@ def cmd_twist_check(args):
 def cmd_linf_check(args):
     algebra, _, morphism = _load_instance(args)
     if morphism is None:
-        raise ParseError("instance needs a 'morphism' entry", 0)
+        raise ParseError("instance needs a 'morphism' entry")
     words = algebra.shifted.words_up_to(min(args.word_cap, 3))
     rep = linf_identity_check(morphism.taylor, algebra, morphism.target, words)
     inter = morphism.check_intertwines(min(args.word_cap, 3))
@@ -243,9 +242,9 @@ def cmd_extend(args):
     from .scalars import CoeffDGA
     algebra, omega, morphism = _load_instance(args)
     if morphism is None:
-        raise ParseError("instance needs a 'morphism' entry", 0)
+        raise ParseError("instance needs a 'morphism' entry")
     if args.coeff_algebra is None:
-        raise ParseError("extend needs --coeff-algebra", 0)
+        raise ParseError("extend needs --coeff-algebra")
     with open(args.coeff_algebra) as fh, _loading():
         A = CoeffDGA.from_json(fh.read())
     ext = extend_multilinear(morphism, A, W=args.word_cap)

@@ -13,11 +13,13 @@ time and a repeated odd letter kills the word.  Every element carries a hard
 word-order cap W: any operation that would need a longer word raises
 ``OrderOverflowError`` instead of silently truncating.
 
-Coderivations and coalgebra morphisms are built from finite sequences of
-Taylor coefficients (``TaylorSeq``).  The subset/partition expansion formulas
-used here are validated by the axiom checkers ``check_coderivation`` /
-``check_comorphism`` and by the ``taylor_of`` round-trip; those checks, not
-the formulas, are the contract.
+A ``CoalgOperator`` is given by its columns: ``column(w)`` is the image of
+one canonical word, and ``CoalgOperator.__call__`` is the one linear
+extension of columns to elements.  Coderivations and coalgebra morphisms get
+their columns from finite sequences of Taylor coefficients (``TaylorSeq``).
+The subset/partition expansion formulas used here are validated by the axiom
+checkers ``check_coderivation`` / ``check_comorphism`` and by the
+``taylor_of`` round-trip; those checks, not the formulas, are the contract.
 """
 
 from __future__ import annotations
@@ -165,10 +167,6 @@ def vect_add(a, b):
 
 def vect_scale(a, q):
     return vect_acc({}, a, q)
-
-
-def vect_is_zero(a):
-    return not a
 
 
 def vect_degree(module, a):
@@ -358,7 +356,7 @@ class TaylorSeq:
             for w, v in table.items():
                 r = canon_word(source, w)
                 if r is None:
-                    if not vect_is_zero(v):
+                    if v:
                         raise ValueError(f"value on a vanishing word {w}")
                     continue
                 sign, cw = r
@@ -366,7 +364,7 @@ class TaylorSeq:
                     raise ValueError("word length disagrees with its order key")
                 v = vect_scale({i: (c if isinstance(c, DgaElem) else source.coeff.scalar(c))
                                 for i, c in v.items()}, sign)
-                if vect_is_zero(v):
+                if not v:
                     continue
                 want = word_degree(source, cw) + shift
                 got = vect_degree(target, v)
@@ -422,23 +420,26 @@ class TaylorSeq:
 
 
 class CoalgOperator:
-    """Linear operator on CoalgElems with degree bookkeeping."""
+    """A linear map of symmetric coalgebras, given by its columns.
 
-    def __init__(self, source, target, degree, fn, label=""):
+    ``column(w)`` is the image of one canonical source word as a sparse
+    {canonical target word: nonzero coefficient} dict; ``degree`` is the
+    operator's degree and ``W`` the least word cap of its results.
+    """
+
+    def __init__(self, source, target, degree, column, W):
         self.source = source
         self.target = target
         self.degree = degree
-        self.fn = fn
-        self.label = label
+        self.column = column
+        self.W = W
 
     def __call__(self, x: CoalgElem) -> CoalgElem:
-        return self.fn(x)
-
-    def on_word(self, word, W):
-        return self(CoalgElem(self.source, {tuple(word): self.source.coeff.one()}, W))
-
-    def __repr__(self):
-        return f"CoalgOperator({self.label or 'anonymous'}, degree {self.degree})"
+        """The linear extension: the sum of c * column(w) over the words of x."""
+        out = {}
+        for w, c in x.words.items():
+            vect_acc(out, self.column(w), c)
+        return _coalg(self.target, out, max(self.W, x.W))
 
 
 def coder_from_taylor(T: TaylorSeq, W) -> CoalgOperator:
@@ -453,27 +454,24 @@ def coder_from_taylor(T: TaylorSeq, W) -> CoalgOperator:
     module = T.source
     maxj = T.max_j()
 
-    def act(x: CoalgElem) -> CoalgElem:
+    def column(w):
         # an output word is never longer than its input word, so it fits the cap
         out = {}
-        for w, c in x.words.items():
-            for r in range(1, min(len(w), maxj) + 1):
-                for positions in itertools.combinations(range(len(w)), r):
-                    sel = set(positions)
-                    sub = tuple(w[i] for i in positions)
-                    rest = tuple(w[i] for i in range(len(w)) if i not in sel)
-                    sign = split_sign(module, w, positions)
-                    for i, cv in T.eval_word(sub).items():
-                        r2 = canon_word(module, (i,) + rest)
-                        if r2 is None:
-                            continue
-                        s2, cw = r2
-                        coeff = c * cv
-                        if coeff:
-                            (_acc if sign * s2 == 1 else _acc_neg)(out, cw, coeff)
-        return _coalg(module, out, max(W, x.W))
+        for r in range(1, min(len(w), maxj) + 1):
+            for positions in itertools.combinations(range(len(w)), r):
+                sel = set(positions)
+                sub = tuple(w[i] for i in positions)
+                rest = tuple(w[i] for i in range(len(w)) if i not in sel)
+                sign = split_sign(module, w, positions)
+                for i, cv in T.eval_word(sub).items():
+                    r2 = canon_word(module, (i,) + rest)
+                    if r2 is None:
+                        continue
+                    s2, cw = r2
+                    (_acc if sign * s2 == 1 else _acc_neg)(out, cw, cv)
+        return out
 
-    return CoalgOperator(module, module, 1, act, "coderivation")
+    return CoalgOperator(module, module, 1, column, W)
 
 
 def set_partitions(items):
@@ -500,57 +498,48 @@ def morph_from_taylor(T: TaylorSeq, W) -> CoalgOperator:
         raise ValueError("TaylorSeq does not have morphism intent")
     src, tgt = T.source, T.target
     maxj = T.max_j()
+    one = tgt.coeff.one()
 
-    def act(x: CoalgElem) -> CoalgElem:
-        Wout = max(W, x.W)
+    def column(w):
+        # one letter per block: an output word is never longer than its input word
+        if not w:
+            return {(): one}
         out = {}
-        for w, c in x.words.items():
-            if not w:
-                _acc(out, (), c)
+        for blocks in set_partitions(range(len(w))):
+            blocks = sorted(blocks, key=lambda b: b[0])
+            if any(len(b) > maxj for b in blocks):
                 continue
-            for blocks in set_partitions(range(len(w))):
-                blocks = sorted(blocks, key=lambda b: b[0])
-                if any(len(b) > maxj for b in blocks):
+            sign = perm_sign(src, w, [i for b in blocks for i in b])
+            vals = []
+            for b in blocks:
+                v = T.eval_word(tuple(w[i] for i in b))
+                if not v:
+                    break
+                vals.append(v)
+            if len(vals) < len(blocks):
+                continue
+            # product of the block values in S(target)
+            for combo in itertools.product(*(v.items() for v in vals)):
+                r = canon_word(tgt, tuple(i for i, _ in combo))
+                if r is None:
                     continue
-                flat = [i for b in blocks for i in b]
-                sign = perm_sign(src, w, flat)
-                vals = []
-                dead = False
-                for b in blocks:
-                    v = T.eval_word(tuple(w[i] for i in b))
-                    if vect_is_zero(v):
-                        dead = True
-                        break
-                    vals.append(v)
-                if dead:
-                    continue
-                # product of the block values in S(target)
-                for combo in itertools.product(*(v.items() for v in vals)):
-                    letters = tuple(i for i, _ in combo)
-                    r = canon_word(tgt, letters)
-                    if r is None:
-                        continue
-                    s2, cw = r
-                    if len(cw) > Wout:
-                        raise OrderOverflowError(
-                            f"morphism output word exceeds W={Wout}")
-                    coeff = c
-                    for _, cv in combo:
-                        coeff = coeff * cv
-                    if coeff:
-                        (_acc if sign * s2 == 1 else _acc_neg)(out, cw, coeff)
-        return _coalg(tgt, out, Wout)
+                s2, cw = r
+                coeff = combo[0][1]
+                for _, cv in combo[1:]:
+                    coeff = coeff * cv
+                if coeff:
+                    (_acc if sign * s2 == 1 else _acc_neg)(out, cw, coeff)
+        return out
 
-    return CoalgOperator(src, tgt, 0, act, "morphism")
+    return CoalgOperator(src, tgt, 0, column, W)
 
 
-def taylor_of(op: CoalgOperator, j, W=None) -> dict:
-    """j-th Taylor coefficient of an operator: ln after applying to S^j words."""
-    W = W if W is not None else j
+def taylor_of(op: CoalgOperator, j) -> dict:
+    """j-th Taylor coefficient of an operator: the order-1 part of its S^j columns."""
     out = {}
     for w in op.source.words(j):
-        v = op.on_word(w, max(W, j)).ln()
-        if not vect_is_zero(v):
+        v = {cw[0]: c for cw, c in op.column(w).items() if len(cw) == 1}
+        if v:
             out[w] = v
     return out
 
@@ -605,7 +594,7 @@ def is_invertible(e: CoalgElem) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# axiom checkers and composition
+# axiom checkers
 # ---------------------------------------------------------------------------
 
 def check_coderivation(op: CoalgOperator, W, max_order=None) -> ValidationReport:
@@ -663,14 +652,6 @@ def check_comorphism(op: CoalgOperator, W, max_order=None) -> ValidationReport:
             rep.add("comorphism", [src.gen_name(i) for i in w],
                     "Delta Psi != (Psi x Psi) Delta")
     return rep
-
-
-def compose(f: CoalgOperator, g: CoalgOperator) -> CoalgOperator:
-    """f after g."""
-    if not (g.target == f.source):
-        raise ValueError("operators do not chain")
-    return CoalgOperator(g.source, f.target, f.degree + g.degree,
-                         lambda x: f(g(x)), f"{f.label}∘{g.label}")
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,14 @@ from fractions import Fraction
 from .diffop import PolyDiffOp
 from .poly import Poly
 from .polyvec import PolyVec
+from .scalars import _acc
 
 
 class ParseError(ValueError):
-    def __init__(self, message, pos):
-        super().__init__(f"{message} (line 1, column {pos + 1})")
+    """Malformed input; `pos` is the offset into an element's text, if there is one."""
+
+    def __init__(self, message, pos=None):
+        super().__init__(message if pos is None else f"{message} (line 1, column {pos + 1})")
         self.pos = pos
 
 
@@ -123,26 +126,41 @@ def _parse_poly_term(sc: _Scanner, n):
     return coeff, tuple(exps)
 
 
-def parse_poly(text, n) -> Poly:
-    sc = _Scanner(text)
-    out = Poly.zero(n)
-    sign = 1
+def _sign(sc: _Scanner):
+    """1 or -1 for a '+' or '-' at the scanner, None when there is neither."""
+    if sc.take("+"):
+        return 1
     if sc.take("-"):
-        sign = -1
-    elif sc.take("+"):
-        pass
-    while True:
-        coeff, exps = _parse_poly_term(sc, n)
-        out = out + Poly.monomial(exps, coeff * sign)
-        if sc.take("+"):
-            sign = 1
-        elif sc.take("-"):
-            sign = -1
+        return -1
+    return None
+
+
+def _parse_sum(text, n, start=None, parse_word=None):
+    """A signed sum of terms, accumulated as {word: {exponents: Fraction}}.
+
+    A term is a poly term, a word, or a poly term '*' a word, where a word
+    begins with `start` and is read by `parse_word`; without them (plain
+    polynomials) every term has the empty word.
+    """
+    sc = _Scanner(text)
+    terms = {}
+    sign = _sign(sc) or 1
+    while sign:
+        if sc.peek() == start:
+            coeff, exps, word = Fraction(1), (0,) * n, parse_word(sc, n)
         else:
-            break
+            coeff, exps = _parse_poly_term(sc, n)
+            word = parse_word(sc, n) if start and sc.take("*") else ()
+        if coeff:
+            _acc(terms.setdefault(word, {}), exps, coeff * sign)
+        sign = _sign(sc)
     if not sc.done():
         raise ParseError("trailing input", sc.pos)
-    return out
+    return terms
+
+
+def parse_poly(text, n) -> Poly:
+    return Poly(n, _parse_sum(text, n).get((), {}))
 
 
 def _parse_dword(sc: _Scanner, n):
@@ -160,38 +178,8 @@ def _parse_dword(sc: _Scanner, n):
 
 
 def parse_polyvec(text, n) -> PolyVec:
-    sc = _Scanner(text)
-    out = PolyVec.zero(n)
-    sign = 1
-    if sc.take("-"):
-        sign = -1
-    elif sc.take("+"):
-        pass
-    while True:
-        coeff = Fraction(1)
-        exps = tuple([0] * n)
-        if sc.peek() != "d":
-            coeff, exps = _parse_poly_term(sc, n)
-            if not sc.take("*"):
-                out = out + PolyVec.from_function(Poly.monomial(exps, coeff * sign))
-                if sc.take("+"):
-                    sign = 1
-                    continue
-                if sc.take("-"):
-                    sign = -1
-                    continue
-                break
-        word = _parse_dword(sc, n)
-        out = out + PolyVec(n, {word: Poly.monomial(exps, coeff * sign)})
-        if sc.take("+"):
-            sign = 1
-        elif sc.take("-"):
-            sign = -1
-        else:
-            break
-    if not sc.done():
-        raise ParseError("trailing input", sc.pos)
-    return out
+    terms = _parse_sum(text, n, "d", _parse_dword)
+    return PolyVec(n, {w: Poly(n, t) for w, t in terms.items()})
 
 
 def _parse_multi_index(sc: _Scanner, n):
@@ -203,43 +191,18 @@ def _parse_multi_index(sc: _Scanner, n):
     return tuple(mi)
 
 
+def _parse_op_word(sc: _Scanner, n):
+    sc.expect("D[", "an operator word D[...]")
+    word = [_parse_multi_index(sc, n)]
+    while sc.take(";"):
+        word.append(_parse_multi_index(sc, n))
+    sc.expect("]", "closing ]")
+    return tuple(word)
+
+
 def parse_polydiffop(text, n) -> PolyDiffOp:
-    sc = _Scanner(text)
-    out = PolyDiffOp.zero(n)
-    sign = 1
-    if sc.take("-"):
-        sign = -1
-    elif sc.take("+"):
-        pass
-    while True:
-        coeff = Fraction(1)
-        exps = tuple([0] * n)
-        if sc.peek() != "D":
-            coeff, exps = _parse_poly_term(sc, n)
-            if not sc.take("*"):
-                out = out + PolyDiffOp.from_function(Poly.monomial(exps, coeff * sign))
-                if sc.take("+"):
-                    sign = 1
-                    continue
-                if sc.take("-"):
-                    sign = -1
-                    continue
-                break
-        sc.expect("D[", "an operator word D[...]")
-        word = [_parse_multi_index(sc, n)]
-        while sc.take(";"):
-            word.append(_parse_multi_index(sc, n))
-        sc.expect("]", "closing ]")
-        out = out + PolyDiffOp(n, {tuple(word): Poly.monomial(exps, coeff * sign)})
-        if sc.take("+"):
-            sign = 1
-        elif sc.take("-"):
-            sign = -1
-        else:
-            break
-    if not sc.done():
-        raise ParseError("trailing input", sc.pos)
-    return out
+    terms = _parse_sum(text, n, "D", _parse_op_word)
+    return PolyDiffOp(n, {w: Poly(n, t) for w, t in terms.items()})
 
 
 def parse_element(text, kind, n):

@@ -32,7 +32,7 @@ def _expect(doc, kind, where, wanted=None):
     """doc, or a ParseError naming the entry `where` when doc is not a `kind`."""
     if not isinstance(doc, kind):
         raise ParseError(f"{where}: expected {wanted or _JSON_TYPES[kind]}, "
-                         f"got {_JSON_TYPES.get(type(doc), type(doc).__name__)}", 0)
+                         f"got {_JSON_TYPES.get(type(doc), type(doc).__name__)}")
     return doc
 
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .coalg import (CoalgElem, CoalgOperator, GradedBasisModule, TaylorSeq,
                     coder_from_taylor, exp, morph_from_taylor, vect_acc,
-                    vect_degree, vect_is_zero, vect_scale)
+                    vect_degree, vect_scale)
 from .scalars import CoeffDGA, DgaElem, ValidationReport, _acc, ksign
 
 
@@ -243,7 +243,7 @@ class MCElement:
                 raise ValueError("MC elements need nilpotent coefficients")
         if check:
             r = mc_residue(ambient, self.vect)
-            if not vect_is_zero(r):
+            if r:
                 raise ValueError(f"not a Maurer-Cartan element, residue {r}")
 
     def as_coalg(self, W=None) -> CoalgElem:
@@ -382,7 +382,7 @@ def twist_taylor(taylor: TaylorSeq, omega_elem: CoalgElem, out_source=None,
         for w in module.words(i):
             v = vect_acc(taylor.eval_word(w),
                          _taylor_sum_on_powers(taylor, omega_elem, extra_word=w))
-            if not vect_is_zero(v):
+            if v:
                 tab[w] = v
         if tab:
             maps[i] = tab
@@ -416,44 +416,37 @@ def twist_morphism(psi: LinfMorphism, omega: MCElement,
     return LinfMorphism(src, tgt, T, check=True)
 
 
+def _conjugated(op, om_source, om_target, W, headroom) -> CoalgOperator:
+    """exp(-om_target) * op(exp(om_source) * word) per column, with headroom above W."""
+    src, tgt = op.source, op.target
+    horizon = src.coeff.nilpotency_order
+    big = W + (headroom if headroom is not None else 2 * (horizon - 1))
+    e = exp(CoalgElem.from_vect(src, om_source, big))
+    e_inv = exp(CoalgElem.from_vect(tgt, vect_scale(om_target, -1), big))
+    one = src.coeff.one()
+
+    def column(w):
+        return (e_inv * op(e * CoalgElem(src, {w: one}, big))).words
+
+    return CoalgOperator(src, tgt, op.degree, column, big)
+
+
 def conjugation_twist(algebra: LinfAlgebra, omega, headroom=None) -> CoalgOperator:
     """The twist built the other way: Phi_e^{-1} ∘ Q ∘ Phi_e with Phi_e(x) = exp(w) x.
 
-    Needs word-order headroom for the intermediate products; the final values
-    agree with the Taylor-formula twist word for word.
+    The final values agree with the Taylor-formula twist word for word.
     """
     if isinstance(omega, MCElement):
         om_vect = omega.vect
     else:
         om_vect = _as_vect(algebra.module, omega)
-    sh = algebra.shifted
-    horizon = algebra.module.coeff.nilpotency_order
-    big = algebra.W + (headroom if headroom is not None else 2 * (horizon - 1))
-    e = exp(CoalgElem.from_vect(sh, om_vect, big))
-    e_inv = exp(CoalgElem.from_vect(sh, vect_scale(om_vect, -1), big))
-
-    def act(x: CoalgElem) -> CoalgElem:
-        lifted = CoalgElem(sh, x.words, big)
-        return e_inv * algebra.Q(e * lifted)
-
-    return CoalgOperator(sh, sh, 1, act, "conjugation twist")
+    return _conjugated(algebra.Q, om_vect, om_vect, algebra.W, headroom)
 
 
 def conjugation_twist_morphism(psi: LinfMorphism, omega: MCElement,
                                headroom=None) -> CoalgOperator:
     """Phi_{e'}^{-1} ∘ Psi ∘ Phi_e, the conjugation route for morphisms."""
-    omega_t = mc_push(psi, omega)
-    sh_s, sh_t = psi.source.shifted, psi.target.shifted
-    horizon = psi.source.module.coeff.nilpotency_order
-    big = psi.W + (headroom if headroom is not None else 2 * (horizon - 1))
-    e = exp(CoalgElem.from_vect(sh_s, omega.vect, big))
-    e_inv_t = exp(CoalgElem.from_vect(sh_t, vect_scale(omega_t.vect, -1), big))
-
-    def act(x: CoalgElem) -> CoalgElem:
-        lifted = CoalgElem(sh_s, x.words, big)
-        return e_inv_t * psi.psi(e * lifted)
-
-    return CoalgOperator(sh_s, sh_t, 0, act, "conjugation twist morphism")
+    return _conjugated(psi.psi, omega.vect, mc_push(psi, omega).vect, psi.W, headroom)
 
 
 def operators_agree(op1, op2, module, W, max_order) -> ValidationReport:
@@ -536,14 +529,14 @@ def explicit_identity_residual(psi_taylor: TaylorSeq, source: LinfAlgebra,
     for B, rest, sign in signs["bracket_target"]:
         vb = psi_on_vects([unit_vect[p] for p in B])
         vc = psi_on_vects([unit_vect[p] for p in rest])
-        if vect_is_zero(vb) or vect_is_zero(vc):
+        if not vb or not vc:
             continue
         vect_acc(out, target.bracket_of(vb, vc), sign)
 
     # internal-d terms (subtracted)
     for k, sign in signs["internal_d"]:
         dv = source.d_of({letters[k]: C.one()})
-        if vect_is_zero(dv):
+        if not dv:
             continue
         args = [dv] + [unit_vect[p] for p in range(len(letters)) if p != k]
         vect_acc(out, psi_on_vects(args), -sign)
@@ -551,7 +544,7 @@ def explicit_identity_residual(psi_taylor: TaylorSeq, source: LinfAlgebra,
     # bracket-source terms (subtracted)
     for k, l, sign in signs["bracket_source"]:
         bv = source.bracket_of({letters[k]: C.one()}, {letters[l]: C.one()})
-        if vect_is_zero(bv):
+        if not bv:
             continue
         args = [bv] + [unit_vect[p] for p in range(len(letters)) if p not in (k, l)]
         vect_acc(out, psi_on_vects(args), -sign)

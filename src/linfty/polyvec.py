@@ -118,9 +118,6 @@ class PolyVec:
         return PolyVec(self.n, {w: f for w, f in self.terms.items()
                                 if len(w) - 1 == p}, self.alg)
 
-    def map_coeffs(self, fn):
-        return PolyVec(self.n, {w: fn(f) for w, f in self.terms.items()}, self.alg)
-
     def text(self):
         if not self.terms:
             return "0"

@@ -58,9 +58,6 @@ class ValidationReport:
     def structural(self):
         return [v for v in self.violations if v["axiom"] == "structural"]
 
-    def to_dict(self):
-        return {"ok": self.ok, "violations": self.violations}
-
     def __repr__(self):
         if self.ok:
             return "ValidationReport(ok)"
@@ -153,10 +150,6 @@ class CoeffDGA:
     @property
     def is_rational_field(self):
         return len(self.basis) == 1 and not self.ideal
-
-    @property
-    def is_even(self):
-        return all(d % 2 == 0 for d in self.degrees)
 
     @property
     def is_degree_zero(self):
@@ -295,9 +288,6 @@ class DgaElem:
     def rational_part(self):
         """Coefficient of the unit basis element."""
         return self.coeffs.get(self.alg.unit_index, _ZERO)
-
-    def to_pairs(self):
-        return [[i, frac_str(q)] for i, q in sorted(self.coeffs.items())]
 
     def __repr__(self):
         if not self.coeffs:

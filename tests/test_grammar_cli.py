@@ -79,6 +79,28 @@ class TestGrammar:
         with pytest.raises(ParseError, match="out of range"):
             parse_element("d4", "polyvec", 3)
 
+    @pytest.mark.parametrize("text, kind, n, message, pos", [
+        ("3//2*t1", "poly", 2, "expected denominator", 2),
+        ("t1 +", "poly", 2, "expected a term", 4),
+        ("t3^2", "poly", 2, "variable t3 out of range 1..2", 2),
+        ("2*", "poly", 2, "expected a factor after '*'", 2),
+        ("1/0*t1", "poly", 1, "zero denominator", 3),
+        ("2*d1", "poly", 2, "trailing input", 1),
+        ("t1*d1/\\", "polyvec", 2, "expected a derivation d<i>", 7),
+        ("d1 - t1*", "polyvec", 2, "expected a factor after '*'", 8),
+        ("+ d1*t1", "polyvec", 2, "trailing input", 4),
+        ("-", "polyvec", 2, "expected a term", 1),
+        ("t1*D[1]", "polyvec", 1, "expected a derivation d<i>", 3),
+        ("t1*D[1,2]", "polydiffop", 1, "multi-index needs 1 entries, got 2", 8),
+        ("D[1;2", "polydiffop", 1, "expected closing ]", 5),
+        ("D[1] d1", "polydiffop", 1, "trailing input", 5),
+        ("t1*d1", "polydiffop", 1, "expected an operator word D[...]", 3),
+    ])
+    def test_malformed_input_message_and_position(self, text, kind, n, message, pos):
+        with pytest.raises(ParseError) as err:
+            parse_element(text, kind, n)
+        assert (str(err.value), err.value.pos) == (f"{message} (line 1, column {pos + 1})", pos)
+
 
 def capture(argv):
     buf = io.StringIO()
@@ -314,7 +336,7 @@ class TestCli:
 
 def assert_usage_errors(cases, tmp_path):
     """Each (argv, instance document, fragment) exits 2 with one error line
-    holding the fragment, and prints nothing on stdout."""
+    holding the fragment and no text position, and prints nothing on stdout."""
     for k, (argv, case, key) in enumerate(cases):
         path = tmp_path / f"case{k}.json"
         path.write_text(json.dumps(case))
@@ -325,3 +347,4 @@ def assert_usage_errors(cases, tmp_path):
         assert code == 2 and buf.getvalue() == "", argv
         assert message.startswith("error: ") and message.count("\n") == 1, message
         assert key in message, message
+        assert "(line 1, column" not in message, message
