@@ -33,7 +33,7 @@ tw = twist_coder(alg, om)
 d_t, _ = dgla_tables_from_taylor(m, tw.taylor)
 print("\ntwisted differential on x:", d_t[m.index["x"]],
       "  (= d(x) + [w, x])")
-print("twisted structure squares to zero:", tw.check_square_zero(3).ok)
+print("twisted structure squares to zero:", tw.check_square_zero().ok)
 
 conj = conjugation_twist(alg, om)
 print("conjugation route agrees word for word:",
@@ -44,7 +44,7 @@ pushed = mc_push(phi, om)
 print("\npushforward along a strict morphism:", pushed.vect)
 print("exp naturality:", phi.psi(om.exp()) == pushed.exp())
 tm = twist_morphism(phi, om, twisted_source=tw)
-print("twisted morphism intertwines the twists:", tm.check_intertwines(3).ok)
+print("twisted morphism intertwines the twists:", tm.check_intertwines().ok)
 
 # negative control: twisting a non-solution is allowed only explicitly,
 # and the squared coderivation then detects it
@@ -54,5 +54,5 @@ alg3 = LinfAlgebra.from_dgla(m3, {}, {("x", "y"): {"y": 1}, ("y", "y"): {"z": 1}
 bad = sample_non_mc(random.Random(5), alg3)
 print("\na non-solution:", bad, "residue:", mc_residue(alg3, bad))
 broken = twist_coder(alg3, bad, allow_non_mc=True)
-rep = broken.check_square_zero(3)
+rep = broken.check_square_zero()
 print("its twist fails square-zero at word:", rep.violations[0]["witness"])

@@ -3,8 +3,10 @@
 Every verb maps to one library operation.  Output is canonical JSON on
 stdout (byte-identical for identical inputs and seed); a timing summary goes
 to stderr.  Exit codes: 0 success / checks passed, 1 a mathematical check
-failed (witness in the output), 2 usage or parse errors, or a computation
-that needed a symmetric word longer than the word cap.
+failed (witness in the output), 2 usage or parse errors (among them an
+instance that lacks an entry the verb needs, or whose morphism does not
+intertwine, outside linf-check), or a computation that needed a symmetric
+word longer than the word cap.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ USAGE_ERROR, CHECK_FAILED, OK = 2, 1, 0
 
 def _read_document(args):
     """The JSON document named by --instance; '-' reads stdin."""
+    if args.instance is None:
+        raise ParseError(f"{args.verb} needs --instance (a JSON file path, or - for stdin)")
     if args.instance == "-":
         return json.load(sys.stdin)
     with open(args.instance) as fh:
@@ -49,12 +53,23 @@ def _loading():
         raise ParseError(f"input document: wrong JSON type: {ex}") from None
 
 
-def _load_instance(args, doc=None):
-    """(algebra, omega, morphism) from doc, by default the --instance document."""
+def _load_instance(args, doc=None, need_omega=False, need_morphism=False):
+    """(algebra, omega, morphism) from doc, by default the --instance document.
+
+    A morphism must intertwine, except for linf-check, which reports whether
+    it does.  A missing entry that the verb needs is a parse error.
+    """
     if doc is None:
         doc = _read_document(args)
     with _loading():
-        return jsonio.instance_from_json(doc, W=args.word_cap)
+        algebra, omega, morphism = jsonio.instance_from_json(doc, W=args.word_cap)
+    if morphism is not None and args.verb != "linf-check":
+        morphism.require_intertwines()
+    if need_morphism and morphism is None:
+        raise ParseError("instance needs a 'morphism' entry")
+    if need_omega and omega is None:
+        raise ParseError("instance needs an 'omega' entry")
+    return algebra, omega, morphism
 
 
 def _emit(doc, args):
@@ -114,9 +129,7 @@ def cmd_poisson_check(args):
 
 
 def cmd_exp(args):
-    algebra, omega, _ = _load_instance(args)
-    if omega is None:
-        raise ParseError("instance needs an 'omega' entry")
+    algebra, omega, _ = _load_instance(args, need_omega=True)
     om = CoalgElem.from_vect(algebra.shifted, omega, args.word_cap)
     e = coalg_exp(om)
     return OK, {"verb": "exp", "result": e.to_json_list()}
@@ -137,32 +150,29 @@ def cmd_ln(args):
 
 
 def cmd_mc_check(args):
-    algebra, omega, _ = _load_instance(args)
-    res = mc_residue(algebra, omega or {})
+    algebra, omega, _ = _load_instance(args, need_omega=True)
+    res = mc_residue(algebra, omega)
     ok = not res
     return (OK if ok else CHECK_FAILED), {
         "verb": "mc-check", "mc": ok,
         "residue": jsonio.vect_to_json(algebra.module, res)}
 
 
-def _mc_gate(algebra, omega):
+def _mc_gate(verb, algebra, omega):
     """Residue check shared by the verbs that require a Maurer-Cartan omega."""
-    res = mc_residue(algebra, omega or {})
+    res = mc_residue(algebra, omega)
     if not res:
         return None
-    return (CHECK_FAILED, {"mc": False,
+    return (CHECK_FAILED, {"verb": verb, "mc": False,
                            "residue": jsonio.vect_to_json(algebra.module, res)})
 
 
 def cmd_mc_push(args):
-    algebra, omega, morphism = _load_instance(args)
-    if morphism is None:
-        raise ParseError("instance needs a 'morphism' entry")
-    gate = _mc_gate(algebra, omega)
+    algebra, omega, morphism = _load_instance(args, need_omega=True, need_morphism=True)
+    gate = _mc_gate("mc-push", algebra, omega)
     if gate:
-        gate[1]["verb"] = "mc-push"
         return gate
-    om = MCElement(algebra, omega or {}, check=True)
+    om = MCElement(algebra, omega, check=False)  # the gate has checked it
     pushed = mc_push(morphism, om)
     naturality = morphism.psi(om.exp()) == pushed.exp()
     ok = naturality and not mc_residue(morphism.target, pushed.vect)
@@ -173,14 +183,13 @@ def cmd_mc_push(args):
 
 
 def cmd_twist(args):
-    algebra, omega, _ = _load_instance(args)
+    algebra, omega, _ = _load_instance(args, need_omega=True)
     if not args.allow_non_mc:
-        gate = _mc_gate(algebra, omega)
+        gate = _mc_gate("twist", algebra, omega)
         if gate:
-            gate[1]["verb"] = "twist"
             return gate
-    tw = twist_coder(algebra, omega or {}, allow_non_mc=True)
-    sq = tw.check_square_zero(min(args.word_cap, 3))
+    tw = twist_coder(algebra, omega, allow_non_mc=True)
+    sq = tw.check_square_zero()
     doc = {"verb": "twist",
            "twisted_taylor": jsonio.taylor_to_json(tw.taylor),
            "square_zero": sq.ok}
@@ -190,20 +199,19 @@ def cmd_twist(args):
 
 
 def cmd_twist_check(args):
-    algebra, omega, morphism = _load_instance(args)
+    algebra, omega, morphism = _load_instance(args, need_omega=True)
     if not args.allow_non_mc:
-        gate = _mc_gate(algebra, omega)
+        gate = _mc_gate("twist-check", algebra, omega)
         if gate:
-            gate[1]["verb"] = "twist-check"
             return gate
-    tw = twist_coder(algebra, omega or {}, allow_non_mc=True)
-    sq = tw.check_square_zero(min(args.word_cap, 3))
+    tw = twist_coder(algebra, omega, allow_non_mc=True)
+    sq = tw.check_square_zero()
     doc = {"verb": "twist-check", "square_zero": sq.ok}
     ok = sq.ok
     if not sq.ok:
         doc["witness"] = sq.violations[0]["witness"]
     if sq.ok:
-        conj = conjugation_twist(algebra, omega or {})
+        conj = conjugation_twist(algebra, omega)
         agree = operators_agree(tw.Q, conj, algebra.shifted, algebra.W,
                                 min(args.word_cap, 2))
         doc["conjugation_agrees"] = agree.ok
@@ -211,9 +219,9 @@ def cmd_twist_check(args):
         if not agree.ok:
             doc["witness"] = agree.violations[0]["witness"]
     if morphism is not None and ok:
-        om = MCElement(algebra, omega or {}, check=True)
+        om = MCElement(algebra, omega, check=args.allow_non_mc)  # else the gate did
         tm = twist_morphism(morphism, om, twisted_source=tw)
-        inter = tm.check_intertwines(min(args.word_cap, 2))
+        inter = tm.check_intertwines()
         doc["morphism_intertwines"] = inter.ok
         ok = ok and inter.ok
         if not inter.ok:
@@ -222,12 +230,10 @@ def cmd_twist_check(args):
 
 
 def cmd_linf_check(args):
-    algebra, _, morphism = _load_instance(args)
-    if morphism is None:
-        raise ParseError("instance needs a 'morphism' entry")
+    algebra, _, morphism = _load_instance(args, need_morphism=True)
     words = algebra.shifted.words_up_to(min(args.word_cap, 3))
     rep = linf_identity_check(morphism.taylor, algebra, morphism.target, words)
-    inter = morphism.check_intertwines(min(args.word_cap, 3))
+    inter = morphism.check_intertwines()
     doc = {"verb": "linf-check", "identity_paths_agree": rep.ok,
            "is_linf_morphism": inter.ok}
     if not rep.ok:
@@ -240,9 +246,7 @@ def cmd_linf_check(args):
 def cmd_extend(args):
     from .linf import extend_multilinear
     from .scalars import CoeffDGA
-    algebra, omega, morphism = _load_instance(args)
-    if morphism is None:
-        raise ParseError("instance needs a 'morphism' entry")
+    algebra, omega, morphism = _load_instance(args, need_morphism=True)
     if args.coeff_algebra is None:
         raise ParseError("extend needs --coeff-algebra")
     with open(args.coeff_algebra) as fh, _loading():

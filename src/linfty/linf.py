@@ -15,6 +15,13 @@ of the coderivation equals d(w) + 1/2 [w, w] on the nose, and the twisted
 differential is d + ad(w) on the nose.  The constructor verifies Q∘Q = 0 by
 expansion (that verification, not the convention, is the contract).
 
+Q∘Q and Psi∘Q - Q'∘Psi are coderivations (the latter along Psi), and a
+coderivation vanishes iff its corestriction does (Lada-Stasheff).  The
+corestriction vanishes on words longer than a bound read off the Taylor
+lengths, so each check walks the canonical words up to that bound (or the
+word cap W, if smaller) and no further: the verdict and the first witness
+are those of a walk up to W.
+
 Twisting follows the Taylor-coefficient formula; ``conjugation_twist`` builds
 the same operator a second way, by conjugating with multiplication by exp(w),
 and the two are compared word for word in the test suite.
@@ -148,10 +155,14 @@ def dgla_tables_from_taylor(module, T: TaylorSeq):
 # ---------------------------------------------------------------------------
 
 class LinfAlgebra:
-    """Module + square-zero degree-1 coderivation on S(module[1])."""
+    """Module + square-zero degree-1 coderivation on S(module[1]).
+
+    With check=True the constructor raises ValueError, naming the first
+    witness word, unless check_square_zero() passes.
+    """
 
     def __init__(self, module: GradedBasisModule, taylor: TaylorSeq, W,
-                 provenance=("custom",), check=True, check_order=None):
+                 provenance=("custom",), check=True):
         self.module = module
         self.shifted = taylor.source
         if self.shifted.gens != module.shifted().gens:
@@ -163,7 +174,7 @@ class LinfAlgebra:
         self._d_table = None
         self._bracket_table = None
         if check:
-            rep = self.check_square_zero(check_order or min(W, 4))
+            rep = self.check_square_zero()
             if not rep.ok:
                 raise ValueError(f"Q∘Q != 0: witness {rep.violations[0]['witness']}")
 
@@ -214,9 +225,16 @@ class LinfAlgebra:
                 vect_acc(out, bracket.get((i, j), {}), c * c2)
         return out
 
-    def check_square_zero(self, max_order) -> ValidationReport:
+    def check_square_zero(self) -> ValidationReport:
+        """Q(Q(word)) = 0 on every canonical word up to min(W, 2·top − 1).
+
+        With top = taylor.max_j(), the corestriction of Q∘Q on an order-k word
+        is a sum of Q_j(Q_i(...)) with i, j <= top and k = i + j − 1, so it
+        vanishes for k > 2·top − 1; Q∘Q is zero iff its corestriction is.
+        """
         rep = ValidationReport()
-        for w in self.shifted.words_up_to(max_order):
+        order = max(1, 2 * self.taylor.max_j() - 1)
+        for w in self.shifted.words_up_to(min(self.W, order)):
             x = CoalgElem(self.shifted, {w: self.module.coeff.one()}, self.W)
             if not self.Q(self.Q(x)).is_zero():
                 rep.add("square_zero", [self.shifted.gen_name(i) for i in w],
@@ -258,10 +276,14 @@ class MCElement:
 
 
 class LinfMorphism:
-    """Coalgebra morphism intertwining two L-infinity structures."""
+    """Coalgebra morphism intertwining two L-infinity structures.
+
+    With check=True the constructor raises ValueError, naming the first
+    witness word, unless check_intertwines() passes.
+    """
 
     def __init__(self, source: LinfAlgebra, target: LinfAlgebra, taylor: TaylorSeq,
-                 check=True, check_order=None):
+                 check=True):
         if taylor.intent != "morphism":
             raise ValueError("need a morphism-intent TaylorSeq")
         self.source = source
@@ -270,10 +292,7 @@ class LinfMorphism:
         self.W = min(source.W, target.W)
         self.psi = morph_from_taylor(taylor, self.W)
         if check:
-            rep = self.check_intertwines(check_order or min(self.W, 3))
-            if not rep.ok:
-                raise ValueError(
-                    f"not an L-infinity morphism: witness {rep.violations[0]['witness']}")
+            self.require_intertwines()
 
     @classmethod
     def strict(cls, source, target, f_table, check=True):
@@ -293,10 +312,21 @@ class LinfMorphism:
         T = TaylorSeq(algebra.shifted, algebra.shifted, {1: table}, "morphism")
         return cls(algebra, algebra, T, check=False)
 
-    def check_intertwines(self, max_order) -> ValidationReport:
+    def check_intertwines(self) -> ValidationReport:
+        """Psi(Q(word)) = Q'(Psi(word)) on every canonical word up to min(W, K).
+
+        K = max(1, top_Psi + top_Q − 1, top_Q'·top_Psi): on an order-k word the
+        corestriction of Psi∘Q is a sum of Psi_j(Q_i(...)) with k = i + j − 1,
+        and that of Q'∘Psi a sum of Q'_j on j blocks of Psi_i's with k <= j·i,
+        so both vanish for k > K; a coderivation along Psi is zero iff its
+        corestriction is.
+        """
         rep = ValidationReport()
         sh = self.source.shifted
-        for w in sh.words_up_to(max_order):
+        top = self.taylor.max_j()
+        order = max(1, top + self.source.taylor.max_j() - 1,
+                    self.target.taylor.max_j() * top)
+        for w in sh.words_up_to(min(self.W, order)):
             x = CoalgElem(sh, {w: sh.coeff.one()}, self.W)
             lhs = self.psi(self.source.Q(x))
             rhs = self.target.Q(self.psi(x))
@@ -304,6 +334,13 @@ class LinfMorphism:
                 rep.add("intertwine", [sh.gen_name(i) for i in w],
                         "Psi∘Q != Q'∘Psi")
         return rep
+
+    def require_intertwines(self):
+        """Raise ValueError with the first witness unless check_intertwines() passes."""
+        rep = self.check_intertwines()
+        if not rep.ok:
+            raise ValueError(
+                f"not an L-infinity morphism: witness {rep.violations[0]['witness']}")
 
     def is_strict(self):
         return self.taylor.max_j() <= 1
@@ -407,13 +444,16 @@ def twist_coder(algebra: LinfAlgebra, omega, allow_non_mc=False) -> LinfAlgebra:
 
 def twist_morphism(psi: LinfMorphism, omega: MCElement,
                    twisted_source=None, twisted_target=None) -> LinfMorphism:
-    """Twist of a morphism by a Maurer-Cartan element of its source."""
+    """Twist of a morphism by a Maurer-Cartan element of its source.
+
+    The result is not checked; check_intertwines() is the caller's to run.
+    """
     omega_t = mc_push(psi, omega)
     src = twisted_source if twisted_source is not None else twist_coder(psi.source, omega)
     tgt = twisted_target if twisted_target is not None else twist_coder(psi.target, omega_t)
     om = omega.as_coalg(psi.W)
     T = twist_taylor(psi.taylor, om)
-    return LinfMorphism(src, tgt, T, check=True)
+    return LinfMorphism(src, tgt, T, check=False)
 
 
 def _conjugated(op, om_source, om_target, W, headroom) -> CoalgOperator:

@@ -3,9 +3,9 @@
 Random DG Lie algebras are drawn from hand-verified structure families and
 scrambled by degree-preserving unimodular base changes, so every instance
 satisfies the axioms exactly while exercising nontrivial structure constants.
-Random non-strict morphisms are sampled from the exact kernel of the (linear)
-intertwining constraints, which is available whenever the target bracket
-vanishes.  All generators take an explicit seed through ``random.Random``.
+Random non-strict morphisms go between abelian algebras with d = 0, where
+every Taylor table intertwines.  All generators take an explicit seed through
+``random.Random``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import itertools
 from fractions import Fraction
 
 from .coalg import GradedBasisModule, TaylorSeq, vect_acc, word_degree
-from .linalg import nullspace
 from .linf import LinfAlgebra, LinfMorphism, MCElement, mc_residue
 from .scalars import CoeffDGA, _acc, make_truncated_poly_dga
 
@@ -170,67 +169,6 @@ def strict_base_change_morphism(rng, algebra: LinfAlgebra) -> LinfMorphism:
              if Pinv[j][i]}
         table[j] = v
     return LinfMorphism.strict(algebra, target, table, check=True)
-
-
-def sample_nonstrict_morphism(rng, source: LinfAlgebra, target: LinfAlgebra,
-                              max_j=2, check=True):
-    """Draw from the exact solution space of the intertwining constraints.
-
-    Linear only when the target bracket vanishes; raises otherwise.
-    """
-    _, br_t = target.dgla_tables()
-    if any(br_t.values()):
-        raise ValueError("kernel sampling needs an abelian-bracket target")
-    sh_s, sh_t = source.shifted, target.shifted
-    C = source.module.coeff
-
-    unknowns = []
-    for j in range(1, max_j + 1):
-        for w in sh_s.words(j):
-            want = word_degree(sh_s, w)
-            for g in range(len(sh_t)):
-                if sh_t.degree(g) == want:
-                    unknowns.append((j, w, g))
-    index = {u: k for k, u in enumerate(unknowns)}
-
-    def taylor_from_vector(vec):
-        maps = {}
-        for (j, w, g), k in index.items():
-            q = vec[k]
-            if not q:
-                continue
-            maps.setdefault(j, {}).setdefault(w, {})
-            maps[j][w][g] = C.scalar(q)
-        return TaylorSeq(sh_s, sh_t, maps, "morphism")
-
-    # constraint rows: coefficients of ln(Q' Psi - Psi Q)(word) per unknown
-    rows = {}
-    for k, (j, w, g) in enumerate(unknowns):
-        T = taylor_from_vector([Fraction(1) if i == k else Fraction(0)
-                                for i in range(len(unknowns))])
-        for cw in sh_s.words_up_to(max_j + 1):
-            if not cw:
-                continue
-            from .linf import coalgebra_identity_residual
-            res = coalgebra_identity_residual(T, source, target, cw,
-                                              W=source.W)
-            for gi, c in res.items():
-                for ci, q in c.coeffs.items():
-                    if ci != C.unit_index:
-                        raise ValueError(
-                            "kernel sampling needs rational structure constants")
-                rows.setdefault((cw, gi), {})[k] = c.rational_part()
-    matrix = [r for r in rows.values() if r]
-    basis = nullspace(matrix, len(unknowns))
-    if not basis:
-        return LinfMorphism.identity(source) if source is target else None
-    vec = [Fraction(0)] * len(unknowns)
-    for b in basis:
-        q = Fraction(rng.randint(-2, 2))
-        if q:
-            vec = [x + q * y for x, y in zip(vec, b)]
-    T = taylor_from_vector(vec)
-    return LinfMorphism(source, target, T, check=check)
 
 
 def sample_abelian_pair(rng, C, W=6, dim=3):

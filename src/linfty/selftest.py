@@ -137,7 +137,7 @@ def check_mc_twist(rng, trials=8):
         if not alg.Q(e).is_zero():
             return False, "Q(exp w) != 0 for MC w"
         tw = twist_coder(alg, om)
-        if not tw.check_square_zero(3).ok:
+        if not tw.check_square_zero().ok:
             return False, "twisted coderivation not square zero"
         conj = conjugation_twist(alg, om)
         if not operators_agree(tw.Q, conj, alg.shifted, alg.W, 2).ok:
@@ -149,14 +149,14 @@ def check_morphisms(rng, trials=6):
     C = samples.default_coefficients(4)
     for _ in range(trials):
         a, b, mor = samples.sample_abelian_pair(rng, C)
-        if not mor.check_intertwines(3).ok:
+        if not mor.check_intertwines().ok:
             return False, "abelian-pair morphism fails"
         om = samples.sample_mc(rng, a)
         omp = mc_push(mor, om)
         if mor.psi(om.exp()) != omp.exp():
             return False, "exp naturality (pushforward) fails"
         tm = twist_morphism(mor, om)
-        if not tm.check_intertwines(2).ok:
+        if not tm.check_intertwines().ok:
             return False, "twisted morphism fails to intertwine"
     return True, f"{trials} morphism instances with pushforward + twist"
 

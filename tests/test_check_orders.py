@@ -1,0 +1,188 @@
+"""The Q∘Q = 0 and Psi∘Q = Q'∘Psi checks stop at an order derived from the
+Taylor lengths; a walk over every word up to the word cap must agree with them."""
+
+import contextlib
+import io
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+from linfty import jsonio, samples
+from linfty.cli import run
+from linfty.coalg import GradedBasisModule, TaylorSeq, word_degree
+from linfty.linf import LinfAlgebra, LinfMorphism
+from linfty.scalars import make_truncated_poly_dga, rational_field
+from reference_checks import intertwine_witnesses, square_zero_witnesses
+
+
+def random_table(rng, sh_s, sh_t, j, shift, C, density):
+    """A degree-correct Taylor table of arity j with random nonzero values."""
+    tab = {}
+    for w in sh_s.words(j):
+        want = word_degree(sh_s, w) + shift
+        v = {g: C.scalar(Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2))))
+             for g in range(len(sh_t)) if sh_t.degree(g) == want and rng.random() < density}
+        if v:
+            tab[w] = v
+    return tab
+
+
+def random_module(rng, C):
+    degs = sorted(rng.choice((0, 1, 1, 2, 3)) for _ in range(rng.randint(3, 4)))
+    return GradedBasisModule("m", [(f"g{i}", d) for i, d in enumerate(degs)], C)
+
+
+def random_structure(rng, C, kind, W):
+    """A coderivation that need not square to zero: only Q_3 ("q3"), a random
+    bracket ("jacobi"), a random d and bracket ("d2"), or a DGLA with one
+    Taylor entry changed ("corrupt")."""
+    if kind == "corrupt":
+        alg = samples.sample_dgla(rng, C, W=W)
+        sh = alg.shifted
+        maps = {j: dict(tab) for j, tab in alg.taylor.maps.items()}
+        j = rng.choice((1, 2))
+        for w, v in random_table(rng, sh, sh, j, 1, C, 0.3).items():
+            maps.setdefault(j, {})[w] = v
+        return LinfAlgebra(alg.module, TaylorSeq(sh, sh, maps, "coderivation"), W,
+                           check=False)
+    module = random_module(rng, C)
+    sh = module.shifted()
+    arities = {"q3": (3,), "jacobi": (2,), "d2": (1, 2)}[kind]
+    maps = {j: random_table(rng, sh, sh, j, 1, C, 0.6) for j in arities}
+    return LinfAlgebra(module, TaylorSeq(sh, sh, maps, "coderivation"), W, check=False)
+
+
+def random_morphism(rng, C, W):
+    """A random non-strict Taylor table of top <= 3 between genuine structures.
+
+    An odd_square target ([y, y] = z) obstructs a Psi_j with j > 1 only at
+    order 2j; an abelian target leaves Psi∘Q alone to fail, up to order
+    top_Psi + top_Q − 1."""
+    src = samples.sample_dgla(rng, C, W=W) if rng.random() < 0.5 \
+        else LinfAlgebra.abelian(random_module(rng, C), W)
+    tgt = rng.choice((lambda: samples.sample_dgla(rng, C, W=W),
+                      lambda: samples.sample_dgla(rng, C, W=W, family="odd_square"),
+                      lambda: LinfAlgebra.abelian(random_module(rng, C), W)))()
+    top = rng.randint(1, 3)
+    maps = {j: random_table(rng, src.shifted, tgt.shifted, j, 0, C, 0.4)
+            for j in range(1, top + 1) if rng.random() < 0.7}
+    T = TaylorSeq(src.shifted, tgt.shifted, maps, "morphism")
+    return LinfMorphism(src, tgt, T, check=False)
+
+
+def witnesses(rep):
+    return [v["witness"] for v in rep.violations]
+
+
+class TestDerivedOrders:
+    def test_agree_with_the_full_walk_on_random_and_corrupted_instances(self):
+        rng = random.Random(6)
+        kinds = ("q3", "jacobi", "d2", "corrupt", "psi")
+        first_orders = {kind: set() for kind in kinds}
+        for case in range(160):
+            C = rng.choice((rational_field(), make_truncated_poly_dga([0], 3)))
+            W = rng.choice((3, 4, 5, 6, 6))
+            kind = kinds[case % len(kinds)]
+            if kind == "psi":
+                psi = random_morphism(rng, C, W)
+                ref = intertwine_witnesses(psi.taylor, psi.source.taylor,
+                                           psi.target.taylor, psi.W)
+                got = witnesses(psi.check_intertwines())
+            else:
+                alg = random_structure(rng, C, kind, W)
+                ref = square_zero_witnesses(alg.taylor, W)
+                got = witnesses(alg.check_square_zero())
+            # same verdict, and the derived walk is a prefix of the full one
+            assert bool(got) == bool(ref), (case, kind)
+            assert got == ref[:len(got)], (case, kind)
+            first_orders[kind].add(len(ref[0]) if ref else 0)
+        # every family both passes and fails, and some fail only above the
+        # orders the checks used to stop at (4 for Q∘Q, 3 for Psi)
+        assert all(0 in orders and len(orders) > 1 for orders in first_orders.values())
+        assert max(first_orders["q3"]) > 4 and max(first_orders["psi"]) > 3
+
+    @pytest.mark.parametrize("top", [2, 3])
+    def test_failure_only_at_the_top_order(self, top):
+        # Psi_top(a...a) = y into [y, y] = z first fails on a^(2 top)
+        psi = quadratic_obstruction(top, W=2 * top)
+        rep = psi.check_intertwines()
+        assert witnesses(rep) == [["a"] * (2 * top)]
+        assert witnesses(rep) == intertwine_witnesses(psi.taylor, psi.source.taylor,
+                                                      psi.target.taylor, psi.W)
+        with pytest.raises(ValueError, match=r"witness \['a', 'a'(, 'a')+\]"):
+            LinfMorphism(psi.source, psi.target, psi.taylor)
+
+    def test_word_cap_below_the_derived_order(self):
+        # with W = 3 the obstruction on a^4 is out of reach of both walks
+        psi = quadratic_obstruction(2, W=3)
+        assert psi.check_intertwines().ok
+        assert not intertwine_witnesses(psi.taylor, psi.source.taylor, psi.target.taylor, 3)
+
+
+def quadratic_obstruction(top, W):
+    """Psi_top(a^top) = y from an abelian algebra into one with [y, y] = z.
+
+    Psi∘Q vanishes and Q'∘Psi(a^k) is nonzero first at k = 2 top, through
+    [Psi_top(a^top), Psi_top(a^top)]: Psi is no morphism, but every word of
+    lower order passes."""
+    QQ = rational_field()
+    src = LinfAlgebra.abelian(GradedBasisModule("s", [("a", 1)], QQ), W)
+    tgt = LinfAlgebra.from_dgla(GradedBasisModule("t", [("y", 1), ("z", 2)], QQ),
+                                {}, {("y", "y"): {"z": 1}}, W)
+    T = TaylorSeq(src.shifted, tgt.shifted, {top: {(0,) * top: {0: QQ.one()}}}, "morphism")
+    return LinfMorphism(src, tgt, T, check=False)
+
+
+def cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestCliVerdicts:
+    @pytest.fixture
+    def obstruction_file(self, tmp_path):
+        psi = quadratic_obstruction(2, W=6)
+        doc = jsonio.instance_to_json(psi.source, omega={}, morphism=psi)
+        path = tmp_path / "obstruction.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_linf_check_reports_a_non_morphism(self, obstruction_file):
+        code, out, _ = cli(["linf-check", "--instance", obstruction_file])
+        doc = json.loads(out)
+        assert code == 1 and not doc["is_linf_morphism"]
+        assert doc["witness"] == ["a", "a", "a", "a"]
+
+    def test_other_verbs_reject_a_non_morphism(self, obstruction_file):
+        for verb in ("mc-check", "mc-push", "twist", "twist-check", "exp"):
+            code, out, err = cli([verb, "--instance", obstruction_file])
+            assert (code, out) == (2, ""), verb
+            assert err == "error: not an L-infinity morphism: witness ['a', 'a', 'a', 'a']\n"
+
+    def test_missing_omega_exits_two(self, tmp_path):
+        alg = samples.sample_dgla(random.Random(3), samples.default_coefficients(4),
+                                  family="weighted", scramble=False)
+        phi = LinfMorphism.identity(alg)
+        path = tmp_path / "no_omega.json"
+        path.write_text(json.dumps(jsonio.instance_to_json(alg, morphism=phi)))
+        for argv in (["mc-check"], ["mc-push"], ["twist"], ["twist", "--allow-non-mc"],
+                     ["twist-check"], ["twist-check", "--allow-non-mc"]):
+            code, out, err = cli([*argv, "--instance", str(path)])
+            assert (code, out) == (2, ""), argv
+            assert err == "error: instance needs an 'omega' entry\n", argv
+        # an explicit empty omega is zero, which is Maurer-Cartan
+        path.write_text(json.dumps(jsonio.instance_to_json(alg, omega={}, morphism=phi)))
+        code, out, _ = cli(["mc-check", "--instance", str(path)])
+        assert code == 0 and json.loads(out) == {"verb": "mc-check", "mc": True,
+                                                 "residue": {}}
+
+    @pytest.mark.parametrize("verb", ["exp", "ln", "mc-check", "mc-push", "twist",
+                                      "twist-check", "linf-check", "extend"])
+    def test_missing_instance_flag_exits_two(self, verb):
+        code, out, err = cli([verb])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--instance" in err
