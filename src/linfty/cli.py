@@ -6,7 +6,7 @@ to stderr.  Exit codes: 0 success / checks passed, 1 a mathematical check
 failed (witness in the output), 2 usage or parse errors (among them an
 instance that lacks an entry the verb needs, or whose morphism does not
 intertwine, outside linf-check), or a computation that needed a symmetric
-word longer than the word cap.
+word longer than the word cap, or a --coeff-algebra that fails dga_check.
 """
 
 from __future__ import annotations
@@ -174,9 +174,8 @@ def cmd_mc_push(args):
         return gate
     om = MCElement(algebra, omega, check=False)  # the gate has checked it
     pushed = mc_push(morphism, om)
-    naturality = morphism.psi(om.exp()) == pushed.exp()
-    ok = naturality and not mc_residue(morphism.target, pushed.vect)
-    return (OK if ok else CHECK_FAILED), {
+    naturality = morphism.psi(om.exp()) == pushed.exp()  # mc_push asserts MC-ness
+    return (OK if naturality else CHECK_FAILED), {
         "verb": "mc-push",
         "omega_prime": jsonio.vect_to_json(morphism.target.module, pushed.vect),
         "exp_naturality": naturality}
@@ -221,7 +220,10 @@ def cmd_twist_check(args):
     if morphism is not None and ok:
         om = MCElement(algebra, omega, check=args.allow_non_mc)  # else the gate did
         tm = twist_morphism(morphism, om, twisted_source=tw)
-        inter = tm.check_intertwines()
+        # the twisted target is decided here, before Psi_w is compared with it
+        inter = tm.target.check_square_zero()
+        if inter.ok:
+            inter = tm.check_intertwines()
         doc["morphism_intertwines"] = inter.ok
         ok = ok and inter.ok
         if not inter.ok:
@@ -245,12 +247,16 @@ def cmd_linf_check(args):
 
 def cmd_extend(args):
     from .linf import extend_multilinear
-    from .scalars import CoeffDGA
+    from .scalars import CoeffDGA, dga_check
     algebra, omega, morphism = _load_instance(args, need_morphism=True)
     if args.coeff_algebra is None:
         raise ParseError("extend needs --coeff-algebra")
     with open(args.coeff_algebra) as fh, _loading():
         A = CoeffDGA.from_json(fh.read())
+    axioms = dga_check(A)
+    if not axioms.ok:
+        v = axioms.violations[0]
+        raise ParseError(f"coefficient algebra axioms fail: {v['axiom']} at {v['witness']}")
     ext = extend_multilinear(morphism, A, W=args.word_cap)
     import random
     rng = random.Random(args.seed)

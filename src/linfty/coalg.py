@@ -63,10 +63,10 @@ class GradedBasisModule:
     def degree(self, i):
         return self.gens[i][1]
 
-    def shifted(self, offset=-1):
-        """Same basis with degrees shifted (g -> g[1] is offset -1)."""
-        return GradedBasisModule(f"{self.name}[{-offset}]",
-                                 [(n, d + offset) for n, d in self.gens], self.coeff)
+    def shifted(self):
+        """Same basis with degrees lowered by one: the suspension g -> g[1]."""
+        return GradedBasisModule(f"{self.name}[1]",
+                                 [(n, d - 1) for n, d in self.gens], self.coeff)
 
     def __eq__(self, other):
         return (isinstance(other, GradedBasisModule) and self.gens == other.gens
@@ -413,10 +413,16 @@ class TaylorSeq:
             vect_acc(out, self.eval_word(letters), coeff)
         return out
 
-    def scale(self, q):
-        return TaylorSeq(self.source, self.target,
-                         {j: {w: vect_scale(v, q) for w, v in t.items()}
-                          for j, t in self.maps.items()}, self.intent)
+
+def _taylor(source, target, maps, intent):
+    """TaylorSeq from canonical maps (nonempty tables of canonical order-j words,
+    nonzero values of the intent's degree), built from validated ones; no copy."""
+    T = object.__new__(TaylorSeq)
+    T.source = source
+    T.target = target
+    T.intent = intent
+    T.maps = maps
+    return T
 
 
 class CoalgOperator:

@@ -99,10 +99,9 @@ class PolyDiffOp:
         return cls(f.n, {(): f}, alg=f.alg)
 
     @classmethod
-    def basis(cls, word, n, coeff=None, alg=None):
-        alg = alg if alg is not None else rational_field()
-        c = coeff if coeff is not None else Poly.one(n, alg)
-        return cls(n, {tuple(tuple(j) for j in word): c}, alg=alg)
+    def basis(cls, word, n, coeff=None):
+        c = coeff if coeff is not None else Poly.one(n)
+        return cls(n, {tuple(tuple(j) for j in word): c})
 
     def is_zero(self):
         return not self.terms
@@ -224,10 +223,10 @@ def _op(n, alg, terms):
     return phi
 
 
-def mu(n, alg=None) -> PolyDiffOp:
+def mu(n) -> PolyDiffOp:
     """The multiplication operator (f, g) -> f*g, degree 1, order 0."""
     z = _zero_mi(n)
-    return PolyDiffOp.basis((z, z), n, alg=alg)
+    return PolyDiffOp.basis((z, z), n)
 
 
 # ---------------------------------------------------------------------------

@@ -66,27 +66,27 @@ def _perm_sign(perm):
     return sign
 
 
-def u1_chain_check(n, samples, seed=0, max_degree=2) -> dict:
+def u1_chain_check(n, samples, seed=0) -> dict:
     """hochschild_d(u1(alpha)) must vanish exactly on every sample."""
     rng = random.Random(seed)
     failures = []
     for k in range(samples):
-        alpha = random_polyvec(n, rng, max_degree=max_degree)
+        alpha = random_polyvec(n, rng)
         if not hochschild_d(u1(alpha)).is_zero():
             failures.append(alpha.text())
     return {"samples": samples, "ok": not failures, "failures": failures}
 
 
-def random_polyvec(n, rng, p=None, max_degree=2, terms=2):
+def random_polyvec(n, rng, p=None):
     p = p if p is not None else rng.randint(-1, n - 1)
     words = list(itertools.combinations(range(1, n + 1), p + 1))
     out = {}
-    for _ in range(terms):
+    for _ in range(2):
         w = rng.choice(words)
         f = Poly.zero(n)
         for _ in range(rng.randint(1, 2)):
             e = tuple(rng.randint(0, 1) for _ in range(n))
-            if sum(e) > max_degree:
+            if sum(e) > 2:
                 continue
             f = f + Poly.monomial(e, Fraction(rng.randint(-2, 2)))
         if f:
@@ -272,9 +272,9 @@ def trivial_plugin():
     return FormalityPlugin({}, name="u1-only")
 
 
-def linear_vector_field(n, a, b, coeff=1):
+def linear_vector_field(n, a, b):
     """t_a d_b, an element of the matrix Lie algebra inside degree 0."""
-    return PolyVec(n, {(b,): Poly.var(a, n).scale(Fraction(coeff))})
+    return PolyVec(n, {(b,): Poly.var(a, n)})
 
 
 def formality_identity_residual(plugin: FormalityPlugin, polyvecs):

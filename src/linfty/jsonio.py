@@ -105,8 +105,7 @@ def taylor_from_json(doc, source_shifted, target_shifted, intent) -> TaylorSeq:
     return TaylorSeq(source_shifted, target_shifted, maps, intent)
 
 
-def instance_to_json(algebra: LinfAlgebra, omega=None, morphism: LinfMorphism = None,
-                     target: LinfAlgebra = None) -> dict:
+def instance_to_json(algebra: LinfAlgebra, omega=None, morphism: LinfMorphism = None) -> dict:
     C = algebra.module.coeff
     doc = {"coeff": "Q" if C.is_rational_field else C.to_json_dict(),
            "algebra": algebra_to_json(algebra)}
@@ -116,8 +115,6 @@ def instance_to_json(algebra: LinfAlgebra, omega=None, morphism: LinfMorphism = 
     if morphism is not None:
         doc["morphism"] = {"target": algebra_to_json(morphism.target),
                            "taylor": taylor_to_json(morphism.taylor)}
-    elif target is not None:
-        doc["target"] = algebra_to_json(target)
     return doc
 
 

@@ -12,8 +12,9 @@ is
 
 chosen so that Q∘Q = 0 is exactly the DGLA axioms, the Maurer-Cartan residue
 of the coderivation equals d(w) + 1/2 [w, w] on the nose, and the twisted
-differential is d + ad(w) on the nose.  The constructor verifies Q∘Q = 0 by
-expansion (that verification, not the convention, is the contract).
+differential is d + ad(w) on the nose.  Constructors do not check: from_dgla
+decides the axioms once, through dgla_check, and the tests pin their
+equivalence with Q∘Q = 0, which check_square_zero() decides for any structure.
 
 Q∘Q and Psi∘Q - Q'∘Psi are coderivations (the latter along Psi), and a
 coderivation vanishes iff its corestriction does (Lada-Stasheff).  The
@@ -32,7 +33,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .coalg import (CoalgElem, CoalgOperator, GradedBasisModule, TaylorSeq,
+from .coalg import (CoalgElem, CoalgOperator, GradedBasisModule, TaylorSeq, _taylor,
                     coder_from_taylor, exp, morph_from_taylor, vect_acc,
                     vect_degree, vect_scale)
 from .scalars import CoeffDGA, DgaElem, ValidationReport, _acc, ksign
@@ -119,9 +120,9 @@ def dgla_check(module, d_table, bracket_table) -> ValidationReport:
     return rep
 
 
-def taylor_from_dgla(module, d_table, bracket_table, shifted=None) -> TaylorSeq:
+def taylor_from_dgla(module, d_table, bracket_table) -> TaylorSeq:
     """Embed DGLA tables as Taylor coefficients on the shifted module."""
-    sh = shifted if shifted is not None else module.shifted()
+    sh = module.shifted()
     maps = {1: {}, 2: {}}
     for i in range(len(module)):
         v = d_table.get(i, {})
@@ -155,28 +156,22 @@ def dgla_tables_from_taylor(module, T: TaylorSeq):
 # ---------------------------------------------------------------------------
 
 class LinfAlgebra:
-    """Module + square-zero degree-1 coderivation on S(module[1]).
+    """Module + degree-1 coderivation Q on S(module[1]), meant to square to zero.
 
-    With check=True the constructor raises ValueError, naming the first
-    witness word, unless check_square_zero() passes.
+    The constructor does not decide Q∘Q = 0: from_dgla(check=True) decides it
+    through dgla_check, and check_square_zero() decides it for any structure.
     """
 
-    def __init__(self, module: GradedBasisModule, taylor: TaylorSeq, W,
-                 provenance=("custom",), check=True):
+    def __init__(self, module: GradedBasisModule, taylor: TaylorSeq, W):
         self.module = module
         self.shifted = taylor.source
         if self.shifted.gens != module.shifted().gens:
             raise ValueError("taylor sequence does not live on the shifted module")
         self.taylor = taylor
         self.W = W
-        self.provenance = provenance
         self.Q = coder_from_taylor(taylor, W)
         self._d_table = None
         self._bracket_table = None
-        if check:
-            rep = self.check_square_zero()
-            if not rep.ok:
-                raise ValueError(f"Q∘Q != 0: witness {rep.violations[0]['witness']}")
 
     @classmethod
     def from_dgla(cls, module, d_table, bracket_table, W, check=True):
@@ -189,14 +184,14 @@ class LinfAlgebra:
                 v = rep.violations[0]
                 raise ValueError(f"DGLA axioms fail: {v['axiom']} at {v['witness']}")
         T = taylor_from_dgla(module, d_table, bracket_table)
-        alg = cls(module, T, W, provenance=("dgla",), check=check)
+        alg = cls(module, T, W)
         alg._d_table = d_table
         alg._bracket_table = bracket_table
         return alg
 
     @classmethod
-    def abelian(cls, module, W, d_table=None):
-        return cls.from_dgla(module, d_table or {}, {}, W)
+    def abelian(cls, module, W):
+        return cls.from_dgla(module, {}, {}, W)
 
     @property
     def is_dgla(self):
@@ -245,7 +240,7 @@ class LinfAlgebra:
         return min((d for _, d in self.module.gens), default=0)
 
     def __repr__(self):
-        return f"LinfAlgebra({self.module.name}, provenance={self.provenance[0]})"
+        return f"LinfAlgebra({self.module.name})"
 
 
 class MCElement:
@@ -268,8 +263,8 @@ class MCElement:
         return CoalgElem.from_vect(self.ambient.shifted, self.vect,
                                    W if W is not None else self.ambient.W)
 
-    def exp(self, W=None) -> CoalgElem:
-        return exp(self.as_coalg(W))
+    def exp(self) -> CoalgElem:
+        return exp(self.as_coalg())
 
     def __repr__(self):
         return f"MCElement({self.vect!r})"
@@ -353,9 +348,8 @@ class LinfMorphism:
 # Maurer-Cartan machinery
 # ---------------------------------------------------------------------------
 
-def _taylor_sum_on_powers(taylor: TaylorSeq, omega_elem: CoalgElem, extra_word=(),
-                          start=1):
-    """sum_{i >= start} 1/i! (d^i T)(omega^i * extra_word), as a vect.
+def _taylor_sum_on_powers(taylor: TaylorSeq, omega_elem: CoalgElem, extra_word=()):
+    """sum_{i >= 1} 1/i! (d^i T)(omega^i * extra_word), as a vect.
 
     Terms beyond the Taylor length vanish; powers vanish by nilpotency.
     """
@@ -370,12 +364,11 @@ def _taylor_sum_on_powers(taylor: TaylorSeq, omega_elem: CoalgElem, extra_word=(
         power = power * omega_elem
         if power.is_zero():
             break
-        if i >= start:
-            inv = Fraction(1, fact)
-            for w, c in power.words.items():
-                v = taylor.eval_word(w + tuple(extra_word))
-                if v:
-                    vect_acc(out, v, c.scale(inv))
+        inv = Fraction(1, fact)
+        for w, c in power.words.items():
+            v = taylor.eval_word(w + tuple(extra_word))
+            if v:
+                vect_acc(out, v, c.scale(inv))
         if i > taylor.max_j():
             break
     return out
@@ -408,13 +401,14 @@ def mc_push(psi: LinfMorphism, omega: MCElement) -> MCElement:
     return MCElement(psi.target, v, check=True)
 
 
-def twist_taylor(taylor: TaylorSeq, omega_elem: CoalgElem, out_source=None,
-                 max_i=None) -> TaylorSeq:
-    """Taylor coefficients of the twist: (d^i T_w)(c) = sum_j 1/j! d^{i+j}T(w^j c)."""
+def twist_taylor(taylor: TaylorSeq, omega_elem: CoalgElem) -> TaylorSeq:
+    """Taylor coefficients of the twist: (d^i T_w)(c) = sum_j 1/j! d^{i+j}T(w^j c).
+
+    Words are canonical and values nonzero sums of values of the validated table.
+    """
     module = taylor.source
     maps = {}
-    top = max_i if max_i is not None else taylor.max_j()
-    for i in range(1, top + 1):
+    for i in range(1, taylor.max_j() + 1):
         tab = {}
         for w in module.words(i):
             v = vect_acc(taylor.eval_word(w),
@@ -423,12 +417,12 @@ def twist_taylor(taylor: TaylorSeq, omega_elem: CoalgElem, out_source=None,
                 tab[w] = v
         if tab:
             maps[i] = tab
-    return TaylorSeq(out_source if out_source is not None else module,
-                     taylor.target, maps, taylor.intent)
+    return _taylor(module, taylor.target, maps, taylor.intent)
 
 
 def twist_coder(algebra: LinfAlgebra, omega, allow_non_mc=False) -> LinfAlgebra:
-    """Twist of the L-infinity structure by omega (Maurer-Cartan unless overridden)."""
+    """Twist of the L-infinity structure by omega, which must be Maurer-Cartan
+    unless allow_non_mc is set.  The result is not checked."""
     if isinstance(omega, MCElement):
         om_vect = omega.vect
     else:
@@ -437,30 +431,27 @@ def twist_coder(algebra: LinfAlgebra, omega, allow_non_mc=False) -> LinfAlgebra:
             MCElement(algebra, om_vect, check=True)
     om = CoalgElem.from_vect(algebra.shifted, om_vect, algebra.W)
     T = twist_taylor(algebra.taylor, om)
-    return LinfAlgebra(algebra.module, T, algebra.W,
-                       provenance=("twisted", algebra, om_vect),
-                       check=not allow_non_mc)
+    return LinfAlgebra(algebra.module, T, algebra.W)
 
 
-def twist_morphism(psi: LinfMorphism, omega: MCElement,
-                   twisted_source=None, twisted_target=None) -> LinfMorphism:
+def twist_morphism(psi: LinfMorphism, omega: MCElement, twisted_source=None) -> LinfMorphism:
     """Twist of a morphism by a Maurer-Cartan element of its source.
 
-    The result is not checked; check_intertwines() is the caller's to run.
+    Neither the result nor its twisted ends are checked: check_square_zero()
+    on the ends and check_intertwines() are the caller's to run.
     """
     omega_t = mc_push(psi, omega)
     src = twisted_source if twisted_source is not None else twist_coder(psi.source, omega)
-    tgt = twisted_target if twisted_target is not None else twist_coder(psi.target, omega_t)
+    tgt = twist_coder(psi.target, omega_t)
     om = omega.as_coalg(psi.W)
     T = twist_taylor(psi.taylor, om)
     return LinfMorphism(src, tgt, T, check=False)
 
 
-def _conjugated(op, om_source, om_target, W, headroom) -> CoalgOperator:
+def _conjugated(op, om_source, om_target, W) -> CoalgOperator:
     """exp(-om_target) * op(exp(om_source) * word) per column, with headroom above W."""
     src, tgt = op.source, op.target
-    horizon = src.coeff.nilpotency_order
-    big = W + (headroom if headroom is not None else 2 * (horizon - 1))
+    big = W + 2 * (src.coeff.nilpotency_order - 1)
     e = exp(CoalgElem.from_vect(src, om_source, big))
     e_inv = exp(CoalgElem.from_vect(tgt, vect_scale(om_target, -1), big))
     one = src.coeff.one()
@@ -471,7 +462,7 @@ def _conjugated(op, om_source, om_target, W, headroom) -> CoalgOperator:
     return CoalgOperator(src, tgt, op.degree, column, big)
 
 
-def conjugation_twist(algebra: LinfAlgebra, omega, headroom=None) -> CoalgOperator:
+def conjugation_twist(algebra: LinfAlgebra, omega) -> CoalgOperator:
     """The twist built the other way: Phi_e^{-1} ∘ Q ∘ Phi_e with Phi_e(x) = exp(w) x.
 
     The final values agree with the Taylor-formula twist word for word.
@@ -480,13 +471,12 @@ def conjugation_twist(algebra: LinfAlgebra, omega, headroom=None) -> CoalgOperat
         om_vect = omega.vect
     else:
         om_vect = _as_vect(algebra.module, omega)
-    return _conjugated(algebra.Q, om_vect, om_vect, algebra.W, headroom)
+    return _conjugated(algebra.Q, om_vect, om_vect, algebra.W)
 
 
-def conjugation_twist_morphism(psi: LinfMorphism, omega: MCElement,
-                               headroom=None) -> CoalgOperator:
+def conjugation_twist_morphism(psi: LinfMorphism, omega: MCElement) -> CoalgOperator:
     """Phi_{e'}^{-1} ∘ Psi ∘ Phi_e, the conjugation route for morphisms."""
-    return _conjugated(psi.psi, omega.vect, mc_push(psi, omega).vect, psi.W, headroom)
+    return _conjugated(psi.psi, omega.vect, mc_push(psi, omega).vect, psi.W)
 
 
 def operators_agree(op1, op2, module, W, max_order) -> ValidationReport:
@@ -593,9 +583,9 @@ def explicit_identity_residual(psi_taylor: TaylorSeq, source: LinfAlgebra,
 
 
 def coalgebra_identity_residual(psi_taylor: TaylorSeq, source: LinfAlgebra,
-                                target: LinfAlgebra, word, W=None) -> dict:
+                                target: LinfAlgebra, word) -> dict:
     """ln((Q'∘Psi − Psi∘Q)(word)) through the full coalgebra operators."""
-    W = W if W is not None else max(source.W, len(word))
+    W = max(source.W, len(word))
     psi = morph_from_taylor(psi_taylor, W)
     x = CoalgElem(source.shifted, {tuple(word): source.module.coeff.one()}, W)
     lhs = target.Q(psi(x)).ln()
@@ -678,20 +668,18 @@ def tensor_dgla(A: CoeffDGA, algebra: LinfAlgebra, W=None, check=True):
     return alg
 
 
-def extend_multilinear(psi: LinfMorphism, A: CoeffDGA, W=None,
-                       source_ext=None, target_ext=None, check=True) -> LinfMorphism:
+def extend_multilinear(psi: LinfMorphism, A: CoeffDGA, W=None, check=True) -> LinfMorphism:
     """A-multilinear extension of a morphism between DGLAs over the base field.
 
     The j-th extended coefficient sends (a_1 g_1)...(a_j g_j) to
     ± a_1...a_j x (d^j Psi)(g_1...g_j), the sign moving each a_k left past the
-    suspended g_1..g_{k-1}.
+    suspended g_1..g_{k-1}.  The walk emits canonical words with nonzero
+    values, homogeneous when A passes dga_check, so the table is not re-validated.
     """
     if not psi.source.module.coeff.is_rational_field:
         raise ValueError("extension starts from a morphism over the base field")
-    src_ext = source_ext if source_ext is not None else tensor_dgla(A, psi.source, W,
-                                                                    check=check)
-    tgt_ext = target_ext if target_ext is not None else tensor_dgla(A, psi.target, W,
-                                                                    check=check)
+    src_ext = tensor_dgla(A, psi.source, W, check=check)
+    tgt_ext = tensor_dgla(A, psi.target, W, check=check)
     s_pairs = src_ext.tensor_pairs
     t_pair_index = {p: i for i, p in enumerate(tgt_ext.tensor_pairs)}
     sh_src = src_ext.shifted
@@ -743,7 +731,7 @@ def extend_multilinear(psi: LinfMorphism, A: CoeffDGA, W=None,
                               sign * ksign(A.degrees[a] * crossing),
                               crossing + g_deg(g) - 1))
     maps = {j: tab for j, tab in tabs.items() if tab}
-    T = TaylorSeq(sh_src, tgt_ext.shifted, maps, "morphism")
+    T = _taylor(sh_src, tgt_ext.shifted, maps, "morphism")
     return LinfMorphism(src_ext, tgt_ext, T, check=False)
 
 

@@ -106,19 +106,17 @@ class Poly:
         return cls.const(n, 1, alg=alg)
 
     @classmethod
-    def var(cls, i, n, alg=None):
+    def var(cls, i, n):
         if not 1 <= i <= n:
             raise ValueError(f"variable index {i} out of range 1..{n}")
         e = [0] * n
         e[i - 1] = 1
-        alg = alg if alg is not None else rational_field()
-        return cls(n, {tuple(e): alg.one()}, alg=alg)
+        return cls(n, {tuple(e): rational_field().one()})
 
     @classmethod
-    def monomial(cls, exps, coeff=1, alg=None):
-        alg = alg if alg is not None else rational_field()
-        c = coeff if isinstance(coeff, DgaElem) else alg.scalar(coeff)
-        return cls(len(exps), {tuple(exps): c}, alg=alg)
+    def monomial(cls, exps, coeff=1):
+        c = coeff if isinstance(coeff, DgaElem) else rational_field().scalar(coeff)
+        return cls(len(exps), {tuple(exps): c})
 
     # -- predicates ----------------------------------------------------------
 

@@ -71,10 +71,9 @@ class PolyVec:
         return cls(f.n, {(): f}, alg=f.alg)
 
     @classmethod
-    def basis(cls, indices, n, coeff=None, alg=None):
-        alg = alg if alg is not None else rational_field()
-        f = coeff if coeff is not None else Poly.one(n, alg)
-        return cls(n, {tuple(indices): f}, alg=alg)
+    def basis(cls, indices, n, coeff=None):
+        f = coeff if coeff is not None else Poly.one(n)
+        return cls(n, {tuple(indices): f})
 
     def is_zero(self):
         return not self.terms

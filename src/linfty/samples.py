@@ -35,7 +35,7 @@ FAMILIES = {
 }
 
 
-def unimodular_by_degree(module, rng, shears=2):
+def unimodular_by_degree(module, rng):
     """Degree-preserving change of basis with determinant ±1 (and its inverse)."""
     n = len(module)
     P = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
@@ -46,7 +46,7 @@ def unimodular_by_degree(module, rng, shears=2):
     for block in by_degree.values():
         if len(block) < 2:
             continue
-        for _ in range(shears):
+        for _ in range(2):
             i, j = rng.sample(block, 2)
             c = Fraction(rng.choice([-2, -1, 1, 2]))
             # row op on P: e_i -> e_i + c e_j; inverse composes in reverse
@@ -115,21 +115,21 @@ def sample_dgla(rng, C: CoeffDGA, W=6, family=None, scramble=True) -> LinfAlgebr
     return out
 
 
-def nilpotent_lattice(C: CoeffDGA, rng, scalars=(0, 1, -1, Fraction(1, 2))):
-    """A random nilpotent coefficient: q * (ideal basis element)."""
-    q = Fraction(rng.choice(list(scalars)))
+def nilpotent_lattice(C: CoeffDGA, rng):
+    """A random nilpotent coefficient: q * (ideal basis element), q in {0, 1, -1, 1/2}."""
+    q = Fraction(rng.choice([0, 1, -1, Fraction(1, 2)]))
     if not q or not C.ideal:
         return C.zero()
     return C.basis_elem(rng.choice(sorted(C.ideal))).scale(q)
 
 
-def sample_mc(rng, algebra: LinfAlgebra, tries=60):
+def sample_mc(rng, algebra: LinfAlgebra):
     """Rejection-sample a Maurer-Cartan element on the nilpotent lattice."""
     module = algebra.module
     deg1 = [i for i in range(len(module)) if module.degree(i) == 1]
     if not deg1:
         return MCElement(algebra, {}, check=False)
-    for _ in range(tries):
+    for _ in range(60):
         v = {}
         for i in deg1:
             c = nilpotent_lattice(C=module.coeff, rng=rng)
@@ -171,13 +171,13 @@ def strict_base_change_morphism(rng, algebra: LinfAlgebra) -> LinfMorphism:
     return LinfMorphism.strict(algebra, target, table, check=True)
 
 
-def sample_abelian_pair(rng, C, W=6, dim=3):
-    """Two zero-differential abelian algebras and a random genuine morphism."""
-    degs = sorted(rng.choice([0, 1, 2]) for _ in range(dim))
+def sample_abelian_pair(rng, C):
+    """Two zero-differential abelian algebras (3 generators, W = 6) and a random morphism."""
+    degs = sorted(rng.choice([0, 1, 2]) for _ in range(3))
     ms = GradedBasisModule("src", [(f"s{i}", d) for i, d in enumerate(degs)], C)
     mt = GradedBasisModule("tgt", [(f"t{i}", d) for i, d in enumerate(degs)], C)
-    a = LinfAlgebra.abelian(ms, W)
-    b = LinfAlgebra.abelian(mt, W)
+    a = LinfAlgebra.abelian(ms, 6)
+    b = LinfAlgebra.abelian(mt, 6)
     maps = {}
     shs, sht = a.shifted, b.shifted
     for j in (1, 2):

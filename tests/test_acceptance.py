@@ -221,6 +221,7 @@ def test_a5_twist_theorem():
         phi = strict = samples.strict_base_change_morphism(rng, alg) \
             if trial % 2 else LinfMorphism.identity(alg)
         tm = twist_morphism(phi, om, twisted_source=tw)
+        assert not square_zero_witnesses(tm.target.taylor, tm.W, 3), "twisted target"
         assert not intertwine_witnesses(tm.taylor, tm.source.taylor, tm.target.taylor,
                                         tm.W, 3)
     assert nontrivial >= 25, "too few nontrivial twist instances"

@@ -9,10 +9,10 @@ from fractions import Fraction
 
 import pytest
 
-from linfty import jsonio, samples
+from linfty import cli as cli_module, jsonio, samples
 from linfty.cli import run
 from linfty.coalg import GradedBasisModule, TaylorSeq, word_degree
-from linfty.linf import LinfAlgebra, LinfMorphism
+from linfty.linf import LinfAlgebra, LinfMorphism, twist_coder, twist_morphism
 from linfty.scalars import make_truncated_poly_dga, rational_field
 from reference_checks import intertwine_witnesses, square_zero_witnesses
 
@@ -45,13 +45,12 @@ def random_structure(rng, C, kind, W):
         j = rng.choice((1, 2))
         for w, v in random_table(rng, sh, sh, j, 1, C, 0.3).items():
             maps.setdefault(j, {})[w] = v
-        return LinfAlgebra(alg.module, TaylorSeq(sh, sh, maps, "coderivation"), W,
-                           check=False)
+        return LinfAlgebra(alg.module, TaylorSeq(sh, sh, maps, "coderivation"), W)
     module = random_module(rng, C)
     sh = module.shifted()
     arities = {"q3": (3,), "jacobi": (2,), "d2": (1, 2)}[kind]
     maps = {j: random_table(rng, sh, sh, j, 1, C, 0.6) for j in arities}
-    return LinfAlgebra(module, TaylorSeq(sh, sh, maps, "coderivation"), W, check=False)
+    return LinfAlgebra(module, TaylorSeq(sh, sh, maps, "coderivation"), W)
 
 
 def random_morphism(rng, C, W):
@@ -179,6 +178,30 @@ class TestCliVerdicts:
         code, out, _ = cli(["mc-check", "--instance", str(path)])
         assert code == 0 and json.loads(out) == {"verb": "mc-check", "mc": True,
                                                  "residue": {}}
+
+    def test_twist_check_decides_the_twisted_target(self, tmp_path, monkeypatch):
+        # valid input never reaches this (mc_push asserts that omega' is MC), so
+        # a twist by a non-MC element stands in for a broken twisted target; the
+        # zero morphism intertwines any two structures, so only the target fails
+        C = samples.default_coefficients(4)
+        alg = samples.sample_dgla(random.Random(31), C, family="odd_square", scramble=False)
+        broken = twist_coder(alg, samples.sample_non_mc(random.Random(37), alg),
+                             allow_non_mc=True)
+        witness = broken.check_square_zero().violations[0]["witness"]
+
+        def twisted(psi, omega, twisted_source=None):
+            tm = twist_morphism(psi, omega, twisted_source)
+            tm.target = broken
+            return tm
+
+        monkeypatch.setattr(cli_module, "twist_morphism", twisted)
+        path = tmp_path / "inst.json"
+        zero = LinfMorphism(alg, alg, TaylorSeq(alg.shifted, alg.shifted, {}, "morphism"))
+        path.write_text(json.dumps(jsonio.instance_to_json(alg, omega={}, morphism=zero)))
+        code, out, _ = cli(["twist-check", "--instance", str(path)])
+        assert code == 1 and json.loads(out) == {
+            "verb": "twist-check", "square_zero": True, "conjugation_agrees": True,
+            "morphism_intertwines": False, "witness": witness}
 
     @pytest.mark.parametrize("verb", ["exp", "ln", "mc-check", "mc-push", "twist",
                                       "twist-check", "linf-check", "extend"])

@@ -230,6 +230,40 @@ class TestCli:
                              "--coeff-algebra", str(apath), "--samples", "10"])
         assert code == 0 and json.loads(out)["morphism_axiom"]
 
+    def test_extend_rejects_an_invalid_coefficient_algebra(self, tmp_path):
+        # the extended Taylor table is built unvalidated, so --coeff-algebra is
+        # decided by dga_check first: exit 2 with the axiom and its witness
+        from linfty.scalars import rational_field
+        alg = samples.sample_dgla(random.Random(11), rational_field(), W=6,
+                                  family="weighted")
+        ipath = tmp_path / "inst.json"
+        ipath.write_text(json.dumps(jsonio.instance_to_json(
+            alg, morphism=samples.strict_base_change_morphism(random.Random(12), alg))))
+        one = [[0, "1"]]
+        h_e = {  # degree 0 with h*e = 0 but e*h = h
+            "basis": [{"name": n, "degree": 0} for n in ("1", "h", "e")],
+            "mul": [[0, 0, one], [0, 1, [[1, "1"]]], [1, 0, [[1, "1"]]], [0, 2, [[2, "1"]]],
+                    [2, 0, [[2, "1"]]], [1, 1, []], [1, 2, []], [2, 1, [[1, "1"]]],
+                    [2, 2, [[2, "1"]]]],
+            "d": [[0, []], [1, []], [2, []]], "unit": 0, "ideal": [1]}
+        odd_square = {  # e odd with e*e = f: associative, not graded-commutative
+            "basis": [{"name": "1", "degree": 0}, {"name": "e", "degree": 1},
+                      {"name": "f", "degree": 2}],
+            "mul": [[i, j, [[k, "1"]] if k is not None else []]
+                    for (i, j), k in {(0, 0): 0, (0, 1): 1, (1, 0): 1, (0, 2): 2, (2, 0): 2,
+                                      (1, 1): 2, (1, 2): None, (2, 1): None,
+                                      (2, 2): None}.items()],
+            "d": [[0, []], [1, []], [2, []]], "unit": 0, "ideal": [1, 2]}
+        for doc, witness in ((h_e, "commutativity at ['h', 'e']"),
+                             (odd_square, "commutativity at ['e', 'e']")):
+            apath = tmp_path / "A.json"
+            apath.write_text(json.dumps(doc))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(["extend", "--instance", str(ipath), "--coeff-algebra", str(apath)])
+            assert (code, out.getvalue()) == (2, "")
+            assert err.getvalue() == f"error: coefficient algebra axioms fail: {witness}\n"
+
     def test_selftest_green_and_deterministic(self):
         c1, o1 = capture(["selftest"])
         c2, o2 = capture(["selftest"])

@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-function the library defines is named somewhere else.
+"""Every name a library module imports is used in that module, every
+function the library defines is named somewhere else, and every defaulted
+parameter is passed by some call.
 
 ``__init__.py`` is skipped by the import check: its imports are the package's
 re-exports.
@@ -85,3 +86,78 @@ def test_every_library_function_is_named_elsewhere():
     others = [p.read_text() for d in ("src", "tests", "demos", "perfbench")
               for p in sorted((ROOT / d).rglob("*.py")) if p.parent != SRC]
     assert dead_definitions(library, others) == []
+
+
+def never_passed(library, others):
+    """Defaulted parameters of the functions and methods defined at the top
+    level of the `library` sources, or in their classes, that no call across
+    `library` and `others` passes, as "function(parameter)".
+
+    Calls are matched by name: ``f(...)`` and ``x.f(...)`` call every ``f``,
+    and ``C(...)`` calls ``C.__init__``, as ``cls(...)`` inside class C does.
+    A parameter is passed when a call names it as a keyword, or reaches its
+    position (``x.f(...)`` binds the first parameter of a method), or spreads
+    ``*args`` or ``**kwargs``.
+    """
+    calls = collections.defaultdict(list)
+    for source in (*library, *others):
+        tree = ast.parse(source)
+        owner = {}
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            owner.update((n, cls.name) for n in ast.walk(cls))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name):
+                name = owner.get(node) if node.func.id == "cls" else node.func.id
+                bound = False
+            elif isinstance(node.func, ast.Attribute):
+                name, bound = node.func.attr, True
+            else:
+                continue
+            calls[name].append((bound, len(node.args),
+                                any(isinstance(a, ast.Starred) for a in node.args),
+                                {k.arg for k in node.keywords}))
+    out = []
+    for source in library:
+        tree = ast.parse(source)
+        scopes = [(None, tree.body)] + [(n.name, n.body) for n in ast.walk(tree)
+                                        if isinstance(n, ast.ClassDef)]
+        for cls, body in scopes:
+            for fn in (n for n in body if isinstance(n, ast.FunctionDef)):
+                init = cls is not None and fn.name == "__init__"
+                method = cls is not None and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+                positional = fn.args.posonlyargs + fn.args.args
+                first = len(positional) - len(fn.args.defaults)
+                params = [(k, a.arg) for k, a in enumerate(positional) if k >= first]
+                params += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                           if d is not None]
+                for k, arg in params:
+                    if not any(arg in kws or None in kws
+                               or k is not None and (star or n + (method and (bound or init)) > k)
+                               for bound, n, star, kws in calls[cls if init else fn.name]):
+                        out.append(f"{fn.name}({arg})")
+    return out
+
+
+def test_detector_sees_never_passed_parameters():
+    library = ["class A:\n"
+               "    def __init__(self, x, y=1, *, z=2):\n        pass\n"
+               "    @classmethod\n    def make(cls, x, w=0):\n        return cls(x, 3)\n"
+               "    def scale(self, q, r=1):\n        pass\n"
+               "    @staticmethod\n    def pure(a, b=0):\n        pass\n"
+               "def f(a, b=None, c=0):\n    return f(1, c=2)\n"
+               "def spread(a=1, b=2):\n    pass\n"]
+    others = ["A.make(1)\na.scale(2)\nm.pure(1)\nspread(*xs)\n"]
+    assert never_passed(library, others) == ["f(b)", "__init__(z)", "make(w)", "scale(r)",
+                                             "pure(b)"]
+    others.append("A(1, z=0)\nA.make(1, 2)\na.scale(1, 2)\nm.pure(1, 2)\nf(0, **kw)\n")
+    assert never_passed(library, others) == []
+
+
+def test_every_defaulted_parameter_is_passed():
+    library = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    others = [p.read_text() for d in ("src", "tests", "demos", "perfbench")
+              for p in sorted((ROOT / d).rglob("*.py")) if p.parent != SRC]
+    assert never_passed(library, others) == []

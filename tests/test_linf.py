@@ -17,8 +17,8 @@ from linfty.linf import (LinfAlgebra, LinfMorphism, MCElement,
                          extend_multilinear, finiteness_bound,
                          identity_sign_data, linf_identity_check, mc_push,
                          mc_residue, mc_residue_dgla, operators_agree,
-                         tensor_dgla, twist_coder, twist_morphism)
-from linfty.samples import (default_coefficients, sample_abelian_pair,
+                         tensor_dgla, twist_coder, twist_morphism, twist_taylor)
+from linfty.samples import (FAMILIES, default_coefficients, sample_abelian_pair,
                             sample_dgla, sample_mc, sample_non_mc,
                             strict_base_change_morphism)
 from linfty.scalars import (CoeffDGA, _acc, dga_tensor, ksign, make_truncated_poly_dga,
@@ -82,8 +82,8 @@ class TestFromDgla:
         rng = random.Random(5)
         for _ in range(6):
             alg = sample_dgla(rng, C4, W=W)
-            custom = LinfAlgebra(alg.module, alg.taylor, W, provenance=("custom",),
-                                 check=True)
+            custom = LinfAlgebra(alg.module, alg.taylor, W)
+            assert not square_zero_witnesses(custom.taylor, W, 3)
             d_table, bracket = dgla_tables_from_taylor(custom.module, custom.taylor)
             assert dgla_check(custom.module, d_table, bracket).ok
 
@@ -181,6 +181,7 @@ class TestTwist:
         alg = weighted(C4)
         tw = twist_coder(alg, {})
         assert tw.taylor.maps == alg.taylor.maps
+        assert not square_zero_witnesses(tw.taylor, W, 3)
 
     def test_twisted_differential_closed_form(self, C4):
         rng = random.Random(23)
@@ -189,6 +190,7 @@ class TestTwist:
             om = sample_mc(rng, alg)
             tw = twist_coder(alg, om)
             assert tw.is_dgla
+            assert not square_zero_witnesses(tw.taylor, W, 3)
             d_t, br_t = dgla_tables_from_taylor(alg.module, tw.taylor)
             d_0, br_0 = alg.dgla_tables()
             for i in range(len(alg.module)):
@@ -217,6 +219,7 @@ class TestTwist:
             alg = sample_dgla(rng, C4, W=W)
             om = sample_mc(rng, alg)
             tw = twist_coder(alg, om)
+            assert not square_zero_witnesses(tw.taylor, W, 3)
             conj = conjugation_twist(alg, om)
             assert operators_agree(tw.Q, conj, alg.shifted, W, 3).ok
 
@@ -231,6 +234,11 @@ class TestTwist:
         assert not rep.ok and rep.violations[0]["witness"]
 
 
+def assert_twisted_ends_square_zero(tm):
+    for end in (tm.source, tm.target):
+        assert not square_zero_witnesses(end.taylor, end.W, 3)
+
+
 class TestTwistMorphism:
     def test_zero_twist(self, C4):
         alg = weighted(C4)
@@ -239,6 +247,7 @@ class TestTwistMorphism:
         om = MCElement(alg, {})
         tm = twist_morphism(phi, om)
         assert tm.taylor.maps == phi.taylor.maps
+        assert_twisted_ends_square_zero(tm)
         assert not intertwine_witnesses(tm.taylor, tm.source.taylor, tm.target.taylor, W, 3)
 
     def test_strict_twists_to_strict(self, C4):
@@ -248,6 +257,7 @@ class TestTwistMorphism:
         om = MCElement(alg, {"y": C4.gen("h")})
         tm = twist_morphism(phi, om)
         assert tm.is_strict()
+        assert_twisted_ends_square_zero(tm)
         assert tm.taylor.maps.get(1) == phi.taylor.maps.get(1)
         assert not intertwine_witnesses(tm.taylor, tm.source.taylor, tm.target.taylor, W, 3)
 
@@ -258,6 +268,7 @@ class TestTwistMorphism:
             phi = strict_base_change_morphism(rng, alg)
             om = sample_mc(rng, alg)
             tm = twist_morphism(phi, om)
+            assert_twisted_ends_square_zero(tm)
             assert not intertwine_witnesses(tm.taylor, tm.source.taylor, tm.target.taylor,
                                             tm.W, 3)
 
@@ -266,6 +277,7 @@ class TestTwistMorphism:
         a, b, mor = sample_abelian_pair(rng, C4)
         om = sample_mc(rng, a)
         tm = twist_morphism(mor, om)
+        assert_twisted_ends_square_zero(tm)
         assert not intertwine_witnesses(tm.taylor, tm.source.taylor, tm.target.taylor,
                                         tm.W, 3)
         conj = conjugation_twist_morphism(mor, om)
@@ -541,6 +553,40 @@ class TestExtensionWalk:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestTrustedTables:
+    """twist_taylor and extend_multilinear build their TaylorSeq unvalidated:
+    their maps must be what the validating constructor makes of them, with the
+    same keys, values and order."""
+
+    @staticmethod
+    def assert_canonical(T):
+        assert _listed(T) == _listed(TaylorSeq(T.source, T.target, T.maps, T.intent))
+
+    @given(st.sampled_from(sorted(FAMILIES)), st.integers(2, 4), st.integers(0, 2 ** 32))
+    @settings(max_examples=40, deadline=None)
+    def test_twist_taylor(self, family, k, seed):
+        # every family has odd letters (unshifted degree 0 or 2); omega need not be MC
+        rng = random.Random(seed)
+        C = make_truncated_poly_dga([0], k)
+        alg = sample_dgla(rng, C, W=W, family=family)
+        a, _, pair = sample_abelian_pair(rng, C)
+        strict = strict_base_change_morphism(rng, alg)
+        for taylor, source in ((alg.taylor, alg), (strict.taylor, alg), (pair.taylor, a)):
+            module = source.module
+            omega = {i: C.basis_elem(rng.choice(sorted(C.ideal))).scale(rng.choice((-1, 2)))
+                     for i in range(len(module)) if module.degree(i) == 1 and rng.random() < 0.8}
+            self.assert_canonical(twist_taylor(taylor, CoalgElem.from_vect(source.shifted,
+                                                                            omega, W)))
+
+    @given(st.sampled_from(EXTENSION_ALGEBRAS),
+           st.lists(st.integers(-1, 2), min_size=1, max_size=3),
+           st.integers(1, 3), st.integers(0, 2 ** 32))
+    @settings(max_examples=40, deadline=None)
+    def test_extend_multilinear(self, A, degs, top, seed):
+        psi = random_morphism(random.Random(seed), degs, top, 0.7, range(-5, 5))
+        self.assert_canonical(extend_multilinear(psi, A, W, check=False).taylor)
 
 
 class TestFinitenessBound:
