@@ -404,7 +404,8 @@ def mc_push(psi: LinfMorphism, omega: MCElement) -> MCElement:
 def twist_taylor(taylor: TaylorSeq, omega_elem: CoalgElem) -> TaylorSeq:
     """Taylor coefficients of the twist: (d^i T_w)(c) = sum_j 1/j! d^{i+j}T(w^j c).
 
-    Words are canonical and values nonzero sums of values of the validated table.
+    The table is validated: omega may come from input unchecked, and an entry
+    off degree 1 gives values of the wrong degree, a ValueError here.
     """
     module = taylor.source
     maps = {}
@@ -417,7 +418,7 @@ def twist_taylor(taylor: TaylorSeq, omega_elem: CoalgElem) -> TaylorSeq:
                 tab[w] = v
         if tab:
             maps[i] = tab
-    return _taylor(module, taylor.target, maps, taylor.intent)
+    return TaylorSeq(module, taylor.target, maps, taylor.intent)
 
 
 def twist_coder(algebra: LinfAlgebra, omega, allow_non_mc=False) -> LinfAlgebra:

@@ -9,10 +9,10 @@ from fractions import Fraction
 
 import pytest
 
-from linfty import cli as cli_module, jsonio, samples
+from linfty import jsonio, samples
 from linfty.cli import run
 from linfty.coalg import GradedBasisModule, TaylorSeq, word_degree
-from linfty.linf import LinfAlgebra, LinfMorphism, twist_coder, twist_morphism
+from linfty.linf import LinfAlgebra, LinfMorphism
 from linfty.scalars import make_truncated_poly_dga, rational_field
 from reference_checks import intertwine_witnesses, square_zero_witnesses
 
@@ -179,29 +179,21 @@ class TestCliVerdicts:
         assert code == 0 and json.loads(out) == {"verb": "mc-check", "mc": True,
                                                  "residue": {}}
 
-    def test_twist_check_decides_the_twisted_target(self, tmp_path, monkeypatch):
-        # valid input never reaches this (mc_push asserts that omega' is MC), so
-        # a twist by a non-MC element stands in for a broken twisted target; the
-        # zero morphism intertwines any two structures, so only the target fails
+    def test_omega_off_degree_one_exits_two(self, tmp_path):
+        # omega = h*x with |x| = 0 and [x, y] = y: without the MC gate the twisted
+        # table gets d(y) ∋ h*y, of degree |y|, and its validation rejects it
         C = samples.default_coefficients(4)
-        alg = samples.sample_dgla(random.Random(31), C, family="odd_square", scramble=False)
-        broken = twist_coder(alg, samples.sample_non_mc(random.Random(37), alg),
-                             allow_non_mc=True)
-        witness = broken.check_square_zero().violations[0]["witness"]
-
-        def twisted(psi, omega, twisted_source=None):
-            tm = twist_morphism(psi, omega, twisted_source)
-            tm.target = broken
-            return tm
-
-        monkeypatch.setattr(cli_module, "twist_morphism", twisted)
-        path = tmp_path / "inst.json"
-        zero = LinfMorphism(alg, alg, TaylorSeq(alg.shifted, alg.shifted, {}, "morphism"))
-        path.write_text(json.dumps(jsonio.instance_to_json(alg, omega={}, morphism=zero)))
-        code, out, _ = cli(["twist-check", "--instance", str(path)])
-        assert code == 1 and json.loads(out) == {
-            "verb": "twist-check", "square_zero": True, "conjugation_agrees": True,
-            "morphism_intertwines": False, "witness": witness}
+        alg = samples.sample_dgla(random.Random(3), C, family="weighted", scramble=False)
+        path = tmp_path / "deg0.json"
+        path.write_text(json.dumps(jsonio.instance_to_json(
+            alg, omega={alg.module.index["x"]: C.gen("h")},
+            morphism=LinfMorphism.identity(alg))))
+        for verb in ("twist", "twist-check"):
+            code, out, err = cli([verb, "--instance", str(path)])
+            assert (code, out, err) == (2, "", "error: the MC equation lives in degree 1\n")
+            code, out, err = cli([verb, "--allow-non-mc", "--instance", str(path)])
+            assert (code, out) == (2, ""), verb
+            assert err == "error: degree mismatch on (1,): value degree 0, expected 1\n"
 
     @pytest.mark.parametrize("verb", ["exp", "ln", "mc-check", "mc-push", "twist",
                                       "twist-check", "linf-check", "extend"])

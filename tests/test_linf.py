@@ -17,8 +17,8 @@ from linfty.linf import (LinfAlgebra, LinfMorphism, MCElement,
                          extend_multilinear, finiteness_bound,
                          identity_sign_data, linf_identity_check, mc_push,
                          mc_residue, mc_residue_dgla, operators_agree,
-                         tensor_dgla, twist_coder, twist_morphism, twist_taylor)
-from linfty.samples import (FAMILIES, default_coefficients, sample_abelian_pair,
+                         tensor_dgla, twist_coder, twist_morphism)
+from linfty.samples import (default_coefficients, sample_abelian_pair,
                             sample_dgla, sample_mc, sample_non_mc,
                             strict_base_change_morphism)
 from linfty.scalars import (CoeffDGA, _acc, dga_tensor, ksign, make_truncated_poly_dga,
@@ -232,6 +232,14 @@ class TestTwist:
         tw = twist_coder(alg, bad, allow_non_mc=True)
         rep = tw.check_square_zero()
         assert not rep.ok and rep.violations[0]["witness"]
+
+    def test_override_keeps_the_degree_check(self, C4):
+        # allow_non_mc skips only the MC check: omega = h*x with |x| = 0 puts h*[x, y]
+        # into d(y), of degree |y|, and the twisted table rejects it
+        alg = weighted(C4)
+        omega = {alg.module.index["x"]: C4.gen("h")}
+        with pytest.raises(ValueError, match="degree mismatch"):
+            twist_coder(alg, omega, allow_non_mc=True)
 
 
 def assert_twisted_ends_square_zero(tm):
@@ -556,29 +564,13 @@ class TestExtensionWalk:
 
 
 class TestTrustedTables:
-    """twist_taylor and extend_multilinear build their TaylorSeq unvalidated:
-    their maps must be what the validating constructor makes of them, with the
-    same keys, values and order."""
+    """extend_multilinear builds its TaylorSeq unvalidated: its maps must be
+    what the validating constructor makes of them, with the same keys, values
+    and order."""
 
     @staticmethod
     def assert_canonical(T):
         assert _listed(T) == _listed(TaylorSeq(T.source, T.target, T.maps, T.intent))
-
-    @given(st.sampled_from(sorted(FAMILIES)), st.integers(2, 4), st.integers(0, 2 ** 32))
-    @settings(max_examples=40, deadline=None)
-    def test_twist_taylor(self, family, k, seed):
-        # every family has odd letters (unshifted degree 0 or 2); omega need not be MC
-        rng = random.Random(seed)
-        C = make_truncated_poly_dga([0], k)
-        alg = sample_dgla(rng, C, W=W, family=family)
-        a, _, pair = sample_abelian_pair(rng, C)
-        strict = strict_base_change_morphism(rng, alg)
-        for taylor, source in ((alg.taylor, alg), (strict.taylor, alg), (pair.taylor, a)):
-            module = source.module
-            omega = {i: C.basis_elem(rng.choice(sorted(C.ideal))).scale(rng.choice((-1, 2)))
-                     for i in range(len(module)) if module.degree(i) == 1 and rng.random() < 0.8}
-            self.assert_canonical(twist_taylor(taylor, CoalgElem.from_vect(source.shifted,
-                                                                            omega, W)))
 
     @given(st.sampled_from(EXTENSION_ALGEBRAS),
            st.lists(st.integers(-1, 2), min_size=1, max_size=3),
