@@ -1,8 +1,11 @@
 """Sparse exact linear algebra over the rationals.
 
-Rows are sparse {column: Fraction} dicts.  Everything is fraction-exact;
-determinism of ranks and kernels does not depend on row order beyond the
-documented pivoting (first nonzero column, rows in given order).
+Rows are sparse {column: Fraction} dicts; columns may be any mutually
+comparable labels.  Everything is fraction-exact.  A pivot sits at the
+smallest column of its row, and an incoming row is reduced only against the
+pivots at the columns it holds, so a block-diagonal matrix costs about linear
+time.  Ranks are exact and do not depend on the row order; ``nullspace``
+reads its basis off the reduced echelon form, which is unique.
 """
 
 from __future__ import annotations
@@ -10,31 +13,34 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def _subtract(row, f, pivot):
+    """row -= f * pivot, in place, dropping zeros."""
+    for c, v in pivot.items():
+        s = row.get(c, 0) - f * v
+        if s:
+            row[c] = s
+        else:
+            del row[c]
+
+
 def row_reduce(rows):
-    """Forward elimination on copies.  Returns (pivot row list, pivot cols)."""
-    work = [dict(r) for r in rows if r]
-    pivots = []
-    pivot_cols = []
-    while work:
-        row = work.pop(0)
-        if not row:
-            continue
-        col = min(row)
-        inv = Fraction(1) / row[col]
-        row = {c: v * inv for c, v in row.items()}
-        for other in work:
-            f = other.get(col)
-            if f:
-                for c, v in row.items():
-                    s = other.get(c, Fraction(0)) - f * v
-                    if s:
-                        other[c] = s
-                    else:
-                        other.pop(c, None)
-        pivots.append(row)
-        pivot_cols.append(col)
-        work = [r for r in work if r]
-    return pivots, pivot_cols
+    """Forward elimination on copies.  Returns (pivot row list, pivot cols).
+
+    A pivot sits at the smallest column of its row, unscaled.  Rows are taken
+    in the given order; each is reduced at its smallest column while a pivot
+    sits there, and becomes a new pivot once none does.
+    """
+    pivots = {}
+    for r in rows:
+        row = dict(r)
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = row
+                break
+            _subtract(row, row[col] / pivot[col], pivot)
+    return list(pivots.values()), list(pivots)
 
 
 def rank(rows) -> int:
@@ -47,26 +53,23 @@ def nullspace(rows, ncols):
     Columns are 0..ncols-1.  One basis vector per free column.
     """
     pivots, pivot_cols = row_reduce(rows)
-    # back substitution to reduced echelon form
-    for i in range(len(pivots) - 1, -1, -1):
-        row = pivots[i]
-        col = pivot_cols[i]
-        for j in range(i):
-            f = pivots[j].get(col)
+    by_col = {col: {c: v / row[col] for c, v in row.items()}
+              for row, col in zip(pivots, pivot_cols)}
+    # back substitution to reduced echelon form, largest pivot column first: a
+    # pivot row holds no column left of its pivot, so once the pivots right of
+    # it are cleared from it, it clears its own column from the rows above
+    cols = sorted(by_col, reverse=True)
+    for k, col in enumerate(cols):
+        for other in cols[k + 1:]:
+            f = by_col[other].get(col)
             if f:
-                for c, v in row.items():
-                    s = pivots[j].get(c, Fraction(0)) - f * v
-                    if s:
-                        pivots[j][c] = s
-                    else:
-                        pivots[j].pop(c, None)
-    pivot_set = set(pivot_cols)
-    free = [c for c in range(ncols) if c not in pivot_set]
+                _subtract(by_col[other], f, by_col[col])
+    free = [c for c in range(ncols) if c not in by_col]
     basis = []
     for fc in free:
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for row, pc in zip(pivots, pivot_cols):
+        for pc, row in by_col.items():
             v = row.get(fc)
             if v:
                 vec[pc] = -v

@@ -1,11 +1,18 @@
+import contextlib
+import io
 import itertools
 import json
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import linfty
+from linfty.cli import run
 from linfty.diffop import PolyDiffOp, gerstenhaber, hochschild_d, mu
 from linfty.hkr import (FormalityPlugin, TruncationSpec, cohomology_rank,
                         d_matrix, formality_identity_residual, hkr_report,
@@ -62,7 +69,9 @@ class TestU1:
         for n in (1, 2):
             spec = TruncationSpec(n, 2, 2, -1, 1)
             for p in (-1, 0):
-                rows = u1_matrix(spec, p)
+                images = [u1(PolyVec(n, {w: Poly.monomial(e)}))
+                          for e, w in spec.t_slice_basis(p)]
+                rows = u1_matrix(spec, p, images)
                 assert rank(rows) == len(rows)
 
 
@@ -108,10 +117,29 @@ class TestCohomologyRank:
     def test_closure_check_guards_slices(self):
         # tampering with the slice must raise, not silently produce ranks
         spec = TruncationSpec(1, 2, 2, -1, 1)
-        index = {key: i for i, key in enumerate(spec.d_slice_basis(0))}
         op = PolyDiffOp.basis(((3,),), 1)  # outside the order cap
         with pytest.raises(ValueError, match="slice"):
-            op_coords(op, index)
+            op_coords(op, spec, 0)
+
+    def test_closure_check_sees_every_cap(self):
+        spec = TruncationSpec(2, 1, 1, -1, 1)
+        inside = PolyDiffOp(2, {((1, 0),): Poly.monomial((0, 1), 3)})
+        assert op_coords(inside, spec, 0) == {((0, 1), ((1, 0),)): 3}
+        for op, p in ((inside, 1),  # wrong arity
+                      (PolyDiffOp(2, {((1, 0),): Poly.monomial((1, 1))}), 0)):  # degree cap
+            with pytest.raises(ValueError, match="leaves the declared slice"):
+                op_coords(op, spec, p)
+
+    @given(st.integers(1, 3), st.integers(0, 2), st.integers(0, 2), st.integers(-1, 1))
+    @settings(max_examples=30, deadline=None)
+    def test_d_matrix_is_d_of_each_basis_element(self, n, trunc, order, p):
+        # one hochschild_d per word, shifted by each monomial, must give the
+        # rows of d applied to every basis element: keys, values and row order
+        spec = TruncationSpec(n, trunc, order, -1, 2)
+        want = [op_coords(hochschild_d(PolyDiffOp(n, {w: Poly.monomial(e)})), spec, p + 1)
+                for e, w in spec.d_slice_basis(p)]
+        assert [list(r.items()) for r in d_matrix(spec, p)] == \
+            [list(r.items()) for r in want]
 
 
 class TestHkrReport:
@@ -130,6 +158,45 @@ class TestHkrReport:
         rows = {r["p"]: r for r in rep["rows"]}
         assert rows[0]["window_reliable"] is False
         assert rows[0].get("edge_degree")
+
+
+def cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestHkrReportCli:
+    def test_golden_report(self):
+        code, out, _ = cli(["hkr-report", "--n", "2", "--trunc", "2", "--order", "2",
+                            "--window", "-1", "1"])
+        with open(os.path.join(HERE, "golden", "hkr_report_n2.json")) as fh:
+            assert (code, out) == (0, fh.read())
+
+    def test_slice_witness(self):
+        code, out, err = cli(["hkr-report", "--n", "2", "--order", "0"])
+        assert (code, out) == (2, "")
+        assert err == ("error: operator leaves the declared slice at "
+                       "((0, 0), ((1, 0),)) (u1 at degree 0)\n")
+
+    @pytest.mark.parametrize("flags", [["--n", "0"], ["--n", "-1"], ["--trunc", "-1"],
+                                       ["--order", "-1"]])
+    def test_empty_variables_and_negative_caps_exit_two(self, flags):
+        # a separate process, so that a traceback would show in stderr
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(linfty.__file__))}
+        proc = subprocess.run([sys.executable, "-m", "linfty.cli", "hkr-report", *flags],
+                              capture_output=True, text=True, env=env, timeout=120)
+        lines = proc.stderr.splitlines()
+        assert (proc.returncode, proc.stdout, len(lines)) == (2, "", 1)
+        assert lines[0].startswith("error: a slice needs n >= 1 and nonnegative caps")
+
+    @pytest.mark.parametrize("window", [["0", "0"], ["3", "3"]])
+    def test_window_without_a_reliable_degree_fails(self, window):
+        code, out, _ = cli(["hkr-report", "--n", "1", "--window", *window])
+        doc = json.loads(out)
+        assert not any(r["window_reliable"] for r in doc["rows"])
+        assert (code, doc["ok"]) == (1, False)
 
 
 class TestKontsevichConditions:
