@@ -6,7 +6,8 @@ to stderr.  Exit codes: 0 success / checks passed, 1 a mathematical check
 failed (witness in the output), 2 usage or parse errors (among them an
 instance that lacks an entry the verb needs, or whose morphism does not
 intertwine, outside linf-check), or a computation that needed a symmetric
-word longer than the word cap, or a --coeff-algebra that fails dga_check.
+word longer than the word cap, or a --coeff-algebra that fails dga_check,
+or an element verb given the wrong number of operands.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ from .polyvec import is_poisson, schouten, wedge
 from .scalars import _acc
 
 USAGE_ERROR, CHECK_FAILED, OK = 2, 1, 0
+
+# (least, most) operands of each element verb; most None means no upper bound
+OPERANDS = {"schouten": (2, 2), "wedge": (2, 2), "gerstenhaber": (2, 2),
+            "hochschild": (1, 1), "u1": (1, 1), "poisson-check": (1, 1), "apply": (1, None)}
 
 
 def _read_document(args):
@@ -77,31 +82,13 @@ def _emit(doc, args):
 
 
 def _element_verb(args, op, kind):
-    n = args.n
-    xs = [parse_element(t, kind, n) for t in args.exprs]
-    result = op(*xs)
-    doc = {"verb": args.verb, "n": n, "result": result.text()}
+    result = op(*(parse_element(t, kind, args.n) for t in args.exprs))
+    doc = {"verb": args.verb, "n": args.n, "result": result.text()}
     if kind == "polyvec":
         # report both gradings to prevent off-by-one confusion
         doc["degrees"] = result.degrees()
         doc["wedge_arities"] = [p + 1 for p in result.degrees()]
     return OK, doc
-
-
-def cmd_schouten(args):
-    return _element_verb(args, schouten, "polyvec")
-
-
-def cmd_wedge(args):
-    return _element_verb(args, wedge, "polyvec")
-
-
-def cmd_gerstenhaber(args):
-    return _element_verb(args, gerstenhaber, "polydiffop")
-
-
-def cmd_hochschild(args):
-    return _element_verb(args, hochschild_d, "polydiffop")
 
 
 def cmd_u1(args):
@@ -295,10 +282,14 @@ def cmd_selftest(args):
 
 
 COMMANDS = {
-    "schouten": (cmd_schouten, "Schouten bracket of two poly vector fields"),
-    "wedge": (cmd_wedge, "wedge product of two poly vector fields"),
-    "gerstenhaber": (cmd_gerstenhaber, "Gerstenhaber bracket of two operators"),
-    "hochschild": (cmd_hochschild, "shifted Hochschild differential"),
+    "schouten": (functools.partial(_element_verb, op=schouten, kind="polyvec"),
+                 "Schouten bracket of two poly vector fields"),
+    "wedge": (functools.partial(_element_verb, op=wedge, kind="polyvec"),
+              "wedge product of two poly vector fields"),
+    "gerstenhaber": (functools.partial(_element_verb, op=gerstenhaber, kind="polydiffop"),
+                     "Gerstenhaber bracket of two operators"),
+    "hochschild": (functools.partial(_element_verb, op=hochschild_d, kind="polydiffop"),
+                   "shifted Hochschild differential"),
     "apply": (cmd_apply, "apply an operator to polynomials"),
     "u1": (cmd_u1, "antisymmetrization map into operators"),
     "poisson-check": (cmd_poisson_check, "is the bivector Poisson"),
@@ -356,13 +347,14 @@ def run(argv):
         ap.print_usage(sys.stderr)
         return USAGE_ERROR
     handler = COMMANDS[args.verb][0]
+    least, most = OPERANDS.get(args.verb, (0, None))
     t0 = time.time()
     try:
+        if not least <= len(args.exprs) <= (most or len(args.exprs)):
+            raise ParseError(f"{args.verb} takes {'exactly' if most else 'at least'} "
+                             f"{least} operand(s), got {len(args.exprs)}")
         code, doc = handler(args)
-    except (ParseError, FileNotFoundError, json.JSONDecodeError) as ex:
-        sys.stderr.write(f"error: {ex}\n")
-        return USAGE_ERROR
-    except ValueError as ex:
+    except (FileNotFoundError, ValueError) as ex:  # ParseError and JSONDecodeError too
         sys.stderr.write(f"error: {ex}\n")
         return USAGE_ERROR
     except OrderOverflowError as ex:

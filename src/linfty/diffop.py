@@ -8,7 +8,8 @@ insertion re-normalizes into this form via the (multi-)Leibniz rule.
 
 Two independent code paths exist on purpose:
 
-* ``gerstenhaber`` builds brackets from signed slot insertions,
+* ``gerstenhaber`` builds brackets from signed slot insertions, with one
+  coefficient product per Leibniz head and one accumulator per bracket,
 * ``hochschild_d`` builds the shifted differential from the alternating sum
   (slot append/prepend + Leibniz merges).
 
@@ -26,7 +27,7 @@ import operator
 from fractions import Fraction
 
 from .poly import Poly, _compositions, _min_trunc, _poly_cut
-from .scalars import _acc, _acc_neg, ksign, rational_field
+from .scalars import _acc, _acc_neg, frac_str, ksign, rational_field
 
 
 def _zero_mi(n):
@@ -35,10 +36,6 @@ def _zero_mi(n):
 
 def _mi_add(a, b):
     return tuple(map(operator.add, a, b))
-
-
-def _mi_norm(a):
-    return sum(a)
 
 
 @functools.cache
@@ -72,7 +69,7 @@ def _splits(j, parts):
 
 
 class PolyDiffOp:
-    """terms: {tuple of multi-indices: Poly coefficient}."""
+    """terms: {tuple of multi-indices, n nonnegative ints each: Poly coefficient}."""
 
     __slots__ = ("n", "alg", "terms")
 
@@ -83,11 +80,11 @@ class PolyDiffOp:
         for w, c in terms.items():
             if not isinstance(c, Poly):
                 raise TypeError("PolyDiffOp coefficients must be Poly")
-            if not c:
-                continue
-            if not isinstance(w, tuple) or (w and not isinstance(w[0], tuple)):
-                w = tuple(tuple(j) for j in w)
-            _acc(clean, w, c)
+            w = tuple(map(tuple, w))
+            if not all(len(j) == n and all(type(k) is int and k >= 0 for k in j) for j in w):
+                raise ValueError(f"each multi-index needs {n} nonnegative int entries, got {w}")
+            if c:
+                _acc(clean, w, c)
         self.terms = clean
 
     @classmethod
@@ -147,9 +144,7 @@ class PolyDiffOp:
 
     def is_homogeneous(self, p=None):
         ds = self.degrees()
-        if len(ds) > 1:
-            return False
-        return True if p is None else (not ds or ds[0] == p)
+        return len(ds) <= 1 and (p is None or not ds or ds[0] == p)
 
     def component(self, p):
         return _op(self.n, self.alg, {w: c for w, c in self.terms.items()
@@ -157,19 +152,11 @@ class PolyDiffOp:
 
     def order(self):
         """max over terms of the largest per-slot derivative weight."""
-        o = 0
-        for w in self.terms:
-            for j in w:
-                o = max(o, _mi_norm(j))
-        return o
+        return max(map(sum, itertools.chain.from_iterable(self.terms)), default=0)
 
     def is_normalized(self):
         """True iff the operator kills 1 in every slot; degree -1 is normalized."""
-        for w in self.terms:
-            for j in w:
-                if _mi_norm(j) == 0:
-                    return False
-        return True
+        return all(map(any, itertools.chain.from_iterable(self.terms)))
 
     def apply(self, args):
         """Multilinear evaluation on Polys; requires arity-homogeneous terms."""
@@ -179,8 +166,6 @@ class PolyDiffOp:
                 f"arity mismatch: operator degrees {self.degrees()}, got {len(args)} args")
         out, trunc = {}, None
         for w, c in self.terms.items():
-            if len(w) != len(args):
-                raise ValueError("arity mismatch")
             term = c
             for j, a in zip(w, args):
                 term = term * a.partial_word(j)
@@ -192,7 +177,6 @@ class PolyDiffOp:
     def text(self):
         if not self.terms:
             return "0"
-        from .scalars import frac_str
         bits = []
         for w in sorted(self.terms, key=lambda w: (len(w), w)):
             c = self.terms[w]
@@ -233,53 +217,75 @@ def mu(n) -> PolyDiffOp:
 # insertion composition and the Gerstenhaber bracket
 # ---------------------------------------------------------------------------
 
-def _insert_term(n, alg, w1, c1, i, w2, c2):
-    """Insert the term (c2, w2) into slot i of (c1, w1).
+def _circ_into(acc, phi, psi, sign):
+    """acc += sign * (phi circbar psi) for (word, Poly) term lists phi and psi.
 
-    The slot derivative d^{j_i} hits c2 and every slot of w2 by the Leibniz
-    rule; surviving derivatives pile onto w2's slots.
+    Slot i's derivative j_i splits by the Leibniz rule into a head a_c, which
+    hits c2, and a rest piled onto w2's slots.  c1 * d^{a_c} c2 is built once
+    per term pair and head; the sign (-1)^{i q} folds into the multinomial.
     """
-    j = w1[i]
-    q = len(w2)  # arity of the inserted operator
-    head, tail = w1[:i], w1[i + 1:]
-    out = {}
-    for parts, coef in _splits(j, q + 1):
-        a_c, rest = parts[0], parts[1:]
-        coeff = c1 * c2.partial_word(a_c)
-        if not coeff:
-            continue
-        if coef != 1:
-            coeff = coeff.scale(coef)
-        _acc(out, head + tuple(map(_mi_add, w2, rest)) + tail, coeff)
-    return out
+    for w1, c1 in phi:
+        for w2, c2 in psi:
+            arity = len(w2)
+            odd = arity % 2 == 0  # q = arity - 1 is odd
+            heads = {}
+            for i, j in enumerate(w1):
+                before, after = w1[:i], w1[i + 1:]
+                s = -sign if odd and i % 2 else sign
+                for parts, m in _splits(j, arity + 1):
+                    a_c = parts[0]
+                    coeff = heads.get(a_c)
+                    if coeff is None:
+                        coeff = heads[a_c] = c1 * c2.partial_word(a_c)
+                    if not coeff:
+                        continue
+                    word = before + tuple(map(_mi_add, w2, parts[1:])) + after
+                    m *= s
+                    if m == 1:
+                        _acc(acc, word, coeff)
+                    elif m == -1:
+                        _acc_neg(acc, word, coeff)
+                    else:
+                        _acc(acc, word, coeff.scale(m))
 
 
 def circ_bar(phi: PolyDiffOp, psi: PolyDiffOp) -> PolyDiffOp:
-    """Signed sum of insertions of psi into each slot of phi."""
+    """Signed sum of insertions of psi into each slot of phi, one coefficient
+    product per Leibniz head."""
     if phi.n != psi.n:
         raise ValueError("variable count mismatch")
     acc = {}
-    for w1, c1 in phi.terms.items():
-        for w2, c2 in psi.terms.items():
-            q = len(w2) - 1
-            for i in range(len(w1)):
-                part = _insert_term(phi.n, phi.alg, w1, c1, i, w2, c2)
-                put = _acc_neg if ksign(i * q) == -1 else _acc
-                for word, coeff in part.items():
-                    put(acc, word, coeff)
+    _circ_into(acc, phi.terms.items(), psi.terms.items(), 1)
     return _op(phi.n, phi.alg, acc)
 
 
 def gerstenhaber(phi: PolyDiffOp, psi: PolyDiffOp) -> PolyDiffOp:
-    """[phi, psi] = phi circbar psi - (-1)^{pq} psi circbar phi, per component."""
+    """[phi, psi] = phi circbar psi - (-1)^{pq} psi circbar phi, one accumulator
+    per bracket.  Each insertion sum of a degree pair is built whole before it
+    joins: a sum of truncated coefficients that cancels drops its threshold, so
+    the grouping decides ``trunc``."""
     if phi.n != psi.n:
         raise ValueError("variable count mismatch")
-    out = PolyDiffOp.zero(phi.n, phi.alg)
-    for p in phi.degrees():
-        for q in psi.degrees():
-            a, b = phi.component(p), psi.component(q)
-            out = out + circ_bar(a, b) - circ_bar(b, a).scale(ksign(p * q))
-    return out
+    acc = {}
+    for p, a in _by_degree(phi):
+        for q, b in _by_degree(psi):
+            for x, y, sign in ((a, b, 1), (b, a, 1 if p * q % 2 else -1)):
+                part = {}
+                _circ_into(part, x, y, sign)
+                if not acc:
+                    acc = part
+                    continue
+                for word, coeff in part.items():
+                    _acc(acc, word, coeff)
+    return _op(phi.n, phi.alg, acc)
+
+
+def _by_degree(phi):
+    """[(p, [(word, coeff), ...])] by ascending degree p, terms in order."""
+    out = {}
+    for w, c in phi.terms.items():
+        out.setdefault(len(w) - 1, []).append((w, c))
+    return sorted(out.items())
 
 
 # ---------------------------------------------------------------------------

@@ -165,15 +165,15 @@ def d_matrix(spec: TruncationSpec, p):
     """Rows = d of each degree-p slice basis element, in slice-(p+1) coordinates.
 
     hochschild_d only scales coefficients, so d(t^e D[w]) = t^e d(D[w]): each
-    word w is differentiated once, through the closure check in op_coords, and
-    its row is shifted to every monomial e of the slice.
+    slice word w, valid by construction, is differentiated once, through the
+    closure check in op_coords, and its row is shifted to every monomial e.
     """
     one = Poly.one(spec.n)
     d_of_word = {}
     rows = []
     for e, w in spec.d_slice_basis(p):
         if w not in d_of_word:
-            d_of_word[w] = op_coords(hochschild_d(PolyDiffOp(spec.n, {w: one})), spec,
+            d_of_word[w] = op_coords(hochschild_d(_op(spec.n, one.alg, {w: one})), spec,
                                      p + 1, where=f"(d of degree {p})")
         rows.append({(e, v): r for (_, v), r in d_of_word[w].items()})
     return rows

@@ -221,10 +221,12 @@ class Poly:
 
         One pass: t^e goes to e!/(e-j)! t^(e-j), an integer falling factorial.
         """
+        if min(word, default=0) < 0:
+            raise ValueError(f"negative derivative order in {tuple(word)}")
         for i, k in enumerate(word[self.n:], start=self.n + 1):
-            if k > 0:
+            if k:
                 raise ValueError(f"variable index {i} out of range 1..{self.n}")
-        j = tuple(max(k, 0) for k in word[:self.n]) + (0,) * (self.n - len(word))
+        j = tuple(word[:self.n]) + (0,) * (self.n - len(word))
         order = sum(j)
         if not order:
             return self

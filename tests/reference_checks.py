@@ -8,8 +8,15 @@ the derived check's witnesses must be a prefix of the reference's.
 
 The elimination scans every remaining row for each pivot, in row order, and
 back-substitutes in pivot order; it shares no code with ``linfty.linalg``.
+
+The insertion walk inserts one term into one slot at a time, one coefficient
+product per Leibniz split, and builds the Gerstenhaber bracket per degree pair
+from whole insertion sums; it shares no code with ``linfty.diffop`` beyond
+``Poly``.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 from linfty.coalg import CoalgElem, coder_from_taylor, morph_from_taylor
@@ -91,3 +98,66 @@ def reference_nullspace(rows, ncols):
                 vec[pc] = -row[fc]
         basis.append(tuple(vec))
     return basis
+
+
+def _put(out, key, c):
+    """out[key] += c, dropping the key when the sum has no terms."""
+    s = out[key] + c if key in out else c
+    if s:
+        out[key] = s
+    else:
+        del out[key]
+
+
+def _leibniz_splits(j, parts):
+    """(a_1, ..., a_parts) with a_1 + ... + a_parts = j, and the multinomial."""
+    per_var = [[(comp, math.factorial(k) // math.prod(map(math.factorial, comp)))
+                for comp in itertools.product(range(k + 1), repeat=parts)
+                if sum(comp) == k]
+               for k in j]
+    for choice in itertools.product(*per_var):
+        yield (tuple(tuple(comp[k] for comp, _ in choice) for k in range(parts)),
+               math.prod(m for _, m in choice))
+
+
+def _insert_into_slot(w1, c1, i, w2, c2):
+    """{word: Poly} for the term (c2, w2) inserted into slot i of (c1, w1)."""
+    out = {}
+    for parts, m in _leibniz_splits(w1[i], len(w2) + 1):
+        coeff = c1 * c2.partial_word(parts[0])
+        if coeff:
+            word = (w1[:i] + tuple(tuple(map(sum, zip(a, b))) for a, b in zip(w2, parts[1:]))
+                    + w1[i + 1:])
+            _put(out, word, coeff.scale(m))
+    return out
+
+
+def reference_circ_bar(phi, psi):
+    """phi circbar psi on {word: Poly} term dicts: sum over slots i of
+    (-1)^{i q} times psi inserted into slot i."""
+    out = {}
+    for w1, c1 in phi.items():
+        for w2, c2 in psi.items():
+            for i in range(len(w1)):
+                sign = -1 if i * (len(w2) - 1) % 2 else 1
+                for word, coeff in _insert_into_slot(w1, c1, i, w2, c2).items():
+                    _put(out, word, coeff.scale(sign))
+    return out
+
+
+def reference_gerstenhaber(phi, psi):
+    """[phi, psi] on term dicts: per degree pair (p, q), add phi_p circbar psi_q,
+    then subtract (-1)^{pq} psi_q circbar phi_p."""
+    def component(terms, p):
+        return {w: c for w, c in terms.items() if len(w) - 1 == p}
+
+    out = {}
+    for p in sorted({len(w) - 1 for w in phi}):
+        for q in sorted({len(w) - 1 for w in psi}):
+            a, b = component(phi, p), component(psi, q)
+            for word, coeff in reference_circ_bar(a, b).items():
+                _put(out, word, coeff)
+            sign = 1 if p * q % 2 else -1
+            for word, coeff in reference_circ_bar(b, a).items():
+                _put(out, word, coeff.scale(sign))
+    return out

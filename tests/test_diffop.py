@@ -4,14 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from linfty.diffop import (PolyDiffOp, _splits, adic_continuity_check, extend_to_series,
-                           filtration_check, gerstenhaber,
+from linfty.diffop import (PolyDiffOp, _splits, adic_continuity_check, circ_bar,
+                           extend_to_series, filtration_check, gerstenhaber,
                            gerstenhaber_apply_oracle, hochschild_apply_oracle,
                            hochschild_d, mu, transform)
 from linfty.poly import Poly
-from linfty.scalars import ksign
+from linfty.scalars import DgaElem, ksign, make_truncated_poly_dga, rational_field
+from reference_checks import reference_circ_bar, reference_gerstenhaber
+
+H3 = make_truncated_poly_dga([0], 3)  # Q[h]/(h^3)
 
 
 def rand_poly(rng, n, maxdeg=2):
@@ -292,3 +295,58 @@ class TestSplits:
         assert len(got) == len(want)
         assert dict(got) == want
         assert all(isinstance(c, int) for _, c in got)
+
+
+@st.composite
+def operator_pairs(draw):
+    """Two mixed-degree operators in n <= 3 variables over Q or Q[h]/(h^3);
+    coefficients may carry a truncation threshold, and psi may be phi."""
+    n = draw(st.integers(1, 3))
+    alg = draw(st.sampled_from((rational_field(), H3)))
+    mi = st.tuples(*[st.integers(0, 2)] * n)
+    scalar = st.dictionaries(st.integers(0, len(alg.basis) - 1),
+                             st.integers(-2, 2).map(Fraction), min_size=1, max_size=2)
+    coeff = st.tuples(st.dictionaries(mi, scalar, min_size=1, max_size=3),
+                      st.none() | st.integers(0, 4))
+
+    def op():
+        terms = draw(st.dictionaries(st.lists(mi, max_size=3).map(tuple), coeff,
+                                     max_size=3))
+        return PolyDiffOp(n, {w: Poly(n, {e: DgaElem(alg, c) for e, c in monos.items()},
+                                      trunc, alg=alg)
+                              for w, (monos, trunc) in terms.items()}, alg=alg)
+
+    phi = op()
+    return phi, (phi if draw(st.booleans()) else op())
+
+
+# Summing both insertions term pair by term pair into one dict makes the
+# D[2;1] coefficient an exact 2 here, where the per-degree-pair sums give
+# 2 + O(deg 3): a sum of truncated coefficients that cancels drops its
+# threshold, so the grouping of the sums decides trunc
+_GROUPING = (PolyDiffOp(1, {((0,), (1,)): Poly(1, {(0,): 1}, 3),
+                            ((2,), (0,)): Poly(1, {(1,): -1})}),
+             PolyDiffOp.basis(((2,),), 1))
+
+
+class TestInsertionKernel:
+    @given(operator_pairs())
+    @example(_GROUPING)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_reference_walk(self, pair):
+        phi, psi = pair
+        assert circ_bar(phi, psi).terms == reference_circ_bar(phi.terms, psi.terms)
+        assert circ_bar(psi, phi).terms == reference_circ_bar(psi.terms, phi.terms)
+        assert gerstenhaber(phi, psi).terms == reference_gerstenhaber(phi.terms, psi.terms)
+
+
+class TestConstructor:
+    @pytest.mark.parametrize("word", [((1,),), ((1, 0, 0),), ((1, -1),), ((0, 0), (1.0, 0)),
+                                      ((0, 0), (True, 0))])
+    def test_rejects_malformed_multi_indices(self, word):
+        with pytest.raises(ValueError, match="2 nonnegative int entries"):
+            PolyDiffOp(2, {word: Poly.one(2)})
+
+    def test_accepts_valid_words(self):
+        op = PolyDiffOp(2, {((0, 1), (2, 0)): Poly.one(2), (): Poly.var(1, 2)})
+        assert op == PolyDiffOp(2, {(): Poly.var(1, 2)}) + PolyDiffOp.basis([[0, 1], [2, 0]], 2)

@@ -157,6 +157,20 @@ class TestCli:
         code, _ = capture(["mc-check", "--instance", "/nonexistent.json"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["gerstenhaber", "D[1]", "--n", "1"], "gerstenhaber takes exactly 2 operand(s), got 1"),
+        (["schouten", "d1"], "schouten takes exactly 2 operand(s), got 1"),
+        (["wedge", "d1", "d1", "d2"], "wedge takes exactly 2 operand(s), got 3"),
+        (["hochschild", "D[1]", "D[1]"], "hochschild takes exactly 1 operand(s), got 2"),
+        (["u1", "d1", "d1"], "u1 takes exactly 1 operand(s), got 2"),
+        (["poisson-check"], "poisson-check takes exactly 1 operand(s), got 0"),
+        (["apply", "--n", "1"], "apply takes at least 1 operand(s), got 0"),
+    ])
+    def test_wrong_operand_count_exits_two(self, argv, message, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
     def test_mc_check_pass_and_fail(self, instance_file, non_mc_file):
         code, out = capture(["mc-check", "--instance", instance_file])
         assert code == 0 and json.loads(out)["mc"]

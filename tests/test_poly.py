@@ -176,3 +176,8 @@ class TestPartialWord:
         assert Poly.var(1, 2).partial_word((1, 0, 0)) == Poly.one(2)
         with pytest.raises(ValueError, match="out of range"):
             Poly.var(1, 2).partial_word((0, 0, 1))
+
+    @pytest.mark.parametrize("word", [(-1,), (1, -1), (0, 0, -1)])
+    def test_negative_order_rejected(self, word):
+        with pytest.raises(ValueError, match="negative derivative order"):
+            Poly.var(1, 2).partial_word(word)
