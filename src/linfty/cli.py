@@ -7,7 +7,8 @@ failed (witness in the output), 2 usage or parse errors (among them an
 instance that lacks an entry the verb needs, or whose morphism does not
 intertwine, outside linf-check), or a computation that needed a symmetric
 word longer than the word cap, or a --coeff-algebra that fails dga_check,
-or an element verb given the wrong number of operands.
+or a verb given the wrong number of operands (verbs other than the element
+verbs take none).  An operand that begins with '-' goes after '--'.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from .scalars import _acc
 
 USAGE_ERROR, CHECK_FAILED, OK = 2, 1, 0
 
-# (least, most) operands of each element verb; most None means no upper bound
+# (least, most) operands of each element verb; most None means no upper bound.
+# Every other verb takes none.
 OPERANDS = {"schouten": (2, 2), "wedge": (2, 2), "gerstenhaber": (2, 2),
             "hochschild": (1, 1), "u1": (1, 1), "poisson-check": (1, 1), "apply": (1, None)}
 
@@ -347,11 +349,11 @@ def run(argv):
         ap.print_usage(sys.stderr)
         return USAGE_ERROR
     handler = COMMANDS[args.verb][0]
-    least, most = OPERANDS.get(args.verb, (0, None))
+    least, most = OPERANDS.get(args.verb, (0, 0))
     t0 = time.time()
     try:
-        if not least <= len(args.exprs) <= (most or len(args.exprs)):
-            raise ParseError(f"{args.verb} takes {'exactly' if most else 'at least'} "
+        if len(args.exprs) < least or (most is not None and len(args.exprs) > most):
+            raise ParseError(f"{args.verb} takes {'at least' if most is None else 'exactly'} "
                              f"{least} operand(s), got {len(args.exprs)}")
         code, doc = handler(args)
     except (FileNotFoundError, ValueError) as ex:  # ParseError and JSONDecodeError too

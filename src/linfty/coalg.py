@@ -15,8 +15,10 @@ word-order cap W: any operation that would need a longer word raises
 
 A ``CoalgOperator`` is given by its columns: ``column(w)`` is the image of
 one canonical word, and ``CoalgOperator.__call__`` is the one linear
-extension of columns to elements.  Coderivations and coalgebra morphisms get
-their columns from finite sequences of Taylor coefficients (``TaylorSeq``).
+extension of columns to elements; it builds each column once, into a dict
+the operator owns.  ``canon_word`` is memoised the same way, per module.
+Coderivations and coalgebra morphisms get their columns from finite
+sequences of Taylor coefficients (``TaylorSeq``).
 The subset/partition expansion formulas used here are validated by the axiom
 checkers ``check_coderivation`` / ``check_comorphism`` and by the
 ``taylor_of`` round-trip; those checks, not the formulas, are the contract.
@@ -53,6 +55,7 @@ class GradedBasisModule:
         self.index = {n: i for i, (n, _) in enumerate(self.gens)}
         if len(self.index) != len(self.gens):
             raise ValueError("duplicate generator names")
+        self._canon = {}  # canon_word's memo: letter tuple -> (sign, word) or None
 
     def __len__(self):
         return len(self.gens)
@@ -97,7 +100,17 @@ class GradedBasisModule:
 
 
 def canon_word(module, letters):
-    """Sort letters into canonical order.  Returns (sign, word) or None."""
+    """Sort a tuple of letters into canonical order.  Returns (sign, word), or
+    None when a repeated odd letter kills the word; memoised per module."""
+    try:
+        return module._canon[letters]
+    except KeyError:
+        r = module._canon[letters] = _sort_word(module, letters)
+        return r
+
+
+def _sort_word(module, letters):
+    """Insertion sort with the Koszul sign of each swap (canon_word's miss path)."""
     w = list(letters)
     sign = 1
     for i in range(1, len(w)):
@@ -430,7 +443,8 @@ class CoalgOperator:
 
     ``column(w)`` is the image of one canonical source word as a sparse
     {canonical target word: nonzero coefficient} dict; ``degree`` is the
-    operator's degree and ``W`` the least word cap of its results.
+    operator's degree and ``W`` the least word cap of its results.  Columns
+    are built on first use and kept for the operator's lifetime.
     """
 
     def __init__(self, source, target, degree, column, W):
@@ -439,12 +453,17 @@ class CoalgOperator:
         self.degree = degree
         self.column = column
         self.W = W
+        self._columns = {}  # canonical word -> column(word); never handed out
 
     def __call__(self, x: CoalgElem) -> CoalgElem:
         """The linear extension: the sum of c * column(w) over the words of x."""
+        columns = self._columns
         out = {}
         for w, c in x.words.items():
-            vect_acc(out, self.column(w), c)
+            col = columns.get(w)
+            if col is None:
+                col = columns[w] = self.column(w)
+            vect_acc(out, col, c)
         return _coalg(self.target, out, max(self.W, x.W))
 
 

@@ -17,11 +17,15 @@ decides the axioms once, through dgla_check, and the tests pin their
 equivalence with Q∘Q = 0, which check_square_zero() decides for any structure.
 
 Q∘Q and Psi∘Q - Q'∘Psi are coderivations (the latter along Psi), and a
-coderivation vanishes iff its corestriction does (Lada-Stasheff).  The
-corestriction vanishes on words longer than a bound read off the Taylor
-lengths, so each check walks the canonical words up to that bound (or the
-word cap W, if smaller) and no further: the verdict and the first witness
-are those of a walk up to W.
+coderivation vanishes iff its corestriction π₁ does (Lada-Stasheff).  So
+each check computes only the corestriction, reading π₁Q, π₁Q' and π₁Psi off
+the Taylor tables, on the canonical words up to a bound read off the Taylor
+lengths (or the word cap W, if smaller), beyond which the corestriction
+vanishes.  The walk is order-ascending and stops at the first word where the
+corestriction is nonzero.  A coderivation that vanishes on every word of
+order below k equals its corestriction on order-k words, so that word is
+also the first word where the full operator is nonzero: the verdict and the
+one witness are those of a full walk up to W.
 
 Twisting follows the Taylor-coefficient formula; ``conjugation_twist`` builds
 the same operator a second way, by conjugating with multiplication by exp(w),
@@ -71,7 +75,7 @@ def dgla_check(module, d_table, bracket_table) -> ValidationReport:
     """Graded antisymmetry, Jacobi, d^2 = 0, Leibniz, and degree bookkeeping."""
     rep = ValidationReport()
     n = len(module)
-    C = module.coeff
+    one = module.coeff.one()
 
     def dd(v):
         out = {}
@@ -106,15 +110,25 @@ def dgla_check(module, d_table, bracket_table) -> ValidationReport:
         if anti:
             rep.add("antisymmetry", [module.gen_name(i), module.gen_name(j)],
                     "[x,y] != -(-1)^{|x||y|}[y,x]")
-        rhs = vect_acc(br_elem(d_table.get(i, {}), {j: C.one()}),
-                       br_elem({i: C.one()}, d_table.get(j, {})), ksign(module.degree(i)))
+        rhs = vect_acc(br_elem(d_table.get(i, {}), {j: one}),
+                       br_elem({i: one}, d_table.get(j, {})), ksign(module.degree(i)))
         if vect_acc(dd(v), rhs, -1):
             rep.add("leibniz", [module.gen_name(i), module.gen_name(j)],
                     "d[x,y] != [dx,y] + (-1)^{|x|}[x,dy]")
+    # [a,[b,c]] is the first Jacobi term of (a, b, c) and the third of (b, a, c):
+    # for i < j, (i, j, k) builds both and leaves them to (j, i, k), swapped
+    pending = {}
     for i, j, k in itertools.product(range(n), repeat=3):
-        rhs = vect_acc(br_elem(br(i, j), {k: C.one()}), br_elem({j: C.one()}, br(i, k)),
+        if i > j:
+            first, third = pending.pop((i, j, k))
+        else:
+            first = br_elem({i: one}, br(j, k))
+            third = first if i == j else br_elem({j: one}, br(i, k))
+            if i < j:
+                pending[(j, i, k)] = (third, first)
+        rhs = vect_acc(br_elem(br(i, j), {k: one}), third,
                        ksign(module.degree(i) * module.degree(j)))
-        if vect_acc(br_elem({i: C.one()}, br(j, k)), rhs, -1):
+        if vect_acc(dict(first), rhs, -1):
             rep.add("jacobi", [module.gen_name(i), module.gen_name(j), module.gen_name(k)],
                     "[x,[y,z]] != [[x,y],z] + (-1)^{|x||y|}[y,[x,z]]")
     return rep
@@ -149,6 +163,15 @@ def dgla_tables_from_taylor(module, T: TaylorSeq):
         if v:
             bracket[(i, j)] = vect_scale(v, ksign(module.degree(i) + 1))
     return d_table, bracket
+
+
+def _corestriction(taylor: TaylorSeq, x: CoalgElem) -> dict:
+    """π₁ of the operator with these Taylor coefficients applied to x, as a
+    vect: the sum of c * taylor(u) over the words u of x."""
+    out = {}
+    for u, c in x.words.items():
+        vect_acc(out, taylor.eval_word(u), c)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -221,19 +244,22 @@ class LinfAlgebra:
         return out
 
     def check_square_zero(self) -> ValidationReport:
-        """Q(Q(word)) = 0 on every canonical word up to min(W, 2·top − 1).
+        """π₁Q(Q(word)) = 0 on the canonical words up to min(W, 2·top − 1),
+        stopping at the first word that fails, which is the one witness.
 
-        With top = taylor.max_j(), the corestriction of Q∘Q on an order-k word
-        is a sum of Q_j(Q_i(...)) with i, j <= top and k = i + j − 1, so it
-        vanishes for k > 2·top − 1; Q∘Q is zero iff its corestriction is.
+        With top = taylor.max_j(), π₁∘Q∘Q on an order-k word is a sum of
+        Q_j(Q_i(...)) with i, j <= top and k = i + j − 1, so it vanishes for
+        k > 2·top − 1; Q∘Q is zero iff this corestriction is, and the first
+        word where it is not is the first word where Q∘Q is not.
         """
         rep = ValidationReport()
         order = max(1, 2 * self.taylor.max_j() - 1)
         for w in self.shifted.words_up_to(min(self.W, order)):
             x = CoalgElem(self.shifted, {w: self.module.coeff.one()}, self.W)
-            if not self.Q(self.Q(x)).is_zero():
+            if _corestriction(self.taylor, self.Q(x)):
                 rep.add("square_zero", [self.shifted.gen_name(i) for i in w],
                         "Q(Q(word)) != 0")
+                break
         return rep
 
     def lower_bound(self):
@@ -308,13 +334,16 @@ class LinfMorphism:
         return cls(algebra, algebra, T, check=False)
 
     def check_intertwines(self) -> ValidationReport:
-        """Psi(Q(word)) = Q'(Psi(word)) on every canonical word up to min(W, K).
+        """π₁Psi(Q(word)) = π₁Q'(Psi(word)) on the canonical words up to
+        min(W, K), stopping at the first word that fails, which is the one
+        witness.
 
         K = max(1, top_Psi + top_Q − 1, top_Q'·top_Psi): on an order-k word the
         corestriction of Psi∘Q is a sum of Psi_j(Q_i(...)) with k = i + j − 1,
         and that of Q'∘Psi a sum of Q'_j on j blocks of Psi_i's with k <= j·i,
-        so both vanish for k > K; a coderivation along Psi is zero iff its
-        corestriction is.
+        so both vanish for k > K; Psi∘Q − Q'∘Psi is a coderivation along Psi,
+        zero iff its corestriction is, and the first word where the
+        corestrictions differ is the first word where the two sides do.
         """
         rep = ValidationReport()
         sh = self.source.shifted
@@ -323,11 +352,11 @@ class LinfMorphism:
                     self.target.taylor.max_j() * top)
         for w in sh.words_up_to(min(self.W, order)):
             x = CoalgElem(sh, {w: sh.coeff.one()}, self.W)
-            lhs = self.psi(self.source.Q(x))
-            rhs = self.target.Q(self.psi(x))
-            if lhs != rhs:
+            if (_corestriction(self.taylor, self.source.Q(x))
+                    != _corestriction(self.target.taylor, self.psi(x))):
                 rep.add("intertwine", [sh.gen_name(i) for i in w],
                         "Psi∘Q != Q'∘Psi")
+                break
         return rep
 
     def require_intertwines(self):

@@ -6,6 +6,10 @@ and share no code with ``linfty.linf``, whose checks stop at an order derived
 from the Taylor lengths.  Each walk returns the witness words in walk order, so
 the derived check's witnesses must be a prefix of the reference's.
 
+The DGLA-axiom loop rebuilds every bracket for every ordered triple, as
+``dgla_check`` did before it built each nested bracket once; it shares no
+code with ``linfty.linf``.
+
 The elimination scans every remaining row for each pivot, in row order, and
 back-substitutes in pivot order; it shares no code with ``linfty.linalg``.
 
@@ -19,7 +23,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from linfty.coalg import CoalgElem, coder_from_taylor, morph_from_taylor
+from linfty.coalg import CoalgElem, coder_from_taylor, morph_from_taylor, vect_acc, vect_degree
+from linfty.scalars import ksign
 
 
 def square_zero_witnesses(taylor, W, max_order=None):
@@ -44,6 +49,55 @@ def intertwine_witnesses(psi_taylor, source_taylor, target_taylor, W, max_order=
         x = CoalgElem(module, {w: module.coeff.one()}, W)
         if psi(Q(x)) != Q_t(psi(x)):
             bad.append([module.gen_name(i) for i in w])
+    return bad
+
+
+def dgla_violations(module, d_table, bracket_table):
+    """Every violation of the DGLA axioms as {"axiom", "witness", "detail"},
+    in the order dgla_check reports them: per generator, per ordered pair,
+    per ordered triple."""
+    bad = []
+    one = module.coeff.one()
+
+    def add(axiom, letters, detail):
+        bad.append({"axiom": axiom, "witness": [module.gen_name(i) for i in letters],
+                    "detail": detail})
+
+    def dd(v):
+        out = {}
+        for i, c in v.items():
+            vect_acc(out, d_table.get(i, {}), c)
+        return out
+
+    def br(v, w):
+        out = {}
+        for i, c in v.items():
+            for j, c2 in w.items():
+                vect_acc(out, bracket_table.get((i, j), {}), c * c2)
+        return out
+
+    n, deg = len(module), module.degree
+    for i in range(n):
+        v = d_table.get(i, {})
+        if v and vect_degree(module, v) != deg(i) + 1:
+            add("grading", [i], "d is not degree +1")
+        if dd(v):
+            add("d_squared", [i], "d(d(x)) != 0")
+    for i, j in itertools.product(range(n), repeat=2):
+        v = bracket_table.get((i, j), {})
+        if v and vect_degree(module, v) != deg(i) + deg(j):
+            add("grading", [i, j], "bracket is not degree-additive")
+        if vect_acc(dict(v), bracket_table.get((j, i), {}), ksign(deg(i) * deg(j))):
+            add("antisymmetry", [i, j], "[x,y] != -(-1)^{|x||y|}[y,x]")
+        rhs = vect_acc(br(d_table.get(i, {}), {j: one}),
+                       br({i: one}, d_table.get(j, {})), ksign(deg(i)))
+        if vect_acc(dd(v), rhs, -1):
+            add("leibniz", [i, j], "d[x,y] != [dx,y] + (-1)^{|x|}[x,dy]")
+    for i, j, k in itertools.product(range(n), repeat=3):
+        rhs = vect_acc(br(bracket_table.get((i, j), {}), {k: one}),
+                       br({j: one}, bracket_table.get((i, k), {})), ksign(deg(i) * deg(j)))
+        if vect_acc(br({i: one}, bracket_table.get((j, k), {})), rhs, -1):
+            add("jacobi", [i, j, k], "[x,[y,z]] != [[x,y],z] + (-1)^{|x||y|}[y,[x,z]]")
     return bad
 
 

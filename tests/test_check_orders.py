@@ -102,6 +102,30 @@ class TestDerivedOrders:
         assert all(0 in orders and len(orders) > 1 for orders in first_orders.values())
         assert max(first_orders["q3"]) > 4 and max(first_orders["psi"]) > 3
 
+    def test_one_witness_the_first_of_the_full_walk(self):
+        # where the full walk finds several failing words, each check stops at
+        # the first and reports it alone
+        rng = random.Random(61)
+        kinds = ("q3", "jacobi", "d2", "corrupt", "psi")
+        several = {kind: 0 for kind in kinds}
+        for case in range(200):
+            C = rng.choice((rational_field(), make_truncated_poly_dga([0], 3)))
+            W = rng.choice((3, 4, 5))
+            kind = kinds[case % len(kinds)]
+            if kind == "psi":
+                psi = random_morphism(rng, C, W)
+                ref = intertwine_witnesses(psi.taylor, psi.source.taylor,
+                                           psi.target.taylor, psi.W)
+                got = witnesses(psi.check_intertwines())
+            else:
+                alg = random_structure(rng, C, kind, W)
+                ref = square_zero_witnesses(alg.taylor, W)
+                got = witnesses(alg.check_square_zero())
+            if len(ref) >= 2:
+                assert got == ref[:1], (case, kind)
+                several[kind] += 1
+        assert all(count >= 3 for count in several.values()), several
+
     @pytest.mark.parametrize("top", [2, 3])
     def test_failure_only_at_the_top_order(self, top):
         # Psi_top(a...a) = y into [y, y] = z first fails on a^(2 top)

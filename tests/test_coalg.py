@@ -1,4 +1,8 @@
+import contextlib
+import gc
+import io
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -12,7 +16,9 @@ from linfty.coalg import (CoalgElem, CoalgOperator, GradedBasisModule,
                           is_grouplike, is_invertible, is_primitive, ln,
                           morph_from_taylor, pi_tilde, tau, taylor_of,
                           tensor_comult, tensor_of, vect_add, word_degree)
-from linfty.linf import LinfAlgebra, conjugation_twist
+from linfty import jsonio, samples
+from linfty.cli import run
+from linfty.linf import LinfAlgebra, LinfMorphism, conjugation_twist
 from linfty.poly import Poly
 from linfty.polyvec import PolyVec, schouten, wedge
 from linfty.scalars import make_truncated_poly_dga, rational_field
@@ -493,3 +499,74 @@ class TestColumns:
                 col = op.column(w)
                 assert all(col.values())
                 assert all(canon_word(MOD, v) == (1, v) and len(v) <= len(w) for v in col)
+
+
+# ---------------------------------------------------------------------------
+# memos: canon_word per module, columns per operator
+# ---------------------------------------------------------------------------
+
+def reference_canon(degrees, letters):
+    """Sorted letters and the product of (-1)^{|a||b|} over the inverted pairs,
+    or None when an odd letter repeats; no memo."""
+    if any(letters.count(a) > 1 and degrees[a] % 2 for a in letters):
+        return None
+    sign = 1
+    for p, q in itertools.combinations(range(len(letters)), 2):
+        if letters[p] > letters[q] and degrees[letters[p]] * degrees[letters[q]] % 2:
+            sign = -sign
+    return sign, tuple(sorted(letters))
+
+
+class TestMemos:
+    @given(st.lists(st.integers(-2, 3), min_size=1, max_size=5).flatmap(
+        lambda degs: st.tuples(st.just(degs), st.lists(
+            st.lists(st.integers(0, len(degs) - 1), max_size=5).map(tuple), max_size=8))))
+    @settings(max_examples=150)
+    def test_canon_word_is_the_sort(self, case):
+        degrees, words = case
+        module = GradedBasisModule("m", [(f"g{i}", d) for i, d in enumerate(degrees)])
+        orders = [p for letters in words for p in sorted(set(itertools.permutations(letters)))]
+        for _ in range(2):  # a miss, then a hit
+            for letters in orders:
+                assert canon_word(module, letters) == reference_canon(degrees, letters)
+
+    @given(st.integers(0, 2 ** 32), multi_words)
+    @settings(max_examples=40)
+    def test_a_result_is_not_the_memo(self, seed, words):
+        rng = random.Random(seed)
+        for x in (CoalgElem(MOD, words, W), CoalgElem(MOD, dict([next(iter(words.items()))]), W)):
+            for op in (coder_from_taylor(rand_taylor(rng, MOD, "coderivation", 3), W),
+                       morph_from_taylor(rand_taylor(rng, MOD, "morphism", 3), W)):
+                first = op(x)
+                want = dict(first.words)
+                first.words.clear()
+                first.words[(0,)] = C3.one()
+                assert op(x).words == want
+
+    def test_twist_check_leaves_no_garbage(self, tmp_path):
+        # the memos hang off their operator and module, with no reference back
+        rng = random.Random(505)
+        C = make_truncated_poly_dga([0], 4)
+        paths = []
+        for trial in range(12):
+            alg = samples.sample_dgla(rng, C, W=6)
+            om = samples.sample_mc(rng, alg)
+            phi = samples.strict_base_change_morphism(rng, alg) if trial % 2 \
+                else LinfMorphism.identity(alg)
+            path = tmp_path / f"{trial}.json"
+            path.write_text(json.dumps(jsonio.instance_to_json(alg, om.vect, phi)))
+            paths.append(str(path))
+
+        def twist_check(path):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                return run(["twist-check", "--instance", path])
+
+        assert twist_check(paths[0]) == 0  # the one-time parser and imports
+        gc.collect()
+        gc.disable()
+        try:
+            assert [twist_check(p) for p in paths] == [0] * len(paths)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -14,7 +14,7 @@ from fractions import Fraction
 from linfty import samples
 from linfty.linf import LinfAlgebra, dgla_check, mc_residue, mc_residue_dgla, tensor_dgla
 from linfty.scalars import dga_tensor, make_truncated_poly_dga, rational_field
-from reference_checks import square_zero_witnesses
+from reference_checks import dgla_violations, square_zero_witnesses
 
 W = 6
 QQ = rational_field()
@@ -103,3 +103,15 @@ def test_dgla_check_decides_square_zero():
     assert {"d_squared", "leibniz", "jacobi"} <= failed_axioms
     assert not failed_axioms - {"d_squared", "leibniz", "jacobi"}
     assert quadratic >= 5
+
+
+def test_dgla_check_reports_what_the_triple_loop_reports():
+    # every violation, in order, as the loop that rebuilt each nested bracket
+    kinds = set()
+    for case, (kind, alg) in enumerate(instances()):
+        tables = alg.dgla_tables()
+        got = dgla_check(alg.module, *tables).violations
+        assert got == dgla_violations(alg.module, *tables), (case, kind)
+        if len(got) > 1:
+            kinds.add(kind)
+    assert {"perturbed", "perturbed tensor"} <= kinds

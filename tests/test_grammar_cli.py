@@ -165,11 +165,23 @@ class TestCli:
         (["u1", "d1", "d1"], "u1 takes exactly 1 operand(s), got 2"),
         (["poisson-check"], "poisson-check takes exactly 1 operand(s), got 0"),
         (["apply", "--n", "1"], "apply takes at least 1 operand(s), got 0"),
+        (["hkr-report", "stray", "--n", "1", "--trunc", "1", "--order", "1"],
+         "hkr-report takes exactly 0 operand(s), got 1"),
+        (["selftest", "stray"], "selftest takes exactly 0 operand(s), got 1"),
+        (["mc-check", "a", "b", "--instance", "inst.json"],
+         "mc-check takes exactly 0 operand(s), got 2"),
     ])
     def test_wrong_operand_count_exits_two(self, argv, message, capsys):
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    def test_operands_beginning_with_a_minus_go_after_double_dash(self):
+        code, out = capture(["gerstenhaber", "--n", "1", "--", "-t1*D[1]", "D[1]"])
+        assert code == 0
+        code, plain = capture(["gerstenhaber", "--n", "1", "t1*D[1]", "D[1]"])
+        bracket = parse_element(json.loads(plain)["result"], "polydiffop", 1)
+        assert json.loads(out)["result"] == (-bracket).text() != bracket.text()
 
     def test_mc_check_pass_and_fail(self, instance_file, non_mc_file):
         code, out = capture(["mc-check", "--instance", instance_file])
