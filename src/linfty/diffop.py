@@ -26,8 +26,8 @@ import math
 import operator
 from fractions import Fraction
 
-from .poly import Poly, _compositions, _min_trunc, _poly_cut
-from .scalars import _acc, _acc_neg, frac_str, ksign, rational_field
+from .poly import Poly, _compositions, _min_trunc, _poly_cut, _terms_text
+from .scalars import _acc, _acc_neg, ksign, rational_field
 
 
 def _zero_mi(n):
@@ -175,27 +175,16 @@ class PolyDiffOp:
         return _poly_cut(Poly.zero(self.n, self.alg), out, trunc)
 
     def text(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w)):
-            c = self.terms[w]
-            word = "D[" + ";".join(",".join(str(x) for x in j) for j in w) + "]" if w else ""
-            for e, q in c.sorted_terms():
-                r = q.rational_part()
-                mono = "*".join(f"t{i+1}" + (f"^{k}" if k > 1 else "")
-                                for i, k in enumerate(e) if k)
-                coeff = frac_str(abs(r))
-                factors = [x for x in (None if coeff == "1" and (mono or word) else coeff,
-                                       mono or None, word or None) if x]
-                bits.append(("-" if r < 0 else "+", "*".join(factors) if factors else "1"))
-        s = ("-" if bits[0][0] == "-" else "") + bits[0][1]
-        for sign, body in bits[1:]:
-            s += f" {sign} {body}"
-        return s
+        return _terms_text(
+            ("D[" + ";".join(",".join(str(x) for x in j) for j in w) + "]" if w else "", e, c)
+            for w in sorted(self.terms, key=lambda w: (len(w), w))
+            for e, c in self.terms[w].sorted_terms())
 
     def __repr__(self):
-        return f"PolyDiffOp<{self.text()}>"
+        try:
+            return f"PolyDiffOp<{self.text()}>"
+        except ValueError:
+            return f"PolyDiffOp({self.terms!r})"
 
 
 def _op(n, alg, terms):

@@ -6,7 +6,9 @@ operator (coefficient 1/p!), identity on functions.  Its image is normalized
 of order <= 1, it is a chain map out of the zero-differential side, and on
 order/degree-filtered slices it induces an isomorphism onto the Hochschild
 cohomology of the operator side; ``cohomology_rank`` / ``hkr_report`` verify
-the rank-level shadow of that statement by exact Gaussian elimination.
+the rank-level shadow of that statement by exact Gaussian elimination.  Both
+sides are C[t]-linear, so the elimination runs on constant-coefficient words
+and the coefficient-degree cap enters only as a multiplicity of the ranks.
 
 ``kontsevich_conditions`` checks a user-supplied sequence of higher
 coefficients against the checkable predicates: the fixed first coefficient,
@@ -26,9 +28,9 @@ from fractions import Fraction
 from .diffop import PolyDiffOp, _op, gerstenhaber, hochschild_d, transform as d_transform
 from .linalg import rank
 from .linf import identity_sign_data
-from .poly import Poly, monomials_up_to, multi_indices_up_to
+from .poly import Poly, multi_indices_up_to
 from .polyvec import PolyVec, schouten, transform as t_transform
-from .scalars import CoeffDGA, _acc, frac_str, ksign
+from .scalars import CoeffDGA, _acc, frac_str, ideal_powers, ksign
 
 
 def u1(alpha: PolyVec) -> PolyDiffOp:
@@ -102,8 +104,11 @@ class TruncationSpec:
     """Finite slice of the operator complex: order and coefficient-degree caps.
 
     The slice in degree p is spanned by  t^e * D[j_0;...;j_p]  with
-    |e| <= max_poly_degree and |j_k| <= max_operator_order; the Hochschild
-    differential preserves both caps (checked at runtime, not trusted).
+    |e| <= max_poly_degree and |j_k| <= max_operator_order.  The Hochschild
+    differential and u1 are C[t]-linear, so every slice matrix is
+    ``multiplicity`` identical blocks, one per monomial t^e; the slices are
+    computed on the constant-coefficient words alone, and the degree cap only
+    sets that multiplicity.  The order cap is checked at runtime, not trusted.
     """
 
     def __init__(self, n, max_poly_degree, max_operator_order, p_min, p_max):
@@ -117,19 +122,15 @@ class TruncationSpec:
         self.max_operator_order = max_operator_order
         self.p_min = p_min
         self.p_max = p_max
+        # the number of monomials t^e with |e| <= max_poly_degree
+        self.multiplicity = math.comb(n + max_poly_degree, n)
 
-    def d_slice_basis(self, p):
-        if p < -1:
-            return []
-        monos = monomials_up_to(self.n, self.max_poly_degree)
+    def d_slice_words(self, p):
         mis = multi_indices_up_to(self.n, self.max_operator_order)
-        words = [()] if p == -1 else list(itertools.product(mis, repeat=p + 1))
-        return [(e, w) for w in words for e in monos]
+        return list(itertools.product(mis, repeat=p + 1)) if p >= -1 else []
 
-    def t_slice_basis(self, p):
-        monos = monomials_up_to(self.n, self.max_poly_degree)
-        words = list(itertools.combinations(range(1, self.n + 1), p + 1))
-        return [(e, w) for w in words for e in monos]
+    def t_slice_words(self, p):
+        return list(itertools.combinations(range(1, self.n + 1), p + 1))
 
     def reliable(self, p):
         lower_ok = (p == -1) or (p - 1 >= self.p_min)
@@ -162,21 +163,15 @@ def op_coords(op: PolyDiffOp, spec: TruncationSpec, p, where=""):
 
 
 def d_matrix(spec: TruncationSpec, p):
-    """Rows = d of each degree-p slice basis element, in slice-(p+1) coordinates.
+    """Rows = d of each degree-p slice word, in slice-(p+1) coordinates.
 
-    hochschild_d only scales coefficients, so d(t^e D[w]) = t^e d(D[w]): each
-    slice word w, valid by construction, is differentiated once, through the
-    closure check in op_coords, and its row is shifted to every monomial e.
+    One row per constant-coefficient word D[w], through the closure check in
+    op_coords; the full slice matrix is ``spec.multiplicity`` copies of it.
     """
     one = Poly.one(spec.n)
-    d_of_word = {}
-    rows = []
-    for e, w in spec.d_slice_basis(p):
-        if w not in d_of_word:
-            d_of_word[w] = op_coords(hochschild_d(_op(spec.n, one.alg, {w: one})), spec,
-                                     p + 1, where=f"(d of degree {p})")
-        rows.append({(e, v): r for (_, v), r in d_of_word[w].items()})
-    return rows
+    return [op_coords(hochschild_d(_op(spec.n, one.alg, {w: one})), spec, p + 1,
+                      where=f"(d of degree {p})")
+            for w in spec.d_slice_words(p)]
 
 
 def _ranked_d(spec, p, memo):
@@ -191,7 +186,8 @@ def cohomology_rank(spec: TruncationSpec, p, memo=None):
     """(kernel rank, image-from-below rank, H^p rank) on the slice.
 
     Requires the window to contain the neighbors of p; a window that cannot
-    support the computation raises an edge-degree error.  ``memo`` keeps each
+    support the computation raises an edge-degree error.  The ranks of the
+    word matrices are multiplied by ``spec.multiplicity``.  ``memo`` keeps each
     d_matrix and its rank for the caller (hkr_report shares one across its rows).
     """
     if not spec.reliable(p):
@@ -200,15 +196,14 @@ def cohomology_rank(spec: TruncationSpec, p, memo=None):
             f"[{spec.p_min}, {spec.p_max}]")
     memo = {} if memo is None else memo
     rows, rank_dp = _ranked_d(spec, p, memo)
-    if not rows:
-        return (0, 0, 0)
     ker = len(rows) - rank_dp
     im = _ranked_d(spec, p - 1, memo)[1]
-    return (ker, im, ker - im)
+    m = spec.multiplicity
+    return (m * ker, m * im, m * (ker - im))
 
 
 def u1_matrix(spec: TruncationSpec, p, images):
-    """Rows = the u1 images of the T-slice basis elements, in D-slice coordinates."""
+    """Rows = the u1 images of the T-slice words, in D-slice coordinates."""
     return [op_coords(op, spec, p, where=f"(u1 at degree {p})") for op in images]
 
 
@@ -218,26 +213,28 @@ def hkr_report(spec: TruncationSpec) -> dict:
     Each reliable row also certifies that u1 lands in the kernel of d, is
     injective on the slice, and spans H^p modulo the boundaries (the rank of
     [u1 | boundaries] minus the boundary rank equals both dim T and rank H).
-    A window with no reliable row is not a passing verdict.  Every slice
-    matrix and u1 image is built once per call.
+    A window with no reliable row is not a passing verdict.  Every matrix is
+    built on the constant-coefficient words, once per call, and its ranks are
+    multiplied by ``spec.multiplicity``.
     """
     rows = []
     memo = {}
+    m = spec.multiplicity
     for p in range(spec.p_min, spec.p_max + 1):
-        t_basis = spec.t_slice_basis(p)
-        entry = {"p": p, "dim_T_slice": len(t_basis),
+        t_words = spec.t_slice_words(p)
+        entry = {"p": p, "dim_T_slice": m * len(t_words),
                  "window_reliable": spec.reliable(p)}
         if not spec.reliable(p):
             entry.update({"rank_H": None, "match": None, "edge_degree": True})
             rows.append(entry)
             continue
         ker, im, h = cohomology_rank(spec, p, memo)
-        images = [u1(PolyVec(spec.n, {w: Poly.monomial(e)})) for e, w in t_basis]
+        images = [u1(PolyVec.basis(w, spec.n)) for w in t_words]
         u_rows = u1_matrix(spec, p, images)
         injective = rank(u_rows) == len(u_rows)
         chain_map = all(not op_coords(hochschild_d(op), spec, p + 1) for op in images)
         boundaries, b_rank = _ranked_d(spec, p - 1, memo)
-        composed_rank = rank(u_rows + boundaries) - b_rank
+        composed_rank = m * (rank(u_rows + boundaries) - b_rank)
         entry.update({
             "rank_ker": ker, "rank_im": im, "rank_H": h,
             "match": h == entry["dim_T_slice"],
@@ -501,19 +498,9 @@ def m_adic_order(A: CoeffDGA, keys):
     keys = set(keys)
     if not keys:
         return None
-    power = set(range(len(A)))  # m^0 spans everything
-    k = 0
-    while keys <= power:
-        k += 1
-        if k == 1:
-            power = set(A.ideal)
-        else:
-            nxt = set()
-            for i in power:
-                for j in A.ideal:
-                    nxt.update(A.mul_basis(i, j))
-            power = nxt
-    return k - 1
+    for k, span in enumerate(ideal_powers(A), 1):
+        if not keys <= span:
+            return k - 1
 
 
 def mc_bivector_workflow(pi: PolyVec, A: CoeffDGA, a_elem=None) -> dict:

@@ -284,28 +284,7 @@ class Poly:
 
     def text(self):
         """Grammar form, e.g. '3/2*t1^2*t2 - t3'.  Rational coefficients only."""
-        if not self.terms:
-            return "0"
-        bits = []
-        for e, c in self.sorted_terms():
-            q = c.rational_part()
-            if len(c.coeffs) != 1 or not q:
-                raise ValueError("text form requires rational coefficients")
-            mono = "*".join(f"t{i+1}" + (f"^{k}" if k > 1 else "")
-                            for i, k in enumerate(e) if k)
-            if not mono:
-                body = frac_str(abs(q))
-            elif abs(q) == 1:
-                body = mono
-            else:
-                body = f"{frac_str(abs(q))}*{mono}"
-            sign = "-" if q < 0 else "+"
-            bits.append((sign, body))
-        first_sign, first = bits[0]
-        out = ("-" if first_sign == "-" else "") + first
-        for sign, body in bits[1:]:
-            out += f" {sign} {body}"
-        return out
+        return _terms_text(("", e, c) for e, c in self.sorted_terms())
 
     def __repr__(self):
         try:
@@ -315,6 +294,24 @@ class Poly:
         if self.trunc is not None:
             s += f" (+O(deg {self.trunc}))"
         return s
+
+
+def _terms_text(terms):
+    """Grammar text of (word, exponents, coefficient) terms, '0' for none; the
+    word is '' for a function.  A coefficient off Q raises ValueError."""
+    bits = []
+    for word, e, c in terms:
+        q = c.rational_part()
+        if len(c.coeffs) != 1 or not q:
+            raise ValueError("text form requires rational coefficients")
+        mono = "*".join(f"t{i+1}" + (f"^{k}" if k > 1 else "") for i, k in enumerate(e) if k)
+        coeff = frac_str(abs(q))
+        factors = (None if coeff == "1" and (mono or word) else coeff, mono, word)
+        bits.append(("- " if q < 0 else "+ ") + "*".join(x for x in factors if x))
+    if not bits:
+        return "0"
+    out = " ".join(bits)
+    return out[2:] if out[0] == "+" else "-" + out[2:]
 
 
 def _poly(n, alg, terms, trunc):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import Poly
+from .poly import Poly, _terms_text
 from .scalars import _acc, _acc_neg, ksign, rational_field
 
 
@@ -118,31 +118,15 @@ class PolyVec:
                                 if len(w) - 1 == p}, self.alg)
 
     def text(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w)):
-            f = self.terms[w]
-            word = "/\\".join(f"d{i}" for i in w)
-            for e, c in f.sorted_terms():
-                q = c.rational_part()
-                mono = "*".join(f"t{i+1}" + (f"^{k}" if k > 1 else "")
-                                for i, k in enumerate(e) if k)
-                from .scalars import frac_str
-                coeff = frac_str(abs(q))
-                factors = [x for x in (None if coeff == "1" and (mono or word) else coeff,
-                                       mono or None, word or None) if x]
-                body = "*".join(factors) if factors else "1"
-                bits.append(("-" if q < 0 else "+", body))
-        s = ("-" if bits[0][0] == "-" else "") + bits[0][1]
-        for sign, body in bits[1:]:
-            s += f" {sign} {body}"
-        return s
+        return _terms_text(("/\\".join(f"d{i}" for i in w), e, c)
+                           for w in sorted(self.terms, key=lambda w: (len(w), w))
+                           for e, c in self.terms[w].sorted_terms())
 
     def __repr__(self):
-        return self.text() if all(
-            len(c.coeffs) <= 1 and c.rational_part() for f in self.terms.values()
-            for c in f.terms.values()) else f"PolyVec({self.terms!r})"
+        try:
+            return self.text()
+        except ValueError:
+            return f"PolyVec({self.terms!r})"
 
 
 def wedge(a: PolyVec, b: PolyVec) -> PolyVec:

@@ -156,21 +156,11 @@ class CoeffDGA:
         return all(d == 0 for d in self.degrees)
 
     def _compute_nilpotency_order(self):
-        if not self.ideal:
-            return 1
-        span = set(self.ideal)
-        order = 1
-        # the span set of m^k: supports of all k-fold products of ideal basis elements
-        while span:
-            order += 1
-            nxt = set()
-            for i in span:
-                for j in self.ideal:
-                    nxt.update(self.mul_basis(i, j))
-            span = nxt
-            if order > len(self.basis) + 2:
+        for k, span in enumerate(ideal_powers(self), 1):
+            if not span:
+                return k
+            if k >= len(self.basis) + 2:
                 raise ValueError("designated ideal is not nilpotent")
-        return order
 
     # -- serialization -----------------------------------------------------
 
@@ -418,28 +408,27 @@ def dga_check(A: CoeffDGA) -> ValidationReport:
                 if not p.in_ideal():
                     rep.add("ideal", [A.basis[i], A.basis[j]],
                             "product leaves the ideal span")
-    span = set(A.ideal)
-    for _ in range(A.nilpotency_order - 1):
-        nxt = set()
-        for i in span:
-            for j in A.ideal:
-                nxt.update(A.mul_basis(i, j))
-        span = nxt
-    if span:
-        rep.add("nilpotency", sorted(A.basis[i] for i in span),
+    powers = list(itertools.islice(ideal_powers(A), max(A.nilpotency_order, 1)))
+    if powers[-1]:
+        rep.add("nilpotency", sorted(A.basis[i] for i in powers[-1]),
                 f"m^{A.nilpotency_order} != 0")
-    elif A.nilpotency_order > 1:
+    elif A.nilpotency_order > 1 and not powers[-2]:
         # minimality: m^(order-1) must be nonzero
-        span = set(A.ideal)
-        for _ in range(A.nilpotency_order - 2):
-            nxt = set()
-            for i in span:
-                for j in A.ideal:
-                    nxt.update(A.mul_basis(i, j))
-            span = nxt
-        if not span:
-            rep.add("nilpotency", [], "nilpotency_order is not minimal")
+        rep.add("nilpotency", [], "nilpotency_order is not minimal")
     return rep
+
+
+def ideal_powers(A: CoeffDGA):
+    """The supports of m, m^2, m^3, ... as sets of basis indices.
+
+    The k-th set holds every index in some k-fold product of ideal basis
+    elements.  The walk is endless; for a nilpotent ideal its sets are empty
+    from the nilpotency order on.
+    """
+    span = set(A.ideal)
+    while True:
+        yield span
+        span = {k for i in span for j in A.ideal for k in A.mul_basis(i, j)}
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,10 @@ The insertion walk inserts one term into one slot at a time, one coefficient
 product per Leibniz split, and builds the Gerstenhaber bracket per degree pair
 from whole insertion sums; it shares no code with ``linfty.diffop`` beyond
 ``Poly``.
+
+The HKR report works on the full slices, one d row per basis element
+t^e * D[w] and one u1 image per t^e * d_w, and multiplies nothing; it shares
+``hochschild_d``, ``u1``, ``op_coords`` and ``rank`` with the library.
 """
 
 import itertools
@@ -24,6 +28,11 @@ import math
 from fractions import Fraction
 
 from linfty.coalg import CoalgElem, coder_from_taylor, morph_from_taylor, vect_acc, vect_degree
+from linfty.diffop import PolyDiffOp, hochschild_d
+from linfty.hkr import op_coords, u1
+from linfty.linalg import rank
+from linfty.poly import Poly
+from linfty.polyvec import PolyVec
 from linfty.scalars import ksign
 
 
@@ -215,3 +224,58 @@ def reference_gerstenhaber(phi, psi):
             for word, coeff in reference_circ_bar(b, a).items():
                 _put(out, word, coeff.scale(sign))
     return out
+
+
+def _exponents(n, cap):
+    """Every exponent tuple in n variables of total degree <= cap, lowest first."""
+    return sorted((e for e in itertools.product(range(cap + 1), repeat=n) if sum(e) <= cap),
+                  key=lambda e: (sum(e), e))
+
+
+def reference_hkr_report(spec):
+    """hkr_report(spec), computed on the full (e, w) slice bases."""
+    n = spec.n
+    monos = _exponents(n, spec.max_poly_degree)
+    mis = _exponents(n, spec.max_operator_order)
+    d_rows = {}
+
+    def d(p):
+        if p not in d_rows:
+            words = itertools.product(mis, repeat=p + 1) if p >= -1 else []
+            d_rows[p] = [op_coords(hochschild_d(PolyDiffOp(n, {w: Poly.monomial(e)})), spec,
+                                   p + 1, where=f"(d of degree {p})")
+                         for w in words for e in monos]
+        return d_rows[p]
+
+    rows = []
+    for p in range(spec.p_min, spec.p_max + 1):
+        t_basis = [(e, w) for w in itertools.combinations(range(1, n + 1), p + 1)
+                   for e in monos]
+        reliable = p + 1 <= spec.p_max and (p == -1 or p - 1 >= spec.p_min)
+        entry = {"p": p, "dim_T_slice": len(t_basis), "window_reliable": reliable}
+        if not reliable:
+            entry.update({"rank_H": None, "match": None, "edge_degree": True})
+            rows.append(entry)
+            continue
+        cocycles, boundaries = d(p), d(p - 1)
+        ker = len(cocycles) - rank(cocycles)
+        im = rank(boundaries)
+        images = [u1(PolyVec(n, {w: Poly.monomial(e)})) for e, w in t_basis]
+        u_rows = [op_coords(op, spec, p, where=f"(u1 at degree {p})") for op in images]
+        in_h = rank(u_rows + boundaries) - im
+        entry.update({
+            "rank_ker": ker, "rank_im": im, "rank_H": ker - im,
+            "match": ker - im == len(t_basis),
+            "u1_injective": rank(u_rows) == len(u_rows),
+            "u1_chain_map": all(not op_coords(hochschild_d(op), spec, p + 1) for op in images),
+            "u1_rank_in_H": in_h,
+            "u1_spans_H": in_h == ker - im,
+        })
+        rows.append(entry)
+    checked = [r for r in rows if r["window_reliable"]]
+    return {"spec": {"n": n, "max_poly_degree": spec.max_poly_degree,
+                     "max_operator_order": spec.max_operator_order,
+                     "window": [spec.p_min, spec.p_max]},
+            "rows": rows,
+            "ok": bool(checked) and all(r["match"] and r["u1_injective"] and r["u1_spans_H"]
+                                        and r["u1_chain_map"] for r in checked)}

@@ -69,6 +69,17 @@ class TestGrammar:
                 assert parse_element(text, kind, n).text() == text
                 count += 1
 
+    @pytest.mark.parametrize("unit", [0, 1])
+    def test_text_refuses_a_coefficient_off_q(self, unit):
+        # h*t1 and (1+h)*t1 over Q[h]/(h^3) have no grammar form: the rational
+        # part alone (0*t1*d1, t1*d1) would print a different element
+        A = make_truncated_poly_dga([0], 3)
+        f = Poly(1, {(1,): A.gen("h") + A.scalar(unit)}, alg=A)
+        for x in (f, PolyVec(1, {(1,): f}, A), PolyDiffOp(1, {((1,),): f})):
+            with pytest.raises(ValueError, match="rational coefficients"):
+                x.text()
+            assert "h" in repr(x)
+
     def test_syntax_errors_have_positions(self):
         with pytest.raises(ParseError, match="column"):
             parse_element("3//2*t1", "poly", 2)

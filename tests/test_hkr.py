@@ -15,7 +15,7 @@ import linfty
 from linfty.cli import run
 from linfty.diffop import PolyDiffOp, gerstenhaber, hochschild_d, mu
 from linfty.hkr import (FormalityPlugin, TruncationSpec, cohomology_rank,
-                        d_matrix, formality_identity_residual, hkr_report,
+                        formality_identity_residual, hkr_report,
                         kontsevich_conditions, linear_vector_field,
                         m_adic_order, mc_bivector_workflow, op_coords,
                         random_polyvec, trivial_plugin, u1, u1_chain_check,
@@ -24,8 +24,22 @@ from linfty.linalg import nullspace, rank
 from linfty.poly import Poly, monomials_up_to
 from linfty.polyvec import PolyVec, schouten, wedge
 from linfty.scalars import dga_tensor, make_truncated_poly_dga
+from reference_checks import reference_hkr_report
 
 HERE = os.path.dirname(__file__)
+
+
+def full_basis(spec, words):
+    """The (e, w) basis of a whole slice: every monomial t^e times every word."""
+    return [(e, w) for w in words for e in monomials_up_to(spec.n, spec.max_poly_degree)]
+
+
+def outcome(report, spec):
+    """The report, or the message of the closure failure it raises."""
+    try:
+        return report(spec)
+    except ValueError as ex:
+        return str(ex)
 
 
 class TestU1:
@@ -70,7 +84,7 @@ class TestU1:
             spec = TruncationSpec(n, 2, 2, -1, 1)
             for p in (-1, 0):
                 images = [u1(PolyVec(n, {w: Poly.monomial(e)}))
-                          for e, w in spec.t_slice_basis(p)]
+                          for e, w in full_basis(spec, spec.t_slice_words(p))]
                 rows = u1_matrix(spec, p, images)
                 assert rank(rows) == len(rows)
 
@@ -81,12 +95,12 @@ class TestCohomologyRank:
         spec = TruncationSpec(1, 2, 2, -1, 1)
         ker, im, h = cohomology_rank(spec, -1)
         assert (ker, im, h) == (3, 0, 3)
-        assert h == len(spec.t_slice_basis(-1))
+        assert h == len(full_basis(spec, spec.t_slice_words(-1)))
 
     def test_degree_zero_against_cocycle_oracle(self):
         # oracle: solve a phi(b) - phi(ab) + phi(a) b = 0 by brute force
         spec = TruncationSpec(1, 2, 2, -1, 1)
-        basis = spec.d_slice_basis(0)
+        basis = full_basis(spec, spec.d_slice_words(0))
         monos = monomials_up_to(1, 3)
         rows = {}
         for col, (e, w) in enumerate(basis):
@@ -101,7 +115,7 @@ class TestCohomologyRank:
         kernel = nullspace(list(rows.values()), len(basis))
         ker, im, h = cohomology_rank(spec, 0)
         assert len(kernel) == ker
-        assert h == len(spec.t_slice_basis(0))
+        assert h == len(full_basis(spec, spec.t_slice_words(0)))
 
     def test_zero_slice(self):
         spec = TruncationSpec(1, 0, 0, -1, 3)
@@ -130,16 +144,28 @@ class TestCohomologyRank:
             with pytest.raises(ValueError, match="leaves the declared slice"):
                 op_coords(op, spec, p)
 
-    @given(st.integers(1, 3), st.integers(0, 2), st.integers(0, 2), st.integers(-1, 1))
-    @settings(max_examples=30, deadline=None)
-    def test_d_matrix_is_d_of_each_basis_element(self, n, trunc, order, p):
-        # one hochschild_d per word, shifted by each monomial, must give the
-        # rows of d applied to every basis element: keys, values and row order
-        spec = TruncationSpec(n, trunc, order, -1, 2)
-        want = [op_coords(hochschild_d(PolyDiffOp(n, {w: Poly.monomial(e)})), spec, p + 1)
-                for e, w in spec.d_slice_basis(p)]
-        assert [list(r.items()) for r in d_matrix(spec, p)] == \
-            [list(r.items()) for r in want]
+    @given(st.data(), st.integers(1, 3), st.integers(-1, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_d_and_u1_are_c_t_linear(self, data, n, p):
+        # the slices are computed on constant-coefficient words because
+        # d(f D[w]) = f d(D[w]) and u1(f d_w) = f u1(d_w)
+        exps = st.tuples(*[st.integers(0, 2)] * n)
+        f = Poly.zero(n)
+        for e, c in data.draw(st.lists(st.tuples(exps, st.integers(-3, 3).filter(bool)),
+                                       min_size=1, max_size=3, unique_by=lambda t: t[0])):
+            f = f + Poly.monomial(e, c)
+
+        def times_f(op):
+            return PolyDiffOp(n, {w: c * f for w, c in op.terms.items()})
+
+        word = tuple(data.draw(st.lists(exps, min_size=p + 1, max_size=p + 1)))
+        assert hochschild_d(PolyDiffOp(n, {word: f})) == \
+            times_f(hochschild_d(PolyDiffOp(n, {word: Poly.one(n)})))
+        if p < n:
+            wedge_word = tuple(sorted(data.draw(st.lists(st.integers(1, n), min_size=p + 1,
+                                                         max_size=p + 1, unique=True))))
+            assert u1(PolyVec(n, {wedge_word: f})) == \
+                times_f(u1(PolyVec.basis(wedge_word, n)))
 
 
 class TestHkrReport:
@@ -152,6 +178,17 @@ class TestHkrReport:
         for r in reliable:
             assert r["match"] and r["u1_injective"] and r["u1_spans_H"]
             assert r["u1_chain_map"]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("window", [(-1, 1), (-1, 2), (0, 2)])
+    def test_report_equals_the_full_slice_reference(self, n, window):
+        # the multiplicity m = C(n + trunc, n) against m explicit copies
+        for trunc, order in itertools.product(range(4), repeat=2):
+            spec = TruncationSpec(n, trunc, order, *window)
+            got = outcome(hkr_report, spec)
+            assert got == outcome(reference_hkr_report, spec)
+            if order == 0 and window == (-1, 1):
+                assert got.startswith("operator leaves the declared slice")
 
     def test_shrunken_window_flags_edges(self):
         rep = hkr_report(TruncationSpec(1, 2, 2, 0, 0))
@@ -169,10 +206,11 @@ def cli(argv):
 
 class TestHkrReportCli:
     def test_golden_report(self):
-        code, out, _ = cli(["hkr-report", "--n", "2", "--trunc", "2", "--order", "2",
-                            "--window", "-1", "1"])
-        with open(os.path.join(HERE, "golden", "hkr_report_n2.json")) as fh:
-            assert (code, out) == (0, fh.read())
+        for n, trunc in ((2, 2), (3, 3)):
+            code, out, _ = cli(["hkr-report", "--n", str(n), "--trunc", str(trunc),
+                                "--order", "2", "--window", "-1", "1"])
+            with open(os.path.join(HERE, "golden", f"hkr_report_n{n}.json")) as fh:
+                assert (code, out) == (0, fh.read())
 
     def test_slice_witness(self):
         code, out, err = cli(["hkr-report", "--n", "2", "--order", "0"])
