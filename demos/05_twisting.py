@@ -37,7 +37,7 @@ print("twisted structure squares to zero:", tw.check_square_zero().ok)
 
 conj = conjugation_twist(alg, om)
 print("conjugation route agrees word for word:",
-      operators_agree(tw.Q, conj, alg.shifted, alg.W, 3).ok)
+      operators_agree(tw.Q, conj, alg.shifted, 3).ok)
 
 phi = LinfMorphism.strict(alg, alg, {"x": {"x": 1}, "y": {"y": 1}, "z": {"z": 3}})
 pushed = mc_push(phi, om)

@@ -4,11 +4,12 @@ Every verb maps to one library operation.  Output is canonical JSON on
 stdout (byte-identical for identical inputs and seed); a timing summary goes
 to stderr.  Exit codes: 0 success / checks passed, 1 a mathematical check
 failed (witness in the output), 2 usage or parse errors (among them an
-instance that lacks an entry the verb needs, or whose morphism does not
-intertwine, outside linf-check), or a computation that needed a symmetric
-word longer than the word cap, or a --coeff-algebra that fails dga_check,
-or a verb given the wrong number of operands (verbs other than the element
-verbs take none).  An operand that begins with '-' goes after '--'.
+unreadable input file, an instance that lacks an entry the verb needs, or
+whose morphism does not intertwine, outside linf-check), or a computation
+that needed a symmetric word longer than the word cap, or a --coeff-algebra
+that fails dga_check, or a verb given the wrong number of operands (verbs
+other than the element verbs take none).  An operand that begins with '-'
+goes after '--'.
 """
 
 from __future__ import annotations
@@ -42,22 +43,26 @@ def _read_document(args):
     """The JSON document named by --instance; '-' reads stdin."""
     if args.instance is None:
         raise ParseError(f"{args.verb} needs --instance (a JSON file path, or - for stdin)")
-    if args.instance == "-":
-        return json.load(sys.stdin)
-    with open(args.instance) as fh:
-        return json.load(fh)
+    with _loading():
+        if args.instance == "-":
+            return json.load(sys.stdin)
+        with open(args.instance) as fh:
+            return json.load(fh)
 
 
 @contextlib.contextmanager
 def _loading():
-    """A key missing from an input document, a name it does not define, or an
-    entry of the wrong JSON type is a parse error (exit 2), not a failed check."""
+    """A key missing from an input document, a name it does not define, an entry
+    of the wrong JSON type, or nesting deeper than the JSON decoder's recursion
+    is a parse error (exit 2), not a failed check."""
     try:
         yield
     except KeyError as ex:
         raise ParseError(f"input document: missing key or unknown name {ex}") from None
     except TypeError as ex:
         raise ParseError(f"input document: wrong JSON type: {ex}") from None
+    except RecursionError:
+        raise ParseError("input document: JSON nested too deeply to decode") from None
 
 
 def _load_instance(args, doc=None, need_omega=False, need_morphism=False):
@@ -200,8 +205,7 @@ def cmd_twist_check(args):
         doc["witness"] = sq.violations[0]["witness"]
     if sq.ok:
         conj = conjugation_twist(algebra, omega)
-        agree = operators_agree(tw.Q, conj, algebra.shifted, algebra.W,
-                                min(args.word_cap, 2))
+        agree = operators_agree(tw.Q, conj, algebra.shifted, min(args.word_cap, 2))
         doc["conjugation_agrees"] = agree.ok
         ok = ok and agree.ok
         if not agree.ok:
@@ -356,7 +360,7 @@ def run(argv):
             raise ParseError(f"{args.verb} takes {'at least' if most is None else 'exactly'} "
                              f"{least} operand(s), got {len(args.exprs)}")
         code, doc = handler(args)
-    except (FileNotFoundError, ValueError) as ex:  # ParseError and JSONDecodeError too
+    except (OSError, ValueError) as ex:  # ParseError and JSONDecodeError too
         sys.stderr.write(f"error: {ex}\n")
         return USAGE_ERROR
     except OrderOverflowError as ex:

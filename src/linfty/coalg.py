@@ -13,10 +13,10 @@ time and a repeated odd letter kills the word.  Every element carries a hard
 word-order cap W: any operation that would need a longer word raises
 ``OrderOverflowError`` instead of silently truncating.
 
-A ``CoalgOperator`` is given by its columns: ``column(w)`` is the image of
-one canonical word, and ``CoalgOperator.__call__`` is the one linear
-extension of columns to elements; it builds each column once, into a dict
-the operator owns.  ``canon_word`` is memoised the same way, per module.
+A ``CoalgOperator`` is given by its columns: ``column(w)``, the image of one
+canonical word built once and kept by the operator, is the one way to read it
+on a basis word, and ``__call__`` is its linear extension to elements.
+``canon_word`` is memoised the same way, per module.
 Coderivations and coalgebra morphisms get their columns from finite
 sequences of Taylor coefficients (``TaylorSeq``).
 The subset/partition expansion formulas used here are validated by the axiom
@@ -286,13 +286,8 @@ class CoalgElem:
         """Delta as {(left word, right word): coefficient}, order preserved."""
         out = {}
         for w, c in self.words.items():
-            for r in range(len(w) + 1):
-                for positions in itertools.combinations(range(len(w)), r):
-                    sel = set(positions)
-                    left = tuple(w[i] for i in positions)
-                    right = tuple(w[i] for i in range(len(w)) if i not in sel)
-                    sign = split_sign(self.module, w, positions)
-                    (_acc if sign == 1 else _acc_neg)(out, (left, right), c)
+            for left, right, sign in _splits(self.module, w):
+                (_acc if sign == 1 else _acc_neg)(out, (left, right), c)
         return out
 
     def names(self):
@@ -319,6 +314,16 @@ class CoalgElem:
             mono = "*".join(self.module.gen_name(i) for i in w) if w else "1"
             bits.append(f"({c!r})·{mono}")
         return " + ".join(bits)
+
+
+def _splits(module, w):
+    """The terms (left, right, Koszul sign) of Delta(w) for one word, order preserved."""
+    for r in range(len(w) + 1):
+        for positions in itertools.combinations(range(len(w)), r):
+            sel = set(positions)
+            yield (tuple(w[i] for i in positions),
+                   tuple(w[i] for i in range(len(w)) if i not in sel),
+                   split_sign(module, w, positions))
 
 
 def _coalg(module, words, W):
@@ -441,29 +446,33 @@ def _taylor(source, target, maps, intent):
 class CoalgOperator:
     """A linear map of symmetric coalgebras, given by its columns.
 
-    ``column(w)`` is the image of one canonical source word as a sparse
+    ``build(w)`` makes the image of one canonical source word as a sparse
     {canonical target word: nonzero coefficient} dict; ``degree`` is the
-    operator's degree and ``W`` the least word cap of its results.  Columns
-    are built on first use and kept for the operator's lifetime.
+    operator's degree and ``W`` the least word cap of its results.
     """
 
-    def __init__(self, source, target, degree, column, W):
+    def __init__(self, source, target, degree, build, W):
         self.source = source
         self.target = target
         self.degree = degree
-        self.column = column
         self.W = W
-        self._columns = {}  # canonical word -> column(word); never handed out
+        self._build = build
+        self._columns = {}  # canonical word -> build(word)
+
+    def column(self, w):
+        """The image of the canonical word w, built once; callers never mutate it."""
+        try:
+            return self._columns[w]
+        except KeyError:
+            col = self._columns[w] = self._build(w)
+            return col
 
     def __call__(self, x: CoalgElem) -> CoalgElem:
         """The linear extension: the sum of c * column(w) over the words of x."""
-        columns = self._columns
+        column = self.column
         out = {}
         for w, c in x.words.items():
-            col = columns.get(w)
-            if col is None:
-                col = columns[w] = self.column(w)
-            vect_acc(out, col, c)
+            vect_acc(out, column(w), c)
         return _coalg(self.target, out, max(self.W, x.W))
 
 
@@ -583,14 +592,12 @@ def exp(omega: CoalgElem) -> CoalgElem:
         if not c.in_ideal():
             raise ValueError("exp requires nilpotent coefficients")
     out = {(): omega.module.coeff.one()}
-    power = CoalgElem.unit(omega.module, omega.W)
-    i = 0
-    while True:
+    power = omega
+    i = 1
+    while power:
+        vect_acc(out, power.words, Fraction(1, math.factorial(i)))
         i += 1
         power = power * omega
-        if power.is_zero():
-            break
-        vect_acc(out, power.words, Fraction(1, math.factorial(i)))
     return _coalg(omega.module, out, omega.W)
 
 
@@ -628,26 +635,18 @@ def check_coderivation(op: CoalgOperator, W, max_order=None) -> ValidationReport
     module = op.source
     max_order = max_order if max_order is not None else W
     for w in module.words_up_to(max_order):
-        x = CoalgElem(module, {w: module.coeff.one()}, W)
-        lhs = op(x).comult()
+        lhs = _coalg(op.target, op.column(w), W).comult()
         rhs = {}
-        for (w1, w2), c in x.comult().items():
-            left = op(CoalgElem(module, {w1: module.coeff.one()}, W))
-            for v, cv in left.words.items():
-                add = c * cv
-                if add:
-                    _acc(rhs, (v, w2), add)
-            right = op(CoalgElem(module, {w2: module.coeff.one()}, W))
-            put = _acc if ksign(op.degree * word_degree(module, w1)) == 1 else _acc_neg
-            for v, cv in right.words.items():
-                add = c * cv
-                if add:
-                    put(rhs, (w1, v), add)
+        for w1, w2, sign in _splits(module, w):
+            for v, cv in op.column(w1).items():
+                (_acc if sign == 1 else _acc_neg)(rhs, (v, w2), cv)
+            sign *= ksign(op.degree * word_degree(module, w1))
+            for v, cv in op.column(w2).items():
+                (_acc if sign == 1 else _acc_neg)(rhs, (w1, v), cv)
         if lhs != rhs:
             rep.add("coderivation", [module.gen_name(i) for i in w],
                     "Delta Q != (Q x 1 + 1 x Q) Delta")
-    one = CoalgElem.unit(module, W)
-    if not op(one).is_zero():
+    if op.column(()):
         rep.add("coderivation", ["1"], "Q(1) != 0")
     return rep
 
@@ -657,22 +656,19 @@ def check_comorphism(op: CoalgOperator, W, max_order=None) -> ValidationReport:
     rep = ValidationReport()
     src = op.source
     max_order = max_order if max_order is not None else W
-    one = CoalgElem.unit(src, W)
-    out_one = op(one)
-    if out_one != CoalgElem.unit(op.target, out_one.W):
+    if op.column(()) != {(): op.target.coeff.one()}:
         rep.add("comorphism", ["1"], "Psi(1) != 1")
     for w in src.words_up_to(max_order):
-        x = CoalgElem(src, {w: src.coeff.one()}, W)
-        lhs = op(x).comult()
+        lhs = _coalg(op.target, op.column(w), W).comult()
         rhs = {}
-        for (w1, w2), c in x.comult().items():
-            left = op(CoalgElem(src, {w1: src.coeff.one()}, W))
-            right = op(CoalgElem(src, {w2: src.coeff.one()}, W))
-            for v1, c1 in left.words.items():
-                for v2, c2 in right.words.items():
-                    add = c * c1 * c2
+        for w1, w2, sign in _splits(src, w):
+            put = _acc if sign == 1 else _acc_neg
+            right = op.column(w2)
+            for v1, c1 in op.column(w1).items():
+                for v2, c2 in right.items():
+                    add = c1 * c2
                     if add:
-                        _acc(rhs, (v1, v2), add)
+                        put(rhs, (v1, v2), add)
         if lhs != rhs:
             rep.add("comorphism", [src.gen_name(i) for i in w],
                     "Delta Psi != (Psi x Psi) Delta")

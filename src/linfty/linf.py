@@ -19,22 +19,25 @@ equivalence with Q∘Q = 0, which check_square_zero() decides for any structure.
 Q∘Q and Psi∘Q - Q'∘Psi are coderivations (the latter along Psi), and a
 coderivation vanishes iff its corestriction π₁ does (Lada-Stasheff).  So
 each check computes only the corestriction, reading π₁Q, π₁Q' and π₁Psi off
-the Taylor tables, on the canonical words up to a bound read off the Taylor
-lengths (or the word cap W, if smaller), beyond which the corestriction
-vanishes.  The walk is order-ascending and stops at the first word where the
+the Taylor tables (``_corestriction``) on the columns of the canonical words
+up to a bound read off the Taylor lengths (or the word cap W, if smaller),
+beyond which the corestriction vanishes.  The walk is order-ascending and
+stops at the first word where the
 corestriction is nonzero.  A coderivation that vanishes on every word of
 order below k equals its corestriction on order-k words, so that word is
 also the first word where the full operator is nonzero: the verdict and the
 one witness are those of a full walk up to W.
 
-Twisting follows the Taylor-coefficient formula; ``conjugation_twist`` builds
+Twisting follows the Taylor-coefficient formula: ``_corestriction`` on the
+scaled powers sum_k w^k/k!, built once per call.  ``conjugation_twist`` builds
 the same operator a second way, by conjugating with multiplication by exp(w),
-and the two are compared word for word in the test suite.
+and the two are compared column for column in the test suite.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .coalg import (CoalgElem, CoalgOperator, GradedBasisModule, TaylorSeq, _taylor,
@@ -75,7 +78,6 @@ def dgla_check(module, d_table, bracket_table) -> ValidationReport:
     """Graded antisymmetry, Jacobi, d^2 = 0, Leibniz, and degree bookkeeping."""
     rep = ValidationReport()
     n = len(module)
-    one = module.coeff.one()
 
     def dd(v):
         out = {}
@@ -86,11 +88,17 @@ def dgla_check(module, d_table, bracket_table) -> ValidationReport:
     def br(i, j):
         return bracket_table.get((i, j), {})
 
-    def br_elem(v, w):
+    # [x_i, w] and [v, x_k] for generators x_i, x_k and vects v, w
+    def br_left(i, w):
+        out = {}
+        for j, c in w.items():
+            vect_acc(out, br(i, j), c)
+        return out
+
+    def br_right(v, k):
         out = {}
         for i, c in v.items():
-            for j, c2 in w.items():
-                vect_acc(out, br(i, j), c * c2)
+            vect_acc(out, br(i, k), c)
         return out
 
     for i in range(n):
@@ -110,8 +118,8 @@ def dgla_check(module, d_table, bracket_table) -> ValidationReport:
         if anti:
             rep.add("antisymmetry", [module.gen_name(i), module.gen_name(j)],
                     "[x,y] != -(-1)^{|x||y|}[y,x]")
-        rhs = vect_acc(br_elem(d_table.get(i, {}), {j: one}),
-                       br_elem({i: one}, d_table.get(j, {})), ksign(module.degree(i)))
+        rhs = vect_acc(br_right(d_table.get(i, {}), j),
+                       br_left(i, d_table.get(j, {})), ksign(module.degree(i)))
         if vect_acc(dd(v), rhs, -1):
             rep.add("leibniz", [module.gen_name(i), module.gen_name(j)],
                     "d[x,y] != [dx,y] + (-1)^{|x|}[x,dy]")
@@ -122,11 +130,11 @@ def dgla_check(module, d_table, bracket_table) -> ValidationReport:
         if i > j:
             first, third = pending.pop((i, j, k))
         else:
-            first = br_elem({i: one}, br(j, k))
-            third = first if i == j else br_elem({j: one}, br(i, k))
+            first = br_left(i, br(j, k))
+            third = first if i == j else br_left(j, br(i, k))
             if i < j:
                 pending[(j, i, k)] = (third, first)
-        rhs = vect_acc(br_elem(br(i, j), {k: one}), third,
+        rhs = vect_acc(br_right(br(i, j), k), third,
                        ksign(module.degree(i) * module.degree(j)))
         if vect_acc(dict(first), rhs, -1):
             rep.add("jacobi", [module.gen_name(i), module.gen_name(j), module.gen_name(k)],
@@ -165,12 +173,28 @@ def dgla_tables_from_taylor(module, T: TaylorSeq):
     return d_table, bracket
 
 
-def _corestriction(taylor: TaylorSeq, x: CoalgElem) -> dict:
-    """π₁ of the operator with these Taylor coefficients applied to x, as a
-    vect: the sum of c * taylor(u) over the words u of x."""
+def _corestriction(taylor: TaylorSeq, words, extra=()) -> dict:
+    """π₁ of the operator with these Taylor coefficients on the sum of
+    c * (u extra) over the entries u: c of words, as a vect."""
     out = {}
-    for u, c in x.words.items():
-        vect_acc(out, taylor.eval_word(u), c)
+    for u, c in words.items():
+        vect_acc(out, taylor.eval_word(u + extra), c)
+    return out
+
+
+def _scaled_powers(omega: CoalgElem, top) -> dict:
+    """The sum of omega^i / i! over i = 1 .. top + 1 as {word: coefficient},
+    ending at the first zero power (top: the longest Taylor coefficient).
+    Apart from coalg.exp on purpose: the conjugation oracle goes through exp."""
+    out = {}
+    power = omega
+    i = 1
+    while power:
+        vect_acc(out, power.words, Fraction(1, math.factorial(i)))
+        if i > top:
+            break
+        i += 1
+        power = power * omega
     return out
 
 
@@ -255,8 +279,7 @@ class LinfAlgebra:
         rep = ValidationReport()
         order = max(1, 2 * self.taylor.max_j() - 1)
         for w in self.shifted.words_up_to(min(self.W, order)):
-            x = CoalgElem(self.shifted, {w: self.module.coeff.one()}, self.W)
-            if _corestriction(self.taylor, self.Q(x)):
+            if _corestriction(self.taylor, self.Q.column(w)):
                 rep.add("square_zero", [self.shifted.gen_name(i) for i in w],
                         "Q(Q(word)) != 0")
                 break
@@ -351,9 +374,8 @@ class LinfMorphism:
         order = max(1, top + self.source.taylor.max_j() - 1,
                     self.target.taylor.max_j() * top)
         for w in sh.words_up_to(min(self.W, order)):
-            x = CoalgElem(sh, {w: sh.coeff.one()}, self.W)
-            if (_corestriction(self.taylor, self.source.Q(x))
-                    != _corestriction(self.target.taylor, self.psi(x))):
+            if (_corestriction(self.taylor, self.source.Q.column(w))
+                    != _corestriction(self.target.taylor, self.psi.column(w))):
                 rep.add("intertwine", [sh.gen_name(i) for i in w],
                         "Psi∘Q != Q'∘Psi")
                 break
@@ -377,32 +399,6 @@ class LinfMorphism:
 # Maurer-Cartan machinery
 # ---------------------------------------------------------------------------
 
-def _taylor_sum_on_powers(taylor: TaylorSeq, omega_elem: CoalgElem, extra_word=()):
-    """sum_{i >= 1} 1/i! (d^i T)(omega^i * extra_word), as a vect.
-
-    Terms beyond the Taylor length vanish; powers vanish by nilpotency.
-    """
-    module = taylor.source
-    out = {}
-    power = CoalgElem.unit(module, omega_elem.W)
-    fact = 1
-    i = 0
-    while True:
-        i += 1
-        fact *= i
-        power = power * omega_elem
-        if power.is_zero():
-            break
-        inv = Fraction(1, fact)
-        for w, c in power.words.items():
-            v = taylor.eval_word(w + tuple(extra_word))
-            if v:
-                vect_acc(out, v, c.scale(inv))
-        if i > taylor.max_j():
-            break
-    return out
-
-
 def mc_residue(algebra: LinfAlgebra, omega) -> dict:
     """sum_i 1/i! (d^i Q)(omega^i); zero iff omega is Maurer-Cartan."""
     omega = _as_vect(algebra.module, omega)
@@ -412,7 +408,7 @@ def mc_residue(algebra: LinfAlgebra, omega) -> dict:
         if not c.in_ideal():
             raise ValueError("MC residue needs nilpotent coefficients")
     om = CoalgElem.from_vect(algebra.shifted, omega, algebra.W)
-    return _taylor_sum_on_powers(algebra.taylor, om)
+    return _corestriction(algebra.taylor, _scaled_powers(om, algebra.taylor.max_j()))
 
 
 def mc_residue_dgla(algebra: LinfAlgebra, omega) -> dict:
@@ -426,7 +422,7 @@ def mc_push(psi: LinfMorphism, omega: MCElement) -> MCElement:
     if omega.ambient is not psi.source:
         raise ValueError("omega does not live in the morphism source")
     om = omega.as_coalg(psi.W)
-    v = _taylor_sum_on_powers(psi.taylor, om)
+    v = _corestriction(psi.taylor, _scaled_powers(om, psi.taylor.max_j()))
     return MCElement(psi.target, v, check=True)
 
 
@@ -437,12 +433,12 @@ def twist_taylor(taylor: TaylorSeq, omega_elem: CoalgElem) -> TaylorSeq:
     off degree 1 gives values of the wrong degree, a ValueError here.
     """
     module = taylor.source
+    powers = _scaled_powers(omega_elem, taylor.max_j())
     maps = {}
     for i in range(1, taylor.max_j() + 1):
         tab = {}
         for w in module.words(i):
-            v = vect_acc(taylor.eval_word(w),
-                         _taylor_sum_on_powers(taylor, omega_elem, extra_word=w))
+            v = vect_acc(taylor.eval_word(w), _corestriction(taylor, powers, w))
             if v:
                 tab[w] = v
         if tab:
@@ -509,12 +505,11 @@ def conjugation_twist_morphism(psi: LinfMorphism, omega: MCElement) -> CoalgOper
     return _conjugated(psi.psi, omega.vect, mc_push(psi, omega).vect, psi.W)
 
 
-def operators_agree(op1, op2, module, W, max_order) -> ValidationReport:
-    """Word-for-word comparison of two operators on the canonical basis."""
+def operators_agree(op1, op2, module, max_order) -> ValidationReport:
+    """Column-for-column comparison of two operators on the canonical basis."""
     rep = ValidationReport()
     for w in module.words_up_to(max_order):
-        x = CoalgElem(module, {w: module.coeff.one()}, W)
-        if op1(x) != op2(x):
+        if op1.column(w) != op2.column(w):
             rep.add("operator_mismatch", [module.gen_name(i) for i in w], "")
     return rep
 

@@ -97,6 +97,8 @@ class CoeffDGA:
                       for i in range(len(self.basis))]
         if nilpotency_order is None:
             nilpotency_order = self._compute_nilpotency_order()
+        elif type(nilpotency_order) is not int or nilpotency_order < 1:
+            raise ValueError(f"nilpotency_order must be an int >= 1, got {nilpotency_order!r}")
         self.nilpotency_order = nilpotency_order
 
     def __len__(self):

@@ -141,7 +141,7 @@ def check_mc_twist(rng):
         if not tw.check_square_zero().ok:
             return False, "twisted coderivation not square zero"
         conj = conjugation_twist(alg, om)
-        if not operators_agree(tw.Q, conj, alg.shifted, alg.W, 2).ok:
+        if not operators_agree(tw.Q, conj, alg.shifted, 2).ok:
             return False, "conjugation route disagrees with the Taylor twist"
     return True, "8 twist instances with conjugation cross-check"
 

@@ -216,7 +216,7 @@ def test_a5_twist_theorem():
         assert br_t == {k: v for k, v in br_0.items() if v}
         # conjugation path agrees word for word
         conj = conjugation_twist(alg, om)
-        assert operators_agree(tw.Q, conj, alg.shifted, alg.W, 3).ok
+        assert operators_agree(tw.Q, conj, alg.shifted, 3).ok
         # twisted morphism intertwines the twisted structures
         phi = strict = samples.strict_base_change_morphism(rng, alg) \
             if trial % 2 else LinfMorphism.identity(alg)

@@ -543,6 +543,46 @@ class TestMemos:
                 first.words[(0,)] = C3.one()
                 assert op(x).words == want
 
+    def test_each_column_is_built_once(self):
+        # __call__, column and taylor_of all read the one memo
+        rng = random.Random(61)
+        for intent, make in (("coderivation", coder_from_taylor),
+                             ("morphism", morph_from_taylor)):
+            inner = make(rand_taylor(rng, MOD, intent, 3), W)
+            built = []
+
+            def build(w):
+                built.append(w)
+                return inner.column(w)
+
+            op = CoalgOperator(MOD, MOD, inner.degree, build, W)
+            x = CoalgElem(MOD, {w: C3.scalar(k + 1) for k, w in enumerate(MOD.words_up_to(2))},
+                          W)
+            for _ in range(2):
+                op(x)
+                for w in MOD.words_up_to(3):
+                    op.column(w)
+                for j in (1, 2, 3):
+                    taylor_of(op, j)
+            assert sorted(built) == sorted(MOD.words_up_to(3))
+
+    def test_axiom_checks_read_columns(self, monkeypatch):
+        # no element is built around a basis word to apply the operator to it
+        rng = random.Random(67)
+        Q = coder_from_taylor(rand_taylor(rng, MOD, "coderivation", 3), W)
+        Psi = morph_from_taylor(rand_taylor(rng, MOD, "morphism", 3), W)
+        inits = []
+        init = CoalgElem.__init__
+
+        def counted(self, *args, **kwargs):
+            inits.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CoalgElem, "__init__", counted)
+        assert check_coderivation(Q, W, max_order=3).ok
+        assert check_comorphism(Psi, W, max_order=3).ok
+        assert inits == []
+
     def test_twist_check_leaves_no_garbage(self, tmp_path):
         # the memos hang off their operator and module, with no reference back
         rng = random.Random(505)

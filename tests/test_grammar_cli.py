@@ -348,6 +348,28 @@ class TestCli:
             message = err.getvalue()
             assert message.count("\n") == 1 and "W=1" in message, message
 
+    def test_unreadable_input_exits_two(self, instance_file, tmp_path, monkeypatch):
+        # a directory, or JSON nested past the decoder's recursion, is one error line
+        deep = "[" * 100_000 + "]" * 100_000
+        deep_path = tmp_path / "deep.json"
+        deep_path.write_text(deep)
+        cases = [(["mc-check", "--instance", str(tmp_path)], "Is a directory"),
+                 (["extend", "--instance", instance_file, "--coeff-algebra", str(tmp_path)],
+                  "Is a directory"),
+                 (["mc-check", "--instance", str(deep_path)], "nested too deeply"),
+                 (["extend", "--instance", instance_file, "--coeff-algebra", str(deep_path)],
+                  "nested too deeply"),
+                 (["mc-check", "--instance", "-"], "nested too deeply")]
+        for argv, fragment in cases:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(deep))
+            buf, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
+                code = run(argv)
+            message = err.getvalue()
+            assert (code, buf.getvalue()) == (2, ""), argv
+            assert message.startswith("error: ") and message.count("\n") == 1, message
+            assert fragment in message, message
+
     def test_ln_verb(self, instance_file, monkeypatch):
         with open(instance_file) as fh:
             doc = json.load(fh)
@@ -419,3 +441,15 @@ def assert_usage_errors(cases, tmp_path):
         assert message.startswith("error: ") and message.count("\n") == 1, message
         assert key in message, message
         assert "(line 1, column" not in message, message
+
+
+@pytest.mark.parametrize("name", ["scrambled", "strict_morphism", "odd_square_h2"])
+def test_twist_golden(name, tmp_path):
+    # twisted Taylor tables and verdicts over Q[h]/(h^4), byte for byte: a scrambled
+    # DGLA, one with a strict morphism, and odd_square with omega at h^2
+    with open(os.path.join(os.path.dirname(__file__), "golden", f"twist_{name}.json")) as fh:
+        golden = json.load(fh)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(golden["instance"]))
+    for verb, want in golden["runs"].items():
+        assert capture([verb, "--instance", str(path)]) == (want["exit"], want["stdout"]), verb

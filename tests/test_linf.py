@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from linfty.coalg import (CoalgElem, GradedBasisModule, TaylorSeq, exp,
-                          vect_scale, word_degree)
+from linfty.coalg import (CoalgElem, GradedBasisModule, TaylorSeq, coder_from_taylor,
+                          exp, vect_scale, word_degree)
 from linfty.linf import (LinfAlgebra, LinfMorphism, MCElement,
                          coalgebra_identity_residual, conjugation_twist,
                          conjugation_twist_morphism, dgla_check,
@@ -17,7 +17,7 @@ from linfty.linf import (LinfAlgebra, LinfMorphism, MCElement,
                          extend_multilinear, finiteness_bound,
                          identity_sign_data, linf_identity_check, mc_push,
                          mc_residue, mc_residue_dgla, operators_agree,
-                         tensor_dgla, twist_coder, twist_morphism)
+                         tensor_dgla, twist_coder, twist_morphism, twist_taylor)
 from linfty.samples import (default_coefficients, sample_abelian_pair,
                             sample_dgla, sample_mc, sample_non_mc,
                             strict_base_change_morphism)
@@ -221,7 +221,7 @@ class TestTwist:
             tw = twist_coder(alg, om)
             assert not square_zero_witnesses(tw.taylor, W, 3)
             conj = conjugation_twist(alg, om)
-            assert operators_agree(tw.Q, conj, alg.shifted, W, 3).ok
+            assert operators_agree(tw.Q, conj, alg.shifted, 3).ok
 
     def test_non_mc_twist_requires_override_and_breaks(self, C4):
         alg = sample_dgla(random.Random(31), C4, W=W, family="odd_square",
@@ -289,7 +289,46 @@ class TestTwistMorphism:
         assert not intertwine_witnesses(tm.taylor, tm.source.taylor, tm.target.taylor,
                                         tm.W, 3)
         conj = conjugation_twist_morphism(mor, om)
-        assert operators_agree(tm.psi, conj, a.shifted, a.W, 3).ok
+        assert operators_agree(tm.psi, conj, a.shifted, 3).ok
+
+
+def counting(monkeypatch, cls, attr):
+    """Replace cls.attr by a wrapper that records each call; returns the record."""
+    calls = []
+    fn = getattr(cls, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(cls, attr, counted)
+    return calls
+
+
+class TestBasisWordsReadColumns:
+    def test_checks_build_no_coalgebra_element(self, C4, monkeypatch):
+        # each check reads operator columns; no element wraps a basis word
+        rng = random.Random(47)
+        alg = sample_dgla(rng, C4, W=W, family="weighted")
+        tw = twist_coder(alg, sample_mc(rng, alg))
+        strict = strict_base_change_morphism(rng, alg)
+        _, _, nonstrict = sample_abelian_pair(rng, C4)
+        other = coder_from_taylor(tw.taylor, W)
+        inits = counting(monkeypatch, CoalgElem, "__init__")
+        for check in (tw.check_square_zero, strict.check_intertwines,
+                      nonstrict.check_intertwines,
+                      lambda: operators_agree(tw.Q, other, alg.shifted, 3)):
+            assert check().ok
+            assert inits == []
+
+    def test_twist_taylor_builds_each_power_once(self, C4, monkeypatch):
+        # omega = h(y + z) has nonzero powers up to omega^3 over Q[h]/(h^4)
+        alg = weighted(C4)
+        h = C4.gen("h")
+        om = CoalgElem.from_vect(alg.shifted, {1: h, 2: h}, W)
+        products = counting(monkeypatch, CoalgElem, "__mul__")
+        twist_taylor(alg.taylor, om)
+        assert 0 < len(products) <= alg.taylor.max_j() + 1
 
 
 class TestExplicitIdentity:

@@ -57,6 +57,12 @@ class TestDgaCheck:
         assert not rep.ok
         assert any(v["witness"] == ["th", "th"] for v in rep.violations)
 
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_nilpotency_order_below_one_rejected(self, order):
+        A = make_truncated_poly_dga([0], 3)
+        with pytest.raises(ValueError, match="nilpotency_order must be an int >= 1"):
+            CoeffDGA(A.basis, A.degrees, A.mul, A.diff, A.unit_index, A.ideal, order)
+
     def test_explicit_zero_constants_are_dropped(self):
         A = make_truncated_poly_dga([0, 1], 3)
         doc = json.loads(A.to_json())
