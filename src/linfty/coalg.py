@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
-from .scalars import (CoeffDGA, DgaElem, ValidationReport, _acc, _acc_neg, frac_str, ksign,
-                      rational_field)
+from .scalars import (CoeffDGA, DgaElem, ValidationReport, _acc, _acc_neg, frac,
+                      frac_str, ksign, rational_field)
 
 
 class OrderOverflowError(Exception):
@@ -595,7 +594,7 @@ def exp(omega: CoalgElem) -> CoalgElem:
     power = omega
     i = 1
     while power:
-        vect_acc(out, power.words, Fraction(1, math.factorial(i)))
+        vect_acc(out, power.words, frac(1, math.factorial(i)))
         i += 1
         power = power * omega
     return _coalg(omega.module, out, omega.W)
@@ -691,7 +690,7 @@ def tau(x: CoalgElem) -> dict:
 
 def pi_tilde(module, tensor_elem, W) -> CoalgElem:
     """Averaged projection (1/j!) back onto the symmetric coalgebra."""
-    return CoalgElem(module, {word: c.scale(Fraction(1, math.factorial(len(word))))
+    return CoalgElem(module, {word: c.scale(frac(1, math.factorial(len(word))))
                               for word, c in tensor_elem.items()}, W)
 
 

@@ -24,10 +24,9 @@ import functools
 import itertools
 import math
 import operator
-from fractions import Fraction
 
 from .poly import Poly, _compositions, _min_trunc, _poly_cut, _terms_text
-from .scalars import _acc, _acc_neg, ksign, rational_field
+from .scalars import _acc, _acc_neg, frac, ksign, rational_field
 
 
 def _zero_mi(n):
@@ -374,7 +373,7 @@ def adic_continuity_check(phi: PolyDiffOp, d, i, samples, rng) -> bool:
             short = min_deg - sum(e)
             if short > 0:
                 e[rng.randrange(phi.n)] += short
-            out = out + Poly.monomial(tuple(e), Fraction(rng.randint(-3, 3)))
+            out = out + Poly.monomial(tuple(e), rng.randint(-3, 3))
         return out
 
     for _ in range(samples):
@@ -409,13 +408,13 @@ def transform(phi: PolyDiffOp, M, M_inv) -> PolyDiffOp:
 
     def slot_image(j):
         # product over variables of (sum_k Minv[k][i] d_k)^{j_i}, expanded
-        acc = {_zero_mi(n): Fraction(1)}
+        acc = {_zero_mi(n): 1}
         for i in range(n):
             for _ in range(j[i]):
                 nxt = {}
                 for mi, q in acc.items():
                     for k in range(n):
-                        c = Fraction(M_inv[k][i])
+                        c = frac(M_inv[k][i])
                         if not c:
                             continue
                         e = list(mi)
@@ -432,7 +431,7 @@ def transform(phi: PolyDiffOp, M, M_inv) -> PolyDiffOp:
         slot_choices = [slot_image(j) for j in w]
         for combo in itertools.product(*(s.items() for s in slot_choices)):
             word = tuple(mi for mi, _ in combo)
-            q = Fraction(1)
+            q = 1
             for _, qq in combo:
                 q *= qq
             _acc(out, word, c2.scale(q))

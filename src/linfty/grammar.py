@@ -12,12 +12,10 @@ offending position and distinguish syntax from arity/range problems.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .diffop import PolyDiffOp
 from .poly import Poly
 from .polyvec import PolyVec
-from .scalars import _acc
+from .scalars import _acc, frac
 
 
 class ParseError(ValueError):
@@ -69,14 +67,15 @@ class _Scanner:
         return self.pos >= len(self.text)
 
 
-def _parse_rational(sc: _Scanner) -> Fraction:
+def _parse_rational(sc: _Scanner):
+    """An int, or a Fraction when the denominator does not divide (see ``frac``)."""
     num = sc.integer("number")
     if sc.take("/"):
         den = sc.integer("denominator")
         if den == 0:
             raise ParseError("zero denominator", sc.pos)
-        return Fraction(num, den)
-    return Fraction(num)
+        return frac(num, den)
+    return num
 
 
 def _parse_var(sc: _Scanner, n):
@@ -92,7 +91,7 @@ def _parse_var(sc: _Scanner, n):
 
 def _parse_poly_term(sc: _Scanner, n):
     """One signed product of a rational and t-powers, as (coeff, exponents)."""
-    coeff = Fraction(1)
+    coeff = 1
     exps = [0] * n
     seen = False
     if sc.peek().isdigit():
@@ -136,7 +135,7 @@ def _sign(sc: _Scanner):
 
 
 def _parse_sum(text, n, start=None, parse_word=None):
-    """A signed sum of terms, accumulated as {word: {exponents: Fraction}}.
+    """A signed sum of terms, accumulated as {word: {exponents: q}}.
 
     A term is a poly term, a word, or a poly term '*' a word, where a word
     begins with `start` and is read by `parse_word`; without them (plain
@@ -147,7 +146,7 @@ def _parse_sum(text, n, start=None, parse_word=None):
     sign = _sign(sc) or 1
     while sign:
         if sc.peek() == start:
-            coeff, exps, word = Fraction(1), (0,) * n, parse_word(sc, n)
+            coeff, exps, word = 1, (0,) * n, parse_word(sc, n)
         else:
             coeff, exps = _parse_poly_term(sc, n)
             word = parse_word(sc, n) if start and sc.take("*") else ()

@@ -23,14 +23,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from fractions import Fraction
 
 from .diffop import PolyDiffOp, _op, gerstenhaber, hochschild_d, transform as d_transform
 from .linalg import rank
 from .linf import identity_sign_data
 from .poly import Poly, multi_indices_up_to
 from .polyvec import PolyVec, schouten, transform as t_transform
-from .scalars import CoeffDGA, _acc, frac_str, ideal_powers, ksign
+from .scalars import CoeffDGA, _acc, frac, frac_str, ideal_powers, ksign
 
 
 def u1(alpha: PolyVec) -> PolyDiffOp:
@@ -44,7 +43,7 @@ def u1(alpha: PolyVec) -> PolyDiffOp:
     for w, f in alpha.terms.items():
         p = len(w)
         # p = 0 (a function) is the identity: 1/0! and one empty permutation
-        scale = Fraction(1, math.factorial(p))
+        scale = frac(1, math.factorial(p))
         for perm in itertools.permutations(range(p)):
             word = tuple(_unit_mi(n, w[k]) for k in perm)
             _acc(out, word, f.scale(scale * _perm_sign(perm)))
@@ -90,7 +89,7 @@ def random_polyvec(n, rng, p=None):
             e = tuple(rng.randint(0, 1) for _ in range(n))
             if sum(e) > 2:
                 continue
-            f = f + Poly.monomial(e, Fraction(rng.randint(-2, 2)))
+            f = f + Poly.monomial(e, rng.randint(-2, 2))
         if f:
             _acc(out, w, f)
     return PolyVec(n, out)
@@ -318,13 +317,13 @@ def formality_identity_residual(plugin: FormalityPlugin, polyvecs):
         vc = ev([args[p] for p in rest])
         if vb.is_zero() or vc.is_zero():
             continue
-        out = out + gerstenhaber(vb, vc).scale(Fraction(sign))
+        out = out + gerstenhaber(vb, vc).scale(sign)
     for k, l, sign in signs["bracket_source"]:
         br = schouten(args[k], args[l])
         if br.is_zero():
             continue
         rest = [args[p] for p in range(i) if p not in (k, l)]
-        out = out - ev([br] + rest).scale(Fraction(sign))
+        out = out - ev([br] + rest).scale(sign)
     return out
 
 
@@ -528,9 +527,9 @@ def mc_bivector_workflow(pi: PolyVec, A: CoeffDGA, a_elem=None) -> dict:
                 break
         if a_idx is None:
             raise ValueError("no nilpotent closed element of degree 0 or 1 in A")
-        a_elem = {a_idx: Fraction(1)}
+        a_elem = {a_idx: 1}
     else:
-        a_elem = {k if isinstance(k, int) else A.index[k]: Fraction(v)
+        a_elem = {k if isinstance(k, int) else A.index[k]: frac(v)
                   for k, v in a_elem.items()}
     a_degs = {A.degrees[i] for i in a_elem}
     if len(a_degs) > 1:
@@ -543,7 +542,7 @@ def mc_bivector_workflow(pi: PolyVec, A: CoeffDGA, a_elem=None) -> dict:
     res_t = tensor_t_d(A, omega)
     br_t = tensor_bracket(A, omega, omega, schouten, lambda g: deg_pi)
     for k, v in br_t.items():
-        _acc(res_t, k, v.scale(Fraction(1, 2)))
+        _acc(res_t, k, v.scale(frac(1, 2)))
     if res_t:
         raise ValueError("w = a x pi does not satisfy the MC equation")
 
@@ -552,7 +551,7 @@ def mc_bivector_workflow(pi: PolyVec, A: CoeffDGA, a_elem=None) -> dict:
     res_d = tensor_t_d(A, omega_p, d_of=hochschild_d)
     br_d = tensor_bracket(A, omega_p, omega_p, gerstenhaber, lambda g: deg_pi)
     for k, v in br_d.items():
-        _acc(res_d, k, v.scale(Fraction(1, 2)))
+        _acc(res_d, k, v.scale(frac(1, 2)))
 
     order = m_adic_order(A, res_d) if res_d else None
     return {

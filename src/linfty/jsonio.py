@@ -11,7 +11,9 @@ Instance documents look like
                   "taylor": [[j, [[[gen...], {gen: coeff}]...]]...]}}
 
 where a coeff is either a "num/den" string (a rational multiple of 1) or a
-{C-basis-name: "num/den"} object.  Exact rationals only.
+{C-basis-name: "num/den"} object.  Exact rationals only: a JSON number or
+boolean in place of a "num/den" string is a ParseError naming the entry.
+Loaded values are ints when integral, else Fractions (see ``scalars.frac``).
 """
 
 from __future__ import annotations
@@ -44,9 +46,11 @@ def coeff_to_json(c: DgaElem):
 
 def coeff_from_json(C: CoeffDGA, doc, where="coefficient") -> DgaElem:
     if isinstance(doc, str):
-        return C.scalar(frac(doc))
+        return C.scalar(doc)
     _expect(doc, dict, where, 'a "num/den" string or an object')
-    return C.elem({name: frac(q) for name, q in doc.items()})
+    return C.elem({name: frac(_expect(q, str, f"{where} coefficient {name!r}",
+                                      'a "num/den" string'))
+                   for name, q in doc.items()})
 
 
 def vect_to_json(module, v):

@@ -1,26 +1,23 @@
 """Sparse exact linear algebra over the rationals.
 
-Rows are sparse {column: Fraction} dicts; columns may be any mutually
-comparable labels.  Everything is fraction-exact.  A pivot sits at the
-smallest column of its row, and an incoming row is reduced only against the
-pivots at the columns it holds, so a block-diagonal matrix costs about linear
-time.  Ranks are exact and do not depend on the row order; ``nullspace``
+Rows are sparse {column: q} dicts, q an int or a Fraction; columns may be
+any mutually comparable labels.  Everything is exact: quotients go through
+``scalars.frac``, so int rows give ints wherever a value is integral and no
+float ever appears.  A pivot sits at the smallest column of its row, and an
+incoming row is reduced only against the pivots at the columns it holds, so a
+block-diagonal matrix costs about linear time.  Ranks are exact and do not depend on the row order; ``nullspace``
 reads its basis off the reduced echelon form, which is unique.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from .scalars import _acc_neg, frac
 
 
 def _subtract(row, f, pivot):
     """row -= f * pivot, in place, dropping zeros."""
     for c, v in pivot.items():
-        s = row.get(c, 0) - f * v
-        if s:
-            row[c] = s
-        else:
-            del row[c]
+        _acc_neg(row, c, frac(f * v))
 
 
 def row_reduce(rows):
@@ -39,7 +36,7 @@ def row_reduce(rows):
             if pivot is None:
                 pivots[col] = row
                 break
-            _subtract(row, row[col] / pivot[col], pivot)
+            _subtract(row, frac(row[col], pivot[col]), pivot)
     return list(pivots.values()), list(pivots)
 
 
@@ -53,7 +50,7 @@ def nullspace(rows, ncols):
     Columns are 0..ncols-1.  One basis vector per free column.
     """
     pivots, pivot_cols = row_reduce(rows)
-    by_col = {col: {c: v / row[col] for c, v in row.items()}
+    by_col = {col: {c: frac(v, row[col]) for c, v in row.items()}
               for row, col in zip(pivots, pivot_cols)}
     # back substitution to reduced echelon form, largest pivot column first: a
     # pivot row holds no column left of its pivot, so once the pivots right of
@@ -67,8 +64,8 @@ def nullspace(rows, ncols):
     free = [c for c in range(ncols) if c not in by_col]
     basis = []
     for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
+        vec = [0] * ncols
+        vec[fc] = 1
         for pc, row in by_col.items():
             v = row.get(fc)
             if v:

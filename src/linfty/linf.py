@@ -38,12 +38,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 from .coalg import (CoalgElem, CoalgOperator, GradedBasisModule, TaylorSeq, _taylor,
                     coder_from_taylor, exp, morph_from_taylor, vect_acc,
                     vect_degree, vect_scale)
-from .scalars import CoeffDGA, DgaElem, ValidationReport, _acc, ksign
+from .scalars import CoeffDGA, DgaElem, ValidationReport, _acc, frac, ksign
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +189,7 @@ def _scaled_powers(omega: CoalgElem, top) -> dict:
     power = omega
     i = 1
     while power:
-        vect_acc(out, power.words, Fraction(1, math.factorial(i)))
+        vect_acc(out, power.words, frac(1, math.factorial(i)))
         if i > top:
             break
         i += 1
@@ -414,7 +413,7 @@ def mc_residue(algebra: LinfAlgebra, omega) -> dict:
 def mc_residue_dgla(algebra: LinfAlgebra, omega) -> dict:
     """Closed form d(w) + 1/2 [w,w] (independent path for DGLA provenance)."""
     omega = _as_vect(algebra.module, omega)
-    return vect_acc(algebra.d_of(omega), algebra.bracket_of(omega, omega), Fraction(1, 2))
+    return vect_acc(algebra.d_of(omega), algebra.bracket_of(omega, omega), frac(1, 2))
 
 
 def mc_push(psi: LinfMorphism, omega: MCElement) -> MCElement:

@@ -8,7 +8,9 @@ minus one per formal partial derivative.
 
 Variable indices are 1-based throughout (t1 ... tn), matching the text
 grammar.  Coefficients are ``DgaElem`` over any ``CoeffDGA``; the default is
-the rational field.
+the rational field.  A plain scalar coefficient (an int, a Fraction or a
+'num/den' string) is taken as that multiple of the unit, through
+``scalars.frac``, so integral values are stored as ints.
 """
 
 from __future__ import annotations

@@ -19,10 +19,9 @@ consequences.
 
 from __future__ import annotations
 
-from fractions import Fraction
 
 from .poly import Poly, _terms_text
-from .scalars import _acc, _acc_neg, ksign, rational_field
+from .scalars import _acc, _acc_neg, frac, ksign, rational_field
 
 
 def _merge_word(word):
@@ -222,7 +221,7 @@ def transform(alpha: PolyVec, M, M_inv) -> PolyVec:
             # sigma d_i sigma^{-1} = sum_j (M^{-1})_{ji} d_j
             d_img = {}
             for j in range(1, n + 1):
-                c = Fraction(M_inv[j - 1][i - 1])
+                c = frac(M_inv[j - 1][i - 1])
                 if c:
                     d_img[(j,)] = one.scale(c)
             base = wedge(base, PolyVec(n, d_img, alpha.alg))

@@ -11,11 +11,10 @@ every Taylor table intertwines.  All generators take an explicit seed through
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .coalg import GradedBasisModule, TaylorSeq, vect_acc, word_degree
 from .linf import LinfAlgebra, LinfMorphism, MCElement, mc_residue
-from .scalars import CoeffDGA, _acc, make_truncated_poly_dga
+from .scalars import CoeffDGA, _acc, frac, make_truncated_poly_dga
 
 
 FAMILIES = {
@@ -38,7 +37,7 @@ FAMILIES = {
 def unimodular_by_degree(module, rng):
     """Degree-preserving change of basis with determinant ±1 (and its inverse)."""
     n = len(module)
-    P = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    P = [[int(i == j) for j in range(n)] for i in range(n)]
     Pinv = [row[:] for row in P]
     by_degree = {}
     for i in range(n):
@@ -48,7 +47,7 @@ def unimodular_by_degree(module, rng):
             continue
         for _ in range(2):
             i, j = rng.sample(block, 2)
-            c = Fraction(rng.choice([-2, -1, 1, 2]))
+            c = rng.choice([-2, -1, 1, 2])
             # row op on P: e_i -> e_i + c e_j; inverse composes in reverse
             for k in range(n):
                 P[i][k] += c * P[j][k]
@@ -117,7 +116,7 @@ def sample_dgla(rng, C: CoeffDGA, W=6, family=None, scramble=True) -> LinfAlgebr
 
 def nilpotent_lattice(C: CoeffDGA, rng):
     """A random nilpotent coefficient: q * (ideal basis element), q in {0, 1, -1, 1/2}."""
-    q = Fraction(rng.choice([0, 1, -1, Fraction(1, 2)]))
+    q = rng.choice([0, 1, -1, frac(1, 2)])
     if not q or not C.ideal:
         return C.zero()
     return C.basis_elem(rng.choice(sorted(C.ideal))).scale(q)
@@ -187,7 +186,7 @@ def sample_abelian_pair(rng, C):
             v = {}
             for g in range(len(sht)):
                 if sht.degree(g) == want:
-                    q = Fraction(rng.randint(-2, 2))
+                    q = rng.randint(-2, 2)
                     if q:
                         v[g] = C.scalar(q)
             if v:

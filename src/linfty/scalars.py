@@ -7,8 +7,10 @@ basis finite makes every algebra axiom decidable by enumeration, which is what
 ``dga_check`` does.  The base field Q itself is the one-element special case
 (see ``rational_field``).
 
-Rationals are ``fractions.Fraction`` throughout: arbitrary precision, always
-in lowest terms, positive denominator.  No floats appear anywhere.
+Rationals are exact: an ``int`` when integral, else a ``fractions.Fraction``
+(see ``frac``).  Python's int/Fraction tower keeps mixed arithmetic exact as
+long as no ``/`` acts on two ints, so quotients go through ``frac``.  No
+floats appear anywhere.
 """
 
 from __future__ import annotations
@@ -17,24 +19,22 @@ import itertools
 import json
 from fractions import Fraction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
+def frac(x, den=None):
+    """The exact rational x (or x/den): an int when integral, else a Fraction.
 
-def frac(x) -> Fraction:
-    """Coerce ints, Fractions and 'num/den' strings to Fraction."""
-    if isinstance(x, Fraction):
+    x is an int, a Fraction or a 'num/den' string; a bool or a float raises.
+    """
+    if type(x) is int and den is None:
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"not an exact scalar: {x!r}")
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction, str)):
+        raise TypeError(f"not an exact scalar: {x!r}")
+    q = Fraction(x, den)
+    return q.numerator if q.denominator == 1 else q
 
 
-def frac_str(q: Fraction) -> str:
-    q = frac(q)
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
+def frac_str(q) -> str:
+    return str(frac(q))
 
 
 def ksign(k: int) -> int:
@@ -69,15 +69,15 @@ class CoeffDGA:
 
     basis       ordered generator names (index = canonical position)
     degrees     integer degree per basis element
-    mul         dict (i, j) -> {k: Fraction}, the product b_i * b_j
-    diff        dict i -> {k: Fraction}, the degree +1 differential
-                (zero values are dropped on construction; the (i, j) and i
-                keys stay, since ``dga_check`` reads them)
+    mul         dict (i, j) -> {k: q}, the product b_i * b_j
+    diff        dict i -> {k: q}, the degree +1 differential
+                (each q passes through ``frac``, and zeros are dropped; the
+                (i, j) and i keys stay, since ``dga_check`` reads them)
     unit_index  position of the unit
     ideal       frozenset of basis indices spanning the designated ideal m
     nilpotency_order  smallest N with m^N = 0 (1 when the ideal is zero)
-    table       table[i][j] = ((k, q), ...), the nonzero terms of mul[(i, j)],
-                with q an int whenever it is integral; built once from mul
+    table       table[i][j] = ((k, q), ...), the nonzero terms of mul[(i, j)];
+                built once from mul
 
     Instances are immutable after construction; all operations are pure.
     """
@@ -86,13 +86,12 @@ class CoeffDGA:
                  nilpotency_order=None):
         self.basis = tuple(basis)
         self.degrees = tuple(degrees)
-        self.mul = {k: {i: q for i, q in v.items() if q} for k, v in mul.items()}
-        self.diff = {k: {i: q for i, q in v.items() if q} for k, v in diff.items()}
+        self.mul = {k: {i: frac(q) for i, q in v.items() if q} for k, v in mul.items()}
+        self.diff = {k: {i: frac(q) for i, q in v.items() if q} for k, v in diff.items()}
         self.unit_index = unit_index
         self.ideal = frozenset(ideal)
         self.index = {name: i for i, name in enumerate(self.basis)}
-        self.table = [[tuple((k, q.numerator if q.denominator == 1 else q)
-                             for k, q in self.mul.get((i, j), {}).items())
+        self.table = [[tuple(self.mul.get((i, j), {}).items())
                        for j in range(len(self.basis))]
                       for i in range(len(self.basis))]
         if nilpotency_order is None:
@@ -124,14 +123,14 @@ class CoeffDGA:
         return _elem(self, {})
 
     def one(self):
-        return _elem(self, {self.unit_index: _ONE})
+        return _elem(self, {self.unit_index: 1})
 
     def scalar(self, q):
         q = frac(q)
         return _elem(self, {self.unit_index: q} if q else {})
 
     def gen(self, name):
-        return _elem(self, {self.index[name]: _ONE})
+        return _elem(self, {self.index[name]: 1})
 
     def elem(self, coeffs):
         """Element from {index-or-name: scalar}."""
@@ -143,10 +142,10 @@ class CoeffDGA:
         return _elem(self, out)
 
     def basis_elem(self, i):
-        return _elem(self, {i: _ONE})
+        return _elem(self, {i: 1})
 
     def mul_basis(self, i, j):
-        """Product of basis elements as a sparse {k: Fraction} dict."""
+        """Product of basis elements as a sparse {k: q} dict."""
         return self.mul.get((i, j), {})
 
     @property
@@ -182,11 +181,17 @@ class CoeffDGA:
 
     @classmethod
     def from_json_dict(cls, doc):
+        def q(x, where):  # a JSON number or boolean is refused, naming the entry
+            if type(x) is not str:
+                raise ValueError(f'coefficient algebra {where}: expected a "num/den" '
+                                 f'string, got {json.dumps(x)}')
+            return frac(x)
         basis = [b["name"] for b in doc["basis"]]
         degrees = [b["degree"] for b in doc["basis"]]
-        mul = {(i, j): {k: frac(q) for k, q in entries}
+        mul = {(i, j): {k: q(x, f"mul entry {[i, j]} term {k}") for k, x in entries}
                for i, j, entries in doc["mul"]}
-        diff = {i: {k: frac(q) for k, q in entries} for i, entries in doc["d"]}
+        diff = {i: {k: q(x, f"d entry {i} term {k}") for k, x in entries}
+                for i, entries in doc["d"]}
         return cls(basis, degrees, mul, diff, doc["unit"], doc.get("ideal", []))
 
     @classmethod
@@ -195,7 +200,7 @@ class CoeffDGA:
 
 
 class DgaElem:
-    """Sparse element of a CoeffDGA: {basis index: Fraction}.
+    """Sparse element of a CoeffDGA: {basis index: q}, q as ``frac`` returns it.
 
     Elements are immutable: operations may return an operand unchanged.
     """
@@ -204,7 +209,7 @@ class DgaElem:
 
     def __init__(self, alg, coeffs):
         self.alg = alg
-        self.coeffs = {i: q for i, q in coeffs.items() if q}
+        self.coeffs = {i: frac(q) for i, q in coeffs.items() if q}
 
     def is_zero(self):
         return not self.coeffs
@@ -234,7 +239,7 @@ class DgaElem:
 
     def scale(self, q):
         """q times self for an exact rational q; +-1 costs no arithmetic."""
-        if not isinstance(q, int):
+        if type(q) is not int:
             q = frac(q)
         if q == 1:
             return self
@@ -242,7 +247,7 @@ class DgaElem:
             return _elem(self.alg, {i: -c for i, c in self.coeffs.items()})
         if not q:
             return _elem(self.alg, {})
-        return _elem(self.alg, {i: c * q for i, c in self.coeffs.items()})
+        return _elem(self.alg, {i: frac(c * q) for i, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -256,8 +261,10 @@ class DgaElem:
             row = table[i]
             for j, b in other.coeffs.items():
                 ab = a * b
+                if type(ab) is Fraction and ab.denominator == 1:
+                    ab = ab.numerator
                 for k, q in row[j]:
-                    _acc(out, k, ab if q == 1 else -ab if q == -1 else ab * q)
+                    _acc(out, k, ab if q == 1 else -ab if q == -1 else frac(ab * q))
         return _elem(alg, out)
 
     __rmul__ = scale
@@ -266,7 +273,7 @@ class DgaElem:
         out = {}
         for i, a in self.coeffs.items():
             for k, q in self.alg.diff.get(i, {}).items():
-                _acc(out, k, a * q)
+                _acc(out, k, frac(a * q))
         return _elem(self.alg, out)
 
     def degree(self):
@@ -279,7 +286,7 @@ class DgaElem:
 
     def rational_part(self):
         """Coefficient of the unit basis element."""
-        return self.coeffs.get(self.alg.unit_index, _ZERO)
+        return self.coeffs.get(self.alg.unit_index, 0)
 
     def __repr__(self):
         if not self.coeffs:
@@ -297,27 +304,27 @@ class DgaElem:
 
 
 def _acc(out, key, c):
-    """out[key] += c for a nonzero c, dropping the key when the sum vanishes."""
+    """out[key] += c for a nonzero c; a zero sum drops the key, an integral one is an int."""
     s = out.get(key)
     if s is None:
         out[key] = c
     else:
         s = s + c
         if s:
-            out[key] = s
+            out[key] = s.numerator if type(s) is Fraction and s.denominator == 1 else s
         else:
             del out[key]
 
 
 def _acc_neg(out, key, c):
-    """out[key] -= c for a nonzero c, dropping the key when the difference vanishes."""
+    """out[key] -= c for a nonzero c, like ``_acc``."""
     s = out.get(key)
     if s is None:
         out[key] = -c
     else:
         s = s - c
         if s:
-            out[key] = s
+            out[key] = s.numerator if type(s) is Fraction and s.denominator == 1 else s
         else:
             del out[key]
 
@@ -438,17 +445,11 @@ def ideal_powers(A: CoeffDGA):
 # ---------------------------------------------------------------------------
 
 def _default_names(degrees):
-    if len(degrees) == 1:
-        return ["h"] if degrees[0] % 2 == 0 else ["th"]
-    names = []
-    ne = no = 0
+    """h, h2, h3, ... for the even generators and th, th2, ... for the odd ones."""
+    seen, names = [0, 0], []
     for d in degrees:
-        if d % 2 == 0:
-            ne += 1
-            names.append("h" if ne == 1 else f"h{ne}")
-        else:
-            no += 1
-            names.append("th" if no == 1 else f"th{no}")
+        seen[d % 2] += 1
+        names.append(("h", "th")[d % 2] + (str(seen[d % 2]) if seen[d % 2] > 1 else ""))
     return names
 
 
@@ -487,12 +488,9 @@ def make_truncated_poly_dga(generator_degrees, truncation_order, names=None,
                 bits.append(f"{names[g]}^{exps[g]}")
         return "*".join(bits)
 
-    def mono_degree(exps):
-        return sum(e * d for e, d in zip(exps, degrees))
-
     idx = {e: i for i, e in enumerate(monos)}
     basis = [mono_name(e) for e in monos]
-    degs = [mono_degree(e) for e in monos]
+    degs = [sum(x * d for x, d in zip(e, degrees)) for e in monos]
 
     def mono_mul(e1, e2):
         """(sign, exps) or None when truncated away."""
@@ -513,7 +511,7 @@ def make_truncated_poly_dga(generator_degrees, truncation_order, names=None,
     for e1 in monos:
         for e2 in monos:
             r = mono_mul(e1, e2)
-            mul[(idx[e1], idx[e2])] = {} if r is None else {idx[r[1]]: Fraction(r[0])}
+            mul[(idx[e1], idx[e2])] = {} if r is None else {idx[r[1]]: r[0]}
 
     diff = {i: {} for i in range(len(monos))}
     if differential:

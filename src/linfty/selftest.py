@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 
 from . import hkr, samples
 from .coalg import (CoalgElem, GradedBasisModule, TaylorSeq, exp, is_grouplike,
@@ -21,7 +20,7 @@ from .linf import (conjugation_twist, linf_identity_check, mc_push, mc_residue,
                    mc_residue_dgla, operators_agree, twist_coder, twist_morphism)
 from .poly import Poly
 from .polyvec import PolyVec, schouten
-from .scalars import _acc, dga_check, ksign, make_truncated_poly_dga
+from .scalars import _acc, dga_check, frac, ksign, make_truncated_poly_dga
 
 DEFAULT_SEED = 1729
 
@@ -31,7 +30,7 @@ def _rand_poly(rng, n):
     for _ in range(rng.randint(1, 2)):
         e = tuple(rng.randint(0, 1) for _ in range(n))
         if sum(e) <= 2:
-            out = out + Poly.monomial(e, Fraction(rng.randint(-2, 2)))
+            out = out + Poly.monomial(e, rng.randint(-2, 2))
     return out
 
 
@@ -58,7 +57,7 @@ def check_scalars(rng):
         if not dga_check(A).ok:
             return False, f"builder algebra {spec} fails dga_check"
     for _ in range(30):
-        a, b, c = (Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3))
+        a, b, c = (frac(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3))
         if (a + b) * c != a * c + b * c or (a * b) * c != a * (b * c):
             return False, "rational field axioms"
     return True, "builders pass dga_check; rational arithmetic exact"
@@ -177,7 +176,7 @@ def check_identity_paths(rng):
                 v = {}
                 for g in range(len(sh_t)):
                     if sh_t.degree(g) == word_degree(sh_s, w) and rng.random() < 0.7:
-                        q = Fraction(rng.randint(-2, 2))
+                        q = rng.randint(-2, 2)
                         if q:
                             v[g] = C.scalar(q)
                 if v:

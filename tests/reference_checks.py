@@ -21,6 +21,9 @@ from whole insertion sums; it shares no code with ``linfty.diffop`` beyond
 The HKR report works on the full slices, one d row per basis element
 t^e * D[w] and one u1 image per t^e * d_w, and multiplies nothing; it shares
 ``hochschild_d``, ``u1``, ``op_coords`` and ``rank`` with the library.
+
+``is_exact`` is the storage invariant of every coefficient: an int, or a
+Fraction whose denominator is not 1; a float or a bool is neither.
 """
 
 import itertools
@@ -34,6 +37,11 @@ from linfty.linalg import rank
 from linfty.poly import Poly
 from linfty.polyvec import PolyVec
 from linfty.scalars import ksign
+
+
+def is_exact(q):
+    """True for an int (not a bool) and for a Fraction with denominator != 1."""
+    return type(q) is int or (type(q) is Fraction and q.denominator != 1)
 
 
 def square_zero_witnesses(taylor, W, max_order=None):

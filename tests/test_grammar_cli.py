@@ -418,12 +418,39 @@ class TestCli:
                  for argv in (["mc-check"], ["twist-check"],
                               ["extend", "--coeff-algebra", str(apath)])]
         wrong = "input document: wrong JSON type"
-        cases += [(["mc-check"], {**doc, "omega": {name: {"h": 0.5}}}, wrong),
-                  (["twist-check"], {**doc, "algebra": {**doc["algebra"], "basis": {"x": 0}}},
+        cases += [(["twist-check"], {**doc, "algebra": {**doc["algebra"], "basis": {"x": 0}}},
                    wrong),
                   (["extend", "--coeff-algebra", str(alist)], doc, wrong),
                   (["extend", "--coeff-algebra", str(apath)], {**doc, "coeff": []}, wrong),
                   (["extend"], doc, "extend needs --coeff-algebra")]
+        assert_usage_errors(cases, tmp_path)
+
+    def test_json_numbers_in_coefficients_exit_two(self, instance_file, tmp_path):
+        # a coefficient is a "num/den" string: a JSON boolean or number inside
+        # a coefficient object or a structure constant is refused, naming the entry
+        with open(instance_file) as fh:
+            doc = json.load(fh)
+        name = next(iter(doc["omega"]))
+        coeff = doc["coeff"]
+        (i, j, terms), *rest = coeff["mul"]
+        mul_number = {**coeff, "mul": [[i, j, [[terms[0][0], 1]] + terms[1:]], *rest]}
+        d_boolean = {**coeff, "d": [[coeff["d"][0][0], [[1, True]]], *coeff["d"][1:]]}
+        apath = tmp_path / "A.json"
+        apath.write_text(json.dumps(mul_number))
+        string = 'expected a "num/den" string, got'
+        where = f"omega entry {name!r} coefficient"
+        cases = [(["mc-check"], {**doc, "omega": {name: {"1": True}}},
+                  f"{where} '1': {string} a boolean"),
+                 (["twist-check"], {**doc, "omega": {name: {"h": 2}}},
+                  f"{where} 'h': {string} a number"),
+                 (["mc-check"], {**doc, "omega": {name: {"h": 0.5}}},
+                  f"{where} 'h': {string} a number"),
+                 (["twist-check"], {**doc, "coeff": mul_number},
+                  f"coefficient algebra mul entry {[i, j]} term {terms[0][0]}: {string} 1"),
+                 (["mc-check"], {**doc, "coeff": d_boolean},
+                  f"coefficient algebra d entry {coeff['d'][0][0]} term 1: {string} true"),
+                 (["extend", "--coeff-algebra", str(apath)], doc,
+                  f"coefficient algebra mul entry {[i, j]} term {terms[0][0]}: {string} 1")]
         assert_usage_errors(cases, tmp_path)
 
 

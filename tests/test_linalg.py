@@ -8,8 +8,8 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from linfty.linalg import nullspace, rank
-from reference_checks import reference_nullspace, reference_rank
+from linfty.linalg import nullspace, rank, row_reduce
+from reference_checks import is_exact, reference_nullspace, reference_rank
 
 NCOLS = 7
 values = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
@@ -57,3 +57,38 @@ def test_labels_need_only_be_comparable():
     rows = [{("b", 1): Fraction(2)}, {("a", 0): Fraction(1), ("b", 1): Fraction(1)},
             {("a", 0): Fraction(3), ("b", 1): Fraction(5)}]
     assert rank(rows) == 2
+
+
+def _results(rows, ncols):
+    return (*row_reduce(rows), nullspace(rows, ncols))
+
+
+def _exact_results(rows, ncols):
+    """The results on all-int rows: ints, or Fractions that are not integral."""
+    pivots, cols, kernel = out = _results(rows, ncols)
+    assert all(is_exact(v) for row in pivots for v in row.values())
+    assert all(is_exact(v) for vec in kernel for v in vec)
+    return out
+
+
+def _as_fractions(rows):
+    return [{c: Fraction(v) for c, v in r.items()} for r in rows]
+
+
+int_rows = st.lists(st.dictionaries(st.integers(0, NCOLS - 1),
+                                    st.integers(-4, 4).filter(bool), max_size=4), max_size=8)
+
+
+@given(int_rows)
+@settings(max_examples=200)
+def test_integer_rows_stay_exact(rows):
+    # no float, and the same pivots and kernel as the same rows held as Fractions
+    assert _exact_results(rows, NCOLS) == _results(_as_fractions(rows), NCOLS)
+
+
+def test_pivot_that_does_not_divide_its_row():
+    rows = [{0: 2, 1: 1}, {0: 3, 1: 1}]
+    pivots, cols, kernel = _exact_results(rows, 2)
+    assert (pivots, cols, kernel) == _results(_as_fractions(rows), 2)
+    assert pivots == [{0: 2, 1: 1}, {1: Fraction(-1, 2)}] and kernel == []
+    assert _exact_results([{0: 2, 1: 1}], 2)[2] == [(Fraction(-1, 2), 1)]
