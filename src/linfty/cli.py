@@ -1,15 +1,18 @@
 """Command-line front end.
 
-Every verb maps to one library operation.  Output is canonical JSON on
-stdout (byte-identical for identical inputs and seed); a timing summary goes
-to stderr.  Exit codes: 0 success / checks passed, 1 a mathematical check
+Every verb maps to one library operation, and takes only the options it
+reads: ``VERBS`` names them, ``OPTIONS`` declares each one once, and every
+verb also takes --format.  Output is canonical JSON on stdout
+(byte-identical for identical inputs and seed); a timing summary goes to
+stderr.  Exit codes: 0 success / checks passed, 1 a mathematical check
 failed (witness in the output), 2 usage or parse errors (among them an
-unreadable input file, an instance that lacks an entry the verb needs, or
-whose morphism does not intertwine, outside linf-check), or a computation
-that needed a symmetric word longer than the word cap, or a --coeff-algebra
-that fails dga_check, or a verb given the wrong number of operands (verbs
-other than the element verbs take none).  An operand that begins with '-'
-goes after '--'.
+option the verb does not take, a --word-cap, --samples or --max-arity below
+1, an unreadable input file, a coefficient that is not a "num/den" string,
+an instance that lacks an entry the verb needs, or whose morphism does not
+intertwine, outside linf-check), or a computation that needed a symmetric
+word longer than the word cap, or a --coeff-algebra that fails dga_check,
+or a verb given the wrong number of operands (verbs other than the element
+verbs take none).  An operand that begins with '-' goes after '--'.
 """
 
 from __future__ import annotations
@@ -25,18 +28,13 @@ from . import hkr, jsonio, selftest as selftest_mod
 from .coalg import CoalgElem, OrderOverflowError, exp as coalg_exp, ln as coalg_ln
 from .diffop import gerstenhaber, hochschild_d
 from .grammar import ParseError, parse_element
-from .linf import (conjugation_twist, linf_identity_check, mc_push,
+from .linf import (conjugation_twist, extend_multilinear, linf_identity_check, mc_push,
                    mc_residue, operators_agree, twist_coder, twist_morphism,
                    MCElement)
 from .polyvec import is_poisson, schouten, wedge
-from .scalars import _acc
+from .scalars import CoeffDGA, _acc, dga_check
 
 USAGE_ERROR, CHECK_FAILED, OK = 2, 1, 0
-
-# (least, most) operands of each element verb; most None means no upper bound.
-# Every other verb takes none.
-OPERANDS = {"schouten": (2, 2), "wedge": (2, 2), "gerstenhaber": (2, 2),
-            "hochschild": (1, 1), "u1": (1, 1), "poisson-check": (1, 1), "apply": (1, None)}
 
 
 def _read_document(args):
@@ -95,29 +93,29 @@ def _element_verb(args, op, kind):
         # report both gradings to prevent off-by-one confusion
         doc["degrees"] = result.degrees()
         doc["wedge_arities"] = [p + 1 for p in result.degrees()]
-    return OK, doc
+    return True, doc
 
 
 def cmd_u1(args):
     n = args.n
     alpha = parse_element(args.exprs[0], "polyvec", n)
     op = hkr.u1(alpha)
-    return OK, {"verb": "u1", "n": n, "result": op.text(),
-                "normalized": op.is_normalized(), "order": op.order()}
+    return True, {"verb": "u1", "n": n, "result": op.text(),
+                  "normalized": op.is_normalized(), "order": op.order()}
 
 
 def cmd_apply(args):
     n = args.n
     op = parse_element(args.exprs[0], "polydiffop", n)
     polys = [parse_element(t, "poly", n) for t in args.exprs[1:]]
-    return OK, {"verb": "apply", "n": n, "result": op.apply(polys).text()}
+    return True, {"verb": "apply", "n": n, "result": op.apply(polys).text()}
 
 
 def cmd_poisson_check(args):
     n = args.n
     pi = parse_element(args.exprs[0], "polyvec", n)
     ok = is_poisson(pi)
-    return (OK if ok else CHECK_FAILED), {
+    return ok, {
         "verb": "poisson-check", "n": n, "poisson": ok,
         "self_bracket": schouten(pi, pi).text()}
 
@@ -126,7 +124,7 @@ def cmd_exp(args):
     algebra, omega, _ = _load_instance(args, need_omega=True)
     om = CoalgElem.from_vect(algebra.shifted, omega, args.word_cap)
     e = coalg_exp(om)
-    return OK, {"verb": "exp", "result": e.to_json_list()}
+    return True, {"verb": "exp", "result": e.to_json_list()}
 
 
 def cmd_ln(args):
@@ -140,25 +138,30 @@ def cmd_ln(args):
             if c:
                 _acc(words, tuple(sh.index[nm] for nm in entry["word"]), c)
     elem = CoalgElem(sh, words, args.word_cap)
-    return OK, {"verb": "ln", "result": coalg_ln(elem).to_json_list()}
+    return True, {"verb": "ln", "result": coalg_ln(elem).to_json_list()}
+
+
+def _mc_gate(verb, algebra, omega):
+    """The failing verdict when omega is not Maurer-Cartan, else None."""
+    res = mc_residue(algebra, omega)
+    if not res:
+        return None
+    return False, {"verb": verb, "mc": False,
+                   "residue": jsonio.vect_to_json(algebra.module, res)}
+
+
+def _record(doc, key, rep):
+    """rep's verdict under key, and its first witness if it failed; rep.ok."""
+    doc[key] = rep.ok
+    if not rep.ok:
+        doc["witness"] = rep.violations[0]["witness"]
+    return rep.ok
 
 
 def cmd_mc_check(args):
     algebra, omega, _ = _load_instance(args, need_omega=True)
-    res = mc_residue(algebra, omega)
-    ok = not res
-    return (OK if ok else CHECK_FAILED), {
-        "verb": "mc-check", "mc": ok,
-        "residue": jsonio.vect_to_json(algebra.module, res)}
-
-
-def _mc_gate(verb, algebra, omega):
-    """Residue check shared by the verbs that require a Maurer-Cartan omega."""
-    res = mc_residue(algebra, omega)
-    if not res:
-        return None
-    return (CHECK_FAILED, {"verb": verb, "mc": False,
-                           "residue": jsonio.vect_to_json(algebra.module, res)})
+    return (_mc_gate("mc-check", algebra, omega)
+            or (True, {"verb": "mc-check", "mc": True, "residue": {}}))
 
 
 def cmd_mc_push(args):
@@ -169,76 +172,50 @@ def cmd_mc_push(args):
     om = MCElement(algebra, omega, check=False)  # the gate has checked it
     pushed = mc_push(morphism, om)
     naturality = morphism.psi(om.exp()) == pushed.exp()  # mc_push asserts MC-ness
-    return (OK if naturality else CHECK_FAILED), {
+    return naturality, {
         "verb": "mc-push",
         "omega_prime": jsonio.vect_to_json(morphism.target.module, pushed.vect),
         "exp_naturality": naturality}
 
 
 def cmd_twist(args):
-    algebra, omega, _ = _load_instance(args, need_omega=True)
-    if not args.allow_non_mc:
-        gate = _mc_gate("twist", algebra, omega)
-        if gate:
-            return gate
-    tw = twist_coder(algebra, omega, allow_non_mc=True)
-    sq = tw.check_square_zero()
-    doc = {"verb": "twist",
-           "twisted_taylor": jsonio.taylor_to_json(tw.taylor),
-           "square_zero": sq.ok}
-    if not sq.ok:
-        doc["witness"] = sq.violations[0]["witness"]
-    return (OK if sq.ok else CHECK_FAILED), doc
-
-
-def cmd_twist_check(args):
+    """twist and twist-check: the MC gate (unless --allow-non-mc), then
+    Q_omega∘Q_omega = 0.  twist adds the twisted Taylor table; twist-check goes
+    on, while each check passes, to the conjugation oracle and then to the
+    twisted morphism, if the instance has one."""
     algebra, omega, morphism = _load_instance(args, need_omega=True)
-    if not args.allow_non_mc:
-        gate = _mc_gate("twist-check", algebra, omega)
-        if gate:
-            return gate
+    gate = not args.allow_non_mc and _mc_gate(args.verb, algebra, omega)
+    if gate:
+        return gate
     tw = twist_coder(algebra, omega, allow_non_mc=True)
-    sq = tw.check_square_zero()
-    doc = {"verb": "twist-check", "square_zero": sq.ok}
-    ok = sq.ok
-    if not sq.ok:
-        doc["witness"] = sq.violations[0]["witness"]
-    if sq.ok:
+    doc = {"verb": args.verb}
+    ok = _record(doc, "square_zero", tw.check_square_zero())
+    if args.verb == "twist":
+        doc["twisted_taylor"] = jsonio.taylor_to_json(tw.taylor)
+        return ok, doc
+    if ok:
         conj = conjugation_twist(algebra, omega)
-        agree = operators_agree(tw.Q, conj, algebra.shifted, min(args.word_cap, 2))
-        doc["conjugation_agrees"] = agree.ok
-        ok = ok and agree.ok
-        if not agree.ok:
-            doc["witness"] = agree.violations[0]["witness"]
-    if morphism is not None and ok:
+        ok = _record(doc, "conjugation_agrees",
+                     operators_agree(tw.Q, conj, algebra.shifted, min(args.word_cap, 2)))
+    if ok and morphism is not None:
         om = MCElement(algebra, omega, check=args.allow_non_mc)  # else the gate did
         tm = twist_morphism(morphism, om, twisted_source=tw)
-        inter = tm.check_intertwines()
-        doc["morphism_intertwines"] = inter.ok
-        ok = ok and inter.ok
-        if not inter.ok:
-            doc["witness"] = inter.violations[0]["witness"]
-    return (OK if ok else CHECK_FAILED), doc
+        ok = _record(doc, "morphism_intertwines", tm.check_intertwines())
+    return ok, doc
 
 
 def cmd_linf_check(args):
     algebra, _, morphism = _load_instance(args, need_morphism=True)
     words = algebra.shifted.words_up_to(min(args.word_cap, 3))
     rep = linf_identity_check(morphism.taylor, algebra, morphism.target, words)
-    inter = morphism.check_intertwines()
-    doc = {"verb": "linf-check", "identity_paths_agree": rep.ok,
-           "is_linf_morphism": inter.ok}
-    if not rep.ok:
-        doc["witness"] = rep.violations[0]["witness"]
-    if not inter.ok:
-        doc["witness"] = inter.violations[0]["witness"]
-    return (OK if rep.ok and inter.ok else CHECK_FAILED), doc
+    doc = {"verb": "linf-check"}
+    paths = _record(doc, "identity_paths_agree", rep)
+    inter = _record(doc, "is_linf_morphism", morphism.check_intertwines())  # its witness wins
+    return paths and inter, doc
 
 
 def cmd_extend(args):
-    from .linf import extend_multilinear
-    from .scalars import CoeffDGA, dga_check
-    algebra, omega, morphism = _load_instance(args, need_morphism=True)
+    _, _, morphism = _load_instance(args, need_morphism=True)
     if args.coeff_algebra is None:
         raise ParseError("extend needs --coeff-algebra")
     with open(args.coeff_algebra) as fh, _loading():
@@ -250,91 +227,100 @@ def cmd_extend(args):
     # the base DGLAs passed dgla_check at load and A passes dga_check, so both
     # tensor DGLAs satisfy the axioms by construction
     ext = extend_multilinear(morphism, A, W=args.word_cap, check=False)
-    import random
-    rng = random.Random(args.seed)
-    sh = ext.source.shifted
-    words = sh.words_up_to(2)
-    rng.shuffle(words)
-    sample = words[:args.samples]
-    bad = []
-    for w in sample:
-        x = CoalgElem(sh, {w: sh.coeff.one()}, ext.W)
-        if ext.psi(ext.source.Q(x)) != ext.target.Q(ext.psi(x)):
-            bad.append([sh.gen_name(i) for i in w])
-    doc = {"verb": "extend", "extended_dim": len(ext.source.module),
-           "sampled_words": len(sample), "morphism_axiom": not bad}
-    if bad:
-        doc["witness"] = bad[0]
-    return (OK if not bad else CHECK_FAILED), doc
+    doc = {"verb": "extend", "extended_dim": len(ext.source.module)}
+    return _record(doc, "morphism_axiom", ext.check_intertwines()), doc
 
 
 def cmd_hkr_report(args):
     spec = hkr.TruncationSpec(args.n, args.trunc, args.order,
                               args.window[0], args.window[1])
     rep = hkr.hkr_report(spec)
-    return (OK if rep["ok"] else CHECK_FAILED), rep
+    return rep["ok"], rep
 
 
 def cmd_kontsevich_check(args):
     rep = hkr.kontsevich_conditions(hkr.trivial_plugin(), n=args.n,
                                     samples=args.samples, seed=args.seed,
                                     max_arity=args.max_arity)
-    return (OK if rep["ok"] else CHECK_FAILED), rep
+    return rep["ok"], rep
 
 
 def cmd_selftest(args):
     rep = selftest_mod.run(seed=args.seed)
-    return (OK if rep["ok"] else CHECK_FAILED), rep
+    return rep["ok"], rep
 
 
-COMMANDS = {
+def positive(text):
+    """An int option of at least 1 (argparse names the option when this raises)."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
+# Every option, declared once: its keyword arguments to add_argument, under
+# the dest name that handlers read as args.<name>; the flag is --name with '-'
+# for '_'.
+OPTIONS = {
+    "n": dict(type=int, default=2, help="number of variables"),
+    "instance": dict(default=None, help="instance JSON path or -"),
+    "coeff_algebra": dict(default=None, help="coefficient DG algebra JSON path"),
+    "trunc": dict(type=int, default=2, help="polynomial degree cap for slices"),
+    "order": dict(type=int, default=2, help="operator order cap"),
+    "window": dict(type=int, nargs=2, default=[-1, 1], help="cohomological degree window"),
+    "word_cap": dict(type=positive, default=6, help="symmetric word order cap W (>= 1)"),
+    "seed": dict(type=int, default=selftest_mod.DEFAULT_SEED, help="random seed"),
+    "samples": dict(type=positive, default=20, help="random inputs per condition (>= 1)"),
+    "max_arity": dict(type=positive, default=2,
+                      help="largest arity of the identity checked (>= 1)"),
+    "allow_non_mc": dict(action="store_true", help="twist an omega that is not Maurer-Cartan"),
+}
+
+_ELEMENT = ("n",)
+_INSTANCE = ("instance", "word_cap")
+_TWIST = _INSTANCE + ("allow_non_mc",)
+
+# verb: (handler, help, (least, most) operands with most None for no bound,
+# the OPTIONS the verb reads); every verb also takes --format.
+VERBS = {
     "schouten": (functools.partial(_element_verb, op=schouten, kind="polyvec"),
-                 "Schouten bracket of two poly vector fields"),
+                 "Schouten bracket of two poly vector fields", (2, 2), _ELEMENT),
     "wedge": (functools.partial(_element_verb, op=wedge, kind="polyvec"),
-              "wedge product of two poly vector fields"),
+              "wedge product of two poly vector fields", (2, 2), _ELEMENT),
     "gerstenhaber": (functools.partial(_element_verb, op=gerstenhaber, kind="polydiffop"),
-                     "Gerstenhaber bracket of two operators"),
+                     "Gerstenhaber bracket of two operators", (2, 2), _ELEMENT),
     "hochschild": (functools.partial(_element_verb, op=hochschild_d, kind="polydiffop"),
-                   "shifted Hochschild differential"),
-    "apply": (cmd_apply, "apply an operator to polynomials"),
-    "u1": (cmd_u1, "antisymmetrization map into operators"),
-    "poisson-check": (cmd_poisson_check, "is the bivector Poisson"),
-    "exp": (cmd_exp, "group-like exponential of a nilpotent element"),
-    "ln": (cmd_ln, "order-1 projection of a coalgebra element"),
-    "mc-check": (cmd_mc_check, "Maurer-Cartan residue of omega"),
-    "mc-push": (cmd_mc_push, "pushforward of omega along the morphism"),
-    "twist": (cmd_twist, "twist the structure by omega"),
-    "twist-check": (cmd_twist_check, "verify the twist theorem on the instance"),
-    "linf-check": (cmd_linf_check, "morphism identity, both evaluation paths"),
-    "extend": (cmd_extend, "coefficient-algebra multilinear extension"),
-    "hkr-report": (cmd_hkr_report, "rank comparison on filtered slices"),
-    "kontsevich-check": (cmd_kontsevich_check, "predicates for the builtin plugin"),
-    "selftest": (cmd_selftest, "run the deterministic invariant suite"),
+                   "shifted Hochschild differential", (1, 1), _ELEMENT),
+    "apply": (cmd_apply, "apply an operator to polynomials", (1, None), _ELEMENT),
+    "u1": (cmd_u1, "antisymmetrization map into operators", (1, 1), _ELEMENT),
+    "poisson-check": (cmd_poisson_check, "is the bivector Poisson", (1, 1), _ELEMENT),
+    "exp": (cmd_exp, "group-like exponential of a nilpotent element", (0, 0), _INSTANCE),
+    "ln": (cmd_ln, "order-1 projection of a coalgebra element", (0, 0), _INSTANCE),
+    "mc-check": (cmd_mc_check, "Maurer-Cartan residue of omega", (0, 0), _INSTANCE),
+    "mc-push": (cmd_mc_push, "pushforward of omega along the morphism", (0, 0), _INSTANCE),
+    "twist": (cmd_twist, "twist the structure by omega", (0, 0), _TWIST),
+    "twist-check": (cmd_twist, "verify the twist theorem on the instance", (0, 0), _TWIST),
+    "linf-check": (cmd_linf_check, "morphism identity, both evaluation paths", (0, 0),
+                   _INSTANCE),
+    "extend": (cmd_extend, "coefficient-algebra multilinear extension", (0, 0),
+               _INSTANCE + ("coeff_algebra",)),
+    "hkr-report": (cmd_hkr_report, "rank comparison on filtered slices", (0, 0),
+                   ("n", "trunc", "order", "window")),
+    "kontsevich-check": (cmd_kontsevich_check, "predicates for the builtin plugin", (0, 0),
+                         ("n", "samples", "seed", "max_arity")),
+    "selftest": (cmd_selftest, "run the deterministic invariant suite", (0, 0), ("seed",)),
 }
 
 
 def build_parser():
     ap = argparse.ArgumentParser(prog="linfty", description=__doc__)
     sub = ap.add_subparsers(dest="verb")
-    for verb, (_, help_text) in COMMANDS.items():
+    for verb, (_, help_text, _, options) in VERBS.items():
         p = sub.add_parser(verb, help=help_text)
         p.add_argument("exprs", nargs="*", help="inline element expressions")
-        p.add_argument("--n", type=int, default=2, help="number of variables")
-        p.add_argument("--instance", default=None, help="instance JSON path or -")
-        p.add_argument("--coeff-algebra", default=None,
-                       help="coefficient DG algebra JSON path")
-        p.add_argument("--trunc", type=int, default=2,
-                       help="polynomial degree cap for slices")
-        p.add_argument("--order", type=int, default=2, help="operator order cap")
-        p.add_argument("--window", type=int, nargs=2, default=[-1, 1],
-                       help="cohomological degree window")
-        p.add_argument("--word-cap", type=int, default=6,
-                       help="symmetric word order cap W")
-        p.add_argument("--seed", type=int, default=selftest_mod.DEFAULT_SEED)
-        p.add_argument("--samples", type=int, default=20)
-        p.add_argument("--max-arity", type=int, default=2)
+        for name in options:
+            p.add_argument("--" + name.replace("_", "-"), **OPTIONS[name])
         p.add_argument("--format", choices=["json", "pretty"], default="json")
-        p.add_argument("--allow-non-mc", action="store_true")
     return ap
 
 
@@ -352,14 +338,13 @@ def run(argv):
     if not args.verb:
         ap.print_usage(sys.stderr)
         return USAGE_ERROR
-    handler = COMMANDS[args.verb][0]
-    least, most = OPERANDS.get(args.verb, (0, 0))
+    handler, _, (least, most), _ = VERBS[args.verb]
     t0 = time.time()
     try:
         if len(args.exprs) < least or (most is not None and len(args.exprs) > most):
             raise ParseError(f"{args.verb} takes {'at least' if most is None else 'exactly'} "
                              f"{least} operand(s), got {len(args.exprs)}")
-        code, doc = handler(args)
+        ok, doc = handler(args)
     except (OSError, ValueError) as ex:  # ParseError and JSONDecodeError too
         sys.stderr.write(f"error: {ex}\n")
         return USAGE_ERROR
@@ -368,7 +353,7 @@ def run(argv):
         return USAGE_ERROR
     _emit(doc, args)
     sys.stderr.write(f"linfty {args.verb}: {time.time() - t0:.3f}s\n")
-    return code
+    return OK if ok else CHECK_FAILED
 
 
 def main():

@@ -12,7 +12,9 @@ Instance documents look like
 
 where a coeff is either a "num/den" string (a rational multiple of 1) or a
 {C-basis-name: "num/den"} object.  Exact rationals only: a JSON number or
-boolean in place of a "num/den" string is a ParseError naming the entry.
+boolean in place of a "num/den" string, or a string that is not an optional
+'-', digits and optionally '/' and a nonzero denominator (such as "1/0",
+"0.5" or " 1/2 "), is a ParseError naming the entry.
 Loaded values are ints when integral, else Fractions (see ``scalars.frac``).
 """
 
@@ -44,12 +46,20 @@ def coeff_to_json(c: DgaElem):
     return {c.alg.basis[i]: frac_str(q) for i, q in sorted(c.coeffs.items())}
 
 
+def _rational(doc, where):
+    """The "num/den" string doc as ``frac`` reads it, or a ParseError naming the entry."""
+    _expect(doc, str, where, 'a "num/den" string')
+    try:
+        return frac(doc)
+    except ValueError as ex:
+        raise ParseError(f"{where}: {ex}") from None
+
+
 def coeff_from_json(C: CoeffDGA, doc, where="coefficient") -> DgaElem:
     if isinstance(doc, str):
-        return C.scalar(doc)
+        return C.scalar(_rational(doc, where))
     _expect(doc, dict, where, 'a "num/den" string or an object')
-    return C.elem({name: frac(_expect(q, str, f"{where} coefficient {name!r}",
-                                      'a "num/den" string'))
+    return C.elem({name: _rational(q, f"{where} coefficient {name!r}")
                    for name, q in doc.items()})
 
 

@@ -17,17 +17,26 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from fractions import Fraction
+
+
+# an optional '-', digits, then optionally '/' and digits of a nonzero value
+_NUM_DEN = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
 
 def frac(x, den=None):
     """The exact rational x (or x/den): an int when integral, else a Fraction.
 
-    x is an int, a Fraction or a 'num/den' string; a bool or a float raises.
+    x is an int, a Fraction or a 'num/den' string as ``_NUM_DEN`` spells it
+    (any other string is a ValueError); a bool or a float raises.
     """
     if type(x) is int and den is None:
         return x
-    if isinstance(x, bool) or not isinstance(x, (int, Fraction, str)):
+    if isinstance(x, str):
+        if not _NUM_DEN.fullmatch(x):
+            raise ValueError(f'expected a "num/den" string, got {json.dumps(x)}')
+    elif isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise TypeError(f"not an exact scalar: {x!r}")
     q = Fraction(x, den)
     return q.numerator if q.denominator == 1 else q
@@ -181,11 +190,11 @@ class CoeffDGA:
 
     @classmethod
     def from_json_dict(cls, doc):
-        def q(x, where):  # a JSON number or boolean is refused, naming the entry
-            if type(x) is not str:
-                raise ValueError(f'coefficient algebra {where}: expected a "num/den" '
-                                 f'string, got {json.dumps(x)}')
-            return frac(x)
+        def q(x, where):  # anything but a "num/den" string is refused, naming the entry
+            if type(x) is str and _NUM_DEN.fullmatch(x):
+                return frac(x)
+            raise ValueError(f'coefficient algebra {where}: expected a "num/den" '
+                             f'string, got {json.dumps(x)}')
         basis = [b["name"] for b in doc["basis"]]
         degrees = [b["degree"] for b in doc["basis"]]
         mul = {(i, j): {k: q(x, f"mul entry {[i, j]} term {k}") for k, x in entries}

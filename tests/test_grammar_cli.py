@@ -264,8 +264,44 @@ class TestCli:
         ipath = tmp_path / "inst.json"
         ipath.write_text(json.dumps(doc))
         code, out = capture(["extend", "--instance", str(ipath),
-                             "--coeff-algebra", str(apath), "--samples", "10"])
-        assert code == 0 and json.loads(out)["morphism_axiom"]
+                             "--coeff-algebra", str(apath)])
+        assert code == 0
+        assert json.loads(out) == {"verb": "extend", "extended_dim": len(A) * len(alg.module),
+                                   "morphism_axiom": True}
+
+    def test_extend_decides_every_order(self, tmp_path, monkeypatch):
+        # one order-3 Taylor value added to the extension, on a word w whose value
+        # g has d(g) != 0: only the corestriction at w changes, by d(g), so the
+        # complete check exits 1 with w as the witness, where words of order <= 2
+        # would all pass
+        from linfty import cli
+        from linfty.coalg import TaylorSeq, word_degree
+        from linfty.linf import LinfMorphism
+        from linfty.scalars import make_truncated_poly_dga, rational_field
+        apath = tmp_path / "A.json"
+        apath.write_text(make_truncated_poly_dga([1], 2).to_json())
+        alg = samples.sample_dgla(random.Random(11), rational_field(), W=6,
+                                  family="weighted", scramble=False)
+        phi = samples.strict_base_change_morphism(random.Random(12), alg)
+        ipath = tmp_path / "inst.json"
+        ipath.write_text(json.dumps(jsonio.instance_to_json(alg, morphism=phi)))
+        real, added = cli.extend_multilinear, []
+
+        def corrupted(psi, A, W, check):
+            ext = real(psi, A, W=W, check=check)
+            sh_s, sh_t, d = ext.source.shifted, ext.target.shifted, ext.target.taylor.maps[1]
+            w, g = next((w, (g,)) for (g,) in d for w in sh_s.words(3)
+                        if word_degree(sh_s, w) == sh_t.degree(g))
+            maps = {j: dict(tab) for j, tab in ext.taylor.maps.items()}
+            maps.setdefault(3, {})[w] = {g[0]: sh_t.coeff.one()}
+            added.append([sh_s.gen_name(i) for i in w])
+            return LinfMorphism(ext.source, ext.target,
+                                TaylorSeq(sh_s, sh_t, maps, "morphism"), check=False)
+
+        monkeypatch.setattr(cli, "extend_multilinear", corrupted)
+        code, out = capture(["extend", "--instance", str(ipath), "--coeff-algebra", str(apath)])
+        doc = json.loads(out)
+        assert (code, doc["morphism_axiom"], doc["witness"]) == (1, False, added[0])
 
     def test_extend_rejects_an_invalid_coefficient_algebra(self, tmp_path):
         # the extended Taylor table is built unvalidated, so --coeff-algebra is
@@ -452,6 +488,40 @@ class TestCli:
                  (["extend", "--coeff-algebra", str(apath)], doc,
                   f"coefficient algebra mul entry {[i, j]} term {terms[0][0]}: {string} 1")]
         assert_usage_errors(cases, tmp_path)
+
+    def test_malformed_coefficient_strings_exit_two(self, instance_file, tmp_path):
+        # a coefficient string is an optional '-', digits, and optionally '/' and
+        # a nonzero denominator: anything else, "1/0" among them, is refused
+        # naming the entry, never a traceback
+        with open(instance_file) as fh:
+            doc = json.load(fh)
+        name = next(iter(doc["omega"]))
+        coeff = doc["coeff"]
+        (i, j, terms), *rest = coeff["mul"]
+        term = terms[0][0]
+
+        def mul_constant(text):
+            return {**coeff, "mul": [[i, j, [[term, text]] + terms[1:]], *rest]}
+
+        apath = tmp_path / "A.json"
+        apath.write_text(json.dumps(mul_constant("1/0")))
+        got = 'expected a "num/den" string, got'
+        cases = [(["mc-check"], {**doc, "omega": {name: {"h": text}}},
+                  f"omega entry {name!r} coefficient 'h': {got} {json.dumps(text)}")
+                 for text in ("1/0", "0.5", "1e-1", " 1/2 ", "1_0", "+1", "1/-2", "", "1/00")]
+        cases += [(["twist-check"], {**doc, "omega": {name: "1/0"}},
+                   f'omega entry {name!r}: {got} "1/0"'),
+                  (["ln"], {**doc, "element": [{"word": [], "coeff": "0.5"}]},
+                   f'coefficient: {got} "0.5"'),
+                  (["mc-check"], {**doc, "coeff": mul_constant("0.5")},
+                   f'coefficient algebra mul entry {[i, j]} term {term}: {got} "0.5"'),
+                  (["extend", "--coeff-algebra", str(apath)], doc,
+                   f'coefficient algebra mul entry {[i, j]} term {term}: {got} "1/0"')]
+        assert_usage_errors(cases, tmp_path)
+        # the accepted spellings
+        C = samples.default_coefficients(4)
+        for text, value in (("-3", -3), ("6/4", Fraction(3, 2)), ("-0", 0), ("2/02", 1)):
+            assert jsonio.coeff_from_json(C, {"h": text}) == C.elem({"h": value}), text
 
 
 def assert_usage_errors(cases, tmp_path):
