@@ -262,7 +262,7 @@ def positive(text):
 # the dest name that handlers read as args.<name>; the flag is --name with '-'
 # for '_'.
 OPTIONS = {
-    "n": dict(type=int, default=2, help="number of variables"),
+    "n": dict(type=positive, default=2, help="number of variables (>= 1)"),
     "instance": dict(default=None, help="instance JSON path or -"),
     "coeff_algebra": dict(default=None, help="coefficient DG algebra JSON path"),
     "trunc": dict(type=int, default=2, help="polynomial degree cap for slices"),

@@ -9,7 +9,7 @@ insertion re-normalizes into this form via the (multi-)Leibniz rule.
 Two independent code paths exist on purpose:
 
 * ``gerstenhaber`` builds brackets from signed slot insertions, with one
-  coefficient product per Leibniz head and one accumulator per bracket,
+  coefficient product per Leibniz head and one scalar accumulator per bracket,
 * ``hochschild_d`` builds the shifted differential from the alternating sum
   (slot append/prepend + Leibniz merges).
 
@@ -24,9 +24,10 @@ import functools
 import itertools
 import math
 import operator
+from fractions import Fraction
 
-from .poly import Poly, _compositions, _min_trunc, _poly_cut, _terms_text
-from .scalars import _acc, _acc_neg, frac, ksign, rational_field
+from .poly import Poly, _compositions, _min_trunc, _poly, _poly_cut, _terms_text
+from .scalars import _acc, _acc_neg, _elem, frac, ksign, rational_field
 
 
 def _zero_mi(n):
@@ -205,75 +206,91 @@ def mu(n) -> PolyDiffOp:
 # insertion composition and the Gerstenhaber bracket
 # ---------------------------------------------------------------------------
 
-def _circ_into(acc, phi, psi, sign):
-    """acc += sign * (phi circbar psi) for (word, Poly) term lists phi and psi.
+def _circ_into(acc, cuts, w1, c1, w2, c2, sign):
+    """acc += sign * ((w1, c1) circbar (w2, c2)) as scalars: acc[word][(e, k)]
+    is the coefficient of t^e times basis element k, and cuts[word] the least
+    ``trunc`` of the head products that reach word.
 
     Slot i's derivative j_i splits by the Leibniz rule into a head a_c, which
-    hits c2, and a rest piled onto w2's slots.  c1 * d^{a_c} c2 is built once
-    per term pair and head; the sign (-1)^{i q} folds into the multinomial.
+    hits c2, and a rest piled onto w2's slots.  c1 * d^{a_c} c2 is built and
+    flattened once per head; the sign (-1)^{i q} folds into the multinomial.
     """
-    for w1, c1 in phi:
-        for w2, c2 in psi:
-            arity = len(w2)
-            odd = arity % 2 == 0  # q = arity - 1 is odd
-            heads = {}
-            for i, j in enumerate(w1):
-                before, after = w1[:i], w1[i + 1:]
-                s = -sign if odd and i % 2 else sign
-                for parts, m in _splits(j, arity + 1):
-                    a_c = parts[0]
-                    coeff = heads.get(a_c)
-                    if coeff is None:
-                        coeff = heads[a_c] = c1 * c2.partial_word(a_c)
-                    if not coeff:
-                        continue
-                    word = before + tuple(map(_mi_add, w2, parts[1:])) + after
-                    m *= s
-                    if m == 1:
-                        _acc(acc, word, coeff)
-                    elif m == -1:
-                        _acc_neg(acc, word, coeff)
-                    else:
-                        _acc(acc, word, coeff.scale(m))
+    arity = len(w2)
+    odd = arity % 2 == 0  # q = arity - 1 is odd
+    heads = {}
+    for i, j in enumerate(w1):
+        before, after = w1[:i], w1[i + 1:]
+        s = -sign if odd and i % 2 else sign
+        for parts, m in _splits(j, arity + 1):
+            a_c = parts[0]
+            head = heads.get(a_c)
+            if head is None:
+                f = c1 * c2.partial_word(a_c)
+                head = heads[a_c] = (f.trunc, [((e, k), q) for e, c in f.terms.items()
+                                               for k, q in c.coeffs.items()])
+            trunc, scalars = head
+            if not scalars:
+                continue
+            word = before + tuple(map(_mi_add, w2, parts[1:])) + after
+            out = acc.get(word)
+            if out is None:
+                out = acc[word] = {}
+            if trunc is not None:
+                cuts[word] = min(cuts.get(word, trunc), trunc)
+            m *= s
+            if m == 1:
+                for key, q in scalars:
+                    _acc(out, key, q)
+            elif m == -1:
+                for key, q in scalars:
+                    _acc_neg(out, key, q)
+            else:
+                for key, q in scalars:
+                    _acc(out, key, m * q)
+
+
+def _insertions(phi, psi, bracket):
+    """phi circbar psi, or [phi, psi] when bracket is true, summed term pair by
+    term pair into one scalar accumulator.  Then each word is cut at its
+    ``trunc``, each Poly and DgaElem is built once, and a word with no terms
+    left is dropped."""
+    if phi.n != psi.n:
+        raise ValueError("variable count mismatch")
+    acc, cuts = {}, {}
+    for w1, c1 in phi.terms.items():
+        for w2, c2 in psi.terms.items():
+            _circ_into(acc, cuts, w1, c1, w2, c2, 1)
+            if bracket:
+                _circ_into(acc, cuts, w2, c2, w1, c1,
+                           1 if (len(w1) - 1) * (len(w2) - 1) % 2 else -1)
+    n, alg = phi.n, phi.alg
+    out = {}
+    for word in list(acc):  # popped, so that acc and out do not peak together
+        scalars = acc.pop(word)
+        trunc = cuts.get(word)
+        terms = {}
+        for (e, k), q in scalars.items():
+            if trunc is None or sum(e) < trunc:
+                if type(q) is Fraction and q.denominator == 1:
+                    q = q.numerator
+                terms.setdefault(e, {})[k] = q
+        if terms:
+            out[word] = _poly(n, alg, {e: _elem(alg, c) for e, c in terms.items()}, trunc)
+    return _op(n, alg, out)
 
 
 def circ_bar(phi: PolyDiffOp, psi: PolyDiffOp) -> PolyDiffOp:
     """Signed sum of insertions of psi into each slot of phi, one coefficient
     product per Leibniz head."""
-    if phi.n != psi.n:
-        raise ValueError("variable count mismatch")
-    acc = {}
-    _circ_into(acc, phi.terms.items(), psi.terms.items(), 1)
-    return _op(phi.n, phi.alg, acc)
+    return _insertions(phi, psi, False)
 
 
 def gerstenhaber(phi: PolyDiffOp, psi: PolyDiffOp) -> PolyDiffOp:
-    """[phi, psi] = phi circbar psi - (-1)^{pq} psi circbar phi, one accumulator
-    per bracket.  Each insertion sum of a degree pair is built whole before it
-    joins: a sum of truncated coefficients that cancels drops its threshold, so
-    the grouping decides ``trunc``."""
-    if phi.n != psi.n:
-        raise ValueError("variable count mismatch")
-    acc = {}
-    for p, a in _by_degree(phi):
-        for q, b in _by_degree(psi):
-            for x, y, sign in ((a, b, 1), (b, a, 1 if p * q % 2 else -1)):
-                part = {}
-                _circ_into(part, x, y, sign)
-                if not acc:
-                    acc = part
-                    continue
-                for word, coeff in part.items():
-                    _acc(acc, word, coeff)
-    return _op(phi.n, phi.alg, acc)
-
-
-def _by_degree(phi):
-    """[(p, [(word, coeff), ...])] by ascending degree p, terms in order."""
-    out = {}
-    for w, c in phi.terms.items():
-        out.setdefault(len(w) - 1, []).append((w, c))
-    return sorted(out.items())
+    """[phi, psi] = phi circbar psi - (-1)^{pq} psi circbar phi, with one
+    scalar accumulator per bracket.  A word's ``trunc`` is the least one among
+    the nonzero head products that reach it, so the result does not depend on
+    the order of the terms."""
+    return _insertions(phi, psi, True)
 
 
 # ---------------------------------------------------------------------------

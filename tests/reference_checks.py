@@ -14,9 +14,10 @@ The elimination scans every remaining row for each pivot, in row order, and
 back-substitutes in pivot order; it shares no code with ``linfty.linalg``.
 
 The insertion walk inserts one term into one slot at a time, one coefficient
-product per Leibniz split, and builds the Gerstenhaber bracket per degree pair
-from whole insertion sums; it shares no code with ``linfty.diffop`` beyond
-``Poly``.
+product per Leibniz split, and builds the Gerstenhaber bracket per degree pair.
+It keeps every part that reaches a word and sums them at the end, cut at the
+least ``trunc`` among them, so no grouping of the sum decides ``trunc``; it
+shares no code with ``linfty.diffop`` beyond ``Poly``.
 
 The HKR report works on the full slices, one d row per basis element
 t^e * D[w] and one u1 image per t^e * d_w, and multiplies nothing; it shares
@@ -171,15 +172,6 @@ def reference_nullspace(rows, ncols):
     return basis
 
 
-def _put(out, key, c):
-    """out[key] += c, dropping the key when the sum has no terms."""
-    s = out[key] + c if key in out else c
-    if s:
-        out[key] = s
-    else:
-        del out[key]
-
-
 def _leibniz_splits(j, parts):
     """(a_1, ..., a_parts) with a_1 + ... + a_parts = j, and the multinomial."""
     per_var = [[(comp, math.factorial(k) // math.prod(map(math.factorial, comp)))
@@ -192,46 +184,63 @@ def _leibniz_splits(j, parts):
 
 
 def _insert_into_slot(w1, c1, i, w2, c2):
-    """{word: Poly} for the term (c2, w2) inserted into slot i of (c1, w1)."""
-    out = {}
+    """(word, Poly) pairs for the term (c2, w2) inserted into slot i of (c1, w1),
+    one per Leibniz split whose coefficient product has terms."""
     for parts, m in _leibniz_splits(w1[i], len(w2) + 1):
         coeff = c1 * c2.partial_word(parts[0])
         if coeff:
             word = (w1[:i] + tuple(tuple(map(sum, zip(a, b))) for a, b in zip(w2, parts[1:]))
                     + w1[i + 1:])
-            _put(out, word, coeff.scale(m))
+            yield word, coeff.scale(m)
+
+
+def _circ_bar_parts(phi, psi, sign, parts):
+    """Append each term of sign * (phi circbar psi) to parts[word]: the sum over
+    slots i of (-1)^{i q} times psi inserted into slot i."""
+    for w1, c1 in phi.items():
+        for w2, c2 in psi.items():
+            for i in range(len(w1)):
+                s = -sign if i * (len(w2) - 1) % 2 else sign
+                for word, coeff in _insert_into_slot(w1, c1, i, w2, c2):
+                    parts.setdefault(word, []).append(coeff.scale(s))
+
+
+def _gather(parts):
+    """{word: Poly}: all of a word's parts added with no threshold, then cut at
+    the least trunc among them; a word with no term left is dropped."""
+    out = {}
+    for word, polys in parts.items():
+        total = Poly.zero(polys[0].n, polys[0].alg)
+        for c in polys:
+            total = total + Poly(c.n, c.terms, alg=c.alg)
+        truncs = [c.trunc for c in polys if c.trunc is not None]
+        if truncs:
+            total = total.truncate(min(truncs))
+        if total:
+            out[word] = total
     return out
 
 
 def reference_circ_bar(phi, psi):
-    """phi circbar psi on {word: Poly} term dicts: sum over slots i of
-    (-1)^{i q} times psi inserted into slot i."""
-    out = {}
-    for w1, c1 in phi.items():
-        for w2, c2 in psi.items():
-            for i in range(len(w1)):
-                sign = -1 if i * (len(w2) - 1) % 2 else 1
-                for word, coeff in _insert_into_slot(w1, c1, i, w2, c2).items():
-                    _put(out, word, coeff.scale(sign))
-    return out
+    """phi circbar psi on {word: Poly} term dicts."""
+    parts = {}
+    _circ_bar_parts(phi, psi, 1, parts)
+    return _gather(parts)
 
 
 def reference_gerstenhaber(phi, psi):
-    """[phi, psi] on term dicts: per degree pair (p, q), add phi_p circbar psi_q,
-    then subtract (-1)^{pq} psi_q circbar phi_p."""
+    """[phi, psi] on term dicts: per degree pair (p, q), phi_p circbar psi_q
+    minus (-1)^{pq} psi_q circbar phi_p, all gathered at the end."""
     def component(terms, p):
         return {w: c for w, c in terms.items() if len(w) - 1 == p}
 
-    out = {}
+    parts = {}
     for p in sorted({len(w) - 1 for w in phi}):
         for q in sorted({len(w) - 1 for w in psi}):
             a, b = component(phi, p), component(psi, q)
-            for word, coeff in reference_circ_bar(a, b).items():
-                _put(out, word, coeff)
-            sign = 1 if p * q % 2 else -1
-            for word, coeff in reference_circ_bar(b, a).items():
-                _put(out, word, coeff.scale(sign))
-    return out
+            _circ_bar_parts(a, b, 1, parts)
+            _circ_bar_parts(b, a, 1 if p * q % 2 else -1, parts)
+    return _gather(parts)
 
 
 def _exponents(n, cap):

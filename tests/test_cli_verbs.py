@@ -62,8 +62,9 @@ def test_undeclared_options_exit_two(verb):
                                   if spec.get("type") is cli.positive])
 @pytest.mark.parametrize("value", ["0", "-3", "x"])
 def test_counts_below_one_exit_two(name, value):
-    # a cap or count below 1 would check nothing, or fail deep in the
-    # coalgebra code: argparse refuses it, naming the option
+    # a cap or count below 1 would check nothing or fail deep in the
+    # coalgebra code, and --n below 1 made the grammar blame an operand that
+    # is fine: argparse refuses each, naming the option
     verbs = [v for v, entry in cli.VERBS.items() if name in entry[3]]
     assert verbs
     for verb in verbs:

@@ -320,24 +320,66 @@ def operator_pairs(draw):
     return phi, (phi if draw(st.booleans()) else op())
 
 
-# Summing both insertions term pair by term pair into one dict makes the
-# D[2;1] coefficient an exact 2 here, where the per-degree-pair sums give
-# 2 + O(deg 3): a sum of truncated coefficients that cancels drops its
-# threshold, so the grouping of the sums decides trunc
+# Summing both insertions term pair by term pair gives the D[2;1] coefficient
+# 2 + O(deg 3): the parts of that word cancel on the way, and a cancelled
+# part still carries its threshold into the sum
 _GROUPING = (PolyDiffOp(1, {((0,), (1,)): Poly(1, {(0,): 1}, 3),
                             ((2,), (0,)): Poly(1, {(1,): -1})}),
              PolyDiffOp.basis(((2,),), 1))
+
+# On D[1] the head products of the D[1;1] term, t1 + O(deg 2), cancel, and the
+# D[0;1] term adds 1 + 1/2*t1^2 + O(deg 3).  The word's trunc is the least one
+# met, so the result is 1 + O(deg 2) in either term order; forgetting the
+# cancelled threshold gave 1 + 1/2*t1^2 + O(deg 3) in this order only
+_CANCELLED = (PolyDiffOp(1, {((1,), (1,)): Poly(1, {(0,): 1}, 2),
+                             ((0,), (1,)): Poly(1, {(0,): 1}, 3)}),
+              PolyDiffOp(1, {(): Poly(1, {(0,): 1, (2,): Fraction(1, 2)})}))
+
+
+def reordered(op, rng=None):
+    """op with its terms shuffled by rng, or reversed without one."""
+    terms = list(op.terms.items())
+    if rng is None:
+        terms.reverse()
+    else:
+        rng.shuffle(terms)
+    return PolyDiffOp(op.n, dict(terms), alg=op.alg)
 
 
 class TestInsertionKernel:
     @given(operator_pairs())
     @example(_GROUPING)
+    @example(_CANCELLED)
     @settings(max_examples=300, deadline=None)
     def test_equals_reference_walk(self, pair):
         phi, psi = pair
         assert circ_bar(phi, psi).terms == reference_circ_bar(phi.terms, psi.terms)
         assert circ_bar(psi, phi).terms == reference_circ_bar(psi.terms, phi.terms)
         assert gerstenhaber(phi, psi).terms == reference_gerstenhaber(phi.terms, psi.terms)
+
+    @given(operator_pairs(), st.randoms(use_true_random=False))
+    @example(_CANCELLED, random.Random(0))
+    @settings(max_examples=300, deadline=None)
+    def test_term_order_does_not_matter(self, pair, rng):
+        # Poly equality includes trunc, so a threshold lost to one order fails
+        phi, psi = pair
+        for f in (gerstenhaber, circ_bar):
+            want = f(phi, psi).terms
+            assert f(reordered(phi, rng), reordered(psi, rng)).terms == want
+            assert f(reordered(phi), reordered(psi)).terms == want
+
+    def test_untruncated_bracket_adds_no_polys(self, monkeypatch):
+        calls = []
+        for name in ("__add__", "__sub__", "scale"):
+            def counted(*args, _name=name, _f=getattr(Poly, name)):
+                calls.append(_name)
+                return _f(*args)
+            monkeypatch.setattr(Poly, name, counted)
+        rng = random.Random(3)
+        phi, psi = rand_op(rng, 2, 1), rand_op(rng, 2, 2)
+        calls.clear()
+        result = gerstenhaber(phi, psi)
+        assert result and calls == []
 
 
 class TestConstructor:
