@@ -3,7 +3,7 @@
 Elements are signed combinations of sorted words over a graded basis; the
 comultiplication splits words with Koszul signs.  Coderivations and coalgebra
 morphisms are reconstructed from their Taylor coefficients, and the axiom
-checkers verify the construction on every word below the cap.
+checkers verify the construction on every word up to a given order.
 """
 
 from fractions import Fraction
@@ -17,9 +17,8 @@ print(__doc__)
 
 C = make_truncated_poly_dga([0], 3)          # Q[h]/(h^3)
 g = GradedBasisModule("g", [("a", 0), ("b", 0), ("c", 1)], C)
-W = 4
 
-ga, gb, gc = (CoalgElem.generator(g, x, W) for x in "abc")
+ga, gb, gc = (CoalgElem.generator(g, x) for x in "abc")
 print("c*c =", (gc * gc), "(odd letter squares vanish)")
 print("a is primitive:", is_primitive(ga), "| a*b is primitive:", is_primitive(ga * gb))
 
@@ -35,7 +34,7 @@ print("\nexp(h a + h^2 b) =", e)
 print("group-like:", is_grouplike(e), "| ln returns the element:", ln(e) == om)
 
 # a coderivation from one Taylor coefficient: d(a) = c
-Q = coder_from_taylor(TaylorSeq(g, g, {1: {(0,): {2: C.one()}}}, "coderivation"), W)
+Q = coder_from_taylor(TaylorSeq(g, g, {1: {(0,): {2: C.one()}}}, "coderivation"))
 print("\nQ(a*b) =", Q(ga * gb), " (Leibniz over the word)")
-print("Q is a coderivation on all words <= W:", check_coderivation(Q, W).ok)
+print("Q is a coderivation on all words of order <= 4:", check_coderivation(Q, 4).ok)
 print("its Taylor coefficient reads back:", taylor_of(Q, 1) == {(0,): {2: C.one()}})

@@ -23,7 +23,7 @@ C = make_truncated_poly_dga([0], 4)          # Q[h]/(h^4)
 h = C.gen("h")
 m = GradedBasisModule("g", [("x", 0), ("y", 1), ("z", 1)], C)
 alg = LinfAlgebra.from_dgla(m, {"x": {"y": 1}},
-                            {("x", "y"): {"y": 1}, ("x", "z"): {"z": 1}}, W=6)
+                            {("x", "y"): {"y": 1}, ("x", "z"): {"z": 1}})
 
 om = MCElement(alg, {"y": h, "z": h * h})
 print("residue of h y + h^2 z:", mc_residue(alg, om.vect), "(Maurer-Cartan)")
@@ -50,7 +50,7 @@ print("twisted morphism intertwines the twists:", tm.check_intertwines().ok)
 # and the squared coderivation then detects it
 m3 = GradedBasisModule("g3", [("x", 0), ("y", 1), ("z", 2)], C)
 alg3 = LinfAlgebra.from_dgla(m3, {}, {("x", "y"): {"y": 1}, ("y", "y"): {"z": 1},
-                                      ("x", "z"): {"z": 2}}, W=6)
+                                      ("x", "z"): {"z": 2}})
 bad = sample_non_mc(random.Random(5), alg3)
 print("\na non-solution:", bad, "residue:", mc_residue(alg3, bad))
 broken = twist_coder(alg3, bad, allow_non_mc=True)

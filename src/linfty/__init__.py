@@ -24,8 +24,7 @@ from .hkr import (FormalityPlugin, TruncationSpec, cohomology_rank,
                   trivial_plugin, u1, u1_chain_check)
 from .linf import (LinfAlgebra, LinfMorphism, MCElement, conjugation_twist,
                    extend_multilinear, finiteness_bound, linf_identity_check,
-                   mc_push, mc_residue, recommended_word_cap, twist_coder,
-                   twist_morphism)
+                   mc_push, mc_residue, twist_coder, twist_morphism)
 from .poly import INF, Poly
 from .polyvec import PolyVec, is_poisson, schouten, wedge
 from .scalars import (CoeffDGA, DgaElem, ValidationReport, dga_check,
@@ -42,7 +41,7 @@ __all__ = [
     "mc_bivector_workflow", "trivial_plugin", "u1", "u1_chain_check",
     "LinfAlgebra", "LinfMorphism", "MCElement", "conjugation_twist",
     "extend_multilinear", "finiteness_bound", "linf_identity_check", "mc_push",
-    "mc_residue", "recommended_word_cap", "twist_coder", "twist_morphism",
+    "mc_residue", "twist_coder", "twist_morphism",
     "INF", "Poly", "PolyVec",
     "is_poisson", "schouten", "wedge", "CoeffDGA", "DgaElem",
     "ValidationReport", "dga_check", "dga_tensor", "frac", "frac_str", "ksign",

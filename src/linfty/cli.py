@@ -6,13 +6,14 @@ verb also takes --format.  Output is canonical JSON on stdout
 (byte-identical for identical inputs and seed); a timing summary goes to
 stderr.  Exit codes: 0 success / checks passed, 1 a mathematical check
 failed (witness in the output), 2 usage or parse errors (among them an
-option the verb does not take, a --word-cap, --samples or --max-arity below
-1, an unreadable input file, a coefficient that is not a "num/den" string,
-an instance that lacks an entry the verb needs, or whose morphism does not
-intertwine, outside linf-check), or a computation that needed a symmetric
-word longer than the word cap, or a --coeff-algebra that fails dga_check,
+option the verb does not take, an --n, --samples or --max-arity below 1, an
+unreadable input file, a coefficient that is not a "num/den" string, an
+instance that lacks an entry the verb needs, or whose morphism does not
+intertwine, outside linf-check), or a --coeff-algebra that fails dga_check,
 or a verb given the wrong number of operands (verbs other than the element
-verbs take none).  An operand that begins with '-' goes after '--'.
+verbs take none).  An operand that begins with '-' goes after '--'.  Each
+check walks to the word order its identity needs, read off the Taylor
+lengths; no option caps it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import sys
 import time
 
 from . import hkr, jsonio, selftest as selftest_mod
-from .coalg import CoalgElem, OrderOverflowError, exp as coalg_exp, ln as coalg_ln
+from .coalg import CoalgElem, exp as coalg_exp, ln as coalg_ln
 from .diffop import gerstenhaber, hochschild_d
 from .grammar import ParseError, parse_element
 from .linf import (conjugation_twist, extend_multilinear, linf_identity_check, mc_push,
@@ -72,7 +73,7 @@ def _load_instance(args, doc=None, need_omega=False, need_morphism=False):
     if doc is None:
         doc = _read_document(args)
     with _loading():
-        algebra, omega, morphism = jsonio.instance_from_json(doc, W=args.word_cap)
+        algebra, omega, morphism = jsonio.instance_from_json(doc)
     if morphism is not None and args.verb != "linf-check":
         morphism.require_intertwines()
     if need_morphism and morphism is None:
@@ -122,7 +123,7 @@ def cmd_poisson_check(args):
 
 def cmd_exp(args):
     algebra, omega, _ = _load_instance(args, need_omega=True)
-    om = CoalgElem.from_vect(algebra.shifted, omega, args.word_cap)
+    om = CoalgElem.from_vect(algebra.shifted, omega)
     e = coalg_exp(om)
     return True, {"verb": "exp", "result": e.to_json_list()}
 
@@ -137,7 +138,7 @@ def cmd_ln(args):
             c = jsonio.coeff_from_json(algebra.module.coeff, entry["coeff"])
             if c:
                 _acc(words, tuple(sh.index[nm] for nm in entry["word"]), c)
-    elem = CoalgElem(sh, words, args.word_cap)
+    elem = CoalgElem(sh, words)
     return True, {"verb": "ln", "result": coalg_ln(elem).to_json_list()}
 
 
@@ -182,7 +183,9 @@ def cmd_twist(args):
     """twist and twist-check: the MC gate (unless --allow-non-mc), then
     Q_omega∘Q_omega = 0.  twist adds the twisted Taylor table; twist-check goes
     on, while each check passes, to the conjugation oracle and then to the
-    twisted morphism, if the instance has one."""
+    twisted morphism, if the instance has one.  The two twists are compared
+    column for column up to max(2, top): both are coderivations, fixed by
+    their Taylor coefficients, of which the longest has order top."""
     algebra, omega, morphism = _load_instance(args, need_omega=True)
     gate = not args.allow_non_mc and _mc_gate(args.verb, algebra, omega)
     if gate:
@@ -196,7 +199,8 @@ def cmd_twist(args):
     if ok:
         conj = conjugation_twist(algebra, omega)
         ok = _record(doc, "conjugation_agrees",
-                     operators_agree(tw.Q, conj, algebra.shifted, min(args.word_cap, 2)))
+                     operators_agree(tw.Q, conj, algebra.shifted,
+                                     max(2, algebra.taylor.max_j())))
     if ok and morphism is not None:
         om = MCElement(algebra, omega, check=args.allow_non_mc)  # else the gate did
         tm = twist_morphism(morphism, om, twisted_source=tw)
@@ -205,8 +209,10 @@ def cmd_twist(args):
 
 
 def cmd_linf_check(args):
+    """Both identity paths on every word up to check_order() + 1, one order
+    past the bound where both residuals must vanish, then check_intertwines."""
     algebra, _, morphism = _load_instance(args, need_morphism=True)
-    words = algebra.shifted.words_up_to(min(args.word_cap, 3))
+    words = algebra.shifted.words_up_to(morphism.check_order() + 1)
     rep = linf_identity_check(morphism.taylor, algebra, morphism.target, words)
     doc = {"verb": "linf-check"}
     paths = _record(doc, "identity_paths_agree", rep)
@@ -226,7 +232,7 @@ def cmd_extend(args):
         raise ParseError(f"coefficient algebra axioms fail: {v['axiom']} at {v['witness']}")
     # the base DGLAs passed dgla_check at load and A passes dga_check, so both
     # tensor DGLAs satisfy the axioms by construction
-    ext = extend_multilinear(morphism, A, W=args.word_cap, check=False)
+    ext = extend_multilinear(morphism, A, check=False)
     doc = {"verb": "extend", "extended_dim": len(ext.source.module)}
     return _record(doc, "morphism_axiom", ext.check_intertwines()), doc
 
@@ -268,7 +274,6 @@ OPTIONS = {
     "trunc": dict(type=int, default=2, help="polynomial degree cap for slices"),
     "order": dict(type=int, default=2, help="operator order cap"),
     "window": dict(type=int, nargs=2, default=[-1, 1], help="cohomological degree window"),
-    "word_cap": dict(type=positive, default=6, help="symmetric word order cap W (>= 1)"),
     "seed": dict(type=int, default=selftest_mod.DEFAULT_SEED, help="random seed"),
     "samples": dict(type=positive, default=20, help="random inputs per condition (>= 1)"),
     "max_arity": dict(type=positive, default=2,
@@ -277,7 +282,7 @@ OPTIONS = {
 }
 
 _ELEMENT = ("n",)
-_INSTANCE = ("instance", "word_cap")
+_INSTANCE = ("instance",)
 _TWIST = _INSTANCE + ("allow_non_mc",)
 
 # verb: (handler, help, (least, most) operands with most None for no bound,
@@ -347,9 +352,6 @@ def run(argv):
         ok, doc = handler(args)
     except (OSError, ValueError) as ex:  # ParseError and JSONDecodeError too
         sys.stderr.write(f"error: {ex}\n")
-        return USAGE_ERROR
-    except OrderOverflowError as ex:
-        sys.stderr.write(f"error: word cap exceeded: {ex}\n")
         return USAGE_ERROR
     _emit(doc, args)
     sys.stderr.write(f"linfty {args.verb}: {time.time() - t0:.3f}s\n")

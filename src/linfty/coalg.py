@@ -9,9 +9,10 @@ of the unshifted world.
 
 Words of the symmetric coalgebra are canonically sorted basis multisets; the
 Koszul sign of sorting is absorbed into the C-coefficient at construction
-time and a repeated odd letter kills the word.  Every element carries a hard
-word-order cap W: any operation that would need a longer word raises
-``OrderOverflowError`` instead of silently truncating.
+time and a repeated odd letter kills the word.  An element may carry a
+word-order guard W, unbounded by default: building or multiplying into a
+longer word then raises ``OrderOverflowError``.  No operator or check reads
+it; each check walks to the order its identity needs.
 
 A ``CoalgOperator`` is given by its columns: ``column(w)``, the image of one
 canonical word built once and kept by the operator, is the one way to read it
@@ -34,7 +35,7 @@ from .scalars import (CoeffDGA, DgaElem, ValidationReport, _acc, _acc_neg, frac,
 
 
 class OrderOverflowError(Exception):
-    """A computation needed a symmetric word longer than the cap W."""
+    """A computation needed a symmetric word longer than an element's guard W."""
 
 
 class GradedBasisModule:
@@ -187,11 +188,12 @@ def vect_degree(module, a):
 
 
 class CoalgElem:
-    """Element of the order-truncated symmetric coalgebra S_C(module)."""
+    """Element of the symmetric coalgebra S_C(module), with an optional guard W
+    on its word orders (``math.inf``, no guard, unless given)."""
 
     __slots__ = ("module", "W", "words")
 
-    def __init__(self, module, words, W):
+    def __init__(self, module, words, W=math.inf):
         self.module = module
         self.W = W
         clean = {}
@@ -211,19 +213,19 @@ class CoalgElem:
         self.words = clean
 
     @classmethod
-    def zero(cls, module, W):
+    def zero(cls, module, W=math.inf):
         return cls(module, {}, W)
 
     @classmethod
-    def unit(cls, module, W):
+    def unit(cls, module, W=math.inf):
         return cls(module, {(): module.coeff.one()}, W)
 
     @classmethod
-    def generator(cls, module, name, W):
+    def generator(cls, module, name, W=math.inf):
         return cls(module, {(module.index[name],): module.coeff.one()}, W)
 
     @classmethod
-    def from_vect(cls, module, vect, W):
+    def from_vect(cls, module, vect, W=math.inf):
         return cls(module, {(i,): c for i, c in vect.items()}, W)
 
     def is_zero(self):
@@ -447,14 +449,13 @@ class CoalgOperator:
 
     ``build(w)`` makes the image of one canonical source word as a sparse
     {canonical target word: nonzero coefficient} dict; ``degree`` is the
-    operator's degree and ``W`` the least word cap of its results.
+    operator's degree.
     """
 
-    def __init__(self, source, target, degree, build, W):
+    def __init__(self, source, target, degree, build):
         self.source = source
         self.target = target
         self.degree = degree
-        self.W = W
         self._build = build
         self._columns = {}  # canonical word -> build(word)
 
@@ -467,15 +468,16 @@ class CoalgOperator:
             return col
 
     def __call__(self, x: CoalgElem) -> CoalgElem:
-        """The linear extension: the sum of c * column(w) over the words of x."""
+        """The linear extension: the sum of c * column(w) over the words of x,
+        with no guard."""
         column = self.column
         out = {}
         for w, c in x.words.items():
             vect_acc(out, column(w), c)
-        return _coalg(self.target, out, max(self.W, x.W))
+        return _coalg(self.target, out, math.inf)
 
 
-def coder_from_taylor(T: TaylorSeq, W) -> CoalgOperator:
+def coder_from_taylor(T: TaylorSeq) -> CoalgOperator:
     """The unique coderivation with the given Taylor coefficients, Q(1) = 0.
 
     On a word: sum over nonempty position subsets S, Koszul-unshuffle S to the
@@ -488,7 +490,6 @@ def coder_from_taylor(T: TaylorSeq, W) -> CoalgOperator:
     maxj = T.max_j()
 
     def column(w):
-        # an output word is never longer than its input word, so it fits the cap
         out = {}
         for r in range(1, min(len(w), maxj) + 1):
             for positions in itertools.combinations(range(len(w)), r):
@@ -504,7 +505,7 @@ def coder_from_taylor(T: TaylorSeq, W) -> CoalgOperator:
                     (_acc if sign * s2 == 1 else _acc_neg)(out, cw, cv)
         return out
 
-    return CoalgOperator(module, module, 1, column, W)
+    return CoalgOperator(module, module, 1, column)
 
 
 def set_partitions(items):
@@ -520,7 +521,7 @@ def set_partitions(items):
         yield [[first]] + part
 
 
-def morph_from_taylor(T: TaylorSeq, W) -> CoalgOperator:
+def morph_from_taylor(T: TaylorSeq) -> CoalgOperator:
     """The unique coalgebra morphism with the given Taylor coefficients, 1 -> 1.
 
     On a word: sum over set partitions of the positions (blocks ordered by
@@ -534,7 +535,6 @@ def morph_from_taylor(T: TaylorSeq, W) -> CoalgOperator:
     one = tgt.coeff.one()
 
     def column(w):
-        # one letter per block: an output word is never longer than its input word
         if not w:
             return {(): one}
         out = {}
@@ -564,7 +564,7 @@ def morph_from_taylor(T: TaylorSeq, W) -> CoalgOperator:
                     (_acc if sign * s2 == 1 else _acc_neg)(out, cw, coeff)
         return out
 
-    return CoalgOperator(src, tgt, 0, column, W)
+    return CoalgOperator(src, tgt, 0, column)
 
 
 def taylor_of(op: CoalgOperator, j) -> dict:
@@ -628,13 +628,12 @@ def is_invertible(e: CoalgElem) -> bool:
 # axiom checkers
 # ---------------------------------------------------------------------------
 
-def check_coderivation(op: CoalgOperator, W, max_order=None) -> ValidationReport:
-    """Delta(Q w) = (Q x 1 + 1 x Q)(Delta w) on every word up to the cap."""
+def check_coderivation(op: CoalgOperator, max_order) -> ValidationReport:
+    """Delta(Q w) = (Q x 1 + 1 x Q)(Delta w) on every word up to max_order."""
     rep = ValidationReport()
     module = op.source
-    max_order = max_order if max_order is not None else W
     for w in module.words_up_to(max_order):
-        lhs = _coalg(op.target, op.column(w), W).comult()
+        lhs = _coalg(op.target, op.column(w), math.inf).comult()
         rhs = {}
         for w1, w2, sign in _splits(module, w):
             for v, cv in op.column(w1).items():
@@ -650,15 +649,14 @@ def check_coderivation(op: CoalgOperator, W, max_order=None) -> ValidationReport
     return rep
 
 
-def check_comorphism(op: CoalgOperator, W, max_order=None) -> ValidationReport:
-    """Delta'(Psi w) = (Psi x Psi)(Delta w) on every word up to the cap."""
+def check_comorphism(op: CoalgOperator, max_order) -> ValidationReport:
+    """Delta'(Psi w) = (Psi x Psi)(Delta w) on every word up to max_order."""
     rep = ValidationReport()
     src = op.source
-    max_order = max_order if max_order is not None else W
     if op.column(()) != {(): op.target.coeff.one()}:
         rep.add("comorphism", ["1"], "Psi(1) != 1")
     for w in src.words_up_to(max_order):
-        lhs = _coalg(op.target, op.column(w), W).comult()
+        lhs = _coalg(op.target, op.column(w), math.inf).comult()
         rhs = {}
         for w1, w2, sign in _splits(src, w):
             put = _acc if sign == 1 else _acc_neg
@@ -688,10 +686,10 @@ def tau(x: CoalgElem) -> dict:
     return out
 
 
-def pi_tilde(module, tensor_elem, W) -> CoalgElem:
+def pi_tilde(module, tensor_elem) -> CoalgElem:
     """Averaged projection (1/j!) back onto the symmetric coalgebra."""
     return CoalgElem(module, {word: c.scale(frac(1, math.factorial(len(word))))
-                              for word, c in tensor_elem.items()}, W)
+                              for word, c in tensor_elem.items()})
 
 
 def tensor_comult(tensor_elem) -> dict:

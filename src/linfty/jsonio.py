@@ -85,7 +85,7 @@ def algebra_to_json(alg: LinfAlgebra) -> dict:
     }
 
 
-def algebra_from_json(doc, C: CoeffDGA, W=6) -> LinfAlgebra:
+def algebra_from_json(doc, C: CoeffDGA) -> LinfAlgebra:
     module = GradedBasisModule(doc.get("name", "g"),
                                [(b["name"], b["degree"]) for b in doc["basis"]], C)
     d_table = {entry[0]: vect_from_json(module, entry[1], f"d of {entry[0]!r}")
@@ -95,7 +95,7 @@ def algebra_from_json(doc, C: CoeffDGA, W=6) -> LinfAlgebra:
     bracket = {(module.index[i] if isinstance(i, str) else i,
                 module.index[j] if isinstance(j, str) else j): v
                for (i, j), v in bracket.items()}
-    return LinfAlgebra.from_dgla(module, d_table, bracket, W)
+    return LinfAlgebra.from_dgla(module, d_table, bracket)
 
 
 def taylor_to_json(T: TaylorSeq) -> list:
@@ -132,7 +132,7 @@ def instance_to_json(algebra: LinfAlgebra, omega=None, morphism: LinfMorphism = 
     return doc
 
 
-def instance_from_json(doc, W=6):
+def instance_from_json(doc):
     """Returns (algebra, omega vect or None, morphism or None).
 
     The algebras are checked; the morphism is not (see
@@ -140,14 +140,14 @@ def instance_from_json(doc, W=6):
     """
     cdoc = _expect(doc, dict, "instance document").get("coeff", "Q")
     C = rational_field() if cdoc == "Q" else CoeffDGA.from_json_dict(cdoc)
-    algebra = algebra_from_json(_expect(doc["algebra"], dict, "algebra"), C, W=W)
+    algebra = algebra_from_json(_expect(doc["algebra"], dict, "algebra"), C)
     omega = None
     if "omega" in doc:
         omega = vect_from_json(algebra.module, doc["omega"], "omega")
     morphism = None
     if "morphism" in doc:
         mdoc = _expect(doc["morphism"], dict, "morphism")
-        target = algebra_from_json(_expect(mdoc["target"], dict, "morphism target"), C, W=W)
+        target = algebra_from_json(_expect(mdoc["target"], dict, "morphism target"), C)
         T = taylor_from_json(mdoc["taylor"], algebra.shifted,
                              target.shifted, "morphism")
         morphism = LinfMorphism(algebra, target, T, check=False)

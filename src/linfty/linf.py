@@ -20,18 +20,18 @@ Q∘Q and Psi∘Q - Q'∘Psi are coderivations (the latter along Psi), and a
 coderivation vanishes iff its corestriction π₁ does (Lada-Stasheff).  So
 each check computes only the corestriction, reading π₁Q, π₁Q' and π₁Psi off
 the Taylor tables (``_corestriction``) on the columns of the canonical words
-up to a bound read off the Taylor lengths (or the word cap W, if smaller),
-beyond which the corestriction vanishes.  The walk is order-ascending and
-stops at the first word where the
+up to a bound read off the Taylor lengths, beyond which the corestriction
+vanishes.  The walk is order-ascending and stops at the first word where the
 corestriction is nonzero.  A coderivation that vanishes on every word of
 order below k equals its corestriction on order-k words, so that word is
 also the first word where the full operator is nonzero: the verdict and the
-one witness are those of a full walk up to W.
+one witness are those of a walk over every word.
 
 Twisting follows the Taylor-coefficient formula: ``_corestriction`` on the
-scaled powers sum_k w^k/k!, built once per call.  ``conjugation_twist`` builds
-the same operator a second way, by conjugating with multiplication by exp(w),
-and the two are compared column for column in the test suite.
+scaled powers sum_k w^k/k! up to the longest Taylor coefficient, built once
+per call.  ``conjugation_twist`` builds the same operator a second way, by
+conjugating with multiplication by exp(w), and the two are compared column
+for column in the test suite.
 """
 
 from __future__ import annotations
@@ -182,18 +182,18 @@ def _corestriction(taylor: TaylorSeq, words, extra=()) -> dict:
 
 
 def _scaled_powers(omega: CoalgElem, top) -> dict:
-    """The sum of omega^i / i! over i = 1 .. top + 1 as {word: coefficient},
-    ending at the first zero power (top: the longest Taylor coefficient).
-    Apart from coalg.exp on purpose: the conjugation oracle goes through exp."""
+    """The sum of omega^i / i! over i = 1 .. top as {word: coefficient},
+    ending at the first zero power (top: the longest Taylor coefficient, the
+    last one that reads a power).  Apart from coalg.exp on purpose: the
+    conjugation oracle goes through exp."""
     out = {}
     power = omega
-    i = 1
-    while power:
-        vect_acc(out, power.words, frac(1, math.factorial(i)))
-        if i > top:
+    for i in range(1, top + 1):
+        if i > 1:
+            power = power * omega
+        if not power:
             break
-        i += 1
-        power = power * omega
+        vect_acc(out, power.words, frac(1, math.factorial(i)))
     return out
 
 
@@ -206,21 +206,23 @@ class LinfAlgebra:
 
     The constructor does not decide Q∘Q = 0: from_dgla(check=True) decides it
     through dgla_check, and check_square_zero() decides it for any structure.
+    W, unbounded by default, is kept only for callers that pass it (a
+    morphism's W is its source's); no operator or check reads it.
     """
 
-    def __init__(self, module: GradedBasisModule, taylor: TaylorSeq, W):
+    def __init__(self, module: GradedBasisModule, taylor: TaylorSeq, W=math.inf):
         self.module = module
         self.shifted = taylor.source
         if self.shifted.gens != module.shifted().gens:
             raise ValueError("taylor sequence does not live on the shifted module")
         self.taylor = taylor
         self.W = W
-        self.Q = coder_from_taylor(taylor, W)
+        self.Q = coder_from_taylor(taylor)
         self._d_table = None
         self._bracket_table = None
 
     @classmethod
-    def from_dgla(cls, module, d_table, bracket_table, W, check=True):
+    def from_dgla(cls, module, d_table, bracket_table, W=math.inf, check=True):
         d_table = {module.index[k] if isinstance(k, str) else k: _as_vect(module, v)
                    for k, v in d_table.items()}
         bracket_table = complete_bracket(module, bracket_table)
@@ -236,7 +238,7 @@ class LinfAlgebra:
         return alg
 
     @classmethod
-    def abelian(cls, module, W):
+    def abelian(cls, module, W=math.inf):
         return cls.from_dgla(module, {}, {}, W)
 
     @property
@@ -267,7 +269,7 @@ class LinfAlgebra:
         return out
 
     def check_square_zero(self) -> ValidationReport:
-        """π₁Q(Q(word)) = 0 on the canonical words up to min(W, 2·top − 1),
+        """π₁Q(Q(word)) = 0 on the canonical words up to 2·top − 1,
         stopping at the first word that fails, which is the one witness.
 
         With top = taylor.max_j(), π₁∘Q∘Q on an order-k word is a sum of
@@ -277,7 +279,7 @@ class LinfAlgebra:
         """
         rep = ValidationReport()
         order = max(1, 2 * self.taylor.max_j() - 1)
-        for w in self.shifted.words_up_to(min(self.W, order)):
+        for w in self.shifted.words_up_to(order):
             if _corestriction(self.taylor, self.Q.column(w)):
                 rep.add("square_zero", [self.shifted.gen_name(i) for i in w],
                         "Q(Q(word)) != 0")
@@ -307,9 +309,8 @@ class MCElement:
             if r:
                 raise ValueError(f"not a Maurer-Cartan element, residue {r}")
 
-    def as_coalg(self, W=None) -> CoalgElem:
-        return CoalgElem.from_vect(self.ambient.shifted, self.vect,
-                                   W if W is not None else self.ambient.W)
+    def as_coalg(self) -> CoalgElem:
+        return CoalgElem.from_vect(self.ambient.shifted, self.vect)
 
     def exp(self) -> CoalgElem:
         return exp(self.as_coalg())
@@ -332,8 +333,8 @@ class LinfMorphism:
         self.source = source
         self.target = target
         self.taylor = taylor
-        self.W = min(source.W, target.W)
-        self.psi = morph_from_taylor(taylor, self.W)
+        self.W = source.W  # the guard of source elements, for callers that read it
+        self.psi = morph_from_taylor(taylor)
         if check:
             self.require_intertwines()
 
@@ -355,24 +356,27 @@ class LinfMorphism:
         T = TaylorSeq(algebra.shifted, algebra.shifted, {1: table}, "morphism")
         return cls(algebra, algebra, T, check=False)
 
+    def check_order(self):
+        """K = max(1, top_Psi + top_Q − 1, top_Q'·top_Psi): on an order-k word
+        the corestriction of Psi∘Q is a sum of Psi_j(Q_i(...)) with
+        k = i + j − 1, and that of Q'∘Psi a sum of Q'_j on j blocks of Psi_i's
+        with k <= j·i, so both vanish for k > K."""
+        top = self.taylor.max_j()
+        return max(1, top + self.source.taylor.max_j() - 1,
+                   self.target.taylor.max_j() * top)
+
     def check_intertwines(self) -> ValidationReport:
         """π₁Psi(Q(word)) = π₁Q'(Psi(word)) on the canonical words up to
-        min(W, K), stopping at the first word that fails, which is the one
+        check_order(), stopping at the first word that fails, which is the one
         witness.
 
-        K = max(1, top_Psi + top_Q − 1, top_Q'·top_Psi): on an order-k word the
-        corestriction of Psi∘Q is a sum of Psi_j(Q_i(...)) with k = i + j − 1,
-        and that of Q'∘Psi a sum of Q'_j on j blocks of Psi_i's with k <= j·i,
-        so both vanish for k > K; Psi∘Q − Q'∘Psi is a coderivation along Psi,
-        zero iff its corestriction is, and the first word where the
-        corestrictions differ is the first word where the two sides do.
+        Psi∘Q − Q'∘Psi is a coderivation along Psi, zero iff its
+        corestriction is, and the first word where the corestrictions differ
+        is the first word where the two sides do.
         """
         rep = ValidationReport()
         sh = self.source.shifted
-        top = self.taylor.max_j()
-        order = max(1, top + self.source.taylor.max_j() - 1,
-                    self.target.taylor.max_j() * top)
-        for w in sh.words_up_to(min(self.W, order)):
+        for w in sh.words_up_to(self.check_order()):
             if (_corestriction(self.taylor, self.source.Q.column(w))
                     != _corestriction(self.target.taylor, self.psi.column(w))):
                 rep.add("intertwine", [sh.gen_name(i) for i in w],
@@ -406,7 +410,7 @@ def mc_residue(algebra: LinfAlgebra, omega) -> dict:
             raise ValueError("the MC equation lives in degree 1")
         if not c.in_ideal():
             raise ValueError("MC residue needs nilpotent coefficients")
-    om = CoalgElem.from_vect(algebra.shifted, omega, algebra.W)
+    om = CoalgElem.from_vect(algebra.shifted, omega)
     return _corestriction(algebra.taylor, _scaled_powers(om, algebra.taylor.max_j()))
 
 
@@ -420,7 +424,7 @@ def mc_push(psi: LinfMorphism, omega: MCElement) -> MCElement:
     """Pushforward sum_i 1/i! (d^i Psi)(omega^i); MC in the target (asserted)."""
     if omega.ambient is not psi.source:
         raise ValueError("omega does not live in the morphism source")
-    om = omega.as_coalg(psi.W)
+    om = omega.as_coalg()
     v = _corestriction(psi.taylor, _scaled_powers(om, psi.taylor.max_j()))
     return MCElement(psi.target, v, check=True)
 
@@ -454,9 +458,8 @@ def twist_coder(algebra: LinfAlgebra, omega, allow_non_mc=False) -> LinfAlgebra:
         om_vect = _as_vect(algebra.module, omega)
         if not allow_non_mc:
             MCElement(algebra, om_vect, check=True)
-    om = CoalgElem.from_vect(algebra.shifted, om_vect, algebra.W)
-    T = twist_taylor(algebra.taylor, om)
-    return LinfAlgebra(algebra.module, T, algebra.W)
+    T = twist_taylor(algebra.taylor, CoalgElem.from_vect(algebra.shifted, om_vect))
+    return LinfAlgebra(algebra.module, T)
 
 
 def twist_morphism(psi: LinfMorphism, omega: MCElement, twisted_source=None) -> LinfMorphism:
@@ -468,23 +471,21 @@ def twist_morphism(psi: LinfMorphism, omega: MCElement, twisted_source=None) -> 
     omega_t = mc_push(psi, omega)
     src = twisted_source if twisted_source is not None else twist_coder(psi.source, omega)
     tgt = twist_coder(psi.target, omega_t)
-    om = omega.as_coalg(psi.W)
-    T = twist_taylor(psi.taylor, om)
+    T = twist_taylor(psi.taylor, omega.as_coalg())
     return LinfMorphism(src, tgt, T, check=False)
 
 
-def _conjugated(op, om_source, om_target, W) -> CoalgOperator:
-    """exp(-om_target) * op(exp(om_source) * word) per column, with headroom above W."""
+def _conjugated(op, om_source, om_target) -> CoalgOperator:
+    """exp(-om_target) * op(exp(om_source) * word) per column."""
     src, tgt = op.source, op.target
-    big = W + 2 * (src.coeff.nilpotency_order - 1)
-    e = exp(CoalgElem.from_vect(src, om_source, big))
-    e_inv = exp(CoalgElem.from_vect(tgt, vect_scale(om_target, -1), big))
+    e = exp(CoalgElem.from_vect(src, om_source))
+    e_inv = exp(CoalgElem.from_vect(tgt, vect_scale(om_target, -1)))
     one = src.coeff.one()
 
     def column(w):
-        return (e_inv * op(e * CoalgElem(src, {w: one}, big))).words
+        return (e_inv * op(e * CoalgElem(src, {w: one}))).words
 
-    return CoalgOperator(src, tgt, op.degree, column, big)
+    return CoalgOperator(src, tgt, op.degree, column)
 
 
 def conjugation_twist(algebra: LinfAlgebra, omega) -> CoalgOperator:
@@ -496,12 +497,12 @@ def conjugation_twist(algebra: LinfAlgebra, omega) -> CoalgOperator:
         om_vect = omega.vect
     else:
         om_vect = _as_vect(algebra.module, omega)
-    return _conjugated(algebra.Q, om_vect, om_vect, algebra.W)
+    return _conjugated(algebra.Q, om_vect, om_vect)
 
 
 def conjugation_twist_morphism(psi: LinfMorphism, omega: MCElement) -> CoalgOperator:
     """Phi_{e'}^{-1} ∘ Psi ∘ Phi_e, the conjugation route for morphisms."""
-    return _conjugated(psi.psi, omega.vect, mc_push(psi, omega).vect, psi.W)
+    return _conjugated(psi.psi, omega.vect, mc_push(psi, omega).vect)
 
 
 def operators_agree(op1, op2, module, max_order) -> ValidationReport:
@@ -609,9 +610,8 @@ def explicit_identity_residual(psi_taylor: TaylorSeq, source: LinfAlgebra,
 def coalgebra_identity_residual(psi_taylor: TaylorSeq, source: LinfAlgebra,
                                 target: LinfAlgebra, word) -> dict:
     """ln((Q'∘Psi − Psi∘Q)(word)) through the full coalgebra operators."""
-    W = max(source.W, len(word))
-    psi = morph_from_taylor(psi_taylor, W)
-    x = CoalgElem(source.shifted, {tuple(word): source.module.coeff.one()}, W)
+    psi = morph_from_taylor(psi_taylor)
+    x = CoalgElem(source.shifted, {tuple(word): source.module.coeff.one()})
     lhs = target.Q(psi(x)).ln()
     rhs = psi(source.Q(x)).ln()
     return vect_acc(lhs, rhs, -1)
@@ -648,7 +648,7 @@ def tensor_module(A: CoeffDGA, module: GradedBasisModule):
     return tm, pairs
 
 
-def tensor_dgla(A: CoeffDGA, algebra: LinfAlgebra, W=None, check=True):
+def tensor_dgla(A: CoeffDGA, algebra: LinfAlgebra, W=math.inf, check=True):
     """The tensor DG Lie algebra A x g with the Koszul-sign structure maps."""
     if not algebra.is_dgla:
         raise ValueError("tensor extension implemented for DGLA provenance")
@@ -685,14 +685,14 @@ def tensor_dgla(A: CoeffDGA, algebra: LinfAlgebra, W=None, check=True):
             if out:
                 tb[(i1, i2)] = out
 
-    alg = LinfAlgebra.from_dgla(tm, td, tb, W if W is not None else algebra.W,
-                                check=check)
+    alg = LinfAlgebra.from_dgla(tm, td, tb, W, check=check)
     alg.tensor_pairs = pairs
     alg.tensor_factor = A
     return alg
 
 
-def extend_multilinear(psi: LinfMorphism, A: CoeffDGA, W=None, check=True) -> LinfMorphism:
+def extend_multilinear(psi: LinfMorphism, A: CoeffDGA, W=math.inf,
+                       check=True) -> LinfMorphism:
     """A-multilinear extension of a morphism between DGLAs over the base field.
 
     The j-th extended coefficient sends (a_1 g_1)...(a_j g_j) to
@@ -764,12 +764,3 @@ def finiteness_bound(j, word_degrees, r0):
     p = sum(word_degrees)
     return max(0, p + 1 - j - r0)
 
-
-def recommended_word_cap(coefficients: CoeffDGA, max_arity, check_order=0):
-    """Word-order cap guaranteed to cover twist computations and their checks.
-
-    Nilpotency bounds every power of a Maurer-Cartan element, so words of
-    order nilpotency_order * max_arity + check_order suffice for the twisted
-    Taylor sums and the exponential conjugation route alike.
-    """
-    return coefficients.nilpotency_order * max(1, max_arity) + check_order

@@ -99,17 +99,17 @@ def change_basis_dgla(module, d_table, bracket_table, P, Pinv, C):
     return d_new, br_new
 
 
-def sample_dgla(rng, C: CoeffDGA, W=6, family=None, scramble=True) -> LinfAlgebra:
+def sample_dgla(rng, C: CoeffDGA, family=None, scramble=True) -> LinfAlgebra:
     """A DGLA instance over C from a verified family, base-change scrambled."""
     name = family if family is not None else rng.choice(sorted(FAMILIES))
     gens, d_data, br_data = FAMILIES[name]
     module = GradedBasisModule(name, gens, C)
-    alg = LinfAlgebra.from_dgla(module, d_data, br_data, W, check=False)
+    alg = LinfAlgebra.from_dgla(module, d_data, br_data, check=False)
     d_table, bracket = alg.dgla_tables()
     if scramble:
         P, Pinv = unimodular_by_degree(module, rng)
         d_table, bracket = change_basis_dgla(module, d_table, bracket, P, Pinv, C)
-    out = LinfAlgebra.from_dgla(module, d_table, bracket, W, check=True)
+    out = LinfAlgebra.from_dgla(module, d_table, bracket, check=True)
     out.family = name
     return out
 
@@ -160,7 +160,7 @@ def strict_base_change_morphism(rng, algebra: LinfAlgebra) -> LinfMorphism:
     d_table, bracket = algebra.dgla_tables()
     P, Pinv = unimodular_by_degree(module, rng)
     d2, br2 = change_basis_dgla(module, d_table, bracket, P, Pinv, module.coeff)
-    target = LinfAlgebra.from_dgla(module, d2, br2, algebra.W, check=True)
+    target = LinfAlgebra.from_dgla(module, d2, br2, check=True)
     # new_i = sum_j P[i][j] old_j, so old_j maps to sum_i Pinv[j][i] new_i
     table = {}
     for j in range(len(module)):
@@ -171,12 +171,12 @@ def strict_base_change_morphism(rng, algebra: LinfAlgebra) -> LinfMorphism:
 
 
 def sample_abelian_pair(rng, C):
-    """Two zero-differential abelian algebras (3 generators, W = 6) and a random morphism."""
+    """Two zero-differential abelian algebras (3 generators) and a random morphism."""
     degs = sorted(rng.choice([0, 1, 2]) for _ in range(3))
     ms = GradedBasisModule("src", [(f"s{i}", d) for i, d in enumerate(degs)], C)
     mt = GradedBasisModule("tgt", [(f"t{i}", d) for i, d in enumerate(degs)], C)
-    a = LinfAlgebra.abelian(ms, 6)
-    b = LinfAlgebra.abelian(mt, 6)
+    a = LinfAlgebra.abelian(ms)
+    b = LinfAlgebra.abelian(mt)
     maps = {}
     shs, sht = a.shifted, b.shifted
     for j in (1, 2):

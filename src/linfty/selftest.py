@@ -103,20 +103,19 @@ def check_gerstenhaber(rng):
 def check_coalgebra(rng):
     C = make_truncated_poly_dga([0], 3)
     m = GradedBasisModule("g", [("a", 0), ("b", 0), ("c", 1)], C)
-    W = 4
     for w in m.words_up_to(3):
-        x = CoalgElem(m, {w: C.one()}, W)
+        x = CoalgElem(m, {w: C.one()})
         lhs = {}
         for (w1, w2), c in x.comult().items():
-            for v1, c1 in tau(CoalgElem(m, {w1: C.one()}, W)).items():
-                for v2, c2 in tau(CoalgElem(m, {w2: C.one()}, W)).items():
+            for v1, c1 in tau(CoalgElem(m, {w1: C.one()})).items():
+                for v2, c2 in tau(CoalgElem(m, {w2: C.one()})).items():
                     add = c * c1 * c2
                     if add:
                         _acc(lhs, (v1, v2), add)
-        if lhs != tensor_comult(tau(x)) or pi_tilde(m, tau(x), W) != x:
+        if lhs != tensor_comult(tau(x)) or pi_tilde(m, tau(x)) != x:
             return False, f"symmetrization identities at {w}"
     h = C.gen("h")
-    om = CoalgElem.generator(m, "a", W).scale(h)
+    om = CoalgElem.generator(m, "a").scale(h)
     e = exp(om)
     if not (is_grouplike(e) and ln(e) == om and is_primitive(om)):
         return False, "exp/ln/primitive basics"
@@ -126,7 +125,7 @@ def check_coalgebra(rng):
 def check_mc_twist(rng):
     C = samples.default_coefficients(4)
     for _ in range(8):
-        alg = samples.sample_dgla(rng, C, W=6)
+        alg = samples.sample_dgla(rng, C)
         om = samples.sample_mc(rng, alg)
         residue = mc_residue(alg, om.vect)
         if residue:
@@ -165,8 +164,8 @@ def check_morphisms(rng):
 
 def check_identity_paths(rng):
     C = samples.default_coefficients(4)
-    src = samples.sample_dgla(rng, C, W=6, family="weighted", scramble=False)
-    tgt = samples.sample_dgla(rng, C, W=6, family="cross", scramble=False)
+    src = samples.sample_dgla(rng, C, family="weighted", scramble=False)
+    tgt = samples.sample_dgla(rng, C, family="cross", scramble=False)
     sh_s, sh_t = src.shifted, tgt.shifted
     for _ in range(6):
         maps = {}

@@ -45,26 +45,26 @@ def is_exact(q):
     return type(q) is int or (type(q) is Fraction and q.denominator != 1)
 
 
-def square_zero_witnesses(taylor, W, max_order=None):
-    """Every canonical word up to max_order (default W) with Q(Q(word)) != 0."""
+def square_zero_witnesses(taylor, max_order):
+    """Every canonical word up to max_order with Q(Q(word)) != 0."""
     module = taylor.source
-    Q = coder_from_taylor(taylor, W)
+    Q = coder_from_taylor(taylor)
     bad = []
-    for w in module.words_up_to(W if max_order is None else max_order):
-        x = CoalgElem(module, {w: module.coeff.one()}, W)
+    for w in module.words_up_to(max_order):
+        x = CoalgElem(module, {w: module.coeff.one()})
         if not Q(Q(x)).is_zero():
             bad.append([module.gen_name(i) for i in w])
     return bad
 
 
-def intertwine_witnesses(psi_taylor, source_taylor, target_taylor, W, max_order=None):
-    """Every canonical word up to max_order (default W) with Psi(Q(word)) != Q'(Psi(word))."""
+def intertwine_witnesses(psi_taylor, source_taylor, target_taylor, max_order):
+    """Every canonical word up to max_order with Psi(Q(word)) != Q'(Psi(word))."""
     module = psi_taylor.source
-    psi = morph_from_taylor(psi_taylor, W)
-    Q, Q_t = coder_from_taylor(source_taylor, W), coder_from_taylor(target_taylor, W)
+    psi = morph_from_taylor(psi_taylor)
+    Q, Q_t = coder_from_taylor(source_taylor), coder_from_taylor(target_taylor)
     bad = []
-    for w in module.words_up_to(W if max_order is None else max_order):
-        x = CoalgElem(module, {w: module.coeff.one()}, W)
+    for w in module.words_up_to(max_order):
+        x = CoalgElem(module, {w: module.coeff.one()})
         if psi(Q(x)) != Q_t(psi(x)):
             bad.append([module.gen_name(i) for i in w])
     return bad

@@ -118,15 +118,14 @@ def test_a3_coalgebra_layer():
     t0 = time.time()
     C = make_truncated_poly_dga([0], 3)
     m = GradedBasisModule("g", [("a", 0), ("b", 0), ("c", 1), ("e", -1)], C)
-    W = 4
     # symmetrization is a coalgebra isomorphism with averaged inverse
     for w in m.words_up_to(4):
-        x = CoalgElem(m, {w: C.one()}, W)
-        assert pi_tilde(m, tau(x), W) == x
+        x = CoalgElem(m, {w: C.one()})
+        assert pi_tilde(m, tau(x)) == x
         lhs = {}
         for (w1, w2), c in x.comult().items():
-            for v1, c1 in tau(CoalgElem(m, {w1: C.one()}, W)).items():
-                for v2, c2 in tau(CoalgElem(m, {w2: C.one()}, W)).items():
+            for v1, c1 in tau(CoalgElem(m, {w1: C.one()})).items():
+                for v2, c2 in tau(CoalgElem(m, {w2: C.one()})).items():
                     key = (v1, v2)
                     add = c * c1 * c2
                     prev = lhs.get(key)
@@ -138,7 +137,7 @@ def test_a3_coalgebra_layer():
         assert lhs == tensor_comult(tau(x))
     # primitives are exactly the order-1 words
     for w in m.words_up_to(4):
-        x = CoalgElem(m, {w: C.one()}, W)
+        x = CoalgElem(m, {w: C.one()})
         assert is_primitive(x) == (len(w) == 1)
     # exp/ln are mutually inverse over the lattice {0,±1,±1/2}·h^k
     m0 = GradedBasisModule("g0", [("g1", 0), ("g2", 0)], C)
@@ -166,7 +165,7 @@ def test_a4_mc_machinery():
     nontrivial = 0
     while done < 100:
         if done % 2 == 0:
-            alg = samples.sample_dgla(rng, C, W=6)
+            alg = samples.sample_dgla(rng, C)
             phi = samples.strict_base_change_morphism(rng, alg) \
                 if done % 4 == 0 else LinfMorphism.identity(alg)
         else:
@@ -179,7 +178,7 @@ def test_a4_mc_machinery():
         assert alg.Q(om.exp()).is_zero()
         bad = samples.sample_non_mc(rng, alg, tries=30)
         if bad is not None:
-            assert not alg.Q(exp(CoalgElem.from_vect(alg.shifted, bad, alg.W))).is_zero()
+            assert not alg.Q(exp(CoalgElem.from_vect(alg.shifted, bad))).is_zero()
         # DGLA closed form agrees with the coderivation sum
         if alg.is_dgla:
             assert mc_residue(alg, om.vect) == mc_residue_dgla(alg, om.vect)
@@ -200,11 +199,11 @@ def test_a5_twist_theorem():
     C = make_truncated_poly_dga([0], 4)
     nontrivial = 0
     for trial in range(50):
-        alg = samples.sample_dgla(rng, C, W=6)
+        alg = samples.sample_dgla(rng, C)
         om = samples.sample_mc(rng, alg)
         nontrivial += bool(om.vect)
         tw = twist_coder(alg, om)
-        assert not square_zero_witnesses(tw.taylor, tw.W, 3), "twisted Q not square zero"
+        assert not square_zero_witnesses(tw.taylor, 3), "twisted Q not square zero"
         # twisted-differential closed form
         d_t, br_t = dgla_tables_from_taylor(alg.module, tw.taylor)
         d_0, br_0 = alg.dgla_tables()
@@ -221,9 +220,8 @@ def test_a5_twist_theorem():
         phi = strict = samples.strict_base_change_morphism(rng, alg) \
             if trial % 2 else LinfMorphism.identity(alg)
         tm = twist_morphism(phi, om, twisted_source=tw)
-        assert not square_zero_witnesses(tm.target.taylor, tm.W, 3), "twisted target"
-        assert not intertwine_witnesses(tm.taylor, tm.source.taylor, tm.target.taylor,
-                                        tm.W, 3)
+        assert not square_zero_witnesses(tm.target.taylor, 3), "twisted target"
+        assert not intertwine_witnesses(tm.taylor, tm.source.taylor, tm.target.taylor, 3)
     assert nontrivial >= 25, "too few nontrivial twist instances"
     report("A5", 60, t0,
            "50 twist instances: Q_w^2=0, closed-form twisted tables, morphism "
@@ -363,7 +361,7 @@ def test_a8_finiteness_bound():
         words = sh.words_up_to(2)
         rng.shuffle(words)
         for w in words[:12]:
-            x = CoalgElem(sh, {w: QQ.one()}, ext.W)
+            x = CoalgElem(sh, {w: QQ.one()})
             assert ext.psi(ext.source.Q(x)) == ext.target.Q(ext.psi(x)), \
                 "extension fails the morphism axiom"
         # omega in A^1 x g^0; no nonzero term beyond the degree-count bound
@@ -404,7 +402,7 @@ def test_a9_negative_controls():
     rng = random.Random(909)
     C = make_truncated_poly_dga([0], 4)
     # (1) a non-MC omega twisted under the override has Q_w^2 != 0, with witness
-    alg = samples.sample_dgla(rng, C, W=6, family="odd_square", scramble=False)
+    alg = samples.sample_dgla(rng, C, family="odd_square", scramble=False)
     bad = samples.sample_non_mc(rng, alg)
     assert bad is not None
     tw1 = twist_coder(alg, bad, allow_non_mc=True)

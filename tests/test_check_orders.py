@@ -1,5 +1,6 @@
 """The Q∘Q = 0 and Psi∘Q = Q'∘Psi checks stop at an order derived from the
-Taylor lengths; a walk over every word up to the word cap must agree with them."""
+Taylor lengths; a walk over every word up to one order past it must agree
+with them."""
 
 import contextlib
 import io
@@ -34,36 +35,36 @@ def random_module(rng, C):
     return GradedBasisModule("m", [(f"g{i}", d) for i, d in enumerate(degs)], C)
 
 
-def random_structure(rng, C, kind, W):
+def random_structure(rng, C, kind):
     """A coderivation that need not square to zero: only Q_3 ("q3"), a random
     bracket ("jacobi"), a random d and bracket ("d2"), or a DGLA with one
     Taylor entry changed ("corrupt")."""
     if kind == "corrupt":
-        alg = samples.sample_dgla(rng, C, W=W)
+        alg = samples.sample_dgla(rng, C)
         sh = alg.shifted
         maps = {j: dict(tab) for j, tab in alg.taylor.maps.items()}
         j = rng.choice((1, 2))
         for w, v in random_table(rng, sh, sh, j, 1, C, 0.3).items():
             maps.setdefault(j, {})[w] = v
-        return LinfAlgebra(alg.module, TaylorSeq(sh, sh, maps, "coderivation"), W)
+        return LinfAlgebra(alg.module, TaylorSeq(sh, sh, maps, "coderivation"))
     module = random_module(rng, C)
     sh = module.shifted()
     arities = {"q3": (3,), "jacobi": (2,), "d2": (1, 2)}[kind]
     maps = {j: random_table(rng, sh, sh, j, 1, C, 0.6) for j in arities}
-    return LinfAlgebra(module, TaylorSeq(sh, sh, maps, "coderivation"), W)
+    return LinfAlgebra(module, TaylorSeq(sh, sh, maps, "coderivation"))
 
 
-def random_morphism(rng, C, W):
+def random_morphism(rng, C):
     """A random non-strict Taylor table of top <= 3 between genuine structures.
 
     An odd_square target ([y, y] = z) obstructs a Psi_j with j > 1 only at
     order 2j; an abelian target leaves Psi∘Q alone to fail, up to order
     top_Psi + top_Q − 1."""
-    src = samples.sample_dgla(rng, C, W=W) if rng.random() < 0.5 \
-        else LinfAlgebra.abelian(random_module(rng, C), W)
-    tgt = rng.choice((lambda: samples.sample_dgla(rng, C, W=W),
-                      lambda: samples.sample_dgla(rng, C, W=W, family="odd_square"),
-                      lambda: LinfAlgebra.abelian(random_module(rng, C), W)))()
+    src = samples.sample_dgla(rng, C) if rng.random() < 0.5 \
+        else LinfAlgebra.abelian(random_module(rng, C))
+    tgt = rng.choice((lambda: samples.sample_dgla(rng, C),
+                      lambda: samples.sample_dgla(rng, C, family="odd_square"),
+                      lambda: LinfAlgebra.abelian(random_module(rng, C))))()
     top = rng.randint(1, 3)
     maps = {j: random_table(rng, src.shifted, tgt.shifted, j, 0, C, 0.4)
             for j in range(1, top + 1) if rng.random() < 0.7}
@@ -75,25 +76,34 @@ def witnesses(rep):
     return [v["witness"] for v in rep.violations]
 
 
+def reference(kind, x):
+    """The reference walk's witnesses for a morphism ("psi") or a structure,
+    one order past the bound its check derives from the Taylor lengths."""
+    if kind == "psi":
+        top = x.taylor.max_j()
+        order = max(1, top + x.source.taylor.max_j() - 1, x.target.taylor.max_j() * top)
+        return intertwine_witnesses(x.taylor, x.source.taylor, x.target.taylor, order + 1)
+    return square_zero_witnesses(x.taylor, max(1, 2 * x.taylor.max_j() - 1) + 1)
+
+
+def derived(rng, C, kind):
+    """A random instance of the kind, its check's witnesses and the reference's."""
+    x = random_morphism(rng, C) if kind == "psi" else random_structure(rng, C, kind)
+    got = x.check_intertwines() if kind == "psi" else x.check_square_zero()
+    return witnesses(got), reference(kind, x)
+
+
 class TestDerivedOrders:
     def test_agree_with_the_full_walk_on_random_and_corrupted_instances(self):
-        rng = random.Random(6)
+        rng = random.Random(7)
         kinds = ("q3", "jacobi", "d2", "corrupt", "psi")
         first_orders = {kind: set() for kind in kinds}
         for case in range(160):
             C = rng.choice((rational_field(), make_truncated_poly_dga([0], 3)))
-            W = rng.choice((3, 4, 5, 6, 6))
             kind = kinds[case % len(kinds)]
-            if kind == "psi":
-                psi = random_morphism(rng, C, W)
-                ref = intertwine_witnesses(psi.taylor, psi.source.taylor,
-                                           psi.target.taylor, psi.W)
-                got = witnesses(psi.check_intertwines())
-            else:
-                alg = random_structure(rng, C, kind, W)
-                ref = square_zero_witnesses(alg.taylor, W)
-                got = witnesses(alg.check_square_zero())
-            # same verdict, and the derived walk is a prefix of the full one
+            got, ref = derived(rng, C, kind)
+            # same verdict, so no word above the bound fails first, and the
+            # derived walk is a prefix of the full one
             assert bool(got) == bool(ref), (case, kind)
             assert got == ref[:len(got)], (case, kind)
             first_orders[kind].add(len(ref[0]) if ref else 0)
@@ -110,17 +120,8 @@ class TestDerivedOrders:
         several = {kind: 0 for kind in kinds}
         for case in range(200):
             C = rng.choice((rational_field(), make_truncated_poly_dga([0], 3)))
-            W = rng.choice((3, 4, 5))
             kind = kinds[case % len(kinds)]
-            if kind == "psi":
-                psi = random_morphism(rng, C, W)
-                ref = intertwine_witnesses(psi.taylor, psi.source.taylor,
-                                           psi.target.taylor, psi.W)
-                got = witnesses(psi.check_intertwines())
-            else:
-                alg = random_structure(rng, C, kind, W)
-                ref = square_zero_witnesses(alg.taylor, W)
-                got = witnesses(alg.check_square_zero())
+            got, ref = derived(rng, C, kind)
             if len(ref) >= 2:
                 assert got == ref[:1], (case, kind)
                 several[kind] += 1
@@ -129,31 +130,31 @@ class TestDerivedOrders:
     @pytest.mark.parametrize("top", [2, 3])
     def test_failure_only_at_the_top_order(self, top):
         # Psi_top(a...a) = y into [y, y] = z first fails on a^(2 top)
-        psi = quadratic_obstruction(top, W=2 * top)
+        psi = quadratic_obstruction(top)
         rep = psi.check_intertwines()
         assert witnesses(rep) == [["a"] * (2 * top)]
         assert witnesses(rep) == intertwine_witnesses(psi.taylor, psi.source.taylor,
-                                                      psi.target.taylor, psi.W)
+                                                      psi.target.taylor, 2 * top)
         with pytest.raises(ValueError, match=r"witness \['a', 'a'(, 'a')+\]"):
             LinfMorphism(psi.source, psi.target, psi.taylor)
 
-    def test_word_cap_below_the_derived_order(self):
-        # with W = 3 the obstruction on a^4 is out of reach of both walks
-        psi = quadratic_obstruction(2, W=3)
-        assert psi.check_intertwines().ok
+    def test_obstruction_above_order_three_is_found(self):
+        # no word of order <= 3 fails, and the check still reaches a^4
+        psi = quadratic_obstruction(2)
         assert not intertwine_witnesses(psi.taylor, psi.source.taylor, psi.target.taylor, 3)
+        assert witnesses(psi.check_intertwines()) == [["a"] * 4]
 
 
-def quadratic_obstruction(top, W):
+def quadratic_obstruction(top):
     """Psi_top(a^top) = y from an abelian algebra into one with [y, y] = z.
 
     Psi∘Q vanishes and Q'∘Psi(a^k) is nonzero first at k = 2 top, through
     [Psi_top(a^top), Psi_top(a^top)]: Psi is no morphism, but every word of
     lower order passes."""
     QQ = rational_field()
-    src = LinfAlgebra.abelian(GradedBasisModule("s", [("a", 1)], QQ), W)
+    src = LinfAlgebra.abelian(GradedBasisModule("s", [("a", 1)], QQ))
     tgt = LinfAlgebra.from_dgla(GradedBasisModule("t", [("y", 1), ("z", 2)], QQ),
-                                {}, {("y", "y"): {"z": 1}}, W)
+                                {}, {("y", "y"): {"z": 1}})
     T = TaylorSeq(src.shifted, tgt.shifted, {top: {(0,) * top: {0: QQ.one()}}}, "morphism")
     return LinfMorphism(src, tgt, T, check=False)
 
@@ -166,25 +167,34 @@ def cli(argv):
 
 
 class TestCliVerdicts:
+    # top = 4 first fails on a^8, above the order-6 cap that the verbs once had
+    TOPS = (2, 3, 4)
+
     @pytest.fixture
-    def obstruction_file(self, tmp_path):
-        psi = quadratic_obstruction(2, W=6)
-        doc = jsonio.instance_to_json(psi.source, omega={}, morphism=psi)
-        path = tmp_path / "obstruction.json"
-        path.write_text(json.dumps(doc))
-        return str(path)
+    def obstruction_files(self, tmp_path):
+        """{top: the quadratic_obstruction(top) instance file}, with omega = 0."""
+        paths = {}
+        for top in self.TOPS:
+            psi = quadratic_obstruction(top)
+            doc = jsonio.instance_to_json(psi.source, omega={}, morphism=psi)
+            paths[top] = tmp_path / f"obstruction{top}.json"
+            paths[top].write_text(json.dumps(doc))
+        return {top: str(path) for top, path in paths.items()}
 
-    def test_linf_check_reports_a_non_morphism(self, obstruction_file):
-        code, out, _ = cli(["linf-check", "--instance", obstruction_file])
-        doc = json.loads(out)
-        assert code == 1 and not doc["is_linf_morphism"]
-        assert doc["witness"] == ["a", "a", "a", "a"]
+    def test_linf_check_reports_a_non_morphism(self, obstruction_files):
+        for top, path in obstruction_files.items():
+            code, out, _ = cli(["linf-check", "--instance", path])
+            doc = json.loads(out)
+            assert code == 1 and not doc["is_linf_morphism"], top
+            assert doc["witness"] == ["a"] * (2 * top)
 
-    def test_other_verbs_reject_a_non_morphism(self, obstruction_file):
-        for verb in ("mc-check", "mc-push", "twist", "twist-check", "exp"):
-            code, out, err = cli([verb, "--instance", obstruction_file])
-            assert (code, out) == (2, ""), verb
-            assert err == "error: not an L-infinity morphism: witness ['a', 'a', 'a', 'a']\n"
+    def test_other_verbs_reject_a_non_morphism(self, obstruction_files):
+        for top, path in obstruction_files.items():
+            witness = ["a"] * (2 * top)
+            for verb in ("mc-check", "mc-push", "twist", "twist-check", "exp"):
+                code, out, err = cli([verb, "--instance", path])
+                assert (code, out) == (2, ""), (top, verb)
+                assert err == f"error: not an L-infinity morphism: witness {witness}\n"
 
     def test_missing_omega_exits_two(self, tmp_path):
         alg = samples.sample_dgla(random.Random(3), samples.default_coefficients(4),

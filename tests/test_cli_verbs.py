@@ -20,7 +20,7 @@ CLI_SOURCE = pathlib.Path(cli.__file__).read_text()
 # a value for each option: (the words after the flag, the parsed value)
 VALUES = {"n": (["3"], 3), "instance": (["inst.json"], "inst.json"),
           "coeff_algebra": (["A.json"], "A.json"), "trunc": (["3"], 3),
-          "order": (["4"], 4), "window": (["0", "2"], [0, 2]), "word_cap": (["2"], 2),
+          "order": (["4"], 4), "window": (["0", "2"], [0, 2]),
           "seed": (["5"], 5), "samples": (["7"], 7), "max_arity": (["3"], 3),
           "allow_non_mc": ([], True)}
 # what run() and every handler may read besides the declared options
@@ -98,11 +98,11 @@ def args_read(source, function, helpers=("_emit",)):
 
 def test_detector_follows_helpers_that_take_args():
     source = ("def _emit(doc, args):\n    return args.format\n"
-              "def _load(args, doc=None):\n    return args.word_cap\n"
+              "def _load(args, doc=None):\n    return args.instance\n"
               "def _other(x):\n    return x.seed\n"
               "def handler(args):\n    _other(args.n)\n    return _load(args)\n"
               "def unrelated(args):\n    return args.samples\n")
-    assert args_read(source, "handler") == {"format", "word_cap", "n"}
+    assert args_read(source, "handler") == {"format", "instance", "n"}
 
 
 @pytest.mark.parametrize("verb", cli.VERBS)
@@ -118,6 +118,24 @@ def readme_cli_lines():
     blocks = re.findall(r"```sh\n(.*?)```", text, re.S)
     return [line for block in blocks for line in block.splitlines()
             if line.startswith("linfty ")]
+
+
+def readme_option_table():
+    """{verb: option names} from the README's verb/option table."""
+    table = {}
+    for line in (ROOT / "README.md").read_text().splitlines():
+        cells = line.split("|")
+        if line.startswith("| `") and len(cells) == 4:
+            options = [o.replace("-", "_") for o in re.findall(r"`--([^`]+)`", cells[2])]
+            for verb in re.findall(r"`([^`]+)`", cells[1]):
+                assert verb not in table, verb
+                table[verb] = options
+    return table
+
+
+def test_readme_option_table_is_the_verb_table():
+    # the docs cannot list an option that a verb does not take, or miss one
+    assert readme_option_table() == {verb: list(entry[3]) for verb, entry in cli.VERBS.items()}
 
 
 def test_readme_has_cli_lines():

@@ -108,7 +108,7 @@ class TestSymmetrization:
         # tau is a coalgebra morphism onto the invariants and pi_tilde inverts it
         for w in module.words_up_to(4):
             x = CoalgElem(module, {w: C.one()}, W)
-            assert pi_tilde(module, tau(x), W) == x
+            assert pi_tilde(module, tau(x)) == x
             lhs = {}
             for (w1, w2), c in x.comult().items():
                 for v1, c1 in tau(CoalgElem(module, {w1: C.one()}, W)).items():
@@ -137,14 +137,14 @@ class TestSymmetrization:
                 x = CoalgElem(module, words, W)
             except OrderOverflowError:
                 continue
-            assert pi_tilde(module, tau(x), W) == x
+            assert pi_tilde(module, tau(x)) == x
 
 
 class TestCoderivations:
     def test_leibniz_on_two_letters(self, module, C):
         d_table = {1: {(0,): {2: C.one()}}}  # d(a) = c
         T = TaylorSeq(module, module, d_table, "coderivation")
-        Q = coder_from_taylor(T, W)
+        Q = coder_from_taylor(T)
         ga, gb = CoalgElem.generator(module, "a", W), CoalgElem.generator(module, "b", W)
         gc = CoalgElem.generator(module, "c", W)
         assert Q(ga * gb) == gc * gb
@@ -153,7 +153,7 @@ class TestCoderivations:
     def test_pair_taylor_expansion(self, module, C):
         rng = random.Random(23)
         T = rand_taylor(rng, module, "coderivation", 2)
-        Q = coder_from_taylor(T, W)
+        Q = coder_from_taylor(T)
         # on a three-letter word the order-2 part acts through every pair
         w = (0, 0, 1)
         got = Q(CoalgElem(module, {w: C.one()}, W))
@@ -175,16 +175,16 @@ class TestCoderivations:
         rng = random.Random(29)
         for _ in range(8):
             T = rand_taylor(rng, module, "coderivation", 3)
-            Q = coder_from_taylor(T, W)
-            assert check_coderivation(Q, W, max_order=4).ok
+            Q = coder_from_taylor(T)
+            assert check_coderivation(Q, 4).ok
             for j, tab in T.maps.items():
                 assert taylor_of(Q, j) == tab
 
     def test_uniqueness(self, module, C):
         rng = random.Random(31)
         T = rand_taylor(rng, module, "coderivation", 3)
-        Q1 = coder_from_taylor(T, W)
-        Q2 = coder_from_taylor(TaylorSeq(module, module, T.maps, "coderivation"), W)
+        Q1 = coder_from_taylor(T)
+        Q2 = coder_from_taylor(TaylorSeq(module, module, T.maps, "coderivation"))
         for w in module.words_up_to(W):
             x = CoalgElem(module, {w: C.one()}, W)
             assert Q1(x) == Q2(x)
@@ -192,14 +192,13 @@ class TestCoderivations:
     def test_corrupted_operator_fails_with_witness(self, module, C):
         rng = random.Random(37)
         T = rand_taylor(rng, module, "coderivation", 2)
-        Q = coder_from_taylor(T, W)
+        Q = coder_from_taylor(T)
 
         def tampered(w):
             col = Q.column(w)
             return vect_add(col, {(0, 0): C.one()}) if len(w) == 2 else col
 
-        rep = check_coderivation(CoalgOperator(module, module, 1, tampered, W), W,
-                                 max_order=3)
+        rep = check_coderivation(CoalgOperator(module, module, 1, tampered), 3)
         assert not rep.ok
         assert rep.violations[0]["witness"]
 
@@ -209,7 +208,7 @@ class TestMorphisms:
         table = {(i,): {i: C.one()} for i in range(len(module))}
         table[(0,)] = {1: C.one()}  # a -> b
         T = TaylorSeq(module, module, {1: table}, "morphism")
-        Psi = morph_from_taylor(T, W)
+        Psi = morph_from_taylor(T)
         ga = CoalgElem.generator(module, "a", W)
         gc = CoalgElem.generator(module, "c", W)
         gb = CoalgElem.generator(module, "b", W)
@@ -220,8 +219,8 @@ class TestMorphisms:
         rng = random.Random(41)
         for _ in range(8):
             T = rand_taylor(rng, module, "morphism", 3)
-            Psi = morph_from_taylor(T, W)
-            assert check_comorphism(Psi, W, max_order=4).ok
+            Psi = morph_from_taylor(T)
+            assert check_comorphism(Psi, 4).ok
             for j, tab in T.maps.items():
                 assert taylor_of(Psi, j) == tab
 
@@ -229,31 +228,30 @@ class TestMorphisms:
         rng = random.Random(47)
         for _ in range(50):
             T = rand_taylor(rng, module, "morphism", rng.randint(1, 3))
-            assert check_comorphism(morph_from_taylor(T, W), W, max_order=3).ok
+            assert check_comorphism(morph_from_taylor(T), 3).ok
 
     def test_composition_is_morphism(self, module):
         rng = random.Random(43)
-        P1 = morph_from_taylor(rand_taylor(rng, module, "morphism", 2), W)
-        P2 = morph_from_taylor(rand_taylor(rng, module, "morphism", 2), W)
+        P1 = morph_from_taylor(rand_taylor(rng, module, "morphism", 2))
+        P2 = morph_from_taylor(rand_taylor(rng, module, "morphism", 2))
 
         def column(w):  # P1 after P2
             return P1(CoalgElem(module, P2.column(w), W)).words
 
-        assert check_comorphism(CoalgOperator(module, module, 0, column, W), W,
-                                max_order=3).ok
+        assert check_comorphism(CoalgOperator(module, module, 0, column), 3).ok
 
     def test_morphism_uniqueness(self, module, C):
         rng = random.Random(53)
         T = rand_taylor(rng, module, "morphism", 3)
-        P1 = morph_from_taylor(T, W)
-        P2 = morph_from_taylor(TaylorSeq(module, module, T.maps, "morphism"), W)
+        P1 = morph_from_taylor(T)
+        P2 = morph_from_taylor(TaylorSeq(module, module, T.maps, "morphism"))
         for w in module.words_up_to(W):
             x = CoalgElem(module, {w: C.one()}, W)
             assert P1(x) == P2(x)
 
     def test_taylor_of_identity(self, module, C):
         table = {(i,): {i: C.one()} for i in range(len(module))}
-        ident = morph_from_taylor(TaylorSeq(module, module, {1: table}, "morphism"), W)
+        ident = morph_from_taylor(TaylorSeq(module, module, {1: table}, "morphism"))
         assert taylor_of(ident, 1) == table
         assert taylor_of(ident, 2) == {}
         assert taylor_of(ident, 3) == {}
@@ -400,8 +398,8 @@ class TestTrustedResults:
     @settings(max_examples=60)
     def test_operators(self, seed, x):
         rng = random.Random(seed)
-        for op in (coder_from_taylor(rand_taylor(rng, MOD, "coderivation", 2), W),
-                   morph_from_taylor(rand_taylor(rng, MOD, "morphism", 2), W)):
+        for op in (coder_from_taylor(rand_taylor(rng, MOD, "coderivation", 2)),
+                   morph_from_taylor(rand_taylor(rng, MOD, "morphism", 2))):
             got = op(x)
             assert_canonical(got)
             assert got.words == naive_sum(op(CoalgElem(MOD, {w: c}, W)).words
@@ -455,7 +453,7 @@ class TestTrustedResults:
 # shifted letters x (odd), y, z (even); d x = y, [x, y] = y, [x, z] = z
 TWIST_ALG = LinfAlgebra.from_dgla(
     GradedBasisModule("g", [("x", 0), ("y", 1), ("z", 1)], C3),
-    {"x": {"y": 1}}, {("x", "y"): {"y": 1}, ("x", "z"): {"z": 1}}, W=W)
+    {"x": {"y": 1}}, {("x", "y"): {"y": 1}, ("x", "z"): {"z": 1}})
 multi_words = st.dictionaries(st.lists(st.integers(0, len(MOD) - 1), max_size=3).map(tuple),
                               coefficients, min_size=2, max_size=5)
 twist_words = st.dictionaries(st.lists(st.integers(0, 2), max_size=3).map(tuple),
@@ -475,8 +473,8 @@ class TestColumns:
     def test_taylor_operators_extend_their_columns(self, seed, words):
         rng = random.Random(seed)
         x = CoalgElem(MOD, words, W)
-        for op in (coder_from_taylor(rand_taylor(rng, MOD, "coderivation", 3), W),
-                   morph_from_taylor(rand_taylor(rng, MOD, "morphism", 3), W)):
+        for op in (coder_from_taylor(rand_taylor(rng, MOD, "coderivation", 3)),
+                   morph_from_taylor(rand_taylor(rng, MOD, "morphism", 3))):
             got = op(x)
             assert_canonical(got)
             assert got.words == by_columns(op, x)
@@ -491,10 +489,11 @@ class TestColumns:
     @given(st.integers(0, 2 ** 32))
     @settings(max_examples=40)
     def test_columns_never_lengthen_words(self, seed):
-        # why coder_from_taylor and morph_from_taylor need no word-cap check
+        # an output word of coder_from_taylor or morph_from_taylor is never
+        # longer than its input word
         rng = random.Random(seed)
-        for op in (coder_from_taylor(rand_taylor(rng, MOD, "coderivation", 3), W),
-                   morph_from_taylor(rand_taylor(rng, MOD, "morphism", 3), W)):
+        for op in (coder_from_taylor(rand_taylor(rng, MOD, "coderivation", 3)),
+                   morph_from_taylor(rand_taylor(rng, MOD, "morphism", 3))):
             for w in MOD.words_up_to(W):
                 col = op.column(w)
                 assert all(col.values())
@@ -535,8 +534,8 @@ class TestMemos:
     def test_a_result_is_not_the_memo(self, seed, words):
         rng = random.Random(seed)
         for x in (CoalgElem(MOD, words, W), CoalgElem(MOD, dict([next(iter(words.items()))]), W)):
-            for op in (coder_from_taylor(rand_taylor(rng, MOD, "coderivation", 3), W),
-                       morph_from_taylor(rand_taylor(rng, MOD, "morphism", 3), W)):
+            for op in (coder_from_taylor(rand_taylor(rng, MOD, "coderivation", 3)),
+                       morph_from_taylor(rand_taylor(rng, MOD, "morphism", 3))):
                 first = op(x)
                 want = dict(first.words)
                 first.words.clear()
@@ -548,14 +547,14 @@ class TestMemos:
         rng = random.Random(61)
         for intent, make in (("coderivation", coder_from_taylor),
                              ("morphism", morph_from_taylor)):
-            inner = make(rand_taylor(rng, MOD, intent, 3), W)
+            inner = make(rand_taylor(rng, MOD, intent, 3))
             built = []
 
             def build(w):
                 built.append(w)
                 return inner.column(w)
 
-            op = CoalgOperator(MOD, MOD, inner.degree, build, W)
+            op = CoalgOperator(MOD, MOD, inner.degree, build)
             x = CoalgElem(MOD, {w: C3.scalar(k + 1) for k, w in enumerate(MOD.words_up_to(2))},
                           W)
             for _ in range(2):
@@ -569,8 +568,8 @@ class TestMemos:
     def test_axiom_checks_read_columns(self, monkeypatch):
         # no element is built around a basis word to apply the operator to it
         rng = random.Random(67)
-        Q = coder_from_taylor(rand_taylor(rng, MOD, "coderivation", 3), W)
-        Psi = morph_from_taylor(rand_taylor(rng, MOD, "morphism", 3), W)
+        Q = coder_from_taylor(rand_taylor(rng, MOD, "coderivation", 3))
+        Psi = morph_from_taylor(rand_taylor(rng, MOD, "morphism", 3))
         inits = []
         init = CoalgElem.__init__
 
@@ -579,8 +578,8 @@ class TestMemos:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(CoalgElem, "__init__", counted)
-        assert check_coderivation(Q, W, max_order=3).ok
-        assert check_comorphism(Psi, W, max_order=3).ok
+        assert check_coderivation(Q, 3).ok
+        assert check_comorphism(Psi, 3).ok
         assert inits == []
 
     def test_twist_check_leaves_no_garbage(self, tmp_path):
@@ -589,7 +588,7 @@ class TestMemos:
         C = make_truncated_poly_dga([0], 4)
         paths = []
         for trial in range(12):
-            alg = samples.sample_dgla(rng, C, W=6)
+            alg = samples.sample_dgla(rng, C)
             om = samples.sample_mc(rng, alg)
             phi = samples.strict_base_change_morphism(rng, alg) if trial % 2 \
                 else LinfMorphism.identity(alg)

@@ -16,7 +16,6 @@ from linfty.linf import LinfAlgebra, dgla_check, mc_residue, mc_residue_dgla, te
 from linfty.scalars import dga_tensor, make_truncated_poly_dga, rational_field
 from reference_checks import dgla_violations, square_zero_witnesses
 
-W = 6
 QQ = rational_field()
 H4 = make_truncated_poly_dga([0], 4)
 LAMBDA_H3 = dga_tensor(make_truncated_poly_dga([1, 1], 2, names=["th1", "th2"]),
@@ -47,7 +46,7 @@ def perturbed(rng, alg):
             k = rng.choice(targets)
             entry[k] = entry[k] + coeff if k in entry else coeff
             break
-    return LinfAlgebra.from_dgla(module, d_table, bracket, W, check=False)
+    return LinfAlgebra.from_dgla(module, d_table, bracket, check=False)
 
 
 def instances():
@@ -55,22 +54,22 @@ def instances():
     families = sorted(samples.FAMILIES)
     # valid DGLAs over Q[h]/(h^4), scrambled by a unimodular base change
     for _ in range(35):
-        yield "scrambled", samples.sample_dgla(rng, H4, W=W)
+        yield "scrambled", samples.sample_dgla(rng, H4)
     # tensor DGLAs A x g of base-field DGLAs
     for family in families:
-        yield "tensor", tensor_dgla(H4, samples.sample_dgla(rng, QQ, W=W, family=family),
-                                    W, check=False)
+        yield "tensor", tensor_dgla(H4, samples.sample_dgla(rng, QQ, family=family),
+                                    check=False)
     for family in ("split_line", "heisenberg"):
-        yield "tensor", tensor_dgla(LAMBDA_H3, samples.sample_dgla(rng, QQ, W=W, family=family),
-                                    W, check=False)
+        yield "tensor", tensor_dgla(LAMBDA_H3, samples.sample_dgla(rng, QQ, family=family),
+                                    check=False)
     # tables with d^2 != 0, a broken Leibniz rule or a broken Jacobi identity
     for k in range(60):
         C = H4 if k % 3 else QQ
-        yield "perturbed", perturbed(rng, samples.sample_dgla(rng, C, W=W,
+        yield "perturbed", perturbed(rng, samples.sample_dgla(rng, C,
                                                               family=families[k % len(families)]))
     for family in families:
-        base = perturbed(rng, samples.sample_dgla(rng, QQ, W=W, family=family))
-        yield "perturbed tensor", tensor_dgla(H4, base, W, check=False)
+        base = perturbed(rng, samples.sample_dgla(rng, QQ, family=family))
+        yield "perturbed tensor", tensor_dgla(H4, base, check=False)
 
 
 def random_omega(rng, alg):
@@ -86,7 +85,7 @@ def test_dgla_check_decides_square_zero():
     verdicts, failed_axioms, quadratic = [], set(), 0
     for case, (kind, alg) in enumerate(instances()):
         rep = dgla_check(alg.module, *alg.dgla_tables())
-        witnesses = square_zero_witnesses(alg.taylor, W, 3)
+        witnesses = square_zero_witnesses(alg.taylor, 3)
         # graded antisymmetry and the grading hold by construction, so the two agree
         assert rep.ok == (not witnesses), (case, kind, rep, witnesses[:1])
         verdicts.append((kind, rep.ok))

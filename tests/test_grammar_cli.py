@@ -125,7 +125,7 @@ def capture(argv):
 def instance_file(tmp_path_factory):
     rng = random.Random(7)
     C = samples.default_coefficients(4)
-    alg = samples.sample_dgla(rng, C, W=6, family="weighted", scramble=False)
+    alg = samples.sample_dgla(rng, C, family="weighted", scramble=False)
     om = samples.sample_mc(rng, alg)
     phi = samples.strict_base_change_morphism(rng, alg)
     doc = jsonio.instance_to_json(alg, omega=om, morphism=phi)
@@ -138,7 +138,7 @@ def instance_file(tmp_path_factory):
 def non_mc_file(tmp_path_factory):
     rng = random.Random(9)
     C = samples.default_coefficients(4)
-    alg = samples.sample_dgla(rng, C, W=6, family="odd_square", scramble=False)
+    alg = samples.sample_dgla(rng, C, family="odd_square", scramble=False)
     bad = samples.sample_non_mc(rng, alg)
     doc = jsonio.instance_to_json(alg, omega=bad)
     path = tmp_path_factory.mktemp("inst") / "bad.json"
@@ -257,7 +257,7 @@ class TestCli:
         # extension needs a base-field morphism: build one
         rng = random.Random(11)
         from linfty.scalars import rational_field
-        alg = samples.sample_dgla(rng, rational_field(), W=6, family="weighted",
+        alg = samples.sample_dgla(rng, rational_field(), family="weighted",
                                   scramble=False)
         phi = samples.strict_base_change_morphism(rng, alg)
         doc = jsonio.instance_to_json(alg, morphism=phi)
@@ -280,15 +280,15 @@ class TestCli:
         from linfty.scalars import make_truncated_poly_dga, rational_field
         apath = tmp_path / "A.json"
         apath.write_text(make_truncated_poly_dga([1], 2).to_json())
-        alg = samples.sample_dgla(random.Random(11), rational_field(), W=6,
+        alg = samples.sample_dgla(random.Random(11), rational_field(),
                                   family="weighted", scramble=False)
         phi = samples.strict_base_change_morphism(random.Random(12), alg)
         ipath = tmp_path / "inst.json"
         ipath.write_text(json.dumps(jsonio.instance_to_json(alg, morphism=phi)))
         real, added = cli.extend_multilinear, []
 
-        def corrupted(psi, A, W, check):
-            ext = real(psi, A, W=W, check=check)
+        def corrupted(psi, A, check):
+            ext = real(psi, A, check=check)
             sh_s, sh_t, d = ext.source.shifted, ext.target.shifted, ext.target.taylor.maps[1]
             w, g = next((w, (g,)) for (g,) in d for w in sh_s.words(3)
                         if word_degree(sh_s, w) == sh_t.degree(g))
@@ -307,7 +307,7 @@ class TestCli:
         # the extended Taylor table is built unvalidated, so --coeff-algebra is
         # decided by dga_check first: exit 2 with the axiom and its witness
         from linfty.scalars import rational_field
-        alg = samples.sample_dgla(random.Random(11), rational_field(), W=6,
+        alg = samples.sample_dgla(random.Random(11), rational_field(),
                                   family="weighted")
         ipath = tmp_path / "inst.json"
         ipath.write_text(json.dumps(jsonio.instance_to_json(
@@ -365,24 +365,6 @@ class TestCli:
             proc = subprocess.run([sys.executable, "-m", "linfty.cli", *argv],
                                   capture_output=True, text=True, env=env, timeout=120)
             assert (code, out) == (proc.returncode, proc.stdout), argv
-
-    def test_word_cap_overflow_exits_two(self, tmp_path):
-        from linfty.samples import default_coefficients
-        doc = {"coeff": default_coefficients(4).to_json_dict(),  # Q[h]/(h^4)
-               "algebra": {"name": "split_line",
-                           "basis": [{"name": "x", "degree": 0},
-                                     {"name": "y", "degree": 1}],
-                           "d": [["x", {"y": "1"}]], "bracket": []},
-               "omega": {"y": {"h": "1"}}}
-        path = tmp_path / "split_line.json"
-        path.write_text(json.dumps(doc))
-        for verb in ("exp", "twist-check"):
-            buf, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
-                code = run([verb, "--instance", str(path), "--word-cap", "1"])
-            assert code == 2 and buf.getvalue() == ""
-            message = err.getvalue()
-            assert message.count("\n") == 1 and "W=1" in message, message
 
     def test_unreadable_input_exits_two(self, instance_file, tmp_path, monkeypatch):
         # a directory, or JSON nested past the decoder's recursion, is one error line
