@@ -19,10 +19,16 @@ canonical word built once and kept by the operator, is the one way to read it
 on a basis word, and ``__call__`` is its linear extension to elements.
 ``canon_word`` is memoised the same way, per module.
 Coderivations and coalgebra morphisms get their columns from finite
-sequences of Taylor coefficients (``TaylorSeq``).
-The subset/partition expansion formulas used here are validated by the axiom
-checkers ``check_coderivation`` / ``check_comorphism`` and by the
-``taylor_of`` round-trip; those checks, not the formulas, are the contract.
+sequences of Taylor coefficients (``TaylorSeq``).  A coderivation column sums
+over the subsets S of a word's positions; a morphism column recurses on the
+block B that holds the word's first letter,
+
+    Psi(w) = sum over B of eps(B) Psi_|B|(w_B) * Psi(w minus B),
+
+with eps(B) the Koszul sign of unshuffling B to the front.  These expansion
+formulas are validated by the axiom checkers ``check_coderivation`` /
+``check_comorphism`` and by the ``taylor_of`` round-trip; those checks, not
+the formulas, are the contract.
 """
 
 from __future__ import annotations
@@ -508,63 +514,52 @@ def coder_from_taylor(T: TaylorSeq) -> CoalgOperator:
     return CoalgOperator(module, module, 1, column)
 
 
-def set_partitions(items):
-    """All partitions of a list of positions; blocks keep ascending order."""
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in set_partitions(rest):
-        for k in range(len(part)):
-            yield part[:k] + [[first] + part[k]] + part[k + 1:]
-        yield [[first]] + part
-
-
 def morph_from_taylor(T: TaylorSeq) -> CoalgOperator:
     """The unique coalgebra morphism with the given Taylor coefficients, 1 -> 1.
 
-    On a word: sum over set partitions of the positions (blocks ordered by
-    smallest position), Koszul-unshuffle the word into the block concatenation
-    and multiply the per-block Taylor values in the target.
+    On a word w, by the first-block recursion: the sum over the blocks B of
+    positions that hold w's first letter of eps(B) Psi_|B|(w_B) * Psi(w minus B),
+    eps(B) the Koszul sign of unshuffling B to the front and the product taken
+    in S(target).
     """
     if T.intent != "morphism":
         raise ValueError("TaylorSeq does not have morphism intent")
-    src, tgt = T.source, T.target
-    maxj = T.max_j()
-    one = tgt.coeff.one()
+    one = T.target.coeff.one()
 
     def column(w):
-        if not w:
-            return {(): one}
-        out = {}
-        for blocks in set_partitions(range(len(w))):
-            blocks = sorted(blocks, key=lambda b: b[0])
-            if any(len(b) > maxj for b in blocks):
-                continue
-            sign = perm_sign(src, w, [i for b in blocks for i in b])
-            vals = []
-            for b in blocks:
-                v = T.eval_word(tuple(w[i] for i in b))
-                if not v:
-                    break
-                vals.append(v)
-            if len(vals) < len(blocks):
-                continue
-            # product of the block values in S(target)
-            for combo in itertools.product(*(v.items() for v in vals)):
-                r = canon_word(tgt, tuple(i for i, _ in combo))
+        return _morph_column(T, w, {}) if w else {(): one}
+
+    return CoalgOperator(T.source, T.target, 0, column)
+
+
+def _morph_column(T, w, memo):
+    """Psi(w) for a nonempty canonical word; memo keeps the columns of the
+    sub-words already built for the same top word."""
+    if w in memo:
+        return memo[w]
+    tgt, maxj = T.target, T.max_j()
+    out = {}
+    for left, right, sign in _splits(T.source, w[1:]):
+        if len(left) >= maxj:
+            break
+        value = T.eval_word(w[:1] + left)
+        if not value:
+            continue
+        if not right:  # w is one block: sign +1, and no other term has order 1
+            out.update(((i,), c) for i, c in value.items())
+            continue
+        rest = _morph_column(T, right, memo)
+        for i, c in value.items():
+            for cw, c2 in rest.items():
+                r = canon_word(tgt, (i,) + cw)
                 if r is None:
                     continue
-                s2, cw = r
-                coeff = combo[0][1]
-                for _, cv in combo[1:]:
-                    coeff = coeff * cv
+                s2, word = r
+                coeff = c * c2
                 if coeff:
-                    (_acc if sign * s2 == 1 else _acc_neg)(out, cw, coeff)
-        return out
-
-    return CoalgOperator(src, tgt, 0, column)
+                    (_acc if sign * s2 == 1 else _acc_neg)(out, word, coeff)
+    memo[w] = out
+    return out
 
 
 def taylor_of(op: CoalgOperator, j) -> dict:

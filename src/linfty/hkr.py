@@ -27,7 +27,7 @@ import random
 from .diffop import PolyDiffOp, _op, gerstenhaber, hochschild_d, transform as d_transform
 from .linalg import rank
 from .linf import identity_sign_data
-from .poly import Poly, multi_indices_up_to
+from .poly import Poly, monomials_up_to
 from .polyvec import PolyVec, schouten, transform as t_transform
 from .scalars import CoeffDGA, _acc, frac, frac_str, ideal_powers, ksign
 
@@ -125,7 +125,7 @@ class TruncationSpec:
         self.multiplicity = math.comb(n + max_poly_degree, n)
 
     def d_slice_words(self, p):
-        mis = multi_indices_up_to(self.n, self.max_operator_order)
+        mis = monomials_up_to(self.n, self.max_operator_order)
         return list(itertools.product(mis, repeat=p + 1)) if p >= -1 else []
 
     def t_slice_words(self, p):

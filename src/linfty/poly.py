@@ -193,30 +193,13 @@ class Poly:
     def __rmul__(self, other):
         return self.scale(other)
 
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power")
-        out = Poly.one(self.n, self.alg)
-        for _ in range(k):
-            out = out * self
-        return out
-
     # -- calculus and order ---------------------------------------------------
 
     def partial(self, i):
         """Formal d/dt_i, 1-based index.  Truncation drops by one."""
         if not 1 <= i <= self.n:
             raise ValueError(f"variable index {i} out of range 1..{self.n}")
-        out = {}
-        for e, c in self.terms.items():
-            k = e[i - 1]
-            if k == 0:
-                continue
-            e2 = list(e)
-            e2[i - 1] = k - 1
-            out[tuple(e2)] = c.scale(k)
-        trunc = None if self.trunc is None else max(self.trunc - 1, 0)
-        return _poly(self.n, self.alg, out, trunc)
+        return self.partial_word(tuple(int(k == i) for k in range(1, self.n + 1)))
 
     def partial_word(self, word):
         """Iterated partials: word is a multi-index (j_1, ..., j_n).
@@ -334,7 +317,8 @@ def _poly_cut(f, terms, trunc):
 
 
 def monomials_up_to(n, max_degree):
-    """All exponent tuples in n variables of total degree <= max_degree."""
+    """All exponent tuples in n variables of total degree <= max_degree,
+    graded-lex sorted."""
     out = []
     for total in range(max_degree + 1):
         for e in _compositions(total, n):
@@ -349,8 +333,3 @@ def _compositions(total, parts):
     for first in range(total + 1):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-def multi_indices_up_to(n, max_order):
-    """All multi-indices with |j| <= max_order, graded-lex sorted."""
-    return sorted(monomials_up_to(n, max_order), key=lambda e: (sum(e), e))

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from linfty.coalg import (CoalgElem, CoalgOperator, GradedBasisModule,
                           OrderOverflowError, TaylorSeq, canon_word, check_coderivation,
@@ -22,6 +22,7 @@ from linfty.linf import LinfAlgebra, LinfMorphism, conjugation_twist
 from linfty.poly import Poly
 from linfty.polyvec import PolyVec, schouten, wedge
 from linfty.scalars import make_truncated_poly_dga, rational_field
+from reference_checks import reference_morph_column
 
 W = 4
 
@@ -255,6 +256,50 @@ class TestMorphisms:
         assert taylor_of(ident, 1) == table
         assert taylor_of(ident, 2) == {}
         assert taylor_of(ident, 3) == {}
+
+    @given(st.integers(0, 2 ** 32), st.booleans(),
+           st.lists(st.integers(-1, 1), min_size=1, max_size=3),
+           st.lists(st.integers(-1, 1), min_size=1, max_size=3), st.integers(1, 3))
+    @example(seed=0, over_q=True, src_degs=[1, 1, 0], tgt_degs=[1, 0, 0], top=3)
+    @example(seed=1, over_q=False, src_degs=[-1, 1], tgt_degs=[-1, 1, 0], top=2)
+    @example(seed=2, over_q=False, src_degs=[0], tgt_degs=[0, 1], top=3)
+    @settings(max_examples=40, deadline=None)
+    def test_columns_are_the_partition_sum(self, seed, over_q, src_degs, tgt_degs, top):
+        # the first-block recursion against the walk over every set partition,
+        # with odd letters on both sides, so products repeat odd letters
+        rng = random.Random(seed)
+        C = rational_field() if over_q else C3
+        src = GradedBasisModule("s", [(f"a{i}", d) for i, d in enumerate(src_degs)], C)
+        tgt = GradedBasisModule("t", [(f"b{i}", d) for i, d in enumerate(tgt_degs)], C)
+        maps = {}
+        for j in range(1, top + 1):
+            maps[j] = {w: {g: C.basis_elem(rng.randrange(len(C.basis))).scale(
+                           Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2))))
+                           for g in range(len(tgt)) if tgt.degree(g) == word_degree(src, w)}
+                       for w in src.words(j) if rng.random() < 0.7}
+        T = TaylorSeq(src, tgt, maps, "morphism")
+        Psi = morph_from_taylor(T)
+        for w in src.words_up_to(5):
+            assert Psi.column(w) == reference_morph_column(T, w), w
+
+    def test_column_reads_few_taylor_values(self, monkeypatch):
+        # Psi_4(a^4) = y: the column of a^9 reads its values block by block,
+        # where the partition sum visits 21,147 partitions
+        QQ = rational_field()
+        src = GradedBasisModule("s", [("a", 0)], QQ)
+        tgt = GradedBasisModule("t", [("y", 0), ("z", 1)], QQ)
+        T = TaylorSeq(src, tgt, {4: {(0,) * 4: {0: QQ.one()}}}, "morphism")
+        reads = []
+        eval_word = TaylorSeq.eval_word
+
+        def counted(self, word):
+            reads.append(word)
+            return eval_word(self, word)
+
+        monkeypatch.setattr(TaylorSeq, "eval_word", counted)
+        col = morph_from_taylor(T).column((0,) * 9)
+        assert col == {} and len(reads) < 500
+        assert morph_from_taylor(T).column((0,) * 8) == {(0, 0): QQ.scalar(35)}
 
 
 class TestExpLn:
