@@ -33,7 +33,7 @@ from .linf import (conjugation_twist, extend_multilinear, linf_identity_check, m
                    mc_residue, operators_agree, twist_coder, twist_morphism,
                    MCElement)
 from .polyvec import is_poisson, schouten, wedge
-from .scalars import CoeffDGA, _acc, dga_check
+from .scalars import CoeffDGA, dga_check
 
 USAGE_ERROR, CHECK_FAILED, OK = 2, 1, 0
 
@@ -123,23 +123,16 @@ def cmd_poisson_check(args):
 
 def cmd_exp(args):
     algebra, omega, _ = _load_instance(args, need_omega=True)
-    om = CoalgElem.from_vect(algebra.shifted, omega)
-    e = coalg_exp(om)
-    return True, {"verb": "exp", "result": e.to_json_list()}
+    e = coalg_exp(CoalgElem.from_vect(algebra.shifted, omega))
+    return True, {"verb": "exp", "result": jsonio.element_to_json(e)}
 
 
 def cmd_ln(args):
     doc = _read_document(args)
     algebra, _, _ = _load_instance(args, doc)
-    sh = algebra.shifted
-    words = {}
     with _loading():
-        for entry in doc["element"]:
-            c = jsonio.coeff_from_json(algebra.module.coeff, entry["coeff"])
-            if c:
-                _acc(words, tuple(sh.index[nm] for nm in entry["word"]), c)
-    elem = CoalgElem(sh, words)
-    return True, {"verb": "ln", "result": coalg_ln(elem).to_json_list()}
+        elem = jsonio.element_from_json(algebra.shifted, doc["element"])
+    return True, {"verb": "ln", "result": jsonio.element_to_json(coalg_ln(elem))}
 
 
 def _mc_gate(verb, algebra, omega):

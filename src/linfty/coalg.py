@@ -37,7 +37,7 @@ import itertools
 import math
 
 from .scalars import (CoeffDGA, DgaElem, ValidationReport, _acc, _acc_neg, frac,
-                      frac_str, ksign, rational_field)
+                      koszul_sort, ksign, rational_field)
 
 
 class OrderOverflowError(Exception):
@@ -61,6 +61,7 @@ class GradedBasisModule:
         self.index = {n: i for i, (n, _) in enumerate(self.gens)}
         if len(self.index) != len(self.gens):
             raise ValueError("duplicate generator names")
+        self.odd = frozenset(i for i, (_, d) in enumerate(self.gens) if d % 2)
         self._canon = {}  # canon_word's memo: letter tuple -> (sign, word) or None
 
     def __len__(self):
@@ -107,58 +108,17 @@ class GradedBasisModule:
 
 def canon_word(module, letters):
     """Sort a tuple of letters into canonical order.  Returns (sign, word), or
-    None when a repeated odd letter kills the word; memoised per module."""
+    None when a repeated odd letter kills the word; memoised per module.  Every
+    unshuffle and permutation of a canonical word takes its sign from here."""
     try:
         return module._canon[letters]
     except KeyError:
-        r = module._canon[letters] = _sort_word(module, letters)
+        r = module._canon[letters] = koszul_sort(letters, module.odd)
         return r
-
-
-def _sort_word(module, letters):
-    """Insertion sort with the Koszul sign of each swap (canon_word's miss path)."""
-    w = list(letters)
-    sign = 1
-    for i in range(1, len(w)):
-        j = i
-        while j > 0 and w[j - 1] > w[j]:
-            sign *= ksign(module.degree(w[j - 1]) * module.degree(w[j]))
-            w[j - 1], w[j] = w[j], w[j - 1]
-            j -= 1
-    for a, b in zip(w, w[1:]):
-        if a == b and module.degree(a) % 2 == 1:
-            return None
-    return sign, tuple(w)
 
 
 def word_degree(module, word):
     return sum(module.degree(i) for i in word)
-
-
-def perm_sign(module, letters, perm):
-    """Koszul sign of reordering `letters` by the position permutation.
-
-    perm[k] = original position of the letter placed at slot k.
-    """
-    sign = 1
-    seen = []
-    for p in perm:
-        for q in seen:
-            if q > p:
-                sign *= ksign(module.degree(letters[p]) * module.degree(letters[q]))
-        seen.append(p)
-    return sign
-
-
-def split_sign(module, word, positions):
-    """Koszul sign of unshuffling `word` into (word[positions], rest)."""
-    sel = set(positions)
-    sign = 1
-    for j in positions:
-        for i in range(j):
-            if i not in sel:
-                sign *= ksign(module.degree(word[i]) * module.degree(word[j]))
-    return sign
 
 
 # -- elements of g[1] are sparse {basis index: C-coefficient} dicts ---------
@@ -297,21 +257,6 @@ class CoalgElem:
                 (_acc if sign == 1 else _acc_neg)(out, (left, right), c)
         return out
 
-    def names(self):
-        m = self.module
-        return {tuple(m.gen_name(i) for i in w): c for w, c in self.words.items()}
-
-    def to_json_list(self):
-        out = []
-        for w in sorted(self.words):
-            c = self.words[w]
-            if c.alg.is_rational_field:
-                coeff = frac_str(c.rational_part())
-            else:
-                coeff = [[c.alg.basis[i], frac_str(q)] for i, q in sorted(c.coeffs.items())]
-            out.append({"coeff": coeff, "word": [self.module.gen_name(i) for i in w]})
-        return out
-
     def __repr__(self):
         if not self.words:
             return "0"
@@ -324,13 +269,15 @@ class CoalgElem:
 
 
 def _splits(module, w):
-    """The terms (left, right, Koszul sign) of Delta(w) for one word, order preserved."""
-    for r in range(len(w) + 1):
-        for positions in itertools.combinations(range(len(w)), r):
-            sel = set(positions)
-            yield (tuple(w[i] for i in positions),
-                   tuple(w[i] for i in range(len(w)) if i not in sel),
-                   split_sign(module, w, positions))
+    """The terms (left, right, Koszul sign) of Delta(w) for one canonical word,
+    order preserved, by increasing order of left: every unshuffle of w once."""
+    n = len(w)
+    for r in range(n + 1):
+        # the complement of the k-th r-subset of positions is the k-th
+        # (n - r)-subset from the end, both in lexicographic order
+        rights = reversed(list(itertools.combinations(w, n - r)))
+        for left, right in zip(itertools.combinations(w, r), rights):
+            yield left, right, canon_word(module, left + right)[0]
 
 
 def _coalg(module, words, W):
@@ -497,18 +444,15 @@ def coder_from_taylor(T: TaylorSeq) -> CoalgOperator:
 
     def column(w):
         out = {}
-        for r in range(1, min(len(w), maxj) + 1):
-            for positions in itertools.combinations(range(len(w)), r):
-                sel = set(positions)
-                sub = tuple(w[i] for i in positions)
-                rest = tuple(w[i] for i in range(len(w)) if i not in sel)
-                sign = split_sign(module, w, positions)
-                for i, cv in T.eval_word(sub).items():
-                    r2 = canon_word(module, (i,) + rest)
-                    if r2 is None:
-                        continue
-                    s2, cw = r2
-                    (_acc if sign * s2 == 1 else _acc_neg)(out, cw, cv)
+        for sub, rest, sign in _splits(module, w):
+            if len(sub) > maxj:
+                break
+            for i, cv in T.eval_word(sub).items():
+                r = canon_word(module, (i,) + rest)
+                if r is None:
+                    continue
+                s2, cw = r
+                (_acc if sign * s2 == 1 else _acc_neg)(out, cw, cv)
         return out
 
     return CoalgOperator(module, module, 1, column)
@@ -675,9 +619,8 @@ def tau(x: CoalgElem) -> dict:
     """Symmetrization into the tensor coalgebra: {unsorted tuple: coeff}."""
     out = {}
     for w, c in x.words.items():
-        for perm in itertools.permutations(range(len(w))):
-            sign = perm_sign(x.module, w, list(perm))
-            (_acc if sign == 1 else _acc_neg)(out, tuple(w[p] for p in perm), c)
+        for perm in itertools.permutations(w):
+            (_acc if canon_word(x.module, perm)[0] == 1 else _acc_neg)(out, perm, c)
     return out
 
 

@@ -29,7 +29,7 @@ from .linalg import rank
 from .linf import identity_sign_data
 from .poly import Poly, monomials_up_to
 from .polyvec import PolyVec, schouten, transform as t_transform
-from .scalars import CoeffDGA, _acc, frac, frac_str, ideal_powers, ksign
+from .scalars import CoeffDGA, _acc, frac, frac_str, ideal_powers, koszul_sort, ksign
 
 
 def u1(alpha: PolyVec) -> PolyDiffOp:
@@ -44,9 +44,9 @@ def u1(alpha: PolyVec) -> PolyDiffOp:
         p = len(w)
         # p = 0 (a function) is the identity: 1/0! and one empty permutation
         scale = frac(1, math.factorial(p))
-        for perm in itertools.permutations(range(p)):
+        for perm in itertools.permutations(range(p)):  # sorted, all odd: sgn(perm)
             word = tuple(_unit_mi(n, w[k]) for k in perm)
-            _acc(out, word, f.scale(scale * _perm_sign(perm)))
+            _acc(out, word, f.scale(scale * koszul_sort(perm, perm)[0]))
     op = _op(n, alpha.alg, out)
     assert op.is_normalized() and op.order() <= 1
     return op
@@ -56,15 +56,6 @@ def _unit_mi(n, i):
     e = [0] * n
     e[i - 1] = 1
     return tuple(e)
-
-
-def _perm_sign(perm):
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 def u1_chain_check(n, samples, seed=0) -> dict:

@@ -10,7 +10,10 @@ Instance documents look like
      "morphism": {"target": {...algebra...},
                   "taylor": [[j, [[[gen...], {gen: coeff}]...]]...]}}
 
-where a coeff is either a "num/den" string (a rational multiple of 1) or a
+with a coalgebra element, as ``exp`` writes it and ``ln`` reads it under
+"element", as [{"word": [gen...], "coeff": coeff}...].  A name list (a bracket
+pair, a word) is an array of name strings, never a string read letter by
+letter.  A coeff is either a "num/den" string (a rational multiple of 1) or a
 {C-basis-name: "num/den"} object.  Exact rationals only: a JSON number or
 boolean in place of a "num/den" string, or a string that is not an optional
 '-', digits and optionally '/' and a nonzero denominator (such as "1/0",
@@ -22,10 +25,10 @@ from __future__ import annotations
 
 import json
 
-from .coalg import GradedBasisModule, TaylorSeq
+from .coalg import CoalgElem, GradedBasisModule, TaylorSeq
 from .grammar import ParseError
 from .linf import LinfAlgebra, LinfMorphism, MCElement
-from .scalars import CoeffDGA, DgaElem, frac, frac_str, rational_field
+from .scalars import CoeffDGA, DgaElem, _acc, frac, frac_str, rational_field
 
 
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
@@ -63,6 +66,16 @@ def coeff_from_json(C: CoeffDGA, doc, where="coefficient") -> DgaElem:
                    for name, q in doc.items()})
 
 
+def word_from_json(module, doc, where, length=None):
+    """The letters of a JSON array of generator names, `length` of them when
+    given, or a ParseError naming the entry `where`."""
+    wanted = "an array of names" if length is None else f"an array of {length} names"
+    _expect(doc, list, where, wanted)
+    if not all(isinstance(name, str) for name in doc) or length not in (None, len(doc)):
+        raise ParseError(f"{where}: expected {wanted}")
+    return tuple(module.index[name] for name in doc)
+
+
 def vect_to_json(module, v):
     return {module.gen_name(i): coeff_to_json(c) for i, c in sorted(v.items())}
 
@@ -90,11 +103,9 @@ def algebra_from_json(doc, C: CoeffDGA) -> LinfAlgebra:
                                [(b["name"], b["degree"]) for b in doc["basis"]], C)
     d_table = {entry[0]: vect_from_json(module, entry[1], f"d of {entry[0]!r}")
                for entry in doc.get("d", [])}
-    bracket = {(pair[0], pair[1]): vect_from_json(module, val, f"bracket of {pair}")
+    bracket = {word_from_json(module, pair, f"bracket pair {pair!r}", 2):
+               vect_from_json(module, val, f"bracket of {pair}")
                for pair, val in doc.get("bracket", [])}
-    bracket = {(module.index[i] if isinstance(i, str) else i,
-                module.index[j] if isinstance(j, str) else j): v
-               for (i, j), v in bracket.items()}
     return LinfAlgebra.from_dgla(module, d_table, bracket)
 
 
@@ -113,10 +124,27 @@ def taylor_from_json(doc, source_shifted, target_shifted, intent) -> TaylorSeq:
     for j, entries in doc:
         tab = {}
         for word_names, val in entries:
-            w = tuple(source_shifted.index[nm] for nm in word_names)
+            w = word_from_json(source_shifted, word_names, f"taylor word {word_names!r}")
             tab[w] = vect_from_json(target_shifted, val, f"taylor value on {word_names}")
         maps[int(j)] = tab
     return TaylorSeq(source_shifted, target_shifted, maps, intent)
+
+
+def element_to_json(x: CoalgElem) -> list:
+    module = x.module
+    return [{"coeff": coeff_to_json(x.words[w]), "word": [module.gen_name(i) for i in w]}
+            for w in sorted(x.words)]
+
+
+def element_from_json(module, doc) -> CoalgElem:
+    """The element of S(module) that an array of {"word", "coeff"} entries spells."""
+    words = {}
+    for entry in doc:
+        c = coeff_from_json(module.coeff, entry["coeff"])
+        w = word_from_json(module, entry["word"], f"element word {entry['word']!r}")
+        if c:
+            _acc(words, w, c)
+    return CoalgElem(module, words)
 
 
 def instance_to_json(algebra: LinfAlgebra, omega=None, morphism: LinfMorphism = None) -> dict:

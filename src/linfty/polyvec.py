@@ -21,23 +21,7 @@ from __future__ import annotations
 
 
 from .poly import Poly, _terms_text
-from .scalars import _acc, _acc_neg, frac, ksign, rational_field
-
-
-def _merge_word(word):
-    """Sort a wedge word; return (sign, tuple) or None when repeated."""
-    w = list(word)
-    sign = 1
-    for i in range(1, len(w)):
-        j = i
-        while j > 0 and w[j - 1] > w[j]:
-            w[j - 1], w[j] = w[j], w[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(w, w[1:]):
-        if a == b:
-            return None
-    return sign, tuple(w)
+from .scalars import _acc, _acc_neg, frac, koszul_sort, ksign, rational_field
 
 
 class PolyVec:
@@ -52,7 +36,7 @@ class PolyVec:
         for w, f in terms.items():
             if not isinstance(f, Poly):
                 raise TypeError("PolyVec coefficients must be Poly")
-            r = _merge_word(w)
+            r = koszul_sort(w, w)  # every d_i is odd
             if r is None or f.is_zero():
                 continue
             sign, cw = r
@@ -134,7 +118,8 @@ def wedge(a: PolyVec, b: PolyVec) -> PolyVec:
     acc = {}
     for w1, f1 in a.terms.items():
         for w2, f2 in b.terms.items():
-            r = _merge_word(w1 + w2)
+            w = w1 + w2
+            r = koszul_sort(w, w)
             if r is None:
                 continue
             sign, w = r

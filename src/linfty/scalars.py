@@ -51,6 +51,25 @@ def ksign(k: int) -> int:
     return 1 if k % 2 == 0 else -1
 
 
+def koszul_sort(letters, odd):
+    """Insertion-sort letters; swapping two letters of ``odd`` flips the sign.
+    Returns (sign, sorted tuple), or None when a letter of ``odd`` repeats; the
+    sign of reordering a sorted word is the sign of sorting it back."""
+    w = list(letters)
+    sign = 1
+    for i in range(1, len(w)):
+        j = i
+        while j > 0 and w[j - 1] > w[j]:
+            if w[j - 1] in odd and w[j] in odd:
+                sign = -sign
+            w[j - 1], w[j] = w[j], w[j - 1]
+            j -= 1
+    for a, b in zip(w, w[1:]):
+        if a == b and a in odd:
+            return None
+    return sign, tuple(w)
+
+
 class ValidationReport:
     """Outcome of an axiom check: a list of violations, each with a witness."""
 

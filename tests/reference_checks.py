@@ -8,9 +8,13 @@ the derived check's witnesses must be a prefix of the reference's.
 
 The morphism column walks every set partition of a word's positions, sorts
 the blocks by their first position, unshuffles the word into their
-concatenation with ``perm_sign`` and multiplies the block values; it shares no
-code with ``morph_from_taylor``, which recurses on the block of the first
-letter.  The Psi∘Q walk applies Psi through it.
+concatenation and multiplies the block values, taking both signs from
+``reference_canon``; it shares no code with ``morph_from_taylor``, which
+recurses on the block of the first letter, and no sign code with
+``koszul_sort``.  The Psi∘Q walk applies Psi through it.
+
+``reference_canon`` sorts a word and counts its inverted odd pairs, with no
+memo and no insertion sort.
 
 The DGLA-axiom loop rebuilds every bracket for every ordered triple, as
 ``dgla_check`` did before it built each nested bracket once; it shares no
@@ -37,8 +41,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from linfty.coalg import (CoalgElem, canon_word, coder_from_taylor, perm_sign, vect_acc,
-                          vect_degree)
+from linfty.coalg import CoalgElem, coder_from_taylor, vect_acc, vect_degree
 from linfty.diffop import PolyDiffOp, hochschild_d
 from linfty.hkr import op_coords, u1
 from linfty.linalg import rank
@@ -64,6 +67,18 @@ def square_zero_witnesses(taylor, max_order):
     return bad
 
 
+def reference_canon(degrees, letters):
+    """Sorted letters and the product of (-1)^{|a||b|} over the inverted pairs,
+    or None when an odd letter repeats; no memo."""
+    if any(letters.count(a) > 1 and degrees[a] % 2 for a in letters):
+        return None
+    sign = 1
+    for p, q in itertools.combinations(range(len(letters)), 2):
+        if letters[p] > letters[q] and degrees[letters[p]] * degrees[letters[q]] % 2:
+            sign = -sign
+    return sign, tuple(sorted(letters))
+
+
 def set_partitions(items):
     """All partitions of a list of positions; blocks keep ascending order."""
     items = list(items)
@@ -82,6 +97,7 @@ def reference_morph_column(T, w):
     w, summed over every set partition of w's positions."""
     src, tgt = T.source, T.target
     maxj = T.max_j()
+    src_degrees, tgt_degrees = ([m.degree(i) for i in range(len(m))] for m in (src, tgt))
     if not w:
         return {(): tgt.coeff.one()}
     out = {}
@@ -89,7 +105,7 @@ def reference_morph_column(T, w):
         blocks = sorted(blocks, key=lambda b: b[0])
         if any(len(b) > maxj for b in blocks):
             continue
-        sign = perm_sign(src, w, [i for b in blocks for i in b])
+        sign = reference_canon(src_degrees, tuple(w[i] for b in blocks for i in b))[0]
         vals = []
         for b in blocks:
             v = T.eval_word(tuple(w[i] for i in b))
@@ -100,7 +116,7 @@ def reference_morph_column(T, w):
             continue
         # product of the block values in S(target)
         for combo in itertools.product(*(v.items() for v in vals)):
-            r = canon_word(tgt, tuple(i for i, _ in combo))
+            r = reference_canon(tgt_degrees, tuple(i for i, _ in combo))
             if r is None:
                 continue
             s2, cw = r

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from linfty.coalg import (CoalgElem, CoalgOperator, GradedBasisModule,
-                          OrderOverflowError, TaylorSeq, canon_word, check_coderivation,
-                          check_comorphism, coder_from_taylor, exp,
+                          OrderOverflowError, TaylorSeq, _splits, canon_word,
+                          check_coderivation, check_comorphism, coder_from_taylor, exp,
                           is_grouplike, is_invertible, is_primitive, ln,
                           morph_from_taylor, pi_tilde, tau, taylor_of,
                           tensor_comult, tensor_of, vect_add, word_degree)
@@ -22,7 +22,7 @@ from linfty.linf import LinfAlgebra, LinfMorphism, conjugation_twist
 from linfty.poly import Poly
 from linfty.polyvec import PolyVec, schouten, wedge
 from linfty.scalars import make_truncated_poly_dga, rational_field
-from reference_checks import reference_morph_column
+from reference_checks import reference_canon, reference_morph_column
 
 W = 4
 
@@ -85,6 +85,23 @@ class TestComult:
         x = CoalgElem.generator(module, "a", W) * CoalgElem.generator(module, "b", W)
         for (w1, w2), _ in x.comult().items():
             assert len(w1) + len(w2) == 2
+
+    @given(st.lists(st.integers(-2, 3), min_size=1, max_size=4))
+    @settings(max_examples=60)
+    def test_splits_are_the_unshuffles_with_their_inversion_signs(self, degrees):
+        # each subset of positions once, by increasing order, with (-1) to the
+        # number of odd letters of the subset that pass an odd letter of the rest
+        module = GradedBasisModule("m", [(f"g{i}", d) for i, d in enumerate(degrees)])
+        for w in module.words_up_to(5):
+            want = []
+            for r in range(len(w) + 1):
+                for left in itertools.combinations(range(len(w)), r):
+                    right = [i for i in range(len(w)) if i not in left]
+                    passes = sum(degrees[w[i]] * degrees[w[j]] % 2
+                                 for j in left for i in right if i < j)
+                    want.append((tuple(w[j] for j in left), tuple(w[i] for i in right),
+                                 (-1) ** passes))
+            assert list(_splits(module, w)) == want
 
     def test_odd_square_dies(self, module):
         gc = CoalgElem.generator(module, "c", W)
@@ -548,18 +565,6 @@ class TestColumns:
 # ---------------------------------------------------------------------------
 # memos: canon_word per module, columns per operator
 # ---------------------------------------------------------------------------
-
-def reference_canon(degrees, letters):
-    """Sorted letters and the product of (-1)^{|a||b|} over the inverted pairs,
-    or None when an odd letter repeats; no memo."""
-    if any(letters.count(a) > 1 and degrees[a] % 2 for a in letters):
-        return None
-    sign = 1
-    for p, q in itertools.combinations(range(len(letters)), 2):
-        if letters[p] > letters[q] and degrees[letters[p]] * degrees[letters[q]] % 2:
-            sign = -sign
-    return sign, tuple(sorted(letters))
-
 
 class TestMemos:
     @given(st.lists(st.integers(-2, 3), min_size=1, max_size=5).flatmap(

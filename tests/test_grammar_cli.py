@@ -400,7 +400,22 @@ class TestCli:
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
         code, out = capture(["ln", "--instance", "-"])
         assert code == 0
-        assert json.loads(out)["result"] == [{"coeff": [["h", "2"]], "word": ["y"]}]
+        assert json.loads(out)["result"] == [{"coeff": {"h": "2"}, "word": ["y"]}]
+
+    def test_exp_output_is_ln_input(self, instance_file, tmp_path):
+        # exp writes an element as ln reads it, so ln(exp(omega)) is omega
+        with open(instance_file) as fh:
+            doc = json.load(fh)
+        code, out = capture(["exp", "--instance", instance_file])
+        assert code == 0
+        element = json.loads(out)["result"]
+        assert len(element) > len(doc["omega"])
+        path = tmp_path / "element.json"
+        path.write_text(json.dumps({**doc, "element": element}))
+        code, out = capture(["ln", "--instance", str(path)])
+        assert code == 0
+        assert json.loads(out)["result"] == [{"coeff": c, "word": [name]}
+                                             for name, c in sorted(doc["omega"].items())]
 
     def test_instance_key_errors_exit_two(self, instance_file, tmp_path):
         with open(instance_file) as fh:
@@ -436,6 +451,24 @@ class TestCli:
                  for argv in (["mc-check"], ["twist-check"],
                               ["extend", "--coeff-algebra", str(apath)])]
         wrong = "input document: wrong JSON type"
+        # a list of names is an array of name strings, never a string read letter by letter
+        (pair, value), *pairs = doc["algebra"]["bracket"]
+        (j, ((word, image), *images)), *orders = doc["morphism"]["taylor"]
+
+        def brackets(first):
+            return {**doc, "algebra": {**doc["algebra"], "bracket": [[first, value], *pairs]}}
+
+        cases += [(["mc-check"], brackets("".join(pair)),
+                   f"bracket pair {''.join(pair)!r}: expected an array of 2 names, got a string"),
+                  (["linf-check"], brackets(pair + pair[:1]),
+                   f"bracket pair {pair + pair[:1]!r}: expected an array of 2 names"),
+                  (["twist-check"], brackets([pair[0], 1]),
+                   f"bracket pair {[pair[0], 1]!r}: expected an array of 2 names"),
+                  (["linf-check"], {**doc, "morphism": {
+                      **doc["morphism"], "taylor": [[j, [[word[0], image], *images]], *orders]}},
+                   f"taylor word {word[0]!r}: expected an array of names, got a string"),
+                  (["ln"], {**doc, "element": [{"word": "yy", "coeff": "1"}]},
+                   "element word 'yy': expected an array of names, got a string")]
         cases += [(["twist-check"], {**doc, "algebra": {**doc["algebra"], "basis": {"x": 0}}},
                    wrong),
                   (["extend", "--coeff-algebra", str(alist)], doc, wrong),
