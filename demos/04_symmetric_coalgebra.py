@@ -6,8 +6,6 @@ morphisms are reconstructed from their Taylor coefficients, and the axiom
 checkers verify the construction on every word up to a given order.
 """
 
-from fractions import Fraction
-
 from linfty.coalg import (CoalgElem, GradedBasisModule, TaylorSeq,
                           check_coderivation, coder_from_taylor, exp,
                           is_grouplike, is_primitive, ln, taylor_of)

@@ -14,7 +14,7 @@ from linfty.linf import (LinfAlgebra, LinfMorphism, MCElement,
                          conjugation_twist, dgla_tables_from_taylor, mc_push,
                          mc_residue, operators_agree, twist_coder,
                          twist_morphism)
-from linfty.samples import sample_mc, sample_non_mc
+from linfty.samples import sample_non_mc
 from linfty.scalars import make_truncated_poly_dga
 
 print(__doc__)

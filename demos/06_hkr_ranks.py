@@ -8,11 +8,8 @@ is exhibited, and a Poisson bivector is pushed through the map over a
 nilpotent coefficient algebra.
 """
 
-import json
-
 from linfty.hkr import (TruncationSpec, formality_identity_residual,
-                        hkr_report, kontsevich_conditions,
-                        mc_bivector_workflow, trivial_plugin, u1,
+                        hkr_report, mc_bivector_workflow, trivial_plugin, u1,
                         u1_chain_check)
 from linfty.diffop import hochschild_d
 from linfty.poly import Poly

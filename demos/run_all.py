@@ -2,7 +2,6 @@
 
 import pathlib
 import runpy
-import sys
 
 here = pathlib.Path(__file__).parent
 for script in sorted(here.glob("0*.py")):

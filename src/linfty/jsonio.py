@@ -11,13 +11,14 @@ Instance documents look like
                   "taylor": [[j, [[[gen...], {gen: coeff}]...]]...]}}
 
 with a coalgebra element, as ``exp`` writes it and ``ln`` reads it under
-"element", as [{"word": [gen...], "coeff": coeff}...].  A name list (a bracket
-pair, a word) is an array of name strings, never a string read letter by
-letter.  A coeff is either a "num/den" string (a rational multiple of 1) or a
-{C-basis-name: "num/den"} object.  Exact rationals only: a JSON number or
-boolean in place of a "num/den" string, or a string that is not an optional
-'-', digits and optionally '/' and a nonzero denominator (such as "1/0",
-"0.5" or " 1/2 "), is a ParseError naming the entry.
+"element", as [{"word": [gen...], "coeff": coeff}...].  A d key is a name
+string, and a name list (a bracket pair, a word) is an array of name strings,
+never a string read letter by letter.  A coeff is either a "num/den" string
+(a rational multiple of 1) or a {C-basis-name: "num/den"} object.  Exact
+rationals only: a JSON number or boolean in place of a "num/den" string, or a
+string that is not an optional '-', digits and optionally '/' and a nonzero
+denominator (such as "1/0", "0.5" or " 1/2 "), is a ParseError naming the
+entry.
 Loaded values are ints when integral, else Fractions (see ``scalars.frac``).
 """
 
@@ -101,7 +102,8 @@ def algebra_to_json(alg: LinfAlgebra) -> dict:
 def algebra_from_json(doc, C: CoeffDGA) -> LinfAlgebra:
     module = GradedBasisModule(doc.get("name", "g"),
                                [(b["name"], b["degree"]) for b in doc["basis"]], C)
-    d_table = {entry[0]: vect_from_json(module, entry[1], f"d of {entry[0]!r}")
+    d_table = {module.index[_expect(entry[0], str, f"d key {entry[0]!r}", "a generator name")]:
+               vect_from_json(module, entry[1], f"d of {entry[0]!r}")
                for entry in doc.get("d", [])}
     bracket = {word_from_json(module, pair, f"bracket pair {pair!r}", 2):
                vect_from_json(module, val, f"bracket of {pair}")

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 
 from .coalg import (CoalgElem, CoalgOperator, GradedBasisModule, TaylorSeq, _taylor,
                     coder_from_taylor, exp, morph_from_taylor, vect_acc,
@@ -74,9 +75,18 @@ def complete_bracket(module, bracket):
 
 
 def dgla_check(module, d_table, bracket_table) -> ValidationReport:
-    """Graded antisymmetry, Jacobi, d^2 = 0, Leibniz, and degree bookkeeping."""
+    """Graded antisymmetry, Jacobi, d^2 = 0, Leibniz, and degree bookkeeping;
+    the walks skip only the pairs and triples whose checks have no nonzero
+    term, so they report what the loops over all of them report."""
     rep = ValidationReport()
     n = len(module)
+    # the nonzero [x_i, x_j]: the j by i, and by (i, l) for each x_l in it
+    rows, into = defaultdict(set), defaultdict(set)
+    for (i, j), v in bracket_table.items():
+        if v:
+            rows[i].add(j)
+            for l in v:
+                into[(i, l)].add(j)
 
     def dd(v):
         out = {}
@@ -109,6 +119,8 @@ def dgla_check(module, d_table, bracket_table) -> ValidationReport:
             rep.add("d_squared", [module.gen_name(i)], "d(d(x)) != 0")
     for i, j in itertools.product(range(n), repeat=2):
         v = br(i, j)
+        if not (v or br(j, i) or d_table.get(i) or d_table.get(j)):
+            continue
         want = module.degree(i) + module.degree(j)
         if v and vect_degree(module, v) != want:
             rep.add("grading", [module.gen_name(i), module.gen_name(j)],
@@ -122,22 +134,22 @@ def dgla_check(module, d_table, bracket_table) -> ValidationReport:
         if vect_acc(dd(v), rhs, -1):
             rep.add("leibniz", [module.gen_name(i), module.gen_name(j)],
                     "d[x,y] != [dx,y] + (-1)^{|x|}[x,dy]")
-    # [a,[b,c]] is the first Jacobi term of (a, b, c) and the third of (b, a, c):
-    # for i < j, (i, j, k) builds both and leaves them to (j, i, k), swapped
-    pending = {}
-    for i, j, k in itertools.product(range(n), repeat=3):
-        if i > j:
-            first, third = pending.pop((i, j, k))
-        else:
+
+    def chained(i, j):
+        """The k for which [x_i,[x_j,x_k]], [[x_i,x_j],x_k] or [x_j,[x_i,x_k]]
+        is a chain of nonzero brackets; no other k has a nonzero Jacobi term."""
+        return sorted(set().union(*(into.get((j, l), ()) for l in rows.get(i, ())),
+                                  *(rows.get(l, ()) for l in br(i, j)),
+                                  *(into.get((i, l), ()) for l in rows.get(j, ()))))
+
+    for i, j in itertools.product(range(n), repeat=2):
+        for k in chained(i, j):
             first = br_left(i, br(j, k))
-            third = first if i == j else br_left(j, br(i, k))
-            if i < j:
-                pending[(j, i, k)] = (third, first)
-        rhs = vect_acc(br_right(br(i, j), k), third,
-                       ksign(module.degree(i) * module.degree(j)))
-        if vect_acc(dict(first), rhs, -1):
-            rep.add("jacobi", [module.gen_name(i), module.gen_name(j), module.gen_name(k)],
-                    "[x,[y,z]] != [[x,y],z] + (-1)^{|x||y|}[y,[x,z]]")
+            rhs = vect_acc(br_right(br(i, j), k), br_left(j, br(i, k)),
+                           ksign(module.degree(i) * module.degree(j)))
+            if vect_acc(first, rhs, -1):
+                rep.add("jacobi", [module.gen_name(i), module.gen_name(j), module.gen_name(k)],
+                        "[x,[y,z]] != [[x,y],z] + (-1)^{|x||y|}[y,[x,z]]")
     return rep
 
 
@@ -149,11 +161,10 @@ def taylor_from_dgla(module, d_table, bracket_table) -> TaylorSeq:
         v = d_table.get(i, {})
         if v:
             maps[1][(i,)] = dict(v)
-    for w in sh.words(2):
-        i, j = w
-        v = bracket_table.get((i, j), {})
-        if v:
-            maps[2][w] = vect_scale(v, ksign(module.degree(i) + 1))
+    for (i, j), v in sorted(bracket_table.items()):
+        # the canonical words: i <= j, and no (i, i) for even x_i (odd in the shift)
+        if v and i <= j and (i < j or module.degree(i) % 2):
+            maps[2][(i, j)] = vect_scale(v, ksign(module.degree(i) + 1))
     maps = {j: t for j, t in maps.items() if t}
     return TaylorSeq(sh, sh, maps, "coderivation")
 
@@ -164,8 +175,7 @@ def dgla_tables_from_taylor(module, T: TaylorSeq):
     for (i,), v in T.maps.get(1, {}).items():
         d_table[i] = dict(v)
     bracket = {}
-    n = len(module)
-    for i, j in itertools.product(range(n), repeat=2):
+    for i, j in sorted({p for i, j in T.maps.get(2, {}) for p in ((i, j), (j, i))}):
         v = T.eval_word((i, j))
         if v:
             bracket[(i, j)] = vect_scale(v, ksign(module.degree(i) + 1))
@@ -672,12 +682,14 @@ def tensor_dgla(A: CoeffDGA, algebra: LinfAlgebra, W=math.inf, check=True):
         if out:
             td[idx] = out
 
+    # the letters (a2, g2) with [g1, g2] nonzero, in letter order, by g1
+    partners = [[i2 for i2, (_, g2) in enumerate(pairs) if bracket.get((g1, g2))]
+                for g1 in range(len(module))]
     tb = {}
     for i1, (a1, g1) in enumerate(pairs):
-        for i2, (a2, g2) in enumerate(pairs):
-            br = bracket.get((g1, g2), {})
-            if not br:
-                continue
+        for i2 in partners[g1]:
+            a2, g2 = pairs[i2]
+            br = bracket[(g1, g2)]
             sgn = ksign(A.degrees[a2] * module.degree(g1))
             out = {}
             for ak, q in A.mul_basis(a1, a2).items():
@@ -708,6 +720,7 @@ def extend_multilinear(psi: LinfMorphism, A: CoeffDGA, W=math.inf,
     t_pair_index = {p: i for i, p in enumerate(tgt_ext.tensor_pairs)}
     sh_src = src_ext.shifted
     g_deg = psi.source.module.degree
+    g_range = range(len(psi.source.module))
     taylor = psi.taylor
     top = taylor.max_j()
     # every sorted g-multiset that is part of a word with a Taylor value
@@ -739,19 +752,19 @@ def extend_multilinear(psi: LinfMorphism, A: CoeffDGA, W=math.inf,
         if len(w) == top:
             continue
         first = w[-1] if w else 0
+        grows = [tuple(sorted(g_part + (g,))) in wanted for g in g_range]
         for i in range(len(s_pairs) - 1, first - 1, -1):
             if i == first and w and sh_src.degree(i) % 2:
                 continue  # a repeated odd letter kills the word
             a, g = s_pairs[i]
-            g_next = g_part + (g,)
-            if tuple(sorted(g_next)) not in wanted:
+            if not grows[g]:
                 continue
             nxt = {}
             for cur, q in prod.items():
                 for res, q2 in A.mul_basis(cur, a).items():
                     _acc(nxt, res, q * q2)
             if nxt:
-                stack.append((w + (i,), g_next, nxt,
+                stack.append((w + (i,), g_part + (g,), nxt,
                               sign * ksign(A.degrees[a] * crossing),
                               crossing + g_deg(g) - 1))
     maps = {j: tab for j, tab in tabs.items() if tab}

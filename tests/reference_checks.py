@@ -16,9 +16,14 @@ recurses on the block of the first letter, and no sign code with
 ``reference_canon`` sorts a word and counts its inverted odd pairs, with no
 memo and no insertion sort.
 
-The DGLA-axiom loop rebuilds every bracket for every ordered triple, as
-``dgla_check`` did before it built each nested bracket once; it shares no
-code with ``linfty.linf``.
+The DGLA-axiom loop rebuilds every bracket for every ordered pair and
+triple, where ``dgla_check`` skips the pairs and triples whose checks have no
+nonzero term; it shares no code with ``linfty.linf``.
+
+The DGLA table builders walk every canonical word of order 2, every ordered
+pair of generators and every ordered pair of letters of A x g, where
+``linfty.linf`` walks only the nonzero table entries; they share no code with
+``linfty.linf``.
 
 The elimination scans every remaining row for each pivot, in row order, and
 back-substitutes in pivot order; it shares no code with ``linfty.linalg``.
@@ -41,7 +46,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from linfty.coalg import CoalgElem, coder_from_taylor, vect_acc, vect_degree
+from linfty.coalg import CoalgElem, TaylorSeq, coder_from_taylor, vect_acc, vect_degree
 from linfty.diffop import PolyDiffOp, hochschild_d
 from linfty.hkr import op_coords, u1
 from linfty.linalg import rank
@@ -196,6 +201,48 @@ def dgla_violations(module, d_table, bracket_table):
         if vect_acc(br({i: one}, bracket_table.get((j, k), {})), rhs, -1):
             add("jacobi", [i, j, k], "[x,[y,z]] != [[x,y],z] + (-1)^{|x||y|}[y,[x,z]]")
     return bad
+
+
+def _suspended(module, i, v):
+    """(-1)^{|x_i| + 1} v: the sign of d^2 Q on a word starting with x_i."""
+    return {k: c.scale((-1) ** ((module.degree(i) + 1) % 2)) for k, c in v.items()}
+
+
+def reference_taylor_from_dgla(module, d_table, bracket_table):
+    """The coderivation Taylor tables of DGLA tables: d^1 on every generator,
+    d^2 on every canonical word of order 2 of the shifted module."""
+    shifted = module.shifted()
+    maps = {1: {(i,): dict(d_table[i]) for i in range(len(module)) if d_table.get(i)},
+            2: {(i, j): _suspended(module, i, bracket_table[(i, j)])
+                for i, j in shifted.words(2) if bracket_table.get((i, j))}}
+    return TaylorSeq(shifted, shifted, {j: t for j, t in maps.items() if t}, "coderivation")
+
+
+def reference_tables_from_taylor(module, T):
+    """(d, bracket) read off d^1 and d^2 of T, the bracket on every ordered pair."""
+    d_table = {i: dict(v) for (i,), v in T.maps.get(1, {}).items()}
+    bracket = {}
+    for i, j in itertools.product(range(len(module)), repeat=2):
+        v = T.eval_word((i, j))
+        if v:
+            bracket[(i, j)] = _suspended(module, i, v)
+    return d_table, bracket
+
+
+def reference_tensor_bracket(A, module, bracket_table):
+    """The bracket of A x g on every ordered pair of letters a1 g1, a2 g2:
+    (-1)^{|a2||g1|} a1 a2 x [g1, g2], with a g letter numbered a * dim g + g."""
+    letters = list(itertools.product(range(len(A)), range(len(module))))
+    out = {}
+    for (i1, (a1, g1)), (i2, (a2, g2)) in itertools.product(enumerate(letters), repeat=2):
+        sign = (-1) ** (A.degrees[a2] * module.degree(g1) % 2)
+        v = {}
+        for ak, q in A.mul_basis(a1, a2).items():
+            for gk, c in bracket_table.get((g1, g2), {}).items():
+                _acc(v, ak * len(module) + gk, c.scale(sign * q))
+        if v:
+            out[(i1, i2)] = v
+    return out
 
 
 def _eliminate(rows):

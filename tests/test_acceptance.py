@@ -12,9 +12,7 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
-from linfty import jsonio, samples, selftest
+from linfty import jsonio, samples
 from linfty.cli import run as cli_run
 from linfty.coalg import (CoalgElem, GradedBasisModule, TaylorSeq, exp,
                           is_grouplike, is_invertible, is_primitive, ln,
@@ -22,17 +20,15 @@ from linfty.coalg import (CoalgElem, GradedBasisModule, TaylorSeq, exp,
 from linfty.diffop import (PolyDiffOp, filtration_check, gerstenhaber,
                            hochschild_d, mu)
 from linfty.grammar import parse_element
-from linfty.hkr import (TruncationSpec, formality_identity_residual,
-                        hkr_report, kontsevich_conditions, random_polyvec,
+from linfty.hkr import (TruncationSpec, hkr_report, kontsevich_conditions,
                         trivial_plugin, u1, u1_chain_check)
-from linfty.linf import (LinfAlgebra, LinfMorphism, MCElement,
-                         coalgebra_identity_residual, conjugation_twist,
-                         explicit_identity_residual, extend_multilinear,
-                         finiteness_bound, identity_sign_data, mc_push,
-                         mc_residue, mc_residue_dgla, operators_agree,
+from linfty.linf import (LinfAlgebra, LinfMorphism, coalgebra_identity_residual,
+                         conjugation_twist, explicit_identity_residual,
+                         extend_multilinear, finiteness_bound, identity_sign_data,
+                         mc_push, mc_residue, mc_residue_dgla, operators_agree,
                          twist_coder, twist_morphism, dgla_tables_from_taylor)
 from linfty.poly import Poly
-from linfty.polyvec import PolyVec, schouten, wedge
+from linfty.polyvec import PolyVec, schouten
 from linfty.scalars import (dga_tensor, ksign, make_truncated_poly_dga,
                             rational_field)
 from reference_checks import intertwine_witnesses, square_zero_witnesses

@@ -15,7 +15,7 @@ from linfty.coalg import (CoalgElem, CoalgOperator, GradedBasisModule,
                           check_coderivation, check_comorphism, coder_from_taylor, exp,
                           is_grouplike, is_invertible, is_primitive, ln,
                           morph_from_taylor, pi_tilde, tau, taylor_of,
-                          tensor_comult, tensor_of, vect_add, word_degree)
+                          tensor_comult, vect_add, word_degree)
 from linfty import jsonio, samples
 from linfty.cli import run
 from linfty.linf import LinfAlgebra, LinfMorphism, conjugation_twist

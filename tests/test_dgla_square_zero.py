@@ -12,12 +12,16 @@ import random
 from fractions import Fraction
 
 from linfty import samples
-from linfty.linf import LinfAlgebra, dgla_check, mc_residue, mc_residue_dgla, tensor_dgla
+from linfty.linf import (LinfAlgebra, dgla_check, dgla_tables_from_taylor, mc_residue,
+                         mc_residue_dgla, taylor_from_dgla, tensor_dgla)
 from linfty.scalars import dga_tensor, make_truncated_poly_dga, rational_field
-from reference_checks import dgla_violations, square_zero_witnesses
+from reference_checks import (dgla_violations, reference_tables_from_taylor,
+                              reference_taylor_from_dgla, reference_tensor_bracket,
+                              square_zero_witnesses)
 
 QQ = rational_field()
 H4 = make_truncated_poly_dga([0], 4)
+LAMBDA = make_truncated_poly_dga([1], 2, names=["th"])
 LAMBDA_H3 = dga_tensor(make_truncated_poly_dga([1, 1], 2, names=["th1", "th2"]),
                        make_truncated_poly_dga([0], 3))
 
@@ -114,3 +118,59 @@ def test_dgla_check_reports_what_the_triple_loop_reports():
         if len(got) > 1:
             kinds.add(kind)
     assert {"perturbed", "perturbed tensor"} <= kinds
+
+
+def test_dgla_check_on_perturbed_wide_tensors():
+    # one entry added to a Lambda(th1,th2) x Q[h]/(h^3) tensor of each family:
+    # every violation, in order, as the loops over every pair and triple
+    rng = random.Random(1)
+    axioms, broken = set(), 0
+    for family in sorted(samples.FAMILIES):
+        alg = perturbed(rng, tensor_dgla(LAMBDA_H3, samples.sample_dgla(rng, QQ, family=family),
+                                         check=False))
+        tables = alg.dgla_tables()
+        got = dgla_check(alg.module, *tables).violations
+        assert got == dgla_violations(alg.module, *tables), family
+        axioms.update(v["axiom"] for v in got)
+        broken += bool(got)
+    assert broken >= 5 and {"leibniz", "jacobi"} <= axioms
+
+
+def test_dgla_check_reports_one_sided_brackets():
+    # an empty reverse entry breaks antisymmetry at both pairs of a bracket
+    rng = random.Random(5)
+    for family in sorted(samples.FAMILIES):
+        alg = samples.sample_dgla(rng, QQ, family=family)
+        d_table, bracket = alg.dgla_tables()
+        for i, j in [(i, j) for (i, j), v in bracket.items() if v and i < j][:2]:
+            one_sided = {**bracket, (j, i): {}}
+            got = dgla_check(alg.module, d_table, one_sided).violations
+            assert got == dgla_violations(alg.module, d_table, one_sided), (family, i, j)
+            assert [v["axiom"] for v in got].count("antisymmetry") == 2, (family, i, j)
+
+
+def listed(tables):
+    """(key, items of the table) for each (key, table), in order."""
+    return [(key, list(t.items())) for key, t in tables]
+
+
+def test_sparse_builders_match_the_dense_walks():
+    # the same keys, values and order as the walks over every word and pair:
+    # on the corpus and its tensors with Lambda(th), and on the
+    # Lambda(th1,th2) x Q[h]/(h^3) tensor of every family
+    rng = random.Random(3)
+    bases = [(LAMBDA, alg) for _, alg in instances()]
+    bases += [(LAMBDA_H3, samples.sample_dgla(rng, QQ, family=family))
+              for family in sorted(samples.FAMILIES)]
+    for case, (A, base) in enumerate(bases):
+        ext = tensor_dgla(A, base, check=False)
+        want = reference_tensor_bracket(A, base.module, base.dgla_tables()[1])
+        assert list(ext.dgla_tables()[1].items()) == list(want.items()), case
+        for alg in (base, ext):
+            d_table, bracket = alg.dgla_tables()
+            # built from the bracket entries in reverse order: the order is the builder's
+            T = taylor_from_dgla(alg.module, d_table, dict(reversed(bracket.items())))
+            assert listed(T.maps.items()) == listed(
+                reference_taylor_from_dgla(alg.module, d_table, bracket).maps.items()), case
+            assert listed(enumerate(dgla_tables_from_taylor(alg.module, T))) == listed(
+                enumerate(reference_tables_from_taylor(alg.module, T))), case

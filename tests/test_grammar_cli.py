@@ -469,6 +469,11 @@ class TestCli:
                    f"taylor word {word[0]!r}: expected an array of names, got a string"),
                   (["ln"], {**doc, "element": [{"word": "yy", "coeff": "1"}]},
                    "element word 'yy': expected an array of names, got a string")]
+        # a d key is a generator name: never a basis index, in range or not
+        (_, image), *ds = doc["algebra"]["d"]
+        cases += [(["mc-check"], {**doc, "algebra": {**doc["algebra"], "d": [[key, image], *ds]}},
+                   f"d key {key!r}: expected a generator name, got {kind}")
+                  for key, kind in ((99, "a number"), (True, "a boolean"))]
         cases += [(["twist-check"], {**doc, "algebra": {**doc["algebra"], "basis": {"x": 0}}},
                    wrong),
                   (["extend", "--coeff-algebra", str(alist)], doc, wrong),

@@ -13,16 +13,15 @@ from hypothesis import given, settings, strategies as st
 
 import linfty
 from linfty.cli import run
-from linfty.diffop import PolyDiffOp, gerstenhaber, hochschild_d, mu
+from linfty.diffop import PolyDiffOp, gerstenhaber, hochschild_d
 from linfty.hkr import (FormalityPlugin, TruncationSpec, cohomology_rank,
                         formality_identity_residual, hkr_report,
-                        kontsevich_conditions, linear_vector_field,
-                        m_adic_order, mc_bivector_workflow, op_coords,
-                        random_polyvec, trivial_plugin, u1, u1_chain_check,
+                        kontsevich_conditions, m_adic_order, mc_bivector_workflow,
+                        op_coords, random_polyvec, trivial_plugin, u1, u1_chain_check,
                         u1_matrix)
 from linfty.linalg import nullspace, rank
 from linfty.poly import Poly, monomials_up_to
-from linfty.polyvec import PolyVec, schouten, wedge
+from linfty.polyvec import PolyVec, schouten
 from linfty.scalars import dga_tensor, make_truncated_poly_dga
 from reference_checks import reference_hkr_report
 

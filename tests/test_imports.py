@@ -1,6 +1,6 @@
-"""Every name a library module imports is used in that module, every
-function the library defines is named somewhere else, and every defaulted
-parameter is passed by some call.
+"""Every name a library module, test file or demo imports is used in that
+file, every function the library defines is named somewhere else, and every
+defaulted parameter is passed by some call.
 
 ``__init__.py`` is skipped by the import check: its imports are the package's
 re-exports.
@@ -15,6 +15,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "linfty"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
 
 
 def unused_imports(source):
@@ -36,7 +37,12 @@ def test_detector_sees_unused_and_used_names():
     assert unused_imports(source) == ["chain", "os"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def file_id(path):
+    """A library module by its name, a test file or a demo by its path."""
+    return path.name if path.parent == SRC else str(path.relative_to(ROOT))
+
+
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=file_id)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -1,5 +1,4 @@
 import gc
-import itertools
 import json
 import os
 import random
