@@ -4,6 +4,9 @@ All scalars are exact rationals; a coefficient algebra is a finite table of
 structure constants, so every axiom is decided by enumeration.
 """
 
+import json
+
+from linfty import jsonio
 from linfty.scalars import dga_check, dga_tensor, make_truncated_poly_dga
 
 print(__doc__)
@@ -31,5 +34,5 @@ print("\nwith differential d(th) = y:", "pass" if dga_check(D).ok else "FAIL")
 print("d(th*y) =", (D.gen("th") * D.gen("y")).d(), "(Leibniz through the square)")
 
 print("\nserialized form round-trips:")
-from linfty.scalars import CoeffDGA
-print(" ", CoeffDGA.from_json(A.to_json()) == A)
+text = jsonio.dumps(jsonio.coeff_algebra_to_json(A))
+print(" ", jsonio.coeff_algebra_from_json(json.loads(text)) == A)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import sys
 import time
 
@@ -33,7 +32,7 @@ from .linf import (conjugation_twist, extend_multilinear, linf_identity_check, m
                    mc_residue, operators_agree, twist_coder, twist_morphism,
                    MCElement)
 from .polyvec import is_poisson, schouten, wedge
-from .scalars import CoeffDGA, dga_check
+from .scalars import dga_check
 
 USAGE_ERROR, CHECK_FAILED, OK = 2, 1, 0
 
@@ -43,10 +42,7 @@ def _read_document(args):
     if args.instance is None:
         raise ParseError(f"{args.verb} needs --instance (a JSON file path, or - for stdin)")
     with _loading():
-        if args.instance == "-":
-            return json.load(sys.stdin)
-        with open(args.instance) as fh:
-            return json.load(fh)
+        return jsonio.read_document(args.instance)
 
 
 @contextlib.contextmanager
@@ -217,8 +213,8 @@ def cmd_extend(args):
     _, _, morphism = _load_instance(args, need_morphism=True)
     if args.coeff_algebra is None:
         raise ParseError("extend needs --coeff-algebra")
-    with open(args.coeff_algebra) as fh, _loading():
-        A = CoeffDGA.from_json(fh.read())
+    with _loading():
+        A = jsonio.coeff_algebra_from_json(jsonio.read_document(args.coeff_algebra))
     axioms = dga_check(A)
     if not axioms.ok:
         v = axioms.violations[0]
@@ -263,7 +259,7 @@ def positive(text):
 OPTIONS = {
     "n": dict(type=positive, default=2, help="number of variables (>= 1)"),
     "instance": dict(default=None, help="instance JSON path or -"),
-    "coeff_algebra": dict(default=None, help="coefficient DG algebra JSON path"),
+    "coeff_algebra": dict(default=None, help="coefficient DG algebra JSON path or -"),
     "trunc": dict(type=int, default=2, help="polynomial degree cap for slices"),
     "order": dict(type=int, default=2, help="operator order cap"),
     "window": dict(type=int, nargs=2, default=[-1, 1], help="cohomological degree window"),

@@ -44,6 +44,17 @@ class OrderOverflowError(Exception):
     """A computation needed a symmetric word longer than an element's guard W."""
 
 
+def _check_basis(pairs, kind):
+    """The (name, degree) pairs; a ValueError names a repeated or non-str name or non-int degree."""
+    seen = set()
+    for name, degree in pairs:
+        if type(name) is not str or type(degree) is not int or name in seen:
+            raise ValueError(f"{kind} {name!r}: expected a distinct name string and an "
+                             f"int degree, got degree {degree!r}")
+        seen.add(name)
+    return pairs
+
+
 class GradedBasisModule:
     """Finite graded module with a named, totally ordered basis.
 
@@ -54,13 +65,11 @@ class GradedBasisModule:
 
     def __init__(self, name, gens, coeff: CoeffDGA | None = None):
         self.name = name
-        self.gens = tuple((str(n), int(d)) for n, d in gens)
+        self.gens = _check_basis(tuple((n, d) for n, d in gens), "generator")
         self.coeff = coeff if coeff is not None else rational_field()
         if not self.coeff.is_degree_zero:
             raise ValueError("coalgebra coefficients must sit in degree 0")
         self.index = {n: i for i, (n, _) in enumerate(self.gens)}
-        if len(self.index) != len(self.gens):
-            raise ValueError("duplicate generator names")
         self.odd = frozenset(i for i, (_, d) in enumerate(self.gens) if d % 2)
         self._canon = {}  # canon_word's memo: letter tuple -> (sign, word) or None
 

@@ -14,19 +14,22 @@ with a coalgebra element, as ``exp`` writes it and ``ln`` reads it under
 "element", as [{"word": [gen...], "coeff": coeff}...].  A d key is a name
 string, and a name list (a bracket pair, a word) is an array of name strings,
 never a string read letter by letter.  A coeff is either a "num/den" string
-(a rational multiple of 1) or a {C-basis-name: "num/den"} object.  Exact
-rationals only: a JSON number or boolean in place of a "num/den" string, or a
-string that is not an optional '-', digits and optionally '/' and a nonzero
-denominator (such as "1/0", "0.5" or " 1/2 "), is a ParseError naming the
-entry.
+(a rational multiple of 1) or a {C-basis-name: "num/den"} object, where
+"num/den" is an optional '-', digits, and optionally '/' and a nonzero
+denominator.  A coefficient algebra ("coeff", or a --coeff-algebra document)
+is what ``coeff_algebra_to_json`` writes, each index an int inside its basis.
+In every basis the degrees are ints and the names distinct strings.  Any other
+entry (a JSON number for a "num/den", "1/0", "0.5") is a ParseError naming it.
 Loaded values are ints when integral, else Fractions (see ``scalars.frac``).
 """
 
 from __future__ import annotations
 
 import json
+import re
+import sys
 
-from .coalg import CoalgElem, GradedBasisModule, TaylorSeq
+from .coalg import CoalgElem, GradedBasisModule, TaylorSeq, _check_basis
 from .grammar import ParseError
 from .linf import LinfAlgebra, LinfMorphism, MCElement
 from .scalars import CoeffDGA, DgaElem, _acc, frac, frac_str, rational_field
@@ -34,6 +37,9 @@ from .scalars import CoeffDGA, DgaElem, _acc, frac, frac_str, rational_field
 
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
                int: "a number", float: "a number", type(None): "null"}
+
+# an optional '-', digits, then optionally '/' and digits of a nonzero value
+_NUM_DEN = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
 
 def _expect(doc, kind, where, wanted=None):
@@ -44,27 +50,80 @@ def _expect(doc, kind, where, wanted=None):
     return doc
 
 
+def read_document(path):
+    """The JSON document in the file at path; '-' reads stdin."""
+    if path == "-":
+        return json.load(sys.stdin)
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def coeff_to_json(c: DgaElem):
     if set(c.coeffs) <= {c.alg.unit_index}:
         return frac_str(c.rational_part())
     return {c.alg.basis[i]: frac_str(q) for i, q in sorted(c.coeffs.items())}
 
 
-def _rational(doc, where):
-    """The "num/den" string doc as ``frac`` reads it, or a ParseError naming the entry."""
-    _expect(doc, str, where, 'a "num/den" string')
-    try:
-        return frac(doc)
-    except ValueError as ex:
-        raise ParseError(f"{where}: {ex}") from None
+def _rational(doc, where, *at):
+    """The "num/den" string doc as ``frac`` stores it, or a ParseError naming where.format(*at)."""
+    if type(doc) is str and _NUM_DEN.fullmatch(doc):
+        num, _, den = doc.partition("/")
+        return frac(int(num), int(den)) if den else int(num)
+    got = json.dumps(doc) if isinstance(doc, str) else _JSON_TYPES.get(type(doc), repr(doc))
+    raise ParseError(f'{where.format(*at)}: expected a "num/den" string, got {got}')
+
+
+def _index(doc, n, where, *at):
+    """doc if it indexes an n-element basis, else a ParseError like ``_rational``'s."""
+    if type(doc) is int and 0 <= doc < n:
+        return doc
+    raise ParseError(f"{where.format(*at)}: expected an index below {n}, got {json.dumps(doc)}")
 
 
 def coeff_from_json(C: CoeffDGA, doc, where="coefficient") -> DgaElem:
     if isinstance(doc, str):
-        return C.scalar(_rational(doc, where))
+        return C.scalar(_rational(doc, "{}", where))
     _expect(doc, dict, where, 'a "num/den" string or an object')
-    return C.elem({name: _rational(q, f"{where} coefficient {name!r}")
+    return C.elem({name: _rational(q, "{} coefficient {!r}", where, name)
                    for name, q in doc.items()})
+
+
+def _table(rows, width, n, where):
+    """{i: {k: q}} from rows [i, terms] (width 2), or {(i, j): {k: q}} from rows
+    [i, j, terms] (width 3), each term [k, "num/den"] and each index below n."""
+    table = {}
+    for row in _expect(rows, list, where):
+        if type(row) is not list or len(row) != width:
+            raise ParseError(f"{where} entry {json.dumps(row)}: expected an array of {width}")
+        key = tuple(_index(i, n, "{} entry {}", where, row[:-1]) for i in row[:-1])
+        at = list(key) if width == 3 else key[0]
+        table[key if width == 3 else key[0]] = {
+            _index(k, n, "{} entry {} term", where, at): _rational(q, "{} entry {} term {}",
+                                                                  where, at, k)
+            for k, q in row[-1]}
+    return table
+
+
+def coeff_algebra_to_json(C: CoeffDGA) -> dict:
+    def terms(v):
+        return [[k, frac_str(q)] for k, q in sorted(v.items())]
+    return {"basis": [{"name": n, "degree": d} for n, d in zip(C.basis, C.degrees)],
+            "mul": [[i, j, terms(v)] for (i, j), v in sorted(C.mul.items())],
+            "d": [[i, terms(v)] for i, v in sorted(C.diff.items())],
+            "unit": C.unit_index, "ideal": sorted(C.ideal)}
+
+
+def coeff_algebra_from_json(doc) -> CoeffDGA:
+    """The CoeffDGA a coefficient-algebra document spells, every entry checked
+    (the axioms are ``dga_check``'s)."""
+    basis = _check_basis([(b["name"], b["degree"]) for b in doc["basis"]],
+                         "coefficient algebra basis element")
+    n = len(basis)
+    return CoeffDGA([b[0] for b in basis], [b[1] for b in basis],
+                    _table(doc["mul"], 3, n, "coefficient algebra mul"),
+                    _table(doc["d"], 2, n, "coefficient algebra d"),
+                    _index(doc["unit"], n, "coefficient algebra unit"),
+                    [_index(i, n, "coefficient algebra ideal") for i in doc.get("ideal", [])])
 
 
 def word_from_json(module, doc, where, length=None):
@@ -102,9 +161,9 @@ def algebra_to_json(alg: LinfAlgebra) -> dict:
 def algebra_from_json(doc, C: CoeffDGA) -> LinfAlgebra:
     module = GradedBasisModule(doc.get("name", "g"),
                                [(b["name"], b["degree"]) for b in doc["basis"]], C)
-    d_table = {module.index[_expect(entry[0], str, f"d key {entry[0]!r}", "a generator name")]:
-               vect_from_json(module, entry[1], f"d of {entry[0]!r}")
-               for entry in doc.get("d", [])}
+    d_table = {module.index[_expect(key, str, f"d key {key!r}", "a generator name")]:
+               vect_from_json(module, val, f"d of {key!r}")
+               for key, val in doc.get("d", [])}
     bracket = {word_from_json(module, pair, f"bracket pair {pair!r}", 2):
                vect_from_json(module, val, f"bracket of {pair}")
                for pair, val in doc.get("bracket", [])}
@@ -151,7 +210,7 @@ def element_from_json(module, doc) -> CoalgElem:
 
 def instance_to_json(algebra: LinfAlgebra, omega=None, morphism: LinfMorphism = None) -> dict:
     C = algebra.module.coeff
-    doc = {"coeff": "Q" if C.is_rational_field else C.to_json_dict(),
+    doc = {"coeff": "Q" if C.is_rational_field else coeff_algebra_to_json(C),
            "algebra": algebra_to_json(algebra)}
     if omega is not None:
         v = omega.vect if isinstance(omega, MCElement) else omega
@@ -169,7 +228,7 @@ def instance_from_json(doc):
     LinfMorphism.check_intertwines).
     """
     cdoc = _expect(doc, dict, "instance document").get("coeff", "Q")
-    C = rational_field() if cdoc == "Q" else CoeffDGA.from_json_dict(cdoc)
+    C = rational_field() if cdoc == "Q" else coeff_algebra_from_json(cdoc)
     algebra = algebra_from_json(_expect(doc["algebra"], dict, "algebra"), C)
     omega = None
     if "omega" in doc:

@@ -50,13 +50,22 @@ from .scalars import CoeffDGA, DgaElem, ValidationReport, _acc, frac, ksign
 # DGLA tables and their axioms
 # ---------------------------------------------------------------------------
 
+def _letter(module, k):
+    """The generator of module that k names or indexes; else a ValueError naming k."""
+    i = module.index.get(k) if isinstance(k, str) else k
+    if type(i) is not int or not 0 <= i < len(module):
+        raise ValueError(f"{module.name}: no generator {k!r}")
+    return i
+
+
 def _as_vect(module, v):
     out = {}
     for k, c in v.items():
+        i = _letter(module, k)
         if not isinstance(c, DgaElem):
             c = module.coeff.scalar(c)
         if c:
-            _acc(out, module.index[k] if isinstance(k, str) else k, c)
+            _acc(out, i, c)
     return out
 
 
@@ -64,9 +73,7 @@ def complete_bracket(module, bracket):
     """Fill missing (j,i) entries using graded antisymmetry."""
     out = {}
     for (i, j), v in bracket.items():
-        i2 = module.index[i] if isinstance(i, str) else i
-        j2 = module.index[j] if isinstance(j, str) else j
-        out[(i2, j2)] = _as_vect(module, v)
+        out[(_letter(module, i), _letter(module, j))] = _as_vect(module, v)
     for (i, j) in list(out.keys()):
         if (j, i) not in out:
             sign = -ksign(module.degree(i) * module.degree(j))
@@ -233,8 +240,7 @@ class LinfAlgebra:
 
     @classmethod
     def from_dgla(cls, module, d_table, bracket_table, W=math.inf, check=True):
-        d_table = {module.index[k] if isinstance(k, str) else k: _as_vect(module, v)
-                   for k, v in d_table.items()}
+        d_table = {_letter(module, k): _as_vect(module, v) for k, v in d_table.items()}
         bracket_table = complete_bracket(module, bracket_table)
         if check:
             rep = dgla_check(module, d_table, bracket_table)
@@ -354,8 +360,7 @@ class LinfMorphism:
         sh_s = source.shifted
         table = {}
         for k, v in f_table.items():
-            i = source.module.index[k] if isinstance(k, str) else k
-            table[(i,)] = _as_vect(target.module, v)
+            table[(_letter(source.module, k),)] = _as_vect(target.module, v)
         T = TaylorSeq(sh_s, target.shifted, {1: table}, "morphism")
         return cls(source, target, T, check=check)
 

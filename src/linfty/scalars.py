@@ -16,27 +16,18 @@ floats appear anywhere.
 from __future__ import annotations
 
 import itertools
-import json
-import re
 from fractions import Fraction
-
-
-# an optional '-', digits, then optionally '/' and digits of a nonzero value
-_NUM_DEN = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
 
 def frac(x, den=None):
     """The exact rational x (or x/den): an int when integral, else a Fraction.
 
-    x is an int, a Fraction or a 'num/den' string as ``_NUM_DEN`` spells it
-    (any other string is a ValueError); a bool or a float raises.
+    x is an int or a Fraction; anything else, a bool, a float or a string
+    among them, raises TypeError.
     """
     if type(x) is int and den is None:
         return x
-    if isinstance(x, str):
-        if not _NUM_DEN.fullmatch(x):
-            raise ValueError(f'expected a "num/den" string, got {json.dumps(x)}')
-    elif isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise TypeError(f"not an exact scalar: {x!r}")
     q = Fraction(x, den)
     return q.numerator if q.denominator == 1 else q
@@ -190,41 +181,6 @@ class CoeffDGA:
                 return k
             if k >= len(self.basis) + 2:
                 raise ValueError("designated ideal is not nilpotent")
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json_dict(self):
-        return {
-            "basis": [{"name": n, "degree": d} for n, d in zip(self.basis, self.degrees)],
-            "mul": [[i, j, [[k, frac_str(q)] for k, q in sorted(v.items())]]
-                    for (i, j), v in sorted(self.mul.items())],
-            "d": [[i, [[k, frac_str(q)] for k, q in sorted(v.items())]]
-                  for i, v in sorted(self.diff.items())],
-            "unit": self.unit_index,
-            "ideal": sorted(self.ideal),
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, doc):
-        def q(x, where):  # anything but a "num/den" string is refused, naming the entry
-            if type(x) is str and _NUM_DEN.fullmatch(x):
-                return frac(x)
-            raise ValueError(f'coefficient algebra {where}: expected a "num/den" '
-                             f'string, got {json.dumps(x)}')
-        basis = [b["name"] for b in doc["basis"]]
-        degrees = [b["degree"] for b in doc["basis"]]
-        mul = {(i, j): {k: q(x, f"mul entry {[i, j]} term {k}") for k, x in entries}
-               for i, j, entries in doc["mul"]}
-        diff = {i: {k: q(x, f"d entry {i} term {k}") for k, x in entries}
-                for i, entries in doc["d"]}
-        return cls(basis, degrees, mul, diff, doc["unit"], doc.get("ideal", []))
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_json_dict(json.loads(text))
 
 
 class DgaElem:

@@ -113,6 +113,11 @@ class TestGrammar:
         assert (str(err.value), err.value.pos) == (f"{message} (line 1, column {pos + 1})", pos)
 
 
+def coeff_algebra_text(A):
+    """The coefficient algebra A as a --coeff-algebra document."""
+    return jsonio.dumps(jsonio.coeff_algebra_to_json(A))
+
+
 def capture(argv):
     buf = io.StringIO()
     err = io.StringIO()
@@ -253,7 +258,7 @@ class TestCli:
         A = dga_tensor(make_truncated_poly_dga([1], 2),
                        make_truncated_poly_dga([0], 2))
         apath = tmp_path / "A.json"
-        apath.write_text(A.to_json())
+        apath.write_text(coeff_algebra_text(A))
         # extension needs a base-field morphism: build one
         rng = random.Random(11)
         from linfty.scalars import rational_field
@@ -279,7 +284,7 @@ class TestCli:
         from linfty.linf import LinfMorphism
         from linfty.scalars import make_truncated_poly_dga, rational_field
         apath = tmp_path / "A.json"
-        apath.write_text(make_truncated_poly_dga([1], 2).to_json())
+        apath.write_text(coeff_algebra_text(make_truncated_poly_dga([1], 2)))
         alg = samples.sample_dgla(random.Random(11), rational_field(),
                                   family="weighted", scramble=False)
         phi = samples.strict_base_change_morphism(random.Random(12), alg)
@@ -440,7 +445,7 @@ class TestCli:
             doc = json.load(fh)
         name = next(iter(doc["omega"]))
         apath, alist = tmp_path / "A.json", tmp_path / "Alist.json"
-        apath.write_text(make_truncated_poly_dga([1], 2).to_json())
+        apath.write_text(coeff_algebra_text(make_truncated_poly_dga([1], 2)))
         alist.write_text("[]")
         named = [({**doc, "omega": [name]}, "omega: expected an object, got an array"),
                  ({**doc, "omega": {name: 1}},
@@ -495,18 +500,18 @@ class TestCli:
         apath.write_text(json.dumps(mul_number))
         string = 'expected a "num/den" string, got'
         where = f"omega entry {name!r} coefficient"
+        mul_term = f"coefficient algebra mul entry {[i, j]} term {terms[0][0]}"
         cases = [(["mc-check"], {**doc, "omega": {name: {"1": True}}},
                   f"{where} '1': {string} a boolean"),
                  (["twist-check"], {**doc, "omega": {name: {"h": 2}}},
                   f"{where} 'h': {string} a number"),
                  (["mc-check"], {**doc, "omega": {name: {"h": 0.5}}},
                   f"{where} 'h': {string} a number"),
-                 (["twist-check"], {**doc, "coeff": mul_number},
-                  f"coefficient algebra mul entry {[i, j]} term {terms[0][0]}: {string} 1"),
+                 (["twist-check"], {**doc, "coeff": mul_number}, f"{mul_term}: {string} a number"),
                  (["mc-check"], {**doc, "coeff": d_boolean},
-                  f"coefficient algebra d entry {coeff['d'][0][0]} term 1: {string} true"),
+                  f"coefficient algebra d entry {coeff['d'][0][0]} term 1: {string} a boolean"),
                  (["extend", "--coeff-algebra", str(apath)], doc,
-                  f"coefficient algebra mul entry {[i, j]} term {terms[0][0]}: {string} 1")]
+                  f"{mul_term}: {string} a number")]
         assert_usage_errors(cases, tmp_path)
 
     def test_malformed_coefficient_strings_exit_two(self, instance_file, tmp_path):
@@ -542,6 +547,67 @@ class TestCli:
         C = samples.default_coefficients(4)
         for text, value in (("-3", -3), ("6/4", Fraction(3, 2)), ("-0", 0), ("2/02", 1)):
             assert jsonio.coeff_from_json(C, {"h": text}) == C.elem({"h": value}), text
+
+    def test_coefficient_algebra_entries_exit_two(self, instance_file, tmp_path):
+        # every index of a coefficient algebra is an int inside its basis, and in
+        # every basis the degrees are ints and the names distinct: anything else
+        # is refused naming the entry, where it used to load (1.5 as degree 1),
+        # end in a traceback, or blame another entry
+        with open(instance_file) as fh:
+            doc = json.load(fh)
+        coeff, algebra = doc["coeff"], doc["algebra"]
+        n = len(coeff["basis"])
+        (i, j, terms), *rest = coeff["mul"]
+        (k, _), *drest = coeff["d"]
+
+        def with_coeff(**entries):
+            return {**doc, "coeff": {**coeff, **entries}}
+
+        index = f"expected an index below {n}, got"
+        basis = "expected a distinct name string and an int degree"
+        float_degree = {"name": "1", "degree": 0.0}
+        repeated = {"name": "h", "degree": 0}
+        half_degree = {**algebra["basis"][0], "degree": 1.5}
+        apath = tmp_path / "A.json"
+        apath.write_text(json.dumps({**coeff, "unit": 99}))
+        cases = [(["twist-check"], with_coeff(unit="0"), f'coefficient algebra unit: {index} "0"'),
+                 (["mc-check"], with_coeff(unit="0"), f'coefficient algebra unit: {index} "0"'),
+                 (["mc-check"], with_coeff(unit=99), f"coefficient algebra unit: {index} 99"),
+                 (["extend", "--coeff-algebra", str(apath)], doc,
+                  f"coefficient algebra unit: {index} 99"),
+                 (["mc-check"], with_coeff(mul=[[i, j, [[7, "1"]]], *rest]),
+                  f"coefficient algebra mul entry {[i, j]} term: {index} 7"),
+                 (["mc-check"], with_coeff(d=[[k, [[7, "1"]]], *drest]),
+                  f"coefficient algebra d entry {k} term: {index} 7"),
+                 (["mc-check"], with_coeff(mul=["1", *rest]),
+                  'coefficient algebra mul entry "1": expected an array of 3'),
+                 (["mc-check"], with_coeff(mul=[["1", j, terms], *rest]),
+                  f'coefficient algebra mul entry {["1", j]}: {index} "1"'),
+                 (["mc-check"], with_coeff(ideal=[1, n]),
+                  f"coefficient algebra ideal: {index} {n}"),
+                 (["mc-check"], with_coeff(basis=[float_degree, *coeff["basis"][1:]]),
+                  f"coefficient algebra basis element '1': {basis}, got degree 0.0"),
+                 (["twist-check"], with_coeff(basis=[*coeff["basis"][:-1], repeated]),
+                  f"coefficient algebra basis element 'h': {basis}, got degree 0"),
+                 (["mc-check"], {**doc, "algebra": {
+                     **algebra, "basis": [half_degree, *algebra["basis"][1:]]}},
+                  f"generator {half_degree['name']!r}: {basis}, got degree 1.5")]
+        assert_usage_errors(cases, tmp_path)
+
+    def test_coeff_algebra_from_stdin(self, tmp_path, monkeypatch):
+        # '-' reads stdin for --coeff-algebra as it does for --instance
+        from linfty.scalars import rational_field
+        alg = samples.sample_dgla(random.Random(11), rational_field(), family="weighted",
+                                  scramble=False)
+        ipath = tmp_path / "inst.json"
+        ipath.write_text(json.dumps(jsonio.instance_to_json(
+            alg, morphism=samples.strict_base_change_morphism(random.Random(12), alg))))
+        apath = tmp_path / "A.json"
+        apath.write_text(coeff_algebra_text(make_truncated_poly_dga([1], 2)))
+        from_file = capture(["extend", "--instance", str(ipath), "--coeff-algebra", str(apath)])
+        monkeypatch.setattr(sys, "stdin", io.StringIO(apath.read_text()))
+        from_stdin = capture(["extend", "--instance", str(ipath), "--coeff-algebra", "-"])
+        assert from_stdin == from_file and from_file[0] == 0
 
 
 def assert_usage_errors(cases, tmp_path):

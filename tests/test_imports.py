@@ -1,6 +1,7 @@
 """Every name a library module, test file or demo imports is used in that
 file, every function the library defines is named somewhere else, and every
-defaulted parameter is passed by some call.
+defaulted parameter is passed by some call.  Only ``jsonio`` imports ``json``,
+and ``scalars`` imports no ``re``.
 
 ``__init__.py`` is skipped by the import check: its imports are the package's
 re-exports.
@@ -167,3 +168,27 @@ def test_every_defaulted_parameter_is_passed():
     others = [p.read_text() for d in ("src", "tests", "demos", "perfbench")
               for p in sorted((ROOT / d).rglob("*.py")) if p.parent != SRC]
     assert never_passed(library, others) == []
+
+
+def imported_modules(source):
+    """The top-level names of the modules that `source` imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_detector_sees_imported_modules():
+    source = ("import json.decoder\nfrom re import compile\nfrom . import jsonio\n"
+              "def f():\n    import sys\n")
+    assert imported_modules(source) == {"json", "re", "sys"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=file_id)
+def test_only_jsonio_reads_or_writes_json(path):
+    # one module owns every JSON schema and reader; scalars parses no text
+    banned = {"json"} | ({"re"} if path.name == "scalars.py" else set())
+    assert path.name == "jsonio.py" or not imported_modules(path.read_text()) & banned

@@ -69,6 +69,39 @@ class TestFromDgla:
             LinfAlgebra.from_dgla(m3, {"y": {"z": 1}},
                                   {("x", "y"): {"y": 1}})
 
+    @pytest.mark.parametrize("table, key, bad", [
+        ("d", 99, 99), ("d", -1, -1), ("d", True, True), ("d", 1.0, 1.0), ("d", "w", "w"),
+        ("bracket", (0, 99), 99), ("bracket", (-1, 0), -1), ("value", 99, 99),
+        ("value", -1, -1), ("value", False, False), ("strict", 2, 2), ("strict", -1, -1)])
+    def test_letters_out_of_range_are_refused(self, C4, table, key, bad):
+        # a letter is a generator name or an index inside the module: a bool, a
+        # non-int or an index out of range is a ValueError naming it, where 99
+        # used to load into d_table, -1 to stand for the last generator, and an
+        # out-of-range bracket or value key to raise IndexError
+        m = GradedBasisModule("g", [("x", 0), ("y", 1)], C4)
+        d_table, bracket = {}, {}
+        if table == "d":
+            d_table = {key: {"y": 1}}
+        elif table == "bracket":
+            bracket = {key: {"y": 1}}
+        elif table == "value":
+            d_table = {"x": {key: 1}}
+        with pytest.raises(ValueError, match=f"g: no generator {bad!r}$"):
+            if table == "strict":
+                alg = LinfAlgebra.abelian(m)
+                LinfMorphism.strict(alg, alg, {key: {"x": 1}}, check=False)
+            else:
+                LinfAlgebra.from_dgla(m, d_table, bracket, check=False)
+
+    @pytest.mark.parametrize("name, degree", [("x", 1.5), ("x", 1.0), ("x", True),
+                                              ("x", "1"), (1, 0), ("y", 0)])
+    def test_module_names_are_distinct_strings_and_degrees_ints(self, name, degree):
+        # a name or a degree is never coerced: the degree 1.5 used to load as 1
+        # and the name 1 as "1"
+        with pytest.raises(ValueError, match=f"^generator {name!r}: expected a distinct name "
+                                             f"string and an int degree, got degree {degree!r}$"):
+            GradedBasisModule("g", [("y", 0), (name, degree)])
+
     def test_prop_9_4_forward(self, C4):
         rng = random.Random(3)
         for _ in range(6):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from linfty import jsonio
 from linfty.scalars import (CoeffDGA, dga_check, dga_tensor,
                             make_truncated_poly_dga, rational_field)
 from reference_checks import is_exact
@@ -66,14 +67,14 @@ class TestDgaCheck:
 
     def test_explicit_zero_constants_are_dropped(self):
         A = make_truncated_poly_dga([0, 1], 3)
-        doc = json.loads(A.to_json())
+        doc = jsonio.coeff_algebra_to_json(A)
         for entry in doc["mul"]:  # a "0" for every basis index a product lacks
             present = {k for k, _ in entry[2]}
             entry[2] += [[k, "0"] for k in range(len(A)) if k not in present]
         for entry in doc["d"]:
             entry[1].append([0, "0"])
-        B = CoeffDGA.from_json_dict(doc)
-        assert B == A and B.to_json() == A.to_json()
+        B = jsonio.coeff_algebra_from_json(doc)
+        assert B == A and jsonio.coeff_algebra_to_json(B) == jsonio.coeff_algebra_to_json(A)
         assert all(q for table in (B.mul, B.diff) for v in table.values() for q in v.values())
         assert dga_check(B).ok
 
@@ -173,7 +174,8 @@ class TestTensor:
     def test_json_roundtrip(self):
         A = dga_tensor(make_truncated_poly_dga([1], 2),
                        make_truncated_poly_dga([0], 3))
-        B = CoeffDGA.from_json(A.to_json())
+        B = jsonio.coeff_algebra_from_json(json.loads(jsonio.dumps(
+            jsonio.coeff_algebra_to_json(A))))
         assert B == A
         assert B.nilpotency_order == A.nilpotency_order
 
