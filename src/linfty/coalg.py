@@ -36,8 +36,8 @@ from __future__ import annotations
 import itertools
 import math
 
-from .scalars import (CoeffDGA, DgaElem, ValidationReport, _acc, _acc_neg, frac,
-                      koszul_sort, ksign, rational_field)
+from .scalars import (CoeffDGA, DgaElem, ValidationReport, _acc, _acc_neg, _elem,
+                      _mul_acc, frac, koszul_sort, ksign, rational_field)
 
 
 class OrderOverflowError(Exception):
@@ -228,21 +228,39 @@ class CoalgElem:
         return _coalg(self.module, vect_scale(self.words, q), self.W)
 
     def __mul__(self, other):
-        """Product in the symmetric algebra (coefficients commute, degree 0)."""
-        out = {}
+        """Product in the symmetric algebra (coefficients commute, degree 0).
+
+        Each pair of words adds its signed coefficient product term by term
+        into the coefficient of the product word, which enters the result when
+        its sum first becomes nonzero and leaves it when the sum cancels."""
+        module, W = self.module, self.W
+        C = module.coeff
+        for c in itertools.chain(self.words.values(), other.words.values()):
+            if c.alg is not C and c.alg != C:
+                raise ValueError("DgaElem product across different algebras")
+        table, canon = C.table, module._canon
+        sums = {}
         for w1, c1 in self.words.items():
             for w2, c2 in other.words.items():
-                r = canon_word(self.module, w1 + w2)
+                try:
+                    r = canon[w1 + w2]
+                except KeyError:
+                    r = canon_word(module, w1 + w2)
                 if r is None:
                     continue
                 sign, w = r
-                if len(w) > self.W:
+                if len(w) > W:
                     raise OrderOverflowError(
-                        f"product word of order {len(w)} exceeds W={self.W}")
-                c = c1 * c2
-                if c:
-                    (_acc if sign == 1 else _acc_neg)(out, w, c)
-        return _coalg(self.module, out, self.W)
+                        f"product word of order {len(w)} exceeds W={W}")
+                acc = sums.get(w)
+                if acc is None:
+                    acc = sums[w] = {}
+                _mul_acc(acc, table, c1.coeffs, c2.coeffs, sign)
+                if not acc:
+                    del sums[w]
+        for w, acc in sums.items():
+            sums[w] = _elem(C, acc)
+        return _coalg(module, sums, W)
 
     def order_component(self, j):
         return _coalg(self.module,

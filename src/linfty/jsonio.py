@@ -73,6 +73,15 @@ def _rational(doc, where, *at):
     raise ParseError(f'{where.format(*at)}: expected a "num/den" string, got {got}')
 
 
+def _array(doc, n, where, *at):
+    """doc if it is an array of n entries (of any number when n is None), else a
+    ParseError naming where.format(*at) and doc."""
+    if type(doc) is list and n in (None, len(doc)):
+        return doc
+    of = "" if n is None else f" of {n}"
+    raise ParseError(f"{where.format(*at)} {json.dumps(doc)}: expected an array{of}")
+
+
 def _index(doc, n, where, *at):
     """doc if it indexes an n-element basis, else a ParseError like ``_rational``'s."""
     if type(doc) is int and 0 <= doc < n:
@@ -93,14 +102,14 @@ def _table(rows, width, n, where):
     [i, j, terms] (width 3), each term [k, "num/den"] and each index below n."""
     table = {}
     for row in _expect(rows, list, where):
-        if type(row) is not list or len(row) != width:
-            raise ParseError(f"{where} entry {json.dumps(row)}: expected an array of {width}")
+        _array(row, width, "{} entry", where)
         key = tuple(_index(i, n, "{} entry {}", where, row[:-1]) for i in row[:-1])
         at = list(key) if width == 3 else key[0]
-        table[key if width == 3 else key[0]] = {
-            _index(k, n, "{} entry {} term", where, at): _rational(q, "{} entry {} term {}",
-                                                                  where, at, k)
-            for k, q in row[-1]}
+        terms = table[key if width == 3 else key[0]] = {}
+        for term in _array(row[-1], None, "{} entry {} terms", where, at):
+            k, q = _array(term, 2, "{} entry {} term", where, at)
+            terms[_index(k, n, "{} entry {} term", where, at)] = \
+                _rational(q, "{} entry {} term {}", where, at, k)
     return table
 
 
@@ -116,6 +125,7 @@ def coeff_algebra_to_json(C: CoeffDGA) -> dict:
 def coeff_algebra_from_json(doc) -> CoeffDGA:
     """The CoeffDGA a coefficient-algebra document spells, every entry checked
     (the axioms are ``dga_check``'s)."""
+    _expect(doc, dict, "coefficient algebra")
     basis = _check_basis([(b["name"], b["degree"]) for b in doc["basis"]],
                          "coefficient algebra basis element")
     n = len(basis)
@@ -158,15 +168,20 @@ def algebra_to_json(alg: LinfAlgebra) -> dict:
     }
 
 
+def _entries(doc, where):
+    """The [key, value] pairs of the array doc, or a ParseError naming the entry."""
+    return (_array(entry, 2, "{} entry", where) for entry in _array(doc, None, where))
+
+
 def algebra_from_json(doc, C: CoeffDGA) -> LinfAlgebra:
     module = GradedBasisModule(doc.get("name", "g"),
                                [(b["name"], b["degree"]) for b in doc["basis"]], C)
     d_table = {module.index[_expect(key, str, f"d key {key!r}", "a generator name")]:
                vect_from_json(module, val, f"d of {key!r}")
-               for key, val in doc.get("d", [])}
+               for key, val in _entries(doc.get("d", []), "d")}
     bracket = {word_from_json(module, pair, f"bracket pair {pair!r}", 2):
                vect_from_json(module, val, f"bracket of {pair}")
-               for pair, val in doc.get("bracket", [])}
+               for pair, val in _entries(doc.get("bracket", []), "bracket")}
     return LinfAlgebra.from_dgla(module, d_table, bracket)
 
 
@@ -182,12 +197,14 @@ def taylor_to_json(T: TaylorSeq) -> list:
 
 def taylor_from_json(doc, source_shifted, target_shifted, intent) -> TaylorSeq:
     maps = {}
-    for j, entries in doc:
+    for j, entries in _entries(doc, "morphism taylor"):
+        if type(j) is not int or j < 1:
+            raise ParseError(f"morphism taylor order {json.dumps(j)}: expected a positive int")
         tab = {}
-        for word_names, val in entries:
+        for word_names, val in _entries(entries, f"morphism taylor order {j}"):
             w = word_from_json(source_shifted, word_names, f"taylor word {word_names!r}")
             tab[w] = vect_from_json(target_shifted, val, f"taylor value on {word_names}")
-        maps[int(j)] = tab
+        maps[j] = tab
     return TaylorSeq(source_shifted, target_shifted, maps, intent)
 
 
@@ -228,7 +245,8 @@ def instance_from_json(doc):
     LinfMorphism.check_intertwines).
     """
     cdoc = _expect(doc, dict, "instance document").get("coeff", "Q")
-    C = rational_field() if cdoc == "Q" else coeff_algebra_from_json(cdoc)
+    C = rational_field() if cdoc == "Q" else \
+        coeff_algebra_from_json(_expect(cdoc, dict, "coeff", 'an object or "Q"'))
     algebra = algebra_from_json(_expect(doc["algebra"], dict, "algebra"), C)
     omega = None
     if "omega" in doc:

@@ -733,6 +733,11 @@ def extend_multilinear(psi: LinfMorphism, A: CoeffDGA, W=math.inf,
               for k in range(1, len(cw) + 1) for sub in itertools.combinations(cw, k)}
     values = {}   # eval_word by g-part, shared by words with other a-parts
 
+    dim_g = len(g_range)
+    # by c, the a with c * a != 0: a prefix product can only grow by an a
+    # that some basis element of its support multiplies to nonzero
+    right = [{a for a in range(len(A)) if A.table[c][a]} for c in range(len(A))]
+
     tabs = {j: {} for j in taylor.maps}
     # Depth-first over the canonical words, each order in words(j) order (the
     # children of a prefix are pushed largest letter first).  A stack entry is
@@ -740,6 +745,8 @@ def extend_multilinear(psi: LinfMorphism, A: CoeffDGA, W=math.inf,
     # each a_k crosses the suspended g_1..g_{k-1}.  A prefix is dropped when
     # its product is zero (right multiplication keeps it zero) or no Taylor
     # word contains its g-multiset (every extension then evaluates to {}).
+    # Letters are numbered a-major (tensor_module), so the children sharing
+    # an a form one block, and its product is formed once for the block.
     # The stack is explicit: a recursive closure would be a reference cycle
     # left to the garbage collector on every call.
     stack = [((), (), {A.unit_index: 1}, 1, 0)]
@@ -756,21 +763,26 @@ def extend_multilinear(psi: LinfMorphism, A: CoeffDGA, W=math.inf,
                           for ares, q in prod.items() for gi, c in base.items()}
         if len(w) == top:
             continue
-        first = w[-1] if w else 0
-        grows = [tuple(sorted(g_part + (g,))) in wanted for g in g_range]
-        for i in range(len(s_pairs) - 1, first - 1, -1):
-            if i == first and w and sh_src.degree(i) % 2:
-                continue  # a repeated odd letter kills the word
-            a, g = s_pairs[i]
-            if not grows[g]:
+        grows = [g for g in reversed(g_range) if tuple(sorted(g_part + (g,))) in wanted]
+        if not grows:
+            continue
+        a_first, g_first = s_pairs[w[-1]] if w else (0, 0)
+        # the letters of a_first's block below the last one are out of order,
+        # and the last one itself is a repeated odd letter when it is odd
+        g_low = g_first + 1 if w and sh_src.degree(w[-1]) % 2 else g_first
+        for a in sorted({a for c in prod for a in right[c] if a >= a_first}, reverse=True):
+            gs = grows if a > a_first else [g for g in grows if g >= g_low]
+            if not gs:
                 continue
             nxt = {}
             for cur, q in prod.items():
-                for res, q2 in A.mul_basis(cur, a).items():
+                for res, q2 in A.table[cur][a]:
                     _acc(nxt, res, q * q2)
-            if nxt:
-                stack.append((w + (i,), g_part + (g,), nxt,
-                              sign * ksign(A.degrees[a] * crossing),
+            if not nxt:
+                continue
+            a_sign = sign * ksign(A.degrees[a] * crossing)
+            for g in gs:
+                stack.append((w + (a * dim_g + g,), g_part + (g,), nxt, a_sign,
                               crossing + g_deg(g) - 1))
     maps = {j: tab for j, tab in tabs.items() if tab}
     T = _taylor(sh_src, tgt_ext.shifted, maps, "morphism")

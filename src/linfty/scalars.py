@@ -239,16 +239,8 @@ class DgaElem:
         alg = self.alg
         if other.alg is not alg and other.alg != alg:
             raise ValueError("DgaElem product across different algebras")
-        table = alg.table
         out = {}
-        for i, a in self.coeffs.items():
-            row = table[i]
-            for j, b in other.coeffs.items():
-                ab = a * b
-                if type(ab) is Fraction and ab.denominator == 1:
-                    ab = ab.numerator
-                for k, q in row[j]:
-                    _acc(out, k, ab if q == 1 else -ab if q == -1 else frac(ab * q))
+        _mul_acc(out, alg.table, self.coeffs, other.coeffs, 1)
         return _elem(alg, out)
 
     __rmul__ = scale
@@ -311,6 +303,19 @@ def _acc_neg(out, key, c):
             out[key] = s.numerator if type(s) is Fraction and s.denominator == 1 else s
         else:
             del out[key]
+
+
+def _mul_acc(out, table, x, y, sign):
+    """out += sign * x * y for coefficient dicts x, y of one CoeffDGA with this
+    ``table`` and sign +-1, term by term through ``_acc``."""
+    for i, a in x.items():
+        row = table[i]
+        for j, b in y.items():
+            ab = a * b if sign == 1 else -a * b
+            if type(ab) is Fraction and ab.denominator == 1:
+                ab = ab.numerator
+            for k, q in row[j]:
+                _acc(out, k, ab if q == 1 else -ab if q == -1 else frac(ab * q))
 
 
 def _elem(alg, coeffs):
@@ -447,6 +452,8 @@ def make_truncated_poly_dga(generator_degrees, truncation_order, names=None,
 
     ``differential`` optionally maps generator name -> element dict on the
     monomial basis (extended by Leibniz); default is the zero differential.
+    A key that names no generator, or a term that names no basis monomial, is
+    a ValueError naming it.
     """
     if truncation_order < 1:
         raise ValueError("truncation_order must be >= 1")
@@ -500,6 +507,12 @@ def make_truncated_poly_dga(generator_degrees, truncation_order, names=None,
     diff = {i: {} for i in range(len(monos))}
     if differential:
         name_to_exps = {mono_name(e): e for e in monos}
+        for nm, terms in differential.items():
+            if nm not in names:
+                raise ValueError(f"differential key {nm!r}: no generator of that name")
+            for t in terms:
+                if t not in name_to_exps:
+                    raise ValueError(f"differential of {nm!r}: no basis monomial {t!r}")
         gen_d = {}
         for g, nm in enumerate(names):
             gen_d[g] = [(name_to_exps[t], frac(q))

@@ -14,7 +14,10 @@ recurses on the block of the first letter, and no sign code with
 ``koszul_sort``.  The Psi∘Q walk applies Psi through it.
 
 ``reference_canon`` sorts a word and counts its inverted odd pairs, with no
-memo and no insertion sort.
+memo and no insertion sort.  ``reference_symmetric_product`` multiplies
+coalgebra elements through it, one ``DgaElem`` product per pair of words,
+added whole; it shares with ``CoalgElem.__mul__``, which adds each pair's
+terms straight into the sums, only the ring's term product ``_mul_acc``.
 
 The DGLA-axiom loop rebuilds every bracket for every ordered pair and
 triple, where ``dgla_check`` skips the pairs and triples whose checks have no
@@ -82,6 +85,24 @@ def reference_canon(degrees, letters):
         if letters[p] > letters[q] and degrees[letters[p]] * degrees[letters[q]] % 2:
             sign = -sign
     return sign, tuple(sorted(letters))
+
+
+def reference_symmetric_product(x, y):
+    """x * y in the symmetric algebra, pair by pair: each pair's letters sorted
+    by ``reference_canon`` and its DgaElem product c1 * c2 added with ``_acc``
+    when nonzero, as {word: DgaElem}; the element's guard W is not read."""
+    degrees = [d for _, d in x.module.gens]
+    out = {}
+    for w1, c1 in x.words.items():
+        for w2, c2 in y.words.items():
+            r = reference_canon(degrees, w1 + w2)
+            if r is None:
+                continue
+            sign, w = r
+            c = c1 * c2
+            if c:
+                (_acc if sign == 1 else _acc_neg)(out, w, c)
+    return out
 
 
 def set_partitions(items):

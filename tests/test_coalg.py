@@ -21,8 +21,9 @@ from linfty.cli import run
 from linfty.linf import LinfAlgebra, LinfMorphism, conjugation_twist
 from linfty.poly import Poly
 from linfty.polyvec import PolyVec, schouten, wedge
-from linfty.scalars import make_truncated_poly_dga, rational_field
-from reference_checks import reference_canon, reference_morph_column
+from linfty.scalars import dga_tensor, make_truncated_poly_dga, rational_field
+from reference_checks import (is_exact, reference_canon, reference_morph_column,
+                              reference_symmetric_product)
 
 W = 4
 
@@ -506,6 +507,85 @@ class TestTrustedResults:
             power = power * omega
             powers.append(power.scale(Fraction(1, math.factorial(i))).words)
         assert got.words == naive_sum(powers)
+
+
+# ---------------------------------------------------------------------------
+# the symmetric product against the pairwise one, word order included
+# ---------------------------------------------------------------------------
+
+# Q, Q[h]/(h^4) and Λ(θ1,θ2)⊗Q[h]/(h^3); coalgebra coefficients sit in degree
+# 0, so here θ1 and θ2 have degree 0: they square to zero and commute
+PRODUCT_ALGEBRAS = (rational_field(), make_truncated_poly_dga([0], 4),
+                    dga_tensor(make_truncated_poly_dga([0, 0], 2, names=["th1", "th2"]),
+                               make_truncated_poly_dga([0], 3)))
+
+
+def product_element(A, words):
+    """The element of S_A(a, b, c, e) (c odd) with these {letters: {A-basis name: q}}."""
+    return CoalgElem(GradedBasisModule("g", [("a", 0), ("b", 0), ("c", 1), ("e", -1)], A),
+                     {w: A.elem(c) for w, c in words.items()})
+
+
+def assert_pairwise_product(x, y):
+    got, want = x * y, reference_symmetric_product(x, y)
+    assert [(w, c.coeffs) for w, c in got.words.items()] == \
+        [(w, c.coeffs) for w, c in want.items()]
+    assert all(c.alg is x.module.coeff and c.coeffs and all(map(is_exact, c.coeffs.values()))
+               for c in got.words.values())
+
+
+class TestSymmetricProduct:
+    @given(st.sampled_from(PRODUCT_ALGEBRAS), st.integers(0, 2 ** 32))
+    @settings(max_examples=200)
+    def test_matches_the_pairwise_product(self, A, seed):
+        # few letters, coefficients from a short list: sums cancel, products of
+        # ideal elements vanish and repeated odd letters die often
+        rng = random.Random(seed)
+        names = A.basis
+
+        def element():
+            return product_element(A, {
+                tuple(rng.randrange(4) for _ in range(rng.randint(0, 2))):
+                {rng.choice(names): rng.choice((-1, Fraction(1, 2), 1, 2)) for _ in range(2)}
+                for _ in range(rng.randint(1, 5))})
+
+        assert_pairwise_product(element(), element())
+
+    def test_word_order_follows_the_first_nonzero_sum(self):
+        # over Q[h]/(h^4) the word ab first gets h^2 * h^2 = 0, so it enters only
+        # with the last pair; over Q, ab enters, cancels and enters again last
+        C4 = PRODUCT_ALGEBRAS[1]
+        a, b, ab = (0,), (1,), (0, 1)
+        x = product_element(C4, {a: {"h^2": 1}, b: {"1": 1}})
+        y = product_element(C4, {b: {"h^2": 1}, a: {"1": 1}})
+        assert list((x * y).words) == [(0, 0), (1, 1), ab]
+        assert_pairwise_product(x, y)
+        Q = PRODUCT_ALGEBRAS[0]
+        x = product_element(Q, {a: {"1": 1}, b: {"1": 1}, (): {"1": 1}})
+        y = product_element(Q, {b: {"1": 1}, a: {"1": -1}, ab: {"1": 1}})
+        assert list((x * y).words) == [(0, 0), (0, 0, 1), (1, 1), (0, 1, 1), b, a, ab]
+        assert_pairwise_product(x, y)
+
+    def test_odd_repeats_die_and_odd_letters_anticommute(self):
+        # c c = 0, and (c e) (c) dies where (e)(c) = -(c e)
+        A = PRODUCT_ALGEBRAS[2]
+        c, e = (2,), (3,)
+        x = product_element(A, {c: {"1": 1}, e: {"th1": 1}})
+        y = product_element(A, {c: {"th2": 1}, (2, 3): {"h": 1}})
+        assert list((x * y).words) == [(2, 3)]
+        assert (x * y).words[(2, 3)] == A.elem({"th1*th2": 1}).scale(-1)
+        assert_pairwise_product(x, y)
+
+    def test_guard_and_algebra_mismatch_stay_loud(self):
+        A, Q = PRODUCT_ALGEBRAS[1], PRODUCT_ALGEBRAS[0]
+        x = product_element(A, {(0,): {"h": 1}, (0, 1): {"1": 1}})
+        capped = CoalgElem(x.module, x.words, 2)
+        assert list((capped * product_element(A, {(): {"1": 1}})).words) == [(0,), (0, 1)]
+        with pytest.raises(OrderOverflowError):
+            capped * x
+        stranger = CoalgElem(x.module, {(1,): Q.one()})
+        with pytest.raises(ValueError, match="different algebras"):
+            x * stranger
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from linfty.grammar import ParseError, parse_element
 from linfty.poly import Poly
 from linfty.polyvec import PolyVec
 from linfty.scalars import make_truncated_poly_dga
+from test_loader_fuzz import INSTANCE
 
 
 def rand_poly(rng, n, maxdeg=3):
@@ -481,8 +482,10 @@ class TestCli:
                   for key, kind in ((99, "a number"), (True, "a boolean"))]
         cases += [(["twist-check"], {**doc, "algebra": {**doc["algebra"], "basis": {"x": 0}}},
                    wrong),
-                  (["extend", "--coeff-algebra", str(alist)], doc, wrong),
-                  (["extend", "--coeff-algebra", str(apath)], {**doc, "coeff": []}, wrong),
+                  (["extend", "--coeff-algebra", str(alist)], doc,
+                   "coefficient algebra: expected an object, got an array"),
+                  (["extend", "--coeff-algebra", str(apath)], {**doc, "coeff": []},
+                   'coeff: expected an object or "Q", got an array'),
                   (["extend"], doc, "extend needs --coeff-algebra")]
         assert_usage_errors(cases, tmp_path)
 
@@ -593,6 +596,34 @@ class TestCli:
                      **algebra, "basis": [half_degree, *algebra["basis"][1:]]}},
                   f"generator {half_degree['name']!r}: {basis}, got degree 1.5")]
         assert_usage_errors(cases, tmp_path)
+
+    def test_taylor_order_is_a_positive_int(self, tmp_path):
+        # true, 1.5 and "1" each used to load as order 1, and linf-check passed
+        (j, entries), *rest = INSTANCE["morphism"]["taylor"]
+        assert j == 1
+        cases = [(["linf-check"], {**INSTANCE, "morphism": {
+                      **INSTANCE["morphism"], "taylor": [[order, entries], *rest]}},
+                  f"morphism taylor order {json.dumps(order)}: expected a positive int")
+                 for order in (True, 1.5, "1", 0)]
+        assert_usage_errors(cases, tmp_path)
+
+    @pytest.mark.parametrize("entry", ["d", "coeff", "bracket", "mul term"])
+    def test_malformed_entry_is_named(self, entry, instance_file, tmp_path):
+        # each used to exit 2 with Python's unpacking or indexing text instead
+        with open(instance_file) as fh:
+            doc = json.load(fh)
+        algebra, coeff = doc["algebra"], doc["coeff"]
+        (i, j, _), *rest = coeff["mul"]
+        case, message = {
+            "d": ({**doc, "algebra": {**algebra, "d": [["x"]]}},
+                  'd entry ["x"]: expected an array of 2'),
+            "coeff": ({**doc, "coeff": []}, 'coeff: expected an object or "Q", got an array'),
+            "bracket": ({**doc, "algebra": {**algebra, "bracket": [[["x", "y"]]]}},
+                        'bracket entry [["x", "y"]]: expected an array of 2'),
+            "mul term": ({**doc, "coeff": {**coeff, "mul": [[i, j, [5]], *rest]}},
+                         f"coefficient algebra mul entry {[i, j]} term 5: expected an array of 2"),
+        }[entry]
+        assert_usage_errors([(["mc-check"], case, message)], tmp_path)
 
     def test_coeff_algebra_from_stdin(self, tmp_path, monkeypatch):
         # '-' reads stdin for --coeff-algebra as it does for --instance

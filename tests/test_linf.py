@@ -603,6 +603,15 @@ _ODD_SQUARE = CoeffDGA(  # e odd with e*e = f: associative, not graded-commutati
     {(0, 0): {0: Fraction(1)}, (0, 1): {1: Fraction(1)}, (1, 0): {1: Fraction(1)},
      (0, 2): {2: Fraction(1)}, (2, 0): {2: Fraction(1)}, (1, 1): {2: Fraction(1)}},
     {}, 0, {1, 2})
+# Q[s,t]/(st, s^3, t^4) on the basis 1, s, t, p = s^2 + t^2, r = t^2, u = t^3:
+# s s = p - r, and p t = r t = u
+_CANCELLING = CoeffDGA(
+    ["1", "s", "t", "p", "r", "u"], [0] * 6,
+    {**{(i, j): {} for i in range(6) for j in range(6)},
+     **{(0, i): {i: 1} for i in range(6)}, **{(i, 0): {i: 1} for i in range(6)},
+     (1, 1): {3: 1, 4: -1}, (2, 2): {4: 1}, (2, 3): {5: 1}, (3, 2): {5: 1},
+     (2, 4): {5: 1}, (4, 2): {5: 1}},
+    {i: {} for i in range(6)}, 0, range(1, 6))
 EXTENSION_ALGEBRAS = (
     dga_tensor(make_truncated_poly_dga([1, 1], 2, names=["th1", "th2"]),
                make_truncated_poly_dga([0], 3)),                 # Λ(θ1,θ2)⊗Q[h]/(h^3)
@@ -610,6 +619,7 @@ EXTENSION_ALGEBRAS = (
     make_truncated_poly_dga([-1, -1, 0], 2, names=["a", "b", "c"],
                             differential={"b": {"c": 1}}),        # odd a, b of degree -1
     _ODD_SQUARE,   # only the odd-repeat guard keeps (e|g)(e|g) out of the table
+    _CANCELLING,   # s s t = 0 although p t and r t are not: the t-block cancels
 )
 
 
@@ -620,6 +630,7 @@ class TestExtensionWalk:
     @example(EXTENSION_ALGEBRAS[0], [0, 1, 1], 3, 1.0, 0)
     @example(EXTENSION_ALGEBRAS[2], [-1, 0, 2], 3, 0.7, 0)
     @example(_ODD_SQUARE, [1], 2, 1.0, 1)
+    @example(_CANCELLING, [0, 1], 3, 1.0, 0)
     @settings(max_examples=60, deadline=None)
     def test_matches_whole_module_reference(self, A, degs, top, density, seed):
         # same keys, values and order as the loop over every word of words(j);

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,21 @@ class TestBuilder:
         for degrees in ([0], [1], [0, 0], [0, 1], [1, 1], [0, 1, 2]):
             for order in (2, 3):
                 assert dga_check(make_truncated_poly_dga(degrees, order)).ok
+
+    def test_differential_key_naming_no_generator_is_refused(self):
+        # the default names are th, th2, th3: a key "z" used to be dropped, d = 0
+        with pytest.raises(ValueError, match="differential key 'z'"):
+            make_truncated_poly_dga([1, 1, 1], 2, differential={"z": {"x*y": 1}})
+        A = make_truncated_poly_dga([1, 1, 1], 2, names=["x", "y", "z"],
+                                    differential={"z": {"x*y": 1}})
+        assert A.diff[A.index["z"]] == {A.index["x*y"]: 1} and dga_check(A).ok
+
+    def test_differential_term_outside_the_basis_is_refused(self):
+        # a target monomial that is not a basis name used to be a bare KeyError
+        for term in ("y*x", "x^2", "w"):
+            with pytest.raises(ValueError, match=re.escape(f"of 'z': no basis monomial '{term}'")):
+                make_truncated_poly_dga([1, 1, 1], 2, names=["x", "y", "z"],
+                                        differential={"z": {term: 1}})
 
 
 class TestTensor:
