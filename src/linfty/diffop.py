@@ -27,7 +27,7 @@ import operator
 from fractions import Fraction
 
 from .poly import Poly, _compositions, _min_trunc, _poly, _poly_cut, _terms_text
-from .scalars import _acc, _acc_neg, _elem, frac, ksign, rational_field
+from .scalars import _acc, _acc_neg, _elem, ksign, rational_field
 
 
 def _zero_mi(n):
@@ -420,37 +420,18 @@ def extend_to_series(phi: PolyDiffOp, N):
 # ---------------------------------------------------------------------------
 
 def transform(phi: PolyDiffOp, M, M_inv) -> PolyDiffOp:
-    """Conjugate by the substitution t -> M t (for equivariance checks)."""
-    n = phi.n
+    """Conjugate by the substitution t -> M t (for equivariance checks).
 
-    def slot_image(j):
-        # product over variables of (sum_k Minv[k][i] d_k)^{j_i}, expanded
-        acc = {_zero_mi(n): 1}
-        for i in range(n):
-            for _ in range(j[i]):
-                nxt = {}
-                for mi, q in acc.items():
-                    for k in range(n):
-                        c = frac(M_inv[k][i])
-                        if not c:
-                            continue
-                        e = list(mi)
-                        e[k] += 1
-                        _acc(nxt, tuple(e), q * c)
-                acc = nxt
-        return acc
-
+    Each slot's d^j goes to the product of (sum_k M_inv[k][i] d_k)^{j_i}: the
+    substitution of the transpose of M_inv into the monomial t^j.
+    """
     out = {}
     for w, c in phi.terms.items():
         c2 = c.subs_linear(M)
         if not c2:
             continue
-        slot_choices = [slot_image(j) for j in w]
-        for combo in itertools.product(*(s.items() for s in slot_choices)):
-            word = tuple(mi for mi, _ in combo)
-            q = 1
-            for _, qq in combo:
-                q *= qq
-            _acc(out, word, c2.scale(q))
-    return _op(n, phi.alg, out)
-
+        slots = [Poly.monomial(j).subs_linear(list(zip(*M_inv))).terms.items() for j in w]
+        for combo in itertools.product(*slots):
+            q = math.prod(qq.rational_part() for _, qq in combo)
+            _acc(out, tuple(mi for mi, _ in combo), c2.scale(q))
+    return _op(phi.n, phi.alg, out)

@@ -257,9 +257,6 @@ class FormalityPlugin:
         self.taylor.setdefault(1, lambda args: u1(args[0]))
         self.name = name
 
-    def max_j(self):
-        return max(self.taylor)
-
     def eval(self, args):
         j = len(args)
         fn = self.taylor.get(j)
@@ -469,15 +466,15 @@ def tensor_t_d(A: CoeffDGA, elem, d_of=None):
     return out
 
 
-def tensor_bracket(A: CoeffDGA, e1, e2, bracket, degree_of):
-    """[a1 x g1, a2 x g2] = (-1)^{deg a2 deg g1} (a1 a2) x [g1, g2]."""
+def tensor_bracket(A: CoeffDGA, e1, e2, bracket):
+    """[a1 x g1, a2 x g2] = (-1)^{deg a2} (a1 a2) x [g1, g2] for g1 of degree 1."""
     out = {}
     for a1, g1 in e1.items():
         for a2, g2 in e2.items():
             br = bracket(g1, g2)
             if br.is_zero():
                 continue
-            sgn = ksign(A.degrees[a2] * degree_of(g1))
+            sgn = ksign(A.degrees[a2])
             for ak, q in A.mul_basis(a1, a2).items():
                 _acc(out, ak, br.scale(q * sgn))
     return out
@@ -531,7 +528,7 @@ def mc_bivector_workflow(pi: PolyVec, A: CoeffDGA, a_elem=None) -> dict:
     deg_pi = 1
 
     res_t = tensor_t_d(A, omega)
-    br_t = tensor_bracket(A, omega, omega, schouten, lambda g: deg_pi)
+    br_t = tensor_bracket(A, omega, omega, schouten)
     for k, v in br_t.items():
         _acc(res_t, k, v.scale(frac(1, 2)))
     if res_t:
@@ -540,7 +537,7 @@ def mc_bivector_workflow(pi: PolyVec, A: CoeffDGA, a_elem=None) -> dict:
     omega_p = {ai: u1(g) for ai, g in omega.items()}
     omega_p = {k: v for k, v in omega_p.items() if not v.is_zero()}
     res_d = tensor_t_d(A, omega_p, d_of=hochschild_d)
-    br_d = tensor_bracket(A, omega_p, omega_p, gerstenhaber, lambda g: deg_pi)
+    br_d = tensor_bracket(A, omega_p, omega_p, gerstenhaber)
     for k, v in br_d.items():
         _acc(res_d, k, v.scale(frac(1, 2)))
 

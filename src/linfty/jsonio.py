@@ -19,7 +19,10 @@ never a string read letter by letter.  A coeff is either a "num/den" string
 denominator.  A coefficient algebra ("coeff", or a --coeff-algebra document)
 is what ``coeff_algebra_to_json`` writes, each index an int inside its basis.
 In every basis the degrees are ints and the names distinct strings.  Any other
-entry (a JSON number for a "num/den", "1/0", "0.5") is a ParseError naming it.
+entry (a JSON number for a "num/den", "1/0", "0.5") is a ParseError naming it,
+and so is a repeated one: a Taylor order, a word within one order, a d key, a
+bracket pair, a coefficient-algebra row or a term index within a row.  [x, y]
+and [y, x] are two bracket pairs; ``dgla_check`` decides their antisymmetry.
 Loaded values are ints when integral, else Fractions (see ``scalars.frac``).
 """
 
@@ -89,6 +92,23 @@ def _index(doc, n, where, *at):
     raise ParseError(f"{where.format(*at)}: expected an index below {n}, got {json.dumps(doc)}")
 
 
+def _put(table, key, value, where, *at):
+    """table[key] = value, or a ParseError naming where.format(*at) when key is
+    already there."""
+    if key in table:
+        raise ParseError(f"{where.format(*at)}: repeated")
+    table[key] = value
+
+
+def _basis(doc, where):
+    """The (name, degree) pairs of a basis array, or a ParseError naming an
+    entry that is not an object."""
+    for b in _expect(doc, list, where):
+        if not isinstance(b, dict):
+            _expect(b, dict, f"{where} entry {json.dumps(b)}")
+    return [(b["name"], b["degree"]) for b in doc]
+
+
 def coeff_from_json(C: CoeffDGA, doc, where="coefficient") -> DgaElem:
     if isinstance(doc, str):
         return C.scalar(_rational(doc, "{}", where))
@@ -105,11 +125,13 @@ def _table(rows, width, n, where):
         _array(row, width, "{} entry", where)
         key = tuple(_index(i, n, "{} entry {}", where, row[:-1]) for i in row[:-1])
         at = list(key) if width == 3 else key[0]
-        terms = table[key if width == 3 else key[0]] = {}
+        terms = {}
+        _put(table, key if width == 3 else key[0], terms, "{} entry {}", where, at)
         for term in _array(row[-1], None, "{} entry {} terms", where, at):
             k, q = _array(term, 2, "{} entry {} term", where, at)
-            terms[_index(k, n, "{} entry {} term", where, at)] = \
-                _rational(q, "{} entry {} term {}", where, at, k)
+            _put(terms, _index(k, n, "{} entry {} term", where, at),
+                 _rational(q, "{} entry {} term {}", where, at, k), "{} entry {} term {}",
+                 where, at, k)
     return table
 
 
@@ -126,7 +148,7 @@ def coeff_algebra_from_json(doc) -> CoeffDGA:
     """The CoeffDGA a coefficient-algebra document spells, every entry checked
     (the axioms are ``dga_check``'s)."""
     _expect(doc, dict, "coefficient algebra")
-    basis = _check_basis([(b["name"], b["degree"]) for b in doc["basis"]],
+    basis = _check_basis(_basis(doc["basis"], "coefficient algebra basis"),
                          "coefficient algebra basis element")
     n = len(basis)
     return CoeffDGA([b[0] for b in basis], [b[1] for b in basis],
@@ -174,14 +196,14 @@ def _entries(doc, where):
 
 
 def algebra_from_json(doc, C: CoeffDGA) -> LinfAlgebra:
-    module = GradedBasisModule(doc.get("name", "g"),
-                               [(b["name"], b["degree"]) for b in doc["basis"]], C)
-    d_table = {module.index[_expect(key, str, f"d key {key!r}", "a generator name")]:
-               vect_from_json(module, val, f"d of {key!r}")
-               for key, val in _entries(doc.get("d", []), "d")}
-    bracket = {word_from_json(module, pair, f"bracket pair {pair!r}", 2):
-               vect_from_json(module, val, f"bracket of {pair}")
-               for pair, val in _entries(doc.get("bracket", []), "bracket")}
+    module = GradedBasisModule(doc.get("name", "g"), _basis(doc["basis"], "algebra basis"), C)
+    d_table, bracket = {}, {}
+    for key, val in _entries(doc.get("d", []), "d"):
+        _put(d_table, module.index[_expect(key, str, f"d key {key!r}", "a generator name")],
+             vect_from_json(module, val, f"d of {key!r}"), "d key {!r}", key)
+    for pair, val in _entries(doc.get("bracket", []), "bracket"):
+        _put(bracket, word_from_json(module, pair, f"bracket pair {pair!r}", 2),
+             vect_from_json(module, val, f"bracket of {pair}"), "bracket pair {!r}", pair)
     return LinfAlgebra.from_dgla(module, d_table, bracket)
 
 
@@ -201,10 +223,11 @@ def taylor_from_json(doc, source_shifted, target_shifted, intent) -> TaylorSeq:
         if type(j) is not int or j < 1:
             raise ParseError(f"morphism taylor order {json.dumps(j)}: expected a positive int")
         tab = {}
+        _put(maps, j, tab, "morphism taylor order {}", j)
         for word_names, val in _entries(entries, f"morphism taylor order {j}"):
-            w = word_from_json(source_shifted, word_names, f"taylor word {word_names!r}")
-            tab[w] = vect_from_json(target_shifted, val, f"taylor value on {word_names}")
-        maps[j] = tab
+            _put(tab, word_from_json(source_shifted, word_names, f"taylor word {word_names!r}"),
+                 vect_from_json(target_shifted, val, f"taylor value on {word_names}"),
+                 "taylor word {!r} of order {}", word_names, j)
     return TaylorSeq(source_shifted, target_shifted, maps, intent)
 
 

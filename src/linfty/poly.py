@@ -10,55 +10,20 @@ Variable indices are 1-based throughout (t1 ... tn), matching the text
 grammar.  Coefficients are ``DgaElem`` over any ``CoeffDGA``; the default is
 the rational field.  A plain scalar coefficient (an int, a Fraction or a
 'num/den' string) is taken as that multiple of the unit, through
-``scalars.frac``, so integral values are stored as ints.
+``scalars.frac``, so integral values are stored as ints.  The order of the
+zero polynomial, ``INF``, is ``math.inf``.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import add, sub
 
 from .scalars import DgaElem, _acc, _acc_neg, frac, frac_str, rational_field
 
 
-class Infinity:
-    """Order of the zero polynomial.  Compares above every integer."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INF"
-
-    def __eq__(self, other):
-        return isinstance(other, Infinity)
-
-    def __hash__(self):
-        return hash("linfty.INF")
-
-    def __gt__(self, other):
-        return not isinstance(other, Infinity)
-
-    def __ge__(self, other):
-        return True
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return isinstance(other, Infinity)
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-
-INF = Infinity()
+INF = math.inf
 
 
 def _min_trunc(a, b):

@@ -504,40 +504,32 @@ def make_truncated_poly_dga(generator_degrees, truncation_order, names=None,
             r = mono_mul(e1, e2)
             mul[(idx[e1], idx[e2])] = {} if r is None else {idx[r[1]]: r[0]}
 
+    # d(g) as given on each generator g; then, up the total degree, the
+    # Leibniz rule d(g*rest) = d(g)*rest + (-1)^{|g|} g*d(rest) for g the
+    # first generator (so g*rest has sign +1), both products read from mul
+    index = {name: i for i, name in enumerate(basis)}
     diff = {i: {} for i in range(len(monos))}
-    if differential:
-        name_to_exps = {mono_name(e): e for e in monos}
-        for nm, terms in differential.items():
-            if nm not in names:
-                raise ValueError(f"differential key {nm!r}: no generator of that name")
-            for t in terms:
-                if t not in name_to_exps:
-                    raise ValueError(f"differential of {nm!r}: no basis monomial {t!r}")
-        gen_d = {}
-        for g, nm in enumerate(names):
-            gen_d[g] = [(name_to_exps[t], frac(q))
-                        for t, q in differential.get(nm, {}).items() if frac(q)]
-        for e in monos:
-            out = {}
-            # Leibniz over the factors of the monomial, in canonical generator order
-            for g in range(k):
-                if not e[g]:
-                    continue
-                for tgt, q in gen_d[g]:
-                    # replace one factor of generator g by a monomial term of d(g)
-                    rest = tuple(x - (1 if h == g else 0) for h, x in enumerate(e))
-                    sign = 1
-                    # d (odd) moves past the factors preceding g
-                    for h in range(g):
-                        sign *= ksign(degrees[h] * e[h])
-                    # even g: the e[g] identical factors each get hit, same sign
-                    mult = e[g] if degrees[g] % 2 == 0 else 1
-                    r = mono_mul(tgt, rest)
-                    if r is None:
-                        continue
-                    s2, ee = r
-                    _acc(out, idx[ee], sign * s2 * mult * q)
-            diff[idx[e]] = out
+    for nm, terms in (differential or {}).items():
+        if nm not in names:
+            raise ValueError(f"differential key {nm!r}: no generator of that name")
+        for t in terms:
+            if t not in index:
+                raise ValueError(f"differential of {nm!r}: no basis monomial {t!r}")
+        if nm in index:  # not an even generator cut by truncation_order 1
+            diff[index[nm]] = {index[t]: frac(q) for t, q in terms.items() if frac(q)}
+    for e in monos:
+        if sum(e) < 2:
+            continue
+        g = next(h for h, x in enumerate(e) if x)
+        first, rest = index[names[g]], idx[e[:g] + (e[g] - 1,) + e[g + 1:]]
+        out = {}
+        for t, q in diff[first].items():
+            for i, s in mul[(t, rest)].items():
+                _acc(out, i, s * q)
+        for t, q in diff[rest].items():
+            for i, s in mul[(first, t)].items():
+                _acc(out, i, ksign(degrees[g]) * s * q)
+        diff[idx[e]] = out
 
     ideal = [i for i, e in enumerate(monos) if any(e)]
     return CoeffDGA(basis, degs, mul, diff, idx[tuple([0] * k)], ideal)

@@ -10,6 +10,7 @@ from linfty.diffop import (PolyDiffOp, _splits, adic_continuity_check, circ_bar,
                            extend_to_series, filtration_check, gerstenhaber,
                            gerstenhaber_apply_oracle, hochschild_apply_oracle,
                            hochschild_d, mu, transform)
+from linfty.hkr import unimodular_samples
 from linfty.poly import Poly
 from linfty.scalars import DgaElem, ksign, make_truncated_poly_dga, rational_field
 from reference_checks import reference_circ_bar, reference_gerstenhaber
@@ -273,6 +274,19 @@ class TestTransform:
                 gerstenhaber(transform(a, M, Minv), transform(b, M, Minv))
             assert transform(hochschild_d(a), M, Minv) == \
                 hochschild_d(transform(a, M, Minv))
+
+    def test_transformed_operator_on_substituted_arguments(self):
+        # transform(phi)(a_1(Mt), ...) = phi(a_1, ...)(Mt) on unimodular samples
+        rng = random.Random(72)
+        for n in (1, 2, 3):
+            for M, Minv in unimodular_samples(n, rng, 4):
+                for p in (-1, 0, 1):
+                    phi = rand_op(rng, n, p)
+                    args = [Poly(n, {tuple(rng.randint(0, 3) for _ in range(n)): 1,
+                                     tuple(rng.randint(0, 2) for _ in range(n)): -2})
+                            for _ in range(p + 1)]
+                    assert transform(phi, M, Minv).apply([a.subs_linear(M) for a in args]) \
+                        == phi.apply(args).subs_linear(M)
 
 
 class TestSplits:

@@ -456,7 +456,6 @@ class TestCli:
         cases = [(argv, case, key) for case, key in named
                  for argv in (["mc-check"], ["twist-check"],
                               ["extend", "--coeff-algebra", str(apath)])]
-        wrong = "input document: wrong JSON type"
         # a list of names is an array of name strings, never a string read letter by letter
         (pair, value), *pairs = doc["algebra"]["bracket"]
         (j, ((word, image), *images)), *orders = doc["morphism"]["taylor"]
@@ -481,7 +480,7 @@ class TestCli:
                    f"d key {key!r}: expected a generator name, got {kind}")
                   for key, kind in ((99, "a number"), (True, "a boolean"))]
         cases += [(["twist-check"], {**doc, "algebra": {**doc["algebra"], "basis": {"x": 0}}},
-                   wrong),
+                   "algebra basis: expected an array, got an object"),
                   (["extend", "--coeff-algebra", str(alist)], doc,
                    "coefficient algebra: expected an object, got an array"),
                   (["extend", "--coeff-algebra", str(apath)], {**doc, "coeff": []},

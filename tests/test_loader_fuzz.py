@@ -96,3 +96,65 @@ def test_one_mutation_ends_in_a_documented_exit_code(path, new):
         assert code in (0, 1, 2), (verb, code)
         if code == 2:
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def appended(path, entry):
+    """INSTANCE with entry appended to the array at path."""
+    doc = copy.deepcopy(INSTANCE)
+    target = doc
+    for key in path:
+        target = target[key]
+    target.append(entry)
+    return doc
+
+
+def assert_refused(doc, message):
+    for verb in ("mc-check", "twist-check"):
+        assert outcome(doc, verb) == (2, "", f"error: {message}\n"), verb
+
+
+class TestRepeatedEntries:
+    # a later entry must not silently replace an earlier one with the same key
+
+    def test_taylor_order(self):
+        assert_refused(appended(("morphism", "taylor"), [1, [[["x"], {"x": "2"}]]]),
+                       "morphism taylor order 1: repeated")
+
+    def test_word_within_one_order(self):
+        assert_refused(appended(("morphism", "taylor", 0, 1), [["x"], {"x": "2"}]),
+                       "taylor word ['x'] of order 1: repeated")
+
+    def test_d_key(self):
+        assert_refused(appended(("algebra", "d"), ["x", {"z": "1"}]), "d key 'x': repeated")
+
+    def test_bracket_pair(self):
+        assert_refused(appended(("algebra", "bracket"), [["x", "y"], {"y": "2"}]),
+                       "bracket pair ['x', 'y']: repeated")
+
+    def test_swapped_bracket_pair_is_left_to_dgla_check(self):
+        doc = appended(("algebra", "bracket"), [["y", "x"], {"y": "-1"}])
+        assert all(outcome(doc, verb)[0] == 0 for verb in ("mc-check", "twist-check"))
+
+    def test_coefficient_algebra_mul_row(self):
+        assert_refused(appended(("coeff", "mul"), [1, 1, []]),
+                       "coefficient algebra mul entry [1, 1]: repeated")
+
+    def test_coefficient_algebra_d_row(self):
+        assert_refused(appended(("coeff", "d"), [1, [[2, "1"]]]),
+                       "coefficient algebra d entry 1: repeated")
+
+    def test_term_index_within_a_row(self):
+        assert_refused(appended(("coeff", "mul", 4, 2), [2, "1"]),
+                       "coefficient algebra mul entry [1, 1] term 2: repeated")
+
+
+class TestBasisEntries:
+    def test_algebra_basis_entry_that_is_not_an_object(self):
+        doc = copy.deepcopy(INSTANCE)
+        doc["algebra"]["basis"] = ["x"]
+        assert_refused(doc, 'algebra basis entry "x": expected an object, got a string')
+
+    def test_coefficient_algebra_basis_entry_that_is_not_an_object(self):
+        doc = copy.deepcopy(INSTANCE)
+        doc["coeff"]["basis"][0] = 5
+        assert_refused(doc, "coefficient algebra basis entry 5: expected an object, got a number")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linfty import jsonio
-from linfty.scalars import (CoeffDGA, dga_check, dga_tensor,
+from linfty.scalars import (CoeffDGA, dga_check, dga_tensor, ksign,
                             make_truncated_poly_dga, rational_field)
 from reference_checks import is_exact
 
@@ -133,6 +133,58 @@ class TestBuilder:
             with pytest.raises(ValueError, match=re.escape(f"of 'z': no basis monomial '{term}'")):
                 make_truncated_poly_dga([1, 1, 1], 2, names=["x", "y", "z"],
                                         differential={"z": {term: 1}})
+
+
+@st.composite
+def truncated_differentials(draw):
+    """(degrees, truncation order, names, differential): each generator maps to
+    +-1 or +-2 times up to two basis monomials one degree up."""
+    degrees = draw(st.lists(st.sampled_from([-1, 0, 1, 2]), min_size=1, max_size=3))
+    order = draw(st.integers(2, 4))
+    names = [f"g{i}" for i in range(len(degrees))]
+    A = make_truncated_poly_dga(degrees, order, names=names)
+    differential = {}
+    for name, degree in zip(names, degrees):
+        targets = [b for b, d in zip(A.basis, A.degrees) if d == degree + 1]
+        chosen = draw(st.lists(st.sampled_from(targets), max_size=2, unique=True)) \
+            if targets else []
+        differential[name] = {t: draw(st.sampled_from([1, -1, 2, -2])) for t in chosen}
+    return degrees, order, names, differential
+
+
+class TestLeibnizDifferential:
+    @given(truncated_differentials())
+    @settings(max_examples=150, deadline=None)
+    def test_d_of_a_monomial_is_the_leibniz_sum_over_its_factors(self, case):
+        # d(g1...gr) = sum_k (-1)^{|g1|+...+|g_{k-1}|} g1...g_{k-1} d(g_k) g_{k+1}...g_r
+        degrees, order, names, differential = case
+        A = make_truncated_poly_dga(degrees, order, names=names, differential=differential)
+        degree = dict(zip(names, degrees))
+
+        def prod(factors):
+            out = A.one()
+            for f in factors:
+                out = out * A.gen(f)
+            return out
+
+        for i, name in enumerate(A.basis):
+            factors = []
+            for bit in name.split("*") if name != "1" else []:
+                g, _, power = bit.partition("^")
+                factors += [g] * int(power or 1)
+            assert prod(factors) == A.basis_elem(i)
+            want = A.zero()
+            for k, g in enumerate(factors):
+                term = prod(factors[:k]) * A.elem(differential[g]) * prod(factors[k + 1:])
+                want = want + term.scale(ksign(sum(degree[f] for f in factors[:k])))
+            assert A.basis_elem(i).d() == want, name
+
+    def test_even_generator_with_a_differential_after_an_odd_one(self):
+        # d(a*x) = (-1)^{|a|} a*d(x) = -a*x*b: d(x) moves past the odd a
+        A = make_truncated_poly_dga([1, 0, 1], 3, names=["a", "x", "b"],
+                                    differential={"x": {"x*b": 1}})
+        assert dga_check(A).ok
+        assert A.basis_elem(A.index["a*x"]).d() == A.elem({"a*x*b": -1})
 
 
 class TestTensor:
