@@ -36,23 +36,12 @@ from __future__ import annotations
 import itertools
 import math
 
-from .scalars import (CoeffDGA, DgaElem, ValidationReport, _acc, _acc_neg, _elem,
-                      _mul_acc, frac, koszul_sort, ksign, rational_field)
+from .scalars import (CoeffDGA, DgaElem, ValidationReport, _acc, _acc_neg, _check_basis,
+                      _elem, _mul_acc, frac, koszul_sort, ksign, rational_field)
 
 
 class OrderOverflowError(Exception):
     """A computation needed a symmetric word longer than an element's guard W."""
-
-
-def _check_basis(pairs, kind):
-    """The (name, degree) pairs; a ValueError names a repeated or non-str name or non-int degree."""
-    seen = set()
-    for name, degree in pairs:
-        if type(name) is not str or type(degree) is not int or name in seen:
-            raise ValueError(f"{kind} {name!r}: expected a distinct name string and an "
-                             f"int degree, got degree {degree!r}")
-        seen.add(name)
-    return pairs
 
 
 class GradedBasisModule:

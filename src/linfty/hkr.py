@@ -26,7 +26,7 @@ import random
 
 from .diffop import PolyDiffOp, _op, gerstenhaber, hochschild_d, transform as d_transform
 from .linalg import rank
-from .linf import identity_sign_data
+from .linf import identity_terms
 from .poly import Poly, monomials_up_to
 from .polyvec import PolyVec, schouten, transform as t_transform
 from .scalars import CoeffDGA, _acc, frac, frac_str, ideal_powers, koszul_sort, ksign
@@ -276,42 +276,21 @@ def linear_vector_field(n, a, b):
 
 
 def formality_identity_residual(plugin: FormalityPlugin, polyvecs):
-    """Explicit morphism-identity residual for T -> D at arity len(polyvecs).
-
-    Zero differential on the source kills the internal-d sum; the remaining
-    terms use the Schouten bracket upstairs and the Hochschild differential
-    and Gerstenhaber bracket downstairs, with the frozen sign table.
+    """Explicit morphism-identity residual for T -> D at arity len(polyvecs):
+    ``identity_terms`` with the Schouten bracket and zero differential
+    upstairs, the Hochschild differential and Gerstenhaber bracket downstairs.
     """
     args = list(polyvecs)
-    n = args[0].n
-    degs = []
+    sdegs = []
     for a in args:
         ds = a.degrees()
         if len(ds) != 1:
             raise ValueError("identity residual needs homogeneous inputs")
-        degs.append(ds[0])
-    sdegs = tuple(p - 1 for p in degs)
-    signs = identity_sign_data(sdegs)
-    i = len(args)
-    zero = PolyDiffOp.zero(n)
-
-    def ev(vecs):
-        v = plugin.eval(vecs)
-        return v if v is not None else zero
-
-    out = hochschild_d(ev(args))
-    for B, rest, sign in signs["bracket_target"]:
-        vb = ev([args[p] for p in B])
-        vc = ev([args[p] for p in rest])
-        if vb.is_zero() or vc.is_zero():
-            continue
-        out = out + gerstenhaber(vb, vc).scale(sign)
-    for k, l, sign in signs["bracket_source"]:
-        br = schouten(args[k], args[l])
-        if br.is_zero():
-            continue
-        rest = [args[p] for p in range(i) if p not in (k, l)]
-        out = out - ev([br] + rest).scale(sign)
+        sdegs.append(ds[0] - 1)
+    out = PolyDiffOp.zero(args[0].n)
+    for sign, v in identity_terms(args, sdegs, plugin.eval, hochschild_d, gerstenhaber,
+                                  lambda a: None, schouten):
+        out = out + v.scale(sign)
     return out
 
 
@@ -453,30 +432,31 @@ def unimodular_samples(n, rng, count):
 # the bivector workflow over a coefficient DG algebra
 # ---------------------------------------------------------------------------
 
-def tensor_t_d(A: CoeffDGA, elem, d_of=None):
-    """Differential of {A-basis index: PolyVec/PolyDiffOp} in the tensor DGLA."""
+def tensor_mc_residue(A: CoeffDGA, omega, d_of, bracket):
+    """d(w) + 1/2 [w, w] for w = {A-basis index: g} of degree 1 in A x g, with
+
+        d(a x g)             = d_A(a) x g + (-1)^{deg a} a x d(g),
+        [a1 x g1, a2 x g2]   = (-1)^{deg a2} (a1 a2) x [g1, g2]   (deg g1 = 1);
+
+    d_of is None where g has zero differential.
+    """
     out = {}
-    for ai, g in elem.items():
+    for ai, g in omega.items():
         for ai2, q in A.diff.get(ai, {}).items():
             _acc(out, ai2, g.scale(q))
-        if d_of is not None:
-            dg = d_of(g)
-            if dg:
-                _acc(out, ai, dg.scale(ksign(A.degrees[ai])))
-    return out
-
-
-def tensor_bracket(A: CoeffDGA, e1, e2, bracket):
-    """[a1 x g1, a2 x g2] = (-1)^{deg a2} (a1 a2) x [g1, g2] for g1 of degree 1."""
-    out = {}
-    for a1, g1 in e1.items():
-        for a2, g2 in e2.items():
+        dg = d_of(g) if d_of else None
+        if dg:
+            _acc(out, ai, dg.scale(ksign(A.degrees[ai])))
+    half_br = {}
+    for a1, g1 in omega.items():
+        for a2, g2 in omega.items():
             br = bracket(g1, g2)
-            if br.is_zero():
-                continue
-            sgn = ksign(A.degrees[a2])
-            for ak, q in A.mul_basis(a1, a2).items():
-                _acc(out, ak, br.scale(q * sgn))
+            if br:
+                sgn = frac(ksign(A.degrees[a2]), 2)
+                for ak, q in A.mul_basis(a1, a2).items():
+                    _acc(half_br, ak, br.scale(q * sgn))
+    for k, v in half_br.items():
+        _acc(out, k, v)
     return out
 
 
@@ -503,16 +483,12 @@ def mc_bivector_workflow(pi: PolyVec, A: CoeffDGA, a_elem=None) -> dict:
     from .polyvec import is_poisson
     if not pi.is_zero() and not is_poisson(pi):
         raise ValueError("bivector is not Poisson")
-    n = pi.n
 
     if a_elem is None:
         # prefer degree 0 (making deg w = 1), else degree 1 closed elements
         candidates = sorted(A.ideal, key=lambda i: (A.degrees[i] != 0, i))
-        a_idx = None
-        for i in candidates:
-            if A.degrees[i] in (0, 1) and not A.basis_elem(i).d():
-                a_idx = i
-                break
+        a_idx = next((i for i in candidates
+                      if A.degrees[i] in (0, 1) and not A.basis_elem(i).d()), None)
         if a_idx is None:
             raise ValueError("no nilpotent closed element of degree 0 or 1 in A")
         a_elem = {a_idx: 1}
@@ -525,27 +501,17 @@ def mc_bivector_workflow(pi: PolyVec, A: CoeffDGA, a_elem=None) -> dict:
     a_deg = a_degs.pop() if a_degs else 0
 
     omega = {ai: pi.scale(q) for ai, q in a_elem.items() if q and pi}
-    deg_pi = 1
 
-    res_t = tensor_t_d(A, omega)
-    br_t = tensor_bracket(A, omega, omega, schouten)
-    for k, v in br_t.items():
-        _acc(res_t, k, v.scale(frac(1, 2)))
-    if res_t:
+    if tensor_mc_residue(A, omega, None, schouten):
         raise ValueError("w = a x pi does not satisfy the MC equation")
 
-    omega_p = {ai: u1(g) for ai, g in omega.items()}
-    omega_p = {k: v for k, v in omega_p.items() if not v.is_zero()}
-    res_d = tensor_t_d(A, omega_p, d_of=hochschild_d)
-    br_d = tensor_bracket(A, omega_p, omega_p, gerstenhaber)
-    for k, v in br_d.items():
-        _acc(res_d, k, v.scale(frac(1, 2)))
-
+    omega_p = {ai: op for ai, g in omega.items() if (op := u1(g))}
+    res_d = tensor_mc_residue(A, omega_p, hochschild_d, gerstenhaber)
     order = m_adic_order(A, res_d) if res_d else None
     return {
         "a": {A.basis[i]: frac_str(q) for i, q in a_elem.items()},
         "a_degree": a_deg,
-        "omega_degree": a_deg + deg_pi,
+        "omega_degree": a_deg + 1,
         "omega_prime": {A.basis[i]: op.text() for i, op in omega_p.items()},
         "residue_zero": not res_d,
         "residue": {A.basis[i]: op.text() for i, op in res_d.items()},

@@ -20,9 +20,10 @@ denominator.  A coefficient algebra ("coeff", or a --coeff-algebra document)
 is what ``coeff_algebra_to_json`` writes, each index an int inside its basis.
 In every basis the degrees are ints and the names distinct strings.  Any other
 entry (a JSON number for a "num/den", "1/0", "0.5") is a ParseError naming it,
-and so is a repeated one: a Taylor order, a word within one order, a d key, a
-bracket pair, a coefficient-algebra row or a term index within a row.  [x, y]
-and [y, x] are two bracket pairs; ``dgla_check`` decides their antisymmetry.
+and so is a repeated one: a key within one JSON object, a Taylor order, a word
+within one order, a d key, a bracket pair, a coefficient-algebra row or a term
+index within a row.  [x, y] and [y, x] are two bracket pairs; ``dgla_check``
+decides their antisymmetry.
 Loaded values are ints when integral, else Fractions (see ``scalars.frac``).
 """
 
@@ -32,7 +33,7 @@ import json
 import re
 import sys
 
-from .coalg import CoalgElem, GradedBasisModule, TaylorSeq, _check_basis
+from .coalg import CoalgElem, GradedBasisModule, TaylorSeq
 from .grammar import ParseError
 from .linf import LinfAlgebra, LinfMorphism, MCElement
 from .scalars import CoeffDGA, DgaElem, _acc, frac, frac_str, rational_field
@@ -53,12 +54,22 @@ def _expect(doc, kind, where, wanted=None):
     return doc
 
 
+def _object(pairs):
+    """The JSON object of the (key, value) pairs, or a ParseError naming a repeated key."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        repeated = next(k for i, k in enumerate(keys) if k in keys[:i])
+        raise ParseError(f"JSON object key {json.dumps(repeated)}: repeated")
+    return obj
+
+
 def read_document(path):
     """The JSON document in the file at path; '-' reads stdin."""
     if path == "-":
-        return json.load(sys.stdin)
+        return json.load(sys.stdin, object_pairs_hook=_object)
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, object_pairs_hook=_object)
 
 
 def coeff_to_json(c: DgaElem):
@@ -100,13 +111,18 @@ def _put(table, key, value, where, *at):
     table[key] = value
 
 
-def _basis(doc, where):
-    """The (name, degree) pairs of a basis array, or a ParseError naming an
+def _objects(doc, where):
+    """doc if it is an array of objects, else a ParseError naming where or the
     entry that is not an object."""
     for b in _expect(doc, list, where):
         if not isinstance(b, dict):
             _expect(b, dict, f"{where} entry {json.dumps(b)}")
-    return [(b["name"], b["degree"]) for b in doc]
+    return doc
+
+
+def _basis(doc, where):
+    """The (name, degree) pairs of a basis array of objects."""
+    return [(b["name"], b["degree"]) for b in _objects(doc, where)]
 
 
 def coeff_from_json(C: CoeffDGA, doc, where="coefficient") -> DgaElem:
@@ -148,8 +164,7 @@ def coeff_algebra_from_json(doc) -> CoeffDGA:
     """The CoeffDGA a coefficient-algebra document spells, every entry checked
     (the axioms are ``dga_check``'s)."""
     _expect(doc, dict, "coefficient algebra")
-    basis = _check_basis(_basis(doc["basis"], "coefficient algebra basis"),
-                         "coefficient algebra basis element")
+    basis = _basis(doc["basis"], "coefficient algebra basis")  # CoeffDGA checks it
     n = len(basis)
     return CoeffDGA([b[0] for b in basis], [b[1] for b in basis],
                     _table(doc["mul"], 3, n, "coefficient algebra mul"),
@@ -240,7 +255,7 @@ def element_to_json(x: CoalgElem) -> list:
 def element_from_json(module, doc) -> CoalgElem:
     """The element of S(module) that an array of {"word", "coeff"} entries spells."""
     words = {}
-    for entry in doc:
+    for entry in _objects(doc, "element"):
         c = coeff_from_json(module.coeff, entry["coeff"])
         w = word_from_json(module, entry["word"], f"element word {entry['word']!r}")
         if c:

@@ -572,53 +572,46 @@ def split_sign_pattern(sdegs, positions):
     return sign
 
 
+def identity_terms(args, sdegs, psi, d_target, bracket_target, d_source, bracket_source):
+    """The signed terms (sign, value) of the explicit identity on args, whose
+    letters have shifted degrees sdegs; their sum is the residual
+
+        d'(psi(args)) + sum_{2-blocks} ±[psi(B), psi(B^c)]
+        - sum_k ± psi(d(a_k)·rest) - sum_{k<l} ± psi([a_k, a_l]·rest)
+
+    with the signs of ``identity_sign_data``.  psi takes a list of arguments;
+    a zero or None value of psi or of a source map gives no term.
+    """
+    signs = identity_sign_data(sdegs)
+    v = psi(args)
+    if v:
+        yield 1, d_target(v)
+    for B, rest, sign in signs["bracket_target"]:
+        vb, vc = psi([args[p] for p in B]), psi([args[p] for p in rest])
+        if vb and vc:
+            yield sign, bracket_target(vb, vc)
+    inner = [((k,), d_source(args[k]), sign) for k, sign in signs["internal_d"]]
+    inner += [((k, l), bracket_source(args[k], args[l]), sign)
+              for k, l, sign in signs["bracket_source"]]
+    for used, v, sign in inner:
+        w = v and psi([v] + [a for p, a in enumerate(args) if p not in used])
+        if w:
+            yield -sign, w
+
+
 def explicit_identity_residual(psi_taylor: TaylorSeq, source: LinfAlgebra,
                                target: LinfAlgebra, word) -> dict:
-    """Evaluate the explicit DGLA-morphism identity on a canonical word.
-
-    Computes  d'(psi_i(w)) + sum_{2-blocks} ±[psi(B), psi(B^c)]
-             - sum_k ± psi_i(d(g_k)·rest) - sum_{k<l} ± psi_{i-1}([g_k,g_l]·rest)
-    directly from the DGLA tables; the coalgebra computation
-    ln∘(Q'∘Psi − Psi∘Q) is the independent normative path it must match.
+    """Evaluate the explicit DGLA-morphism identity on a canonical word, from
+    the DGLA tables; the coalgebra computation ln∘(Q'∘Psi − Psi∘Q) is the
+    independent normative path it must match.
     """
-    sh = source.shifted
-    letters = tuple(word)
-    sdegs = tuple(sh.degree(i) for i in letters)
-    signs = identity_sign_data(sdegs)
-    C = source.module.coeff
-
-    def psi_on_vects(vs):
-        return psi_taylor.eval_elements(vs)
-
-    unit_vect = [{i: C.one()} for i in letters]
-
-    # d'(psi_i(w))
-    out = target.d_of(psi_taylor.eval_word(letters))
-
-    # bracket-target terms
-    for B, rest, sign in signs["bracket_target"]:
-        vb = psi_on_vects([unit_vect[p] for p in B])
-        vc = psi_on_vects([unit_vect[p] for p in rest])
-        if not vb or not vc:
-            continue
-        vect_acc(out, target.bracket_of(vb, vc), sign)
-
-    # internal-d terms (subtracted)
-    for k, sign in signs["internal_d"]:
-        dv = source.d_of({letters[k]: C.one()})
-        if not dv:
-            continue
-        args = [dv] + [unit_vect[p] for p in range(len(letters)) if p != k]
-        vect_acc(out, psi_on_vects(args), -sign)
-
-    # bracket-source terms (subtracted)
-    for k, l, sign in signs["bracket_source"]:
-        bv = source.bracket_of({letters[k]: C.one()}, {letters[l]: C.one()})
-        if not bv:
-            continue
-        args = [bv] + [unit_vect[p] for p in range(len(letters)) if p not in (k, l)]
-        vect_acc(out, psi_on_vects(args), -sign)
-
+    one = source.module.coeff.one()
+    out = {}
+    for sign, v in identity_terms([{i: one} for i in word],
+                                  tuple(source.shifted.degree(i) for i in word),
+                                  psi_taylor.eval_elements, target.d_of, target.bracket_of,
+                                  source.d_of, source.bracket_of):
+        vect_acc(out, v, sign)
     return out
 
 

@@ -61,6 +61,17 @@ def koszul_sort(letters, odd):
     return sign, tuple(w)
 
 
+def _check_basis(pairs, kind):
+    """The (name, degree) pairs; a ValueError names a repeated or non-str name or non-int degree."""
+    seen = set()
+    for name, degree in pairs:
+        if type(name) is not str or type(degree) is not int or name in seen:
+            raise ValueError(f"{kind} {name!r}: expected a distinct name string and an "
+                             f"int degree, got degree {degree!r}")
+        seen.add(name)
+    return pairs
+
+
 class ValidationReport:
     """Outcome of an axiom check: a list of violations, each with a witness."""
 
@@ -103,6 +114,7 @@ class CoeffDGA:
 
     def __init__(self, basis, degrees, mul, diff, unit_index, ideal,
                  nilpotency_order=None):
+        _check_basis(tuple(zip(basis, degrees)), "coefficient algebra basis element")
         self.basis = tuple(basis)
         self.degrees = tuple(degrees)
         self.mul = {k: {i: frac(q) for i, q in v.items() if q} for k, v in mul.items()}

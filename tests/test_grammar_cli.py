@@ -473,7 +473,11 @@ class TestCli:
                       **doc["morphism"], "taylor": [[j, [[word[0], image], *images]], *orders]}},
                    f"taylor word {word[0]!r}: expected an array of names, got a string"),
                   (["ln"], {**doc, "element": [{"word": "yy", "coeff": "1"}]},
-                   "element word 'yy': expected an array of names, got a string")]
+                   "element word 'yy': expected an array of names, got a string"),
+                  (["ln"], {**doc, "element": {"word": ["y"], "coeff": "1"}},
+                   "element: expected an array, got an object"),
+                  (["ln"], {**doc, "element": [5]},
+                   "element entry 5: expected an object, got a number")]
         # a d key is a generator name: never a basis index, in range or not
         (_, image), *ds = doc["algebra"]["d"]
         cases += [(["mc-check"], {**doc, "algebra": {**doc["algebra"], "d": [[key, image], *ds]}},
@@ -666,3 +670,23 @@ def test_twist_golden(name, tmp_path):
     path.write_text(json.dumps(golden["instance"]))
     for verb, want in golden["runs"].items():
         assert capture([verb, "--instance", str(path)]) == (want["exit"], want["stdout"]), verb
+
+
+@pytest.mark.parametrize("argv", [["kontsevich-check", "--n", "3", "--max-arity", "3"],
+                                  ["hkr-report"], ["selftest"],
+                                  ["twist", "--instance"], ["twist-check", "--instance"]],
+                         ids=lambda argv: argv[0])
+def test_stdout_does_not_depend_on_the_hash_seed(argv, tmp_path):
+    # A10 reruns each verb in one process, under one PYTHONHASHSEED; an output
+    # that follows the iteration order of a set of strings differs only across seeds
+    if argv[-1] == "--instance":
+        with open(os.path.join(os.path.dirname(__file__), "golden", "twist_scrambled.json")) as fh:
+            (tmp_path / "instance.json").write_text(json.dumps(json.load(fh)["instance"]))
+        argv = [*argv, str(tmp_path / "instance.json")]
+    src = os.path.dirname(os.path.dirname(linfty.__file__))
+    runs = [subprocess.run([sys.executable, "-m", "linfty.cli", *argv], capture_output=True,
+                           text=True, timeout=300,
+                           env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed})
+            for seed in ("0", "1")]
+    assert runs[0].stdout
+    assert (runs[0].returncode, runs[0].stdout) == (runs[1].returncode, runs[1].stdout)

@@ -298,6 +298,61 @@ class TestKontsevichConditions:
         assert rep["conditions"]["ii_operator_valued"]["ok"]
 
 
+def first_coefficient(a):
+    return a.terms[min(a.terms)]
+
+
+def u2_plugin():
+    """u1 with U2(a, b) = c(a) c(b) D[2,0,...], c the coefficient of the first
+    word: a nonzero second coefficient, so the identity's U2 terms are reached."""
+    def u2(args):
+        a, b = args
+        return PolyDiffOp(a.n, {((2,) + (0,) * (a.n - 1),):
+                                first_coefficient(a) * first_coefficient(b)})
+    return FormalityPlugin({2: u2}, name="u2")
+
+
+def homogeneous_args(rng, n, arity):
+    """arity nonzero homogeneous poly vector fields, drawn as kontsevich_conditions draws them."""
+    args = []
+    for _ in range(arity):
+        p = rng.randint(-1, n - 1)
+        a = random_polyvec(n, rng, p=p)
+        args.append(a if a else PolyVec.basis(tuple(range(1, p + 2)), n))
+    return args
+
+
+def formality_residual_cases():
+    """The residual texts of seeded arity-3 triples under u1 alone and under
+    u2_plugin(); arity 3 is where the target brackets take two-letter blocks.
+    tests/golden/formality_residuals.json holds them."""
+    cases = []
+    for n in (1, 2, 3):
+        for seed in range(20):
+            args = homogeneous_args(random.Random(seed), n, 3)
+            cases.append({"n": n, "seed": seed, "args": [a.text() for a in args],
+                          "residuals": {pl.name: formality_identity_residual(pl, args).text()
+                                        for pl in (trivial_plugin(), u2_plugin())}})
+    return cases
+
+
+class TestFormalityIdentity:
+    def test_second_coefficient_adds_its_hochschild_differential(self):
+        # at arity 2, U2 enters the identity only through d(U2(a, b)); the
+        # bracket terms take U1 alone
+        for n in (1, 2, 3):
+            for seed in range(60):
+                a, b = homogeneous_args(random.Random(seed), n, 2)
+                d_u2 = hochschild_d(u2_plugin().eval([a, b]))
+                assert not d_u2.is_zero()
+                assert (formality_identity_residual(u2_plugin(), [a, b])
+                        - formality_identity_residual(trivial_plugin(), [a, b])) == d_u2
+
+    def test_arity_three_residuals_golden(self):
+        with open(os.path.join(HERE, "golden", "formality_residuals.json")) as fh:
+            assert formality_residual_cases() == json.load(fh)["cases"]
+
+
 class TestBivectorWorkflow:
     def test_flat_bivector_odd_coefficient(self):
         A = dga_tensor(make_truncated_poly_dga([1], 2, names=["th"]),
@@ -343,6 +398,20 @@ class TestBivectorWorkflow:
         if not schouten(bad, bad).is_zero():
             with pytest.raises(ValueError, match="Poisson"):
                 mc_bivector_workflow(bad, make_truncated_poly_dga([0], 3))
+
+    def test_tensor_differential_signs(self):
+        # the workflow reaches d(a x g) only where both parts vanish (a closed,
+        # u1 a chain map), so its two signs are pinned here
+        from linfty.hkr import tensor_mc_residue
+        pi = PolyVec(2, {(1, 2): Poly.one(2)})  # [pi, pi] = 0
+        A = make_truncated_poly_dga([0, 1], 3, names=["x", "y"], differential={"x": {"y": 1}})
+        assert tensor_mc_residue(A, {A.index["x"]: pi}, None, schouten) == {A.index["y"]: pi}
+        # th of degree 1 squares to zero, so the bracket drops out
+        B = make_truncated_poly_dga([1], 2)
+        phi = PolyDiffOp(2, {((2, 0),): Poly.var(1, 2)})
+        assert not hochschild_d(phi).is_zero()
+        assert tensor_mc_residue(B, {B.index["th"]: phi}, hochschild_d, gerstenhaber) == \
+            {B.index["th"]: -hochschild_d(phi)}
 
     def test_m_adic_order(self):
         A = make_truncated_poly_dga([0], 4)

@@ -66,13 +66,13 @@ def mutated(path, new):
     return doc
 
 
-def outcome(doc, verb):
-    """(exit code, stdout, stderr) of verb on doc, read from stdin."""
+def outcome(doc, verb, *options, text=None):
+    """(exit code, stdout, stderr) of verb on doc, read from stdin (as text when given)."""
     out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
-    sys.stdin = io.StringIO(json.dumps(doc))
+    sys.stdin = io.StringIO(json.dumps(doc) if text is None else text)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run([verb, "--instance", "-"])
+            code = run([verb, "--instance", "-", *options])
     finally:
         sys.stdin = stdin
     return code, out.getvalue(), err.getvalue()
@@ -146,6 +146,22 @@ class TestRepeatedEntries:
     def test_term_index_within_a_row(self):
         assert_refused(appended(("coeff", "mul", 4, 2), [2, "1"]),
                        "coefficient algebra mul entry [1, 1] term 2: repeated")
+
+    def test_key_within_one_object(self):
+        # json.load alone keeps the last of two equal keys, so d(x) = y would load as 0
+        d = '"d": [["x", {"y": "1"}]]'
+        text = json.dumps(INSTANCE)
+        assert d in text
+        text = text.replace(d, '"d": [["x", {"y": "1", "y": "0"}]]')
+        for verb in ("mc-check", "twist-check"):
+            assert outcome(None, verb, text=text) == (
+                2, "", 'error: JSON object key "y": repeated\n'), verb
+
+    def test_key_within_a_coefficient_algebra_document(self, tmp_path):
+        path = tmp_path / "A.json"
+        path.write_text(json.dumps(INSTANCE["coeff"])[:-1] + ', "unit": 0}')
+        assert outcome(INSTANCE, "extend", "--coeff-algebra", str(path)) == (
+            2, "", 'error: JSON object key "unit": repeated\n')
 
 
 class TestBasisEntries:

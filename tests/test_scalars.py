@@ -221,11 +221,19 @@ class TestTensor:
         A = make_truncated_poly_dga([-1, -1, 0], 2, names=["a", "b", "c"],
                                     differential={"b": {"c": 1}})
         assert A.diff[A.index["a*b"]] == {A.index["a*c"]: Fraction(-1)}
-        for T in (A, dga_tensor(make_truncated_poly_dga([-1], 2), make_truncated_poly_dga([1], 2)),
+        for T in (A, dga_tensor(make_truncated_poly_dga([-1], 2),
+                                make_truncated_poly_dga([1], 2, names=["th2"])),
                   dga_tensor(A, make_truncated_poly_dga([-2, 1], 3))):
             assert all(is_exact(q)
                        for table in (T.mul, T.diff) for v in table.values() for q in v.values())
             assert dga_check(T).ok
+
+    def test_repeated_basis_names_are_refused(self):
+        # an index keeps only the last of two equal names, so the basis must not repeat one
+        with pytest.raises(ValueError, match="coefficient algebra basis element 'th': "):
+            dga_tensor(make_truncated_poly_dga([1], 2), make_truncated_poly_dga([1], 2))
+        with pytest.raises(ValueError, match="coefficient algebra basis element 'x': "):
+            make_truncated_poly_dga([0, 0], 2, names=["x", "x"])
 
     def test_associativity_up_to_identification(self):
         A = make_truncated_poly_dga([0], 2)
