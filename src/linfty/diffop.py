@@ -69,17 +69,21 @@ def _splits(j, parts):
 
 
 class PolyDiffOp:
-    """terms: {tuple of multi-indices, n nonnegative ints each: Poly coefficient}."""
+    """terms: {tuple of multi-indices, n nonnegative ints each: Poly coefficient};
+    _plans: None until the operator is first inserted, then the memo of ``_plan``."""
 
-    __slots__ = ("n", "alg", "terms")
+    __slots__ = ("n", "alg", "terms", "_plans")
 
     def __init__(self, n, terms, alg=None):
         self.n = n
         self.alg = alg if alg is not None else rational_field()
+        self._plans = None
         clean = {}
         for w, c in terms.items():
             if not isinstance(c, Poly):
                 raise TypeError("PolyDiffOp coefficients must be Poly")
+            if c.alg is not self.alg and c.alg != self.alg:
+                raise ValueError("coefficient algebra mismatch")
             w = tuple(map(tuple, w))
             if not all(len(j) == n and all(type(k) is int and k >= 0 for k in j) for j in w):
                 raise ValueError(f"each multi-index needs {n} nonnegative int entries, got {w}")
@@ -98,7 +102,27 @@ class PolyDiffOp:
     @classmethod
     def basis(cls, word, n, coeff=None):
         c = coeff if coeff is not None else Poly.one(n)
-        return cls(n, {tuple(tuple(j) for j in word): c})
+        return cls(n, {tuple(tuple(j) for j in word): c}, alg=c.alg)
+
+    def _plan(self, w, j):
+        """How term w enters a slot with derivative j by the Leibniz rule: for
+        each split j = a + rest over w's slots with d^a c nonzero, c = terms[w],
+        the tuple (a, d^a c, w + rest, multinomial).  Built once per (w, j)."""
+        plans = self._plans
+        if plans is None:
+            plans = self._plans = {}
+        plan = plans.get((w, j))
+        if plan is None:
+            c, derivs, plan = self.terms[w], {}, []
+            for parts, m in _splits(j, len(w) + 1):
+                a = parts[0]
+                dc = derivs.get(a)
+                if dc is None:
+                    dc = derivs[a] = c.partial_word(a)
+                if dc:
+                    plan.append((a, dc, tuple(map(_mi_add, w, parts[1:])), m))
+            plan = plans[w, j] = tuple(plan)
+        return plan
 
     def is_zero(self):
         return not self.terms
@@ -193,6 +217,7 @@ def _op(n, alg, terms):
     phi.n = n
     phi.alg = alg
     phi.terms = terms
+    phi._plans = None
     return phi
 
 
@@ -206,32 +231,31 @@ def mu(n) -> PolyDiffOp:
 # insertion composition and the Gerstenhaber bracket
 # ---------------------------------------------------------------------------
 
-def _circ_into(acc, cuts, w1, c1, w2, c2, sign):
-    """acc += sign * ((w1, c1) circbar (w2, c2)) as scalars: acc[word][(e, k)]
+def _circ_into(acc, cuts, w1, c1, psi, w2, sign):
+    """acc += sign * ((w1, c1) circbar psi's term w2) as scalars: acc[word][(e, k)]
     is the coefficient of t^e times basis element k, and cuts[word] the least
     ``trunc`` of the head products that reach word.
 
-    Slot i's derivative j_i splits by the Leibniz rule into a head a_c, which
-    hits c2, and a rest piled onto w2's slots.  c1 * d^{a_c} c2 is built and
-    flattened once per head; the sign (-1)^{i q} folds into the multinomial.
+    Slot i's derivative j_i splits by the Leibniz rule into a head a, which
+    hits psi's coefficient c2, and a rest piled onto w2's slots, as psi's plan
+    for (w2, j_i) lists them.  c1 * d^a c2 is built and flattened once per head;
+    the sign (-1)^{i q} folds into the multinomial.
     """
-    arity = len(w2)
-    odd = arity % 2 == 0  # q = arity - 1 is odd
+    odd = len(w2) % 2 == 0  # q = arity - 1 is odd
     heads = {}
     for i, j in enumerate(w1):
         before, after = w1[:i], w1[i + 1:]
         s = -sign if odd and i % 2 else sign
-        for parts, m in _splits(j, arity + 1):
-            a_c = parts[0]
-            head = heads.get(a_c)
+        for a, dc, inner, m in psi._plan(w2, j):
+            head = heads.get(a)
             if head is None:
-                f = c1 * c2.partial_word(a_c)
-                head = heads[a_c] = (f.trunc, [((e, k), q) for e, c in f.terms.items()
-                                               for k, q in c.coeffs.items()])
+                f = c1 * dc
+                head = heads[a] = (f.trunc, [((e, k), q) for e, c in f.terms.items()
+                                             for k, q in c.coeffs.items()])
             trunc, scalars = head
             if not scalars:
                 continue
-            word = before + tuple(map(_mi_add, w2, parts[1:])) + after
+            word = before + inner + after
             out = acc.get(word)
             if out is None:
                 out = acc[word] = {}
@@ -259,9 +283,9 @@ def _insertions(phi, psi, bracket):
     acc, cuts = {}, {}
     for w1, c1 in phi.terms.items():
         for w2, c2 in psi.terms.items():
-            _circ_into(acc, cuts, w1, c1, w2, c2, 1)
+            _circ_into(acc, cuts, w1, c1, psi, w2, 1)
             if bracket:
-                _circ_into(acc, cuts, w2, c2, w1, c1,
+                _circ_into(acc, cuts, w2, c2, phi, w1,
                            1 if (len(w1) - 1) * (len(w2) - 1) % 2 else -1)
     n, alg = phi.n, phi.alg
     out = {}
@@ -390,7 +414,7 @@ def adic_continuity_check(phi: PolyDiffOp, d, i, samples, rng) -> bool:
             short = min_deg - sum(e)
             if short > 0:
                 e[rng.randrange(phi.n)] += short
-            out = out + Poly.monomial(tuple(e), rng.randint(-3, 3))
+            out = out + Poly(phi.n, {tuple(e): rng.randint(-3, 3)}, alg=phi.alg)
         return out
 
     for _ in range(samples):

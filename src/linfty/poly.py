@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from operator import add, sub
 
-from .scalars import DgaElem, _acc, _acc_neg, frac, frac_str, rational_field
+from .scalars import DgaElem, _acc, _acc_neg, _elem, _mul_acc, frac, frac_str, rational_field
 
 
 INF = math.inf
@@ -48,6 +48,8 @@ class Poly:
         for e, c in terms.items():
             if not isinstance(c, DgaElem):
                 c = self.alg.scalar(c)
+            elif c.alg is not self.alg and c.alg != self.alg:
+                raise ValueError("coefficient algebra mismatch")
             if not c:
                 continue
             if trunc is not None and sum(e) >= trunc:
@@ -144,16 +146,20 @@ class Poly:
             return self.scale(other)
         self.same_shape(other)
         trunc = _min_trunc(self.trunc, other.trunc)
+        table = self.alg.table  # every coefficient lives in alg: the constructors refuse others
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(map(add, e1, e2))
                 if trunc is not None and sum(e) >= trunc:
                     continue
-                c = c1 * c2
-                if c:
-                    _acc(out, e, c)
-        return _poly(self.n, self.alg, out, trunc)
+                acc = out.get(e)
+                if acc is None:
+                    acc = out[e] = {}
+                _mul_acc(acc, table, c1.coeffs, c2.coeffs, 1)
+                if not acc:
+                    del out[e]
+        return _poly(self.n, self.alg, {e: _elem(self.alg, c) for e, c in out.items()}, trunc)
 
     def __rmul__(self, other):
         return self.scale(other)

@@ -80,14 +80,18 @@ def check_schouten(rng):
 def check_gerstenhaber(rng):
     for _ in range(30):
         n = rng.randint(1, 2)
-        p, q = rng.randint(-1, 2), rng.randint(-1, 2)
-        a, b = _rand_op(rng, n, max(p, -1)), _rand_op(rng, n, max(q, -1))
+        p, q, r = rng.randint(-1, 2), rng.randint(-1, 2), rng.randint(-1, 2)
+        a, b, c = _rand_op(rng, n, p), _rand_op(rng, n, q), _rand_op(rng, n, r)
         if hochschild_d(hochschild_d(a)).terms:
             return False, "d^2 != 0"
         if hochschild_d(a) != gerstenhaber(mu(n), a):
             return False, "d != [mu, -]"
         if not filtration_check(a, b):
             return False, "order filtration bound"
+        # a, b and c each enter several brackets, as in the bracket benchmark
+        if gerstenhaber(a, gerstenhaber(b, c)) != gerstenhaber(gerstenhaber(a, b), c) + \
+                gerstenhaber(b, gerstenhaber(a, c)).scale(ksign(p * q)):
+            return False, f"jacobi n={n} p=({p},{q},{r})"
         if not a.terms or not b.terms:
             continue
         pa, pb = a.degrees()[0], b.degrees()[0]
@@ -97,7 +101,7 @@ def check_gerstenhaber(rng):
         if gerstenhaber(a, b).component(pa + pb).apply(args) != \
                 gerstenhaber_apply_oracle(a, b, args):
             return False, "bracket disagrees with the apply oracle"
-    return True, "30 instances: d^2=0, d=[mu,-], filtration, apply oracle"
+    return True, "30 instances: d^2=0, d=[mu,-], filtration, jacobi, apply oracle"
 
 
 def check_coalgebra(rng):

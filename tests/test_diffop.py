@@ -1,11 +1,14 @@
+import gc
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from linfty import diffop
 from linfty.diffop import (PolyDiffOp, _splits, adic_continuity_check, circ_bar,
                            extend_to_series, filtration_check, gerstenhaber,
                            gerstenhaber_apply_oracle, hochschild_apply_oracle,
@@ -222,6 +225,10 @@ class TestAdicContinuity:
         for i in range(5):
             assert adic_continuity_check(phi, 2, i, samples=20, rng=rng)
 
+    def test_operator_off_q(self):
+        phi = PolyDiffOp(1, {((1,),): Poly(1, {(0,): 1}, alg=H3)}, alg=H3)
+        assert adic_continuity_check(phi, 1, 1, samples=5, rng=random.Random(0))
+
     def test_order_bound_enforced(self):
         with pytest.raises(ValueError):
             adic_continuity_check(PolyDiffOp.basis(((2,),), 1), 1, 1, 2,
@@ -312,9 +319,10 @@ class TestSplits:
 
 
 @st.composite
-def operator_pairs(draw):
+def operator_pairs(draw, others=0):
     """Two mixed-degree operators in n <= 3 variables over Q or Q[h]/(h^3);
-    coefficients may carry a truncation threshold, and psi may be phi."""
+    coefficients may carry a truncation threshold, and psi may be phi.  With
+    others, that many more operators of the same shape follow the pair."""
     n = draw(st.integers(1, 3))
     alg = draw(st.sampled_from((rational_field(), H3)))
     mi = st.tuples(*[st.integers(0, 2)] * n)
@@ -331,7 +339,7 @@ def operator_pairs(draw):
                               for w, (monos, trunc) in terms.items()}, alg=alg)
 
     phi = op()
-    return phi, (phi if draw(st.booleans()) else op())
+    return (phi, phi if draw(st.booleans()) else op(), *(op() for _ in range(others)))
 
 
 # Summing both insertions term pair by term pair gives the D[2;1] coefficient
@@ -382,6 +390,51 @@ class TestInsertionKernel:
             assert f(reordered(phi, rng), reordered(psi, rng)).terms == want
             assert f(reordered(phi), reordered(psi)).terms == want
 
+    @given(operator_pairs(others=2))
+    @settings(max_examples=150, deadline=None)
+    def test_reused_plans_change_nothing(self, ops):
+        # brackets with other operators first fill the plans of phi and psi
+        # with other words and derivatives; reading them must change nothing
+        def fresh(op):
+            return PolyDiffOp(op.n, dict(op.terms), alg=op.alg)
+
+        phi, psi, x, y = ops
+        for u, v in itertools.permutations((phi, psi, x, y), 2):
+            gerstenhaber(u, v)
+        for u, v in ((phi, psi), (psi, phi)):
+            for f, ref in ((gerstenhaber, reference_gerstenhaber), (circ_bar, reference_circ_bar)):
+                want = f(fresh(u), fresh(v)).terms
+                assert f(u, v).terms == want == ref(u.terms, v.terms)
+
+    def test_derivatives_built_once_per_operator(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(Poly, "partial_word",
+                            lambda f, word, _g=Poly.partial_word: calls.append(word) or _g(f, word))
+        j = (2, 1)
+        phi = PolyDiffOp(2, {(j,) * k: Poly.var(1, 2) for k in (1, 2, 3)})
+        psi = PolyDiffOp(2, {((1, 0), (0, 1)): Poly(2, {(3, 2): 1})})
+        circ_bar(phi, psi)
+        heads = {parts[0] for parts, _ in _splits(j, 3)}  # 18 splits, 6 heads
+        assert sorted(calls) == sorted(heads)
+
+    def test_plans_live_on_the_operator(self):
+        class Tracked(PolyDiffOp):  # no __slots__, so it takes weak references
+            pass
+
+        phi = Tracked(1, {((2,),): Poly.var(1, 1)})
+        assert phi._plans is None and hochschild_d(phi)._plans is None
+        gerstenhaber(phi, mu(1))
+        gerstenhaber(mu(1), phi)
+        assert phi._plans
+        ref = weakref.ref(phi)
+        del phi
+        gc.collect()
+        assert ref() is None
+        # no module-level memo but the one of small multi-index splits
+        state = [name for name, v in vars(diffop).items() if not name.startswith("__")
+                 and (isinstance(v, (dict, list, set)) or hasattr(v, "cache_info"))]
+        assert state == ["_splits"]
+
     def test_untruncated_bracket_adds_no_polys(self, monkeypatch):
         calls = []
         for name in ("__add__", "__sub__", "scale"):
@@ -402,6 +455,18 @@ class TestConstructor:
     def test_rejects_malformed_multi_indices(self, word):
         with pytest.raises(ValueError, match="2 nonnegative int entries"):
             PolyDiffOp(2, {word: Poly.one(2)})
+
+    def test_refuses_a_coefficient_over_another_algebra(self):
+        with pytest.raises(ValueError, match="coefficient algebra mismatch"):
+            PolyDiffOp(1, {((0,),): Poly(1, {(1,): H3.gen("h")}, alg=H3)})
+
+    def test_basis_lives_over_its_coefficient_algebra(self):
+        h = Poly(1, {(1,): H3.gen("h")}, alg=H3)
+        a = PolyDiffOp.basis(((1,),), 1, coeff=h)
+        b = PolyDiffOp(1, {((0,),): h}, alg=H3)
+        assert a.alg is H3
+        assert gerstenhaber(a, b) == -gerstenhaber(b, a)
+        assert gerstenhaber(a, b).alg is H3 and "h" in repr(gerstenhaber(a, b))
 
     def test_accepts_valid_words(self):
         op = PolyDiffOp(2, {((0, 1), (2, 0)): Poly.one(2), (): Poly.var(1, 2)})

@@ -76,7 +76,7 @@ class TestGrammar:
         # part alone (0*t1*d1, t1*d1) would print a different element
         A = make_truncated_poly_dga([0], 3)
         f = Poly(1, {(1,): A.gen("h") + A.scalar(unit)}, alg=A)
-        for x in (f, PolyVec(1, {(1,): f}, A), PolyDiffOp(1, {((1,),): f})):
+        for x in (f, PolyVec(1, {(1,): f}, A), PolyDiffOp(1, {((1,),): f}, alg=A)):
             with pytest.raises(ValueError, match="rational coefficients"):
                 x.text()
             assert "h" in repr(x)

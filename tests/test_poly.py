@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linfty.poly import INF, Poly
+from linfty.scalars import make_truncated_poly_dga
 
 
 def t(i, n=2):
@@ -51,6 +52,13 @@ class TestArithmetic:
     def test_variable_count_mismatch(self):
         with pytest.raises(ValueError):
             Poly.var(1, 2) + Poly.var(1, 3)
+
+    def test_coefficient_over_another_algebra_is_refused(self):
+        H = make_truncated_poly_dga([0], 3)
+        with pytest.raises(ValueError, match="coefficient algebra mismatch"):
+            Poly(1, {(0,): H.gen("h")})
+        assert Poly(1, {(0,): H.gen("h")}, alg=H) * Poly(1, {(1,): 2}, alg=H) == \
+            Poly(1, {(1,): H.gen("h").scale(2)}, alg=H)
 
 
 class TestPartial:
