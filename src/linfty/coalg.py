@@ -86,22 +86,17 @@ class GradedBasisModule:
 
     def words(self, order):
         """All canonical words of exactly this order (odd repeats excluded)."""
-        out = []
+        odd, out = self.odd, []
         for w in itertools.combinations_with_replacement(range(len(self.gens)), order):
-            ok = True
             for a, b in zip(w, w[1:]):
-                if a == b and self.degree(a) % 2 == 1:
-                    ok = False
+                if a == b and a in odd:
                     break
-            if ok:
+            else:
                 out.append(w)
         return out
 
     def words_up_to(self, max_order):
-        out = []
-        for j in range(max_order + 1):
-            out.extend(self.words(j))
-        return out
+        return [w for j in range(max_order + 1) for w in self.words(j)]
 
 
 def canon_word(module, letters):
@@ -124,15 +119,28 @@ def word_degree(module, word):
 def vect_acc(out, v, q=1):
     """out += q * v in place, for a DgaElem or rational q; returns out.
 
-    Works on any sparse dict of DgaElem values (vects, coalgebra words).
+    Works on any sparse dict of DgaElem values (vects, coalgebra words).  A
+    DgaElem q other than the unit multiplies each value straight into a copy of
+    the running coefficient through the product table: one DgaElem per key
+    touched, none per product.  A value over another algebra than q's is a
+    ValueError, the unit q included.
     """
     if isinstance(q, DgaElem):
-        terms = ((i, q * c) for i, c in v.items())
-    elif q == 1:
-        terms = v.items()
-    else:
-        terms = ((i, c.scale(q)) for i, c in v.items())
-    for i, c in terms:
+        C, x = q.alg, q.coeffs
+        for c in v.values():
+            if c.alg is not C and c.alg != C:
+                raise ValueError("DgaElem product across different algebras")
+        if x != {C.unit_index: 1}:
+            for i, c in v.items():
+                acc = dict(out[i].coeffs) if i in out else {}
+                _mul_acc(acc, C.table, x, c.coeffs, 1)
+                if acc:
+                    out[i] = _elem(C, acc)
+                else:
+                    out.pop(i, None)
+            return out
+        q = 1
+    for i, c in (v.items() if q == 1 else ((i, c.scale(q)) for i, c in v.items())):
         if c:
             _acc(out, i, c)
     return out
@@ -221,16 +229,20 @@ class CoalgElem:
 
         Each pair of words adds its signed coefficient product term by term
         into the coefficient of the product word, which enters the result when
-        its sum first becomes nonzero and leaves it when the sum cancels."""
+        its sum first becomes nonzero and leaves it when the sum cancels.  When
+        either coefficient is the unit, the pair adds the other one."""
         module, W = self.module, self.W
         C = module.coeff
         for c in itertools.chain(self.words.values(), other.words.values()):
             if c.alg is not C and c.alg != C:
                 raise ValueError("DgaElem product across different algebras")
-        table, canon = C.table, module._canon
+        table, canon, one = C.table, module._canon, {C.unit_index: 1}
+        rights = [(w2, c2.coeffs, c2.coeffs == one) for w2, c2 in other.words.items()]
         sums = {}
         for w1, c1 in self.words.items():
-            for w2, c2 in other.words.items():
+            x1 = c1.coeffs
+            unit1 = x1 == one
+            for w2, x2, unit2 in rights:
                 try:
                     r = canon[w1 + w2]
                 except KeyError:
@@ -244,7 +256,12 @@ class CoalgElem:
                 acc = sums.get(w)
                 if acc is None:
                     acc = sums[w] = {}
-                _mul_acc(acc, table, c1.coeffs, c2.coeffs, sign)
+                if unit1 or unit2:
+                    put = _acc if sign == 1 else _acc_neg
+                    for k, q in (x2 if unit1 else x1).items():
+                        put(acc, k, q)
+                else:
+                    _mul_acc(acc, table, x1, x2, sign)
                 if not acc:
                     del sums[w]
         for w, acc in sums.items():
@@ -306,13 +323,8 @@ def _coalg(module, words, W):
 
 
 def tensor_of(x: CoalgElem, y: CoalgElem):
-    out = {}
-    for w1, c1 in x.words.items():
-        for w2, c2 in y.words.items():
-            c = c1 * c2
-            if c:
-                out[(w1, w2)] = c
-    return out
+    return {(w1, w2): c for w1, c1 in x.words.items() for w2, c2 in y.words.items()
+            if (c := c1 * c2)}
 
 
 # ---------------------------------------------------------------------------
@@ -354,16 +366,13 @@ class TaylorSeq:
                                 for i, c in v.items()}, sign)
                 if not v:
                     continue
-                want = word_degree(source, cw) + shift
-                got = vect_degree(target, v)
-                if got is not None and got != want:
+                want, got = word_degree(source, cw) + shift, vect_degree(target, v)
+                if got is None:  # v is nonzero, so its degrees are mixed
+                    raise ValueError(f"inhomogeneous value on {cw}: degrees "
+                                     f"{sorted({target.degree(i) for i in v})}, expected {want}")
+                if got != want:
                     raise ValueError(
                         f"degree mismatch on {cw}: value degree {got}, expected {want}")
-                if got is None:
-                    degs = {target.degree(i) for i in v}
-                    if degs != {want}:
-                        raise ValueError(
-                            f"inhomogeneous value on {cw}: degrees {sorted(degs)}, expected {want}")
                 vect_acc(ntab.setdefault(cw, {}), v)
             if ntab:
                 norm[j] = ntab
@@ -392,13 +401,9 @@ class TaylorSeq:
             return {}
         out = {}
         for combo in itertools.product(*(e.items() for e in elements)):
-            letters = tuple(i for i, _ in combo)
-            coeff = None
-            for _, c in combo:
-                coeff = c if coeff is None else coeff * c
-            if coeff is None or not coeff:
-                continue
-            vect_acc(out, self.eval_word(letters), coeff)
+            coeff = math.prod(c for _, c in combo)
+            if coeff:
+                vect_acc(out, self.eval_word(tuple(i for i, _ in combo)), coeff)
         return out
 
 
@@ -575,8 +580,7 @@ def is_grouplike(e: CoalgElem) -> bool:
 
 def is_invertible(e: CoalgElem) -> bool:
     """Invertibility in S_C over the local ring C: unit part outside m."""
-    c = e.constant_term()
-    return bool(c.rational_part())
+    return bool(e.constant_term().rational_part())
 
 
 # ---------------------------------------------------------------------------

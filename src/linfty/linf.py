@@ -43,7 +43,7 @@ from collections import defaultdict
 from .coalg import (CoalgElem, CoalgOperator, GradedBasisModule, TaylorSeq, _taylor,
                     coder_from_taylor, exp, morph_from_taylor, vect_acc,
                     vect_degree, vect_scale)
-from .scalars import CoeffDGA, DgaElem, ValidationReport, _acc, frac, ksign
+from .scalars import CoeffDGA, DgaElem, ValidationReport, _acc, _acc_neg, frac, ksign
 
 
 # ---------------------------------------------------------------------------
@@ -84,77 +84,84 @@ def complete_bracket(module, bracket):
 def dgla_check(module, d_table, bracket_table) -> ValidationReport:
     """Graded antisymmetry, Jacobi, d^2 = 0, Leibniz, and degree bookkeeping;
     the walks skip only the pairs and triples whose checks have no nonzero
-    term, so they report what the loops over all of them report."""
+    term, so they report what the loops over all of them report.
+
+    Each nonzero d and bracket value is flattened once into rows (generator,
+    C index, q), and each residue is summed as {(generator, C index): q}
+    through the product table of C: no product or sum is wrapped in a DgaElem.
+    """
     rep = ValidationReport()
-    n = len(module)
-    # the nonzero [x_i, x_j]: the j by i, and by (i, l) for each x_l in it
-    rows, into = defaultdict(set), defaultdict(set)
+    n, C, table = len(module), module.coeff, module.coeff.table
+
+    def flat(v):
+        if any(c.alg is not C and c.alg != C for c in v.values()):
+            raise ValueError("DgaElem product across different algebras")
+        return [(l, k, q) for l, c in v.items() for k, q in c.coeffs.items()]
+
+    # d[i] = d x_i and left[i][j] = right[j][i] = [x_i, x_j] as rows, nonzero
+    # ones only; into[(i, l)] holds the j with x_l in [x_i, x_j]
+    d = {i: flat(v) for i, v in d_table.items() if v}
+    left, right, into = {}, {}, defaultdict(set)
     for (i, j), v in bracket_table.items():
         if v:
-            rows[i].add(j)
+            left.setdefault(i, {})[j] = right.setdefault(j, {})[i] = flat(v)
             for l in v:
                 into[(i, l)].add(j)
 
-    def dd(v):
-        out = {}
-        for i, c in v.items():
-            vect_acc(out, d_table.get(i, {}), c)
-        return out
-
-    def br(i, j):
-        return bracket_table.get((i, j), {})
-
-    # [x_i, w] and [v, x_k] for generators x_i, x_k and vects v, w
-    def br_left(i, w):
-        out = {}
-        for j, c in w.items():
-            vect_acc(out, br(i, j), c)
-        return out
-
-    def br_right(v, k):
-        out = {}
-        for i, c in v.items():
-            vect_acc(out, br(i, k), c)
+    def acc(out, x, cols, sign=1):
+        """out += sign * the sum of c * cols[m] over the rows (m, a, p) of x,
+        c = p b_a the left factor; returns out, which is only tested for zero."""
+        for m, a, p in x:
+            row = table[a]
+            for l, b, r in cols.get(m, ()):
+                pr = p * r if sign == 1 else -p * r
+                for k, q in row[b]:
+                    _acc(out, (l, k), pr if q == 1 else -pr if q == -1 else pr * q)
         return out
 
     for i in range(n):
         v = d_table.get(i, {})
-        got = vect_degree(module, v)
-        if v and got != module.degree(i) + 1:
+        if v and vect_degree(module, v) != module.degree(i) + 1:
             rep.add("grading", [module.gen_name(i)], "d is not degree +1")
-        if dd(v):
+        if acc({}, d.get(i, ()), d):
             rep.add("d_squared", [module.gen_name(i)], "d(d(x)) != 0")
     for i, j in itertools.product(range(n), repeat=2):
-        v = br(i, j)
-        if not (v or br(j, i) or d_table.get(i) or d_table.get(j)):
+        v = bracket_table.get((i, j), {})
+        if not (v or bracket_table.get((j, i)) or d_table.get(i) or d_table.get(j)):
             continue
-        want = module.degree(i) + module.degree(j)
-        if v and vect_degree(module, v) != want:
+        if v and vect_degree(module, v) != module.degree(i) + module.degree(j):
             rep.add("grading", [module.gen_name(i), module.gen_name(j)],
                     "bracket is not degree-additive")
-        anti = vect_acc(dict(v), br(j, i), ksign(module.degree(i) * module.degree(j)))
+        vij = left.get(i, {}).get(j, ())
+        anti = {(l, k): q for l, k, q in vij}
+        put = _acc if ksign(module.degree(i) * module.degree(j)) == 1 else _acc_neg
+        for l, k, q in left.get(j, {}).get(i, ()):
+            put(anti, (l, k), q)
         if anti:
             rep.add("antisymmetry", [module.gen_name(i), module.gen_name(j)],
                     "[x,y] != -(-1)^{|x||y|}[y,x]")
-        rhs = vect_acc(br_right(d_table.get(i, {}), j),
-                       br_left(i, d_table.get(j, {})), ksign(module.degree(i)))
-        if vect_acc(dd(v), rhs, -1):
+        res = acc({}, vij, d)
+        acc(res, d.get(i, ()), right.get(j, {}), -1)
+        acc(res, d.get(j, ()), left.get(i, {}), -ksign(module.degree(i)))
+        if res:
             rep.add("leibniz", [module.gen_name(i), module.gen_name(j)],
                     "d[x,y] != [dx,y] + (-1)^{|x|}[x,dy]")
 
     def chained(i, j):
         """The k for which [x_i,[x_j,x_k]], [[x_i,x_j],x_k] or [x_j,[x_i,x_k]]
         is a chain of nonzero brackets; no other k has a nonzero Jacobi term."""
-        return sorted(set().union(*(into.get((j, l), ()) for l in rows.get(i, ())),
-                                  *(rows.get(l, ()) for l in br(i, j)),
-                                  *(into.get((i, l), ()) for l in rows.get(j, ()))))
+        return sorted(set().union(*(into.get((j, l), ()) for l in left.get(i, ())),
+                                  *(left.get(l, ()) for l in bracket_table.get((i, j), ())),
+                                  *(into.get((i, l), ()) for l in left.get(j, ()))))
 
     for i, j in itertools.product(range(n), repeat=2):
+        li, lj = left.get(i, {}), left.get(j, {})
+        sign = -ksign(module.degree(i) * module.degree(j))
         for k in chained(i, j):
-            first = br_left(i, br(j, k))
-            rhs = vect_acc(br_right(br(i, j), k), br_left(j, br(i, k)),
-                           ksign(module.degree(i) * module.degree(j)))
-            if vect_acc(first, rhs, -1):
+            # [x_i,[x_j,x_k]] - [[x_i,x_j],x_k] - (-1)^{|x_i||x_j|}[x_j,[x_i,x_k]]
+            res = acc({}, lj.get(k, ()), li)
+            acc(res, li.get(j, ()), right.get(k, {}), -1)
+            if acc(res, li.get(k, ()), lj, sign):
                 rep.add("jacobi", [module.gen_name(i), module.gen_name(j), module.gen_name(k)],
                         "[x,[y,z]] != [[x,y],z] + (-1)^{|x||y|}[y,[x,z]]")
     return rep
@@ -178,9 +185,7 @@ def taylor_from_dgla(module, d_table, bracket_table) -> TaylorSeq:
 
 def dgla_tables_from_taylor(module, T: TaylorSeq):
     """Inverse of taylor_from_dgla: read (d, bracket) back off d^1, d^2."""
-    d_table = {}
-    for (i,), v in T.maps.get(1, {}).items():
-        d_table[i] = dict(v)
+    d_table = {i: dict(v) for (i,), v in T.maps.get(1, {}).items()}
     bracket = {}
     for i, j in sorted({p for i, j in T.maps.get(2, {}) for p in ((i, j), (j, i))}):
         v = T.eval_word((i, j))
@@ -357,11 +362,9 @@ class LinfMorphism:
     @classmethod
     def strict(cls, source, target, f_table, check=True):
         """Morphism with only a first Taylor coefficient (a DGLA map)."""
-        sh_s = source.shifted
-        table = {}
-        for k, v in f_table.items():
-            table[(_letter(source.module, k),)] = _as_vect(target.module, v)
-        T = TaylorSeq(sh_s, target.shifted, {1: table}, "morphism")
+        table = {(_letter(source.module, k),): _as_vect(target.module, v)
+                 for k, v in f_table.items()}
+        T = TaylorSeq(source.shifted, target.shifted, {1: table}, "morphism")
         return cls(source, target, T, check=check)
 
     @classmethod
@@ -467,12 +470,9 @@ def twist_taylor(taylor: TaylorSeq, omega_elem: CoalgElem) -> TaylorSeq:
 def twist_coder(algebra: LinfAlgebra, omega, allow_non_mc=False) -> LinfAlgebra:
     """Twist of the L-infinity structure by omega, which must be Maurer-Cartan
     unless allow_non_mc is set.  The result is not checked."""
-    if isinstance(omega, MCElement):
-        om_vect = omega.vect
-    else:
-        om_vect = _as_vect(algebra.module, omega)
-        if not allow_non_mc:
-            MCElement(algebra, om_vect, check=True)
+    om_vect = omega.vect if isinstance(omega, MCElement) else _as_vect(algebra.module, omega)
+    if not (allow_non_mc or isinstance(omega, MCElement)):
+        MCElement(algebra, om_vect, check=True)
     T = twist_taylor(algebra.taylor, CoalgElem.from_vect(algebra.shifted, om_vect))
     return LinfAlgebra(algebra.module, T)
 
@@ -508,10 +508,7 @@ def conjugation_twist(algebra: LinfAlgebra, omega) -> CoalgOperator:
 
     The final values agree with the Taylor-formula twist word for word.
     """
-    if isinstance(omega, MCElement):
-        om_vect = omega.vect
-    else:
-        om_vect = _as_vect(algebra.module, omega)
+    om_vect = omega.vect if isinstance(omega, MCElement) else _as_vect(algebra.module, omega)
     return _conjugated(algebra.Q, om_vect, om_vect)
 
 
@@ -644,8 +641,7 @@ def linf_identity_check(psi_taylor: TaylorSeq, source: LinfAlgebra,
 
 def tensor_module(A: CoeffDGA, module: GradedBasisModule):
     """A x g with paired basis and added degrees (coefficients stay over C)."""
-    gens = []
-    pairs = []
+    gens, pairs = [], []
     for ai in range(len(A)):
         for gi in range(len(module)):
             nm = module.gen_name(gi) if ai == A.unit_index \

@@ -66,7 +66,9 @@ class Poly:
 
     @classmethod
     def const(cls, n, q, alg=None):
-        alg = alg if alg is not None else rational_field()
+        """The constant q, over alg; alg defaults to a DgaElem q's own algebra, else Q."""
+        if alg is None:
+            alg = q.alg if isinstance(q, DgaElem) else rational_field()
         c = q if isinstance(q, DgaElem) else alg.scalar(q)
         return cls(n, {tuple([0] * n): c}, alg=alg)
 
@@ -84,8 +86,9 @@ class Poly:
 
     @classmethod
     def monomial(cls, exps, coeff=1):
+        """coeff * t^exps, over a DgaElem coeff's own algebra, else over Q."""
         c = coeff if isinstance(coeff, DgaElem) else rational_field().scalar(coeff)
-        return cls(len(exps), {tuple(exps): c})
+        return cls(len(exps), {tuple(exps): c}, alg=c.alg)
 
     # -- predicates ----------------------------------------------------------
 

@@ -36,6 +36,8 @@ class PolyVec:
         for w, f in terms.items():
             if not isinstance(f, Poly):
                 raise TypeError("PolyVec coefficients must be Poly")
+            if f.alg is not self.alg and f.alg != self.alg:
+                raise ValueError("coefficient algebra mismatch")
             r = koszul_sort(w, w)  # every d_i is odd
             if r is None or f.is_zero():
                 continue
@@ -56,7 +58,7 @@ class PolyVec:
     @classmethod
     def basis(cls, indices, n, coeff=None):
         f = coeff if coeff is not None else Poly.one(n)
-        return cls(n, {tuple(indices): f})
+        return cls(n, {tuple(indices): f}, alg=f.alg)
 
     def is_zero(self):
         return not self.terms

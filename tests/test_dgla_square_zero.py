@@ -8,13 +8,19 @@ the reference walk of ``reference_checks``, on valid tables and on tables that
 break one of those axioms while keeping graded antisymmetry and the grading.
 """
 
+import collections
+import importlib.util
+import itertools
+import json
+import os
 import random
 from fractions import Fraction
 
-from linfty import samples
+from linfty import jsonio, samples
+from linfty.coalg import GradedBasisModule
 from linfty.linf import (LinfAlgebra, dgla_check, dgla_tables_from_taylor, mc_residue,
                          mc_residue_dgla, taylor_from_dgla, tensor_dgla)
-from linfty.scalars import dga_tensor, make_truncated_poly_dga, rational_field
+from linfty.scalars import DgaElem, dga_tensor, make_truncated_poly_dga, rational_field
 from reference_checks import (dgla_violations, reference_tables_from_taylor,
                               reference_taylor_from_dgla, reference_tensor_bracket,
                               square_zero_witnesses)
@@ -147,6 +153,72 @@ def test_dgla_check_reports_one_sided_brackets():
             got = dgla_check(alg.module, d_table, one_sided).violations
             assert got == dgla_violations(alg.module, d_table, one_sided), (family, i, j)
             assert [v["axiom"] for v in got].count("antisymmetry") == 2, (family, i, j)
+
+
+def h2_cases():
+    """DGLAs over Q[h]/(h^4) whose axioms fix the h^2-coordinate of one bracket:
+    (module, d, bracket, that bracket's pair, its letter, the violations,
+    as (axiom, witness), once that coordinate's sign is flipped)."""
+    u = H4.elem({"1": 1, "h^2": 1})
+    # d x = y and [a, x] = u x, so Leibniz at (a, x) needs [a, y] = u y
+    yield (GradedBasisModule("g", [("a", 0), ("x", 0), ("y", 1)], H4), {"x": {"y": 1}},
+           {("a", "x"): {"x": u}, ("a", "y"): {"y": u}}, ("a", "y"), "y",
+           [("leibniz", ["a", "x"]), ("leibniz", ["x", "a"])])
+    # [a, x] = x, [a, y] = h^2 y and [x, y] = z, so Jacobi at (a, x, y) needs
+    # [a, z] = (1 + h^2) z
+    yield (GradedBasisModule("g", [("a", 0), ("x", 0), ("y", 0), ("z", 0)], H4), {},
+           {("a", "x"): {"x": 1}, ("a", "y"): {"y": H4.gen("h^2")}, ("a", "z"): {"z": u},
+            ("x", "y"): {"z": 1}}, ("a", "z"), "z",
+           [("jacobi", list(p)) for p in itertools.permutations("axy")])
+
+
+def rational_parts(module, d_table, bracket):
+    """The tables with each coefficient cut down to its multiple of the unit."""
+    C = module.coeff
+
+    def part(v):
+        return {i: C.scalar(c.rational_part()) for i, c in v.items() if c.rational_part()}
+    return {i: part(v) for i, v in d_table.items()}, {p: part(v) for p, v in bracket.items()}
+
+
+def test_dgla_check_reads_every_coordinate_of_c():
+    # a flipped h^2-coordinate leaves the rational parts alone, and those pass
+    for module, d_table, bracket, pair, letter, want in h2_cases():
+        assert dgla_check(module, *LinfAlgebra.from_dgla(module, d_table, bracket).dgla_tables()).ok
+        flipped = {**bracket, pair: {letter: H4.elem({"1": 1, "h^2": -1})}}
+        tables = LinfAlgebra.from_dgla(module, d_table, flipped, check=False).dgla_tables()
+        got = dgla_check(module, *tables).violations
+        assert [(v["axiom"], v["witness"]) for v in got] == want
+        assert got == dgla_violations(module, *tables)
+        assert dgla_check(module, *rational_parts(module, *tables)).ok
+
+
+def test_dgla_check_forms_no_dga_elem_product_or_sum(monkeypatch, tmp_path):
+    # on the algebras of the benchmark's twist workload, loaded from its instances
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    twist = workloads.Twist()
+    ctx = {**twist.setup(), "workdir": str(tmp_path)}
+    algebras = []
+    for job in twist.make_jobs(ctx, seed=5, count=twist.BLOCK):
+        with open(job["argv"][-1]) as fh:
+            algebras.append(jsonio.instance_from_json(json.load(fh))[0])
+    calls = collections.Counter()
+    for name in ("__mul__", "__add__"):
+        def counted(*args, _name=name, _f=getattr(DgaElem, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(DgaElem, name, counted)
+    H4.one() * H4.one() + H4.one()
+    assert calls == {"__mul__": 1, "__add__": 1}
+    calls.clear()
+    for alg in algebras:
+        assert dgla_check(alg.module, *alg.dgla_tables()).ok
+    assert not calls
+    assert sum(bool(alg.dgla_tables()[1]) for alg in algebras) >= len(algebras) // 2
+    assert sum(bool(alg.dgla_tables()[0]) for alg in algebras) >= len(algebras) // 4
 
 
 def listed(tables):

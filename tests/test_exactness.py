@@ -5,8 +5,10 @@ Random elements built from a mix of int and Fraction(p, q) inputs go through
 + - * scale d over Q, over Q[h]/(h^3), and over a rescaled Q[h]/(h^3) whose
 structure constants are not integral.  Each result must equal a reference that
 computes on plain {key: Fraction} dicts, and every coefficient stored in it
-must satisfy ``reference_checks.is_exact``.  So must every coefficient loaded
-from the golden files and from instances of the benchmark's twist workload.
+must satisfy ``reference_checks.is_exact``.  So must ``coalg.vect_acc`` with a
+DgaElem factor, against a product and then a sum per term, and every
+coefficient loaded from the golden files and from instances of the
+benchmark's twist workload.
 """
 
 import importlib.util
@@ -14,13 +16,16 @@ import json
 import os
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from linfty import jsonio
+from linfty.coalg import vect_acc
 from linfty.diffop import PolyDiffOp, gerstenhaber, hochschild_d
 from linfty.grammar import parse_polydiffop
 from linfty.poly import Poly
-from linfty.scalars import CoeffDGA, DgaElem, dga_check, make_truncated_poly_dga, rational_field
+from linfty.scalars import (CoeffDGA, DgaElem, _acc, dga_check, dga_tensor,
+                            make_truncated_poly_dga, rational_field)
 from reference_checks import is_exact, reference_gerstenhaber
 
 HERE = os.path.dirname(__file__)
@@ -227,6 +232,67 @@ def test_diffop_ops_match_the_fraction_reference(case):
                       (hochschild_d(a), reference_gerstenhaber(mu, a.terms))]:
         assert got.terms == want
         assert_exact(got)
+
+
+# -- vect_acc with a DgaElem factor ----------------------------------------------
+
+# with Lambda(th1,th2) x Q[h]/(h^3): odd basis elements, signs in the table
+VECT_ALGEBRAS = ALGEBRAS + [dga_tensor(make_truncated_poly_dga([1, 1], 2, names=["th1", "th2"]),
+                                       make_truncated_poly_dga([0], 3))]
+
+
+def ref_vect_acc(out, v, q):
+    """out += q * v as one product and then one sum per entry of v."""
+    for i, c in v.items():
+        p = q * c
+        if p:
+            _acc(out, i, p)
+    return out
+
+
+@st.composite
+def vect_cases(draw):
+    """(A, out, v, q): out and v vects over A, q over A, the unit among them;
+    on some keys out holds q * c and v holds -c, so that the sum cancels."""
+    A = draw(st.sampled_from(VECT_ALGEBRAS))
+    elems = elem_dicts(A).map(A.elem).filter(bool)
+    keys = st.integers(0, 4)
+    q = draw(st.one_of(st.just(A.one()), st.just(A.scalar(-2)), elems))
+    out = draw(st.dictionaries(keys, elems, max_size=4))
+    v = draw(st.dictionaries(keys, elems, max_size=4))
+    for i, c in draw(st.dictionaries(keys, elems, max_size=2)).items():
+        if q * c:
+            out[i], v[i] = q * c, -c
+    return A, out, v, q
+
+
+@given(vect_cases())
+@settings(max_examples=150, deadline=None)
+def test_vect_acc_matches_a_product_then_a_sum_per_term(case):
+    A, out, v, q = case
+    got, want = vect_acc(dict(out), v, q), ref_vect_acc(dict(out), v, q)
+    assert list(got.items()) == list(want.items())
+    assert all(c for c in got.values())
+    assert_exact(got)
+    # a factor or a value over another algebra is refused, the unit factor too
+    B = VECT_ALGEBRAS[(VECT_ALGEBRAS.index(A) + 1) % len(VECT_ALGEBRAS)]
+    if v:
+        for stranger in (B.one(), B.scalar(3), B.basis_elem(len(B) - 1)):
+            with pytest.raises(ValueError, match="different algebras"):
+                vect_acc(dict(out), v, stranger)
+    with pytest.raises(ValueError, match="different algebras"):
+        vect_acc(dict(out), {**v, 5: B.one()}, q)
+
+
+def test_vect_acc_cancels_vanishes_and_keeps_the_order():
+    A = VECT_ALGEBRAS[3]
+    h, th1 = A.elem({"h": 1}), A.elem({"th1": 1})
+    out = {0: h * th1, 1: h}
+    got = vect_acc(dict(out), {0: th1.scale(-1), 2: th1}, h)
+    assert list(got.items()) == [(1, h), (2, h * th1)]
+    got = vect_acc(dict(out), {2: th1, 1: h}, A.one())
+    assert list(got.items()) == [(0, h * th1), (1, h.scale(2)), (2, th1)]
+    assert vect_acc({}, {0: th1}, th1) == {}  # th1 * th1 = 0 adds no key
 
 
 # -- loaded coefficients ---------------------------------------------------------

@@ -60,6 +60,17 @@ class TestArithmetic:
         assert Poly(1, {(0,): H.gen("h")}, alg=H) * Poly(1, {(1,): 2}, alg=H) == \
             Poly(1, {(1,): H.gen("h").scale(2)}, alg=H)
 
+    def test_constructors_take_the_algebra_of_their_coefficient(self):
+        H = make_truncated_poly_dga([0], 3)
+        h = H.gen("h")
+        assert Poly.const(2, h).alg is H and Poly.monomial((1, 2), h).alg is H
+        assert Poly.const(2, h) == Poly(2, {(0, 0): h}, alg=H)
+        assert Poly.monomial((1, 2), h) * Poly.monomial((1, 0), h) == \
+            Poly(2, {(2, 2): H.gen("h^2")}, alg=H)
+        assert Poly.const(2, 3).alg is Poly.monomial((1, 2), 3).alg is Poly.one(2).alg
+        with pytest.raises(ValueError, match="coefficient algebra mismatch"):
+            Poly.const(2, h, alg=Poly.one(2).alg)
+
 
 class TestPartial:
     def test_monomial(self):

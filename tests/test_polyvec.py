@@ -8,7 +8,7 @@ from linfty.diffop import gerstenhaber
 from linfty.hkr import u1
 from linfty.poly import Poly
 from linfty.polyvec import PolyVec, is_poisson, schouten, transform, wedge
-from linfty.scalars import ksign
+from linfty.scalars import ksign, make_truncated_poly_dga
 
 
 def d(i, n=3, coeff=None):
@@ -136,6 +136,28 @@ class TestPoisson:
     def test_wrong_degree_rejected(self):
         with pytest.raises(ValueError):
             is_poisson(d(1))
+
+
+class TestCoefficientAlgebra:
+    H = make_truncated_poly_dga([0], 3)
+
+    def test_refuses_a_coefficient_over_another_algebra(self):
+        f = Poly(1, {(2,): self.H.gen("h")}, alg=self.H)
+        with pytest.raises(ValueError, match="coefficient algebra mismatch"):
+            PolyVec(1, {(1,): f})
+        with pytest.raises(ValueError, match="coefficient algebra mismatch"):
+            PolyVec(1, {(1,): Poly.one(1)}, alg=self.H)
+
+    def test_basis_lives_over_its_coefficient_algebra(self):
+        # [h t^2 d1, t d1] = h t^2 d1 - t (2 h t) d1 = -h t^2 d1, over H both ways
+        H = self.H
+        v = PolyVec.basis((1,), 1, coeff=Poly(1, {(2,): H.gen("h")}, alg=H))
+        w = PolyVec.basis((1,), 1, coeff=Poly(1, {(1,): 1}, alg=H))
+        assert v.alg is H and w.alg is H
+        want = PolyVec(1, {(1,): Poly(1, {(2,): H.gen("h").scale(-1)}, alg=H)}, alg=H)
+        assert schouten(v, w) == want and schouten(w, v) == want.scale(-1)
+        assert schouten(v, w).alg is H and schouten(w, v).alg is H
+        assert "h" in repr(schouten(v, w))
 
 
 class TestTransform:
