@@ -86,17 +86,22 @@ class GradedBasisModule:
 
     def words(self, order):
         """All canonical words of exactly this order (odd repeats excluded)."""
-        odd, out = self.odd, []
+        out = []
         for w in itertools.combinations_with_replacement(range(len(self.gens)), order):
+            ok = True
             for a, b in zip(w, w[1:]):
-                if a == b and a in odd:
+                if a == b and self.degree(a) % 2 == 1:
+                    ok = False
                     break
-            else:
+            if ok:
                 out.append(w)
         return out
 
     def words_up_to(self, max_order):
-        return [w for j in range(max_order + 1) for w in self.words(j)]
+        out = []
+        for j in range(max_order + 1):
+            out.extend(self.words(j))
+        return out
 
 
 def canon_word(module, letters):
@@ -121,9 +126,7 @@ def vect_acc(out, v, q=1):
 
     Works on any sparse dict of DgaElem values (vects, coalgebra words).  A
     DgaElem q other than the unit multiplies each value straight into a copy of
-    the running coefficient through the product table: one DgaElem per key
-    touched, none per product.  A value over another algebra than q's is a
-    ValueError, the unit q included.
+    the running coefficient: one DgaElem per key touched, none per product.
     """
     if isinstance(q, DgaElem):
         C, x = q.alg, q.coeffs
@@ -140,7 +143,11 @@ def vect_acc(out, v, q=1):
                     out.pop(i, None)
             return out
         q = 1
-    for i, c in (v.items() if q == 1 else ((i, c.scale(q)) for i, c in v.items())):
+    if q == 1:
+        terms = v.items()
+    else:
+        terms = ((i, c.scale(q)) for i, c in v.items())
+    for i, c in terms:
         if c:
             _acc(out, i, c)
     return out
@@ -229,20 +236,16 @@ class CoalgElem:
 
         Each pair of words adds its signed coefficient product term by term
         into the coefficient of the product word, which enters the result when
-        its sum first becomes nonzero and leaves it when the sum cancels.  When
-        either coefficient is the unit, the pair adds the other one."""
+        its sum first becomes nonzero and leaves it when the sum cancels."""
         module, W = self.module, self.W
         C = module.coeff
         for c in itertools.chain(self.words.values(), other.words.values()):
             if c.alg is not C and c.alg != C:
                 raise ValueError("DgaElem product across different algebras")
-        table, canon, one = C.table, module._canon, {C.unit_index: 1}
-        rights = [(w2, c2.coeffs, c2.coeffs == one) for w2, c2 in other.words.items()]
+        table, canon = C.table, module._canon
         sums = {}
         for w1, c1 in self.words.items():
-            x1 = c1.coeffs
-            unit1 = x1 == one
-            for w2, x2, unit2 in rights:
+            for w2, c2 in other.words.items():
                 try:
                     r = canon[w1 + w2]
                 except KeyError:
@@ -256,12 +259,7 @@ class CoalgElem:
                 acc = sums.get(w)
                 if acc is None:
                     acc = sums[w] = {}
-                if unit1 or unit2:
-                    put = _acc if sign == 1 else _acc_neg
-                    for k, q in (x2 if unit1 else x1).items():
-                        put(acc, k, q)
-                else:
-                    _mul_acc(acc, table, x1, x2, sign)
+                _mul_acc(acc, table, c1.coeffs, c2.coeffs, sign)
                 if not acc:
                     del sums[w]
         for w, acc in sums.items():
@@ -323,8 +321,13 @@ def _coalg(module, words, W):
 
 
 def tensor_of(x: CoalgElem, y: CoalgElem):
-    return {(w1, w2): c for w1, c1 in x.words.items() for w2, c2 in y.words.items()
-            if (c := c1 * c2)}
+    out = {}
+    for w1, c1 in x.words.items():
+        for w2, c2 in y.words.items():
+            c = c1 * c2
+            if c:
+                out[(w1, w2)] = c
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -366,13 +369,16 @@ class TaylorSeq:
                                 for i, c in v.items()}, sign)
                 if not v:
                     continue
-                want, got = word_degree(source, cw) + shift, vect_degree(target, v)
-                if got is None:  # v is nonzero, so its degrees are mixed
-                    raise ValueError(f"inhomogeneous value on {cw}: degrees "
-                                     f"{sorted({target.degree(i) for i in v})}, expected {want}")
-                if got != want:
+                want = word_degree(source, cw) + shift
+                got = vect_degree(target, v)
+                if got is not None and got != want:
                     raise ValueError(
                         f"degree mismatch on {cw}: value degree {got}, expected {want}")
+                if got is None:
+                    degs = {target.degree(i) for i in v}
+                    if degs != {want}:
+                        raise ValueError(
+                            f"inhomogeneous value on {cw}: degrees {sorted(degs)}, expected {want}")
                 vect_acc(ntab.setdefault(cw, {}), v)
             if ntab:
                 norm[j] = ntab
@@ -401,9 +407,13 @@ class TaylorSeq:
             return {}
         out = {}
         for combo in itertools.product(*(e.items() for e in elements)):
-            coeff = math.prod(c for _, c in combo)
-            if coeff:
-                vect_acc(out, self.eval_word(tuple(i for i, _ in combo)), coeff)
+            letters = tuple(i for i, _ in combo)
+            coeff = None
+            for _, c in combo:
+                coeff = c if coeff is None else coeff * c
+            if coeff is None or not coeff:
+                continue
+            vect_acc(out, self.eval_word(letters), coeff)
         return out
 
 
@@ -580,7 +590,8 @@ def is_grouplike(e: CoalgElem) -> bool:
 
 def is_invertible(e: CoalgElem) -> bool:
     """Invertibility in S_C over the local ring C: unit part outside m."""
-    return bool(e.constant_term().rational_part())
+    c = e.constant_term()
+    return bool(c.rational_part())
 
 
 # ---------------------------------------------------------------------------

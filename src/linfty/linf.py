@@ -43,7 +43,8 @@ from collections import defaultdict
 from .coalg import (CoalgElem, CoalgOperator, GradedBasisModule, TaylorSeq, _taylor,
                     coder_from_taylor, exp, morph_from_taylor, vect_acc,
                     vect_degree, vect_scale)
-from .scalars import CoeffDGA, DgaElem, ValidationReport, _acc, _acc_neg, frac, ksign
+from .scalars import (CoeffDGA, DgaElem, ValidationReport, _acc, _acc_neg, _mul_acc, frac,
+                      ksign)
 
 
 # ---------------------------------------------------------------------------
@@ -84,66 +85,63 @@ def complete_bracket(module, bracket):
 def dgla_check(module, d_table, bracket_table) -> ValidationReport:
     """Graded antisymmetry, Jacobi, d^2 = 0, Leibniz, and degree bookkeeping;
     the walks skip only the pairs and triples whose checks have no nonzero
-    term, so they report what the loops over all of them report.
-
-    Each nonzero d and bracket value is flattened once into rows (generator,
-    C index, q), and each residue is summed as {(generator, C index): q}
-    through the product table of C: no product or sum is wrapped in a DgaElem.
-    """
+    term, so they report what the loops over all of them report.  Each residue
+    is a {generator: {C index: q}} dict summed by ``_mul_acc``: no DgaElem."""
     rep = ValidationReport()
-    n, C, table = len(module), module.coeff, module.coeff.table
+    n, C = len(module), module.coeff
 
-    def flat(v):
+    def coeffs(v):
         if any(c.alg is not C and c.alg != C for c in v.values()):
             raise ValueError("DgaElem product across different algebras")
-        return [(l, k, q) for l, c in v.items() for k, q in c.coeffs.items()]
+        return {l: c.coeffs for l, c in v.items()}
 
-    # d[i] = d x_i and left[i][j] = right[j][i] = [x_i, x_j] as rows, nonzero
-    # ones only; into[(i, l)] holds the j with x_l in [x_i, x_j]
-    d = {i: flat(v) for i, v in d_table.items() if v}
-    left, right, into = {}, {}, defaultdict(set)
+    # d[i] = d x_i and left[i][j] = right[j][i] = [x_i, x_j] as coefficient
+    # dicts, the nonzero ones only; into[(i, l)] holds the j with x_l in [x_i, x_j]
+    d = {i: coeffs(v) for i, v in d_table.items() if v}
+    left, right, into = defaultdict(dict), defaultdict(dict), defaultdict(set)
     for (i, j), v in bracket_table.items():
         if v:
-            left.setdefault(i, {})[j] = right.setdefault(j, {})[i] = flat(v)
+            left[i][j] = right[j][i] = coeffs(v)
             for l in v:
                 into[(i, l)].add(j)
 
-    def acc(out, x, cols, sign=1):
-        """out += sign * the sum of c * cols[m] over the rows (m, a, p) of x,
-        c = p b_a the left factor; returns out, which is only tested for zero."""
-        for m, a, p in x:
-            row = table[a]
-            for l, b, r in cols.get(m, ()):
-                pr = p * r if sign == 1 else -p * r
-                for k, q in row[b]:
-                    _acc(out, (l, k), pr if q == 1 else -pr if q == -1 else pr * q)
+    def acc(out, v, cols, sign=1):
+        """out += sign * the sum of c * cols[m] over the terms c x_m of v, with c
+        the left factor as in ``q * c``; returns out."""
+        for m, p in v.items():
+            for l, r in cols.get(m, {}).items():
+                _mul_acc(out.setdefault(l, {}), C.table, p, r, sign)
         return out
 
     for i in range(n):
         v = d_table.get(i, {})
-        if v and vect_degree(module, v) != module.degree(i) + 1:
+        got = vect_degree(module, v)
+        if v and got != module.degree(i) + 1:
             rep.add("grading", [module.gen_name(i)], "d is not degree +1")
-        if acc({}, d.get(i, ()), d):
+        if any(acc({}, d.get(i, {}), d).values()):
             rep.add("d_squared", [module.gen_name(i)], "d(d(x)) != 0")
     for i, j in itertools.product(range(n), repeat=2):
         v = bracket_table.get((i, j), {})
         if not (v or bracket_table.get((j, i)) or d_table.get(i) or d_table.get(j)):
             continue
-        if v and vect_degree(module, v) != module.degree(i) + module.degree(j):
+        want = module.degree(i) + module.degree(j)
+        if v and vect_degree(module, v) != want:
             rep.add("grading", [module.gen_name(i), module.gen_name(j)],
                     "bracket is not degree-additive")
-        vij = left.get(i, {}).get(j, ())
-        anti = {(l, k): q for l, k, q in vij}
+        vij = left.get(i, {}).get(j, {})
+        anti = {l: dict(x) for l, x in vij.items()}
         put = _acc if ksign(module.degree(i) * module.degree(j)) == 1 else _acc_neg
-        for l, k, q in left.get(j, {}).get(i, ()):
-            put(anti, (l, k), q)
-        if anti:
+        for l, x in left.get(j, {}).get(i, {}).items():
+            for k, q in x.items():
+                put(anti.setdefault(l, {}), k, q)
+        if any(anti.values()):
             rep.add("antisymmetry", [module.gen_name(i), module.gen_name(j)],
                     "[x,y] != -(-1)^{|x||y|}[y,x]")
+        # d[x_i,x_j] - [dx_i,x_j] - (-1)^{|x_i|}[x_i,dx_j]
         res = acc({}, vij, d)
-        acc(res, d.get(i, ()), right.get(j, {}), -1)
-        acc(res, d.get(j, ()), left.get(i, {}), -ksign(module.degree(i)))
-        if res:
+        acc(res, d.get(i, {}), right.get(j, {}), -1)
+        acc(res, d.get(j, {}), left.get(i, {}), -ksign(module.degree(i)))
+        if any(res.values()):
             rep.add("leibniz", [module.gen_name(i), module.gen_name(j)],
                     "d[x,y] != [dx,y] + (-1)^{|x|}[x,dy]")
 
@@ -159,9 +157,9 @@ def dgla_check(module, d_table, bracket_table) -> ValidationReport:
         sign = -ksign(module.degree(i) * module.degree(j))
         for k in chained(i, j):
             # [x_i,[x_j,x_k]] - [[x_i,x_j],x_k] - (-1)^{|x_i||x_j|}[x_j,[x_i,x_k]]
-            res = acc({}, lj.get(k, ()), li)
-            acc(res, li.get(j, ()), right.get(k, {}), -1)
-            if acc(res, li.get(k, ()), lj, sign):
+            res = acc({}, lj.get(k, {}), li)
+            acc(res, li.get(j, {}), right.get(k, {}), -1)
+            if any(acc(res, li.get(k, {}), lj, sign).values()):
                 rep.add("jacobi", [module.gen_name(i), module.gen_name(j), module.gen_name(k)],
                         "[x,[y,z]] != [[x,y],z] + (-1)^{|x||y|}[y,[x,z]]")
     return rep
@@ -185,7 +183,9 @@ def taylor_from_dgla(module, d_table, bracket_table) -> TaylorSeq:
 
 def dgla_tables_from_taylor(module, T: TaylorSeq):
     """Inverse of taylor_from_dgla: read (d, bracket) back off d^1, d^2."""
-    d_table = {i: dict(v) for (i,), v in T.maps.get(1, {}).items()}
+    d_table = {}
+    for (i,), v in T.maps.get(1, {}).items():
+        d_table[i] = dict(v)
     bracket = {}
     for i, j in sorted({p for i, j in T.maps.get(2, {}) for p in ((i, j), (j, i))}):
         v = T.eval_word((i, j))
@@ -362,9 +362,11 @@ class LinfMorphism:
     @classmethod
     def strict(cls, source, target, f_table, check=True):
         """Morphism with only a first Taylor coefficient (a DGLA map)."""
-        table = {(_letter(source.module, k),): _as_vect(target.module, v)
-                 for k, v in f_table.items()}
-        T = TaylorSeq(source.shifted, target.shifted, {1: table}, "morphism")
+        sh_s = source.shifted
+        table = {}
+        for k, v in f_table.items():
+            table[(_letter(source.module, k),)] = _as_vect(target.module, v)
+        T = TaylorSeq(sh_s, target.shifted, {1: table}, "morphism")
         return cls(source, target, T, check=check)
 
     @classmethod
@@ -470,9 +472,12 @@ def twist_taylor(taylor: TaylorSeq, omega_elem: CoalgElem) -> TaylorSeq:
 def twist_coder(algebra: LinfAlgebra, omega, allow_non_mc=False) -> LinfAlgebra:
     """Twist of the L-infinity structure by omega, which must be Maurer-Cartan
     unless allow_non_mc is set.  The result is not checked."""
-    om_vect = omega.vect if isinstance(omega, MCElement) else _as_vect(algebra.module, omega)
-    if not (allow_non_mc or isinstance(omega, MCElement)):
-        MCElement(algebra, om_vect, check=True)
+    if isinstance(omega, MCElement):
+        om_vect = omega.vect
+    else:
+        om_vect = _as_vect(algebra.module, omega)
+        if not allow_non_mc:
+            MCElement(algebra, om_vect, check=True)
     T = twist_taylor(algebra.taylor, CoalgElem.from_vect(algebra.shifted, om_vect))
     return LinfAlgebra(algebra.module, T)
 
@@ -508,7 +513,10 @@ def conjugation_twist(algebra: LinfAlgebra, omega) -> CoalgOperator:
 
     The final values agree with the Taylor-formula twist word for word.
     """
-    om_vect = omega.vect if isinstance(omega, MCElement) else _as_vect(algebra.module, omega)
+    if isinstance(omega, MCElement):
+        om_vect = omega.vect
+    else:
+        om_vect = _as_vect(algebra.module, omega)
     return _conjugated(algebra.Q, om_vect, om_vect)
 
 
@@ -641,7 +649,8 @@ def linf_identity_check(psi_taylor: TaylorSeq, source: LinfAlgebra,
 
 def tensor_module(A: CoeffDGA, module: GradedBasisModule):
     """A x g with paired basis and added degrees (coefficients stay over C)."""
-    gens, pairs = [], []
+    gens = []
+    pairs = []
     for ai in range(len(A)):
         for gi in range(len(module)):
             nm = module.gen_name(gi) if ai == A.unit_index \

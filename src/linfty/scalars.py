@@ -103,7 +103,8 @@ class CoeffDGA:
     diff        dict i -> {k: q}, the degree +1 differential
                 (each q passes through ``frac``, and zeros are dropped; the
                 (i, j) and i keys stay, since ``dga_check`` reads them)
-    unit_index  position of the unit
+    unit_index  position of the unit; mul[(unit_index, i)] and mul[(i, unit_index)]
+                must be {i: 1} for every i, or the constructor raises ValueError
     ideal       frozenset of basis indices spanning the designated ideal m
     nilpotency_order  smallest N with m^N = 0 (1 when the ideal is zero)
     table       table[i][j] = ((k, q), ...), the nonzero terms of mul[(i, j)];
@@ -125,6 +126,11 @@ class CoeffDGA:
         self.table = [[tuple(self.mul.get((i, j), {}).items())
                        for j in range(len(self.basis))]
                       for i in range(len(self.basis))]
+        for b, name in enumerate(self.basis):  # products with the unit skip the table
+            for key in ((unit_index, b), (b, unit_index)):
+                if self.table[key[0]][key[1]] != ((b, 1),):
+                    raise ValueError(f"coefficient algebra mul entry {list(key)}: "
+                                     f"a product with the unit must be {name!r}")
         if nilpotency_order is None:
             nilpotency_order = self._compute_nilpotency_order()
         elif type(nilpotency_order) is not int or nilpotency_order < 1:

@@ -20,7 +20,7 @@ from linfty import jsonio, samples
 from linfty.coalg import GradedBasisModule
 from linfty.linf import (LinfAlgebra, dgla_check, dgla_tables_from_taylor, mc_residue,
                          mc_residue_dgla, taylor_from_dgla, tensor_dgla)
-from linfty.scalars import DgaElem, dga_tensor, make_truncated_poly_dga, rational_field
+from linfty.scalars import CoeffDGA, DgaElem, dga_tensor, make_truncated_poly_dga, rational_field
 from reference_checks import (dgla_violations, reference_tables_from_taylor,
                               reference_taylor_from_dgla, reference_tensor_bracket,
                               square_zero_witnesses)
@@ -191,6 +191,25 @@ def test_dgla_check_reads_every_coordinate_of_c():
         assert [(v["axiom"], v["witness"]) for v in got] == want
         assert got == dgla_violations(module, *tables)
         assert dgla_check(module, *rational_parts(module, *tables)).ok
+
+
+def test_dgla_check_keeps_the_left_factor_of_each_product():
+    # a degree-0 product with e*h = h but h*e = 0 (it fails dga_check, but an
+    # instance's coeff loads unchecked): d x = e y + w, d y = h z, d w = -h z
+    # give d(d x) = e*h z - h z = 0 with the coefficient of d x on the left,
+    # as in q * c, and -h z with it on the right
+    C = CoeffDGA(["1", "h", "e"], [0, 0, 0],
+                 {**{(i, j): {} for i in range(3) for j in range(3)},
+                  **{(0, i): {i: 1} for i in range(3)}, **{(i, 0): {i: 1} for i in range(3)},
+                  (2, 1): {1: 1}, (2, 2): {2: 1}},
+                 {i: {} for i in range(3)}, 0, [1])
+    module = GradedBasisModule("g", [("x", 0), ("y", 1), ("w", 1), ("z", 2)], C)
+    h, e = C.gen("h"), C.gen("e")
+    d_table = {0: {1: e, 2: C.one()}, 1: {3: h}, 2: {3: -h}}
+    assert dgla_check(module, d_table, {}).violations == dgla_violations(module, d_table, {})
+    assert dgla_check(module, d_table, {}).ok
+    del d_table[2]  # so d(d x) = e*h z = h z, reported
+    assert [v["axiom"] for v in dgla_check(module, d_table, {}).violations] == ["d_squared"]
 
 
 def test_dgla_check_forms_no_dga_elem_product_or_sum(monkeypatch, tmp_path):

@@ -113,6 +113,15 @@ def assert_refused(doc, message):
         assert outcome(doc, verb) == (2, "", f"error: {message}\n"), verb
 
 
+def test_a_coefficient_algebra_whose_unit_row_is_not_the_identity_is_refused():
+    # products with the unit skip the product table, so such a table must not
+    # load: its verdicts would depend on which code path multiplied
+    doc = copy.deepcopy(INSTANCE)
+    next(row for row in doc["coeff"]["mul"] if row[:2] == [0, 1])[2] = [[1, "2"]]
+    assert_refused(doc, "coefficient algebra mul entry [0, 1]: "
+                        "a product with the unit must be 'h'")
+
+
 class TestRepeatedEntries:
     # a later entry must not silently replace an earlier one with the same key
 

@@ -89,6 +89,17 @@ class TestDgaCheck:
         assert rep.structural()
         assert all(v["axiom"] == "structural" for v in rep.violations)
 
+    @pytest.mark.parametrize("key", [(0, 1), (1, 0), (0, 0)])
+    def test_a_unit_row_other_than_the_identity_is_refused(self, key):
+        # products with the unit skip the table (vect_acc, CoalgElem.__mul__),
+        # so a table that disagrees with them there never builds an algebra
+        A = make_truncated_poly_dga([0], 3)
+        b = key[0] + key[1]
+        for row in ({}, {b: 2}, {b: 1, 2: 1}):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"mul entry {list(key)}: a product with the unit must be {A.basis[b]!r}")):
+                CoeffDGA(A.basis, A.degrees, {**A.mul, key: row}, A.diff, 0, A.ideal)
+
 
 class TestBuilder:
     def test_h_squared(self):
