@@ -472,13 +472,15 @@ def coder_from_taylor(T: TaylorSeq) -> CoalgOperator:
         raise ValueError("TaylorSeq does not have coderivation intent")
     module = T.source
     maxj = T.max_j()
+    # every block of a canonical word is canonical: read it from its table
+    tables = [T.maps.get(j, {}) for j in range(maxj + 1)]
 
     def column(w):
         out = {}
         for sub, rest, sign in _splits(module, w):
             if len(sub) > maxj:
                 break
-            for i, cv in T.eval_word(sub).items():
+            for i, cv in tables[len(sub)].get(sub, {}).items():
                 r = canon_word(module, (i,) + rest)
                 if r is None:
                     continue
@@ -517,7 +519,8 @@ def _morph_column(T, w, memo):
     for left, right, sign in _splits(T.source, w[1:]):
         if len(left) >= maxj:
             break
-        value = T.eval_word(w[:1] + left)
+        # w's first letter and a block of the rest: canonical, read from its table
+        value = T.maps.get(len(left) + 1, {}).get(w[:1] + left)
         if not value:
             continue
         if not right:  # w is one block: sign +1, and no other term has order 1

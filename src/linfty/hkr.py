@@ -116,8 +116,10 @@ class TruncationSpec:
         self.multiplicity = math.comb(n + max_poly_degree, n)
 
     def d_slice_words(self, p):
+        if p < -1:
+            return []
         mis = monomials_up_to(self.n, self.max_operator_order)
-        return list(itertools.product(mis, repeat=p + 1)) if p >= -1 else []
+        return list(itertools.product(mis, repeat=p + 1))
 
     def t_slice_words(self, p):
         return list(itertools.combinations(range(1, self.n + 1), p + 1))

@@ -235,7 +235,7 @@ class LinfAlgebra:
     def __init__(self, module: GradedBasisModule, taylor: TaylorSeq, W=math.inf):
         self.module = module
         self.shifted = taylor.source
-        if self.shifted.gens != module.shifted().gens:
+        if self.shifted.gens != tuple((n, d - 1) for n, d in module.gens):
             raise ValueError("taylor sequence does not live on the shifted module")
         self.taylor = taylor
         self.W = W
@@ -720,18 +720,25 @@ def extend_multilinear(psi: LinfMorphism, A: CoeffDGA, W=math.inf,
     src_ext = tensor_dgla(A, psi.source, W, check=check)
     tgt_ext = tensor_dgla(A, psi.target, W, check=check)
     s_pairs = src_ext.tensor_pairs
-    t_pair_index = {p: i for i, p in enumerate(tgt_ext.tensor_pairs)}
     sh_src = src_ext.shifted
-    g_deg = psi.source.module.degree
-    g_range = range(len(psi.source.module))
+    g_sdeg = [d for _, d in psi.source.shifted.gens]  # suspended degrees
+    dim_g, dim_t = len(psi.source.module), len(psi.target.module)
     taylor = psi.taylor
-    top = taylor.max_j()
-    # every sorted g-multiset that is part of a word with a Taylor value
-    wanted = {sub for table in taylor.maps.values() for cw in table
-              for k in range(1, len(cw) + 1) for sub in itertools.combinations(cw, k)}
-    values = {}   # eval_word by g-part, shared by words with other a-parts
+    # by sorted g-multiset, the (g, multiset + g) for each letter g that keeps
+    # it inside some Taylor word, largest g first: a multiset outside every
+    # Taylor word evaluates to {} on all its extensions
+    children = {}
+    for table in taylor.maps.values():
+        for cw in table:
+            for k in range(1, len(cw) + 1):
+                for sub in itertools.combinations(cw, k):
+                    for i in range(k):
+                        children.setdefault(sub[:i] + sub[i + 1:], {})[sub[i]] = sub
+    children = {ms: sorted(ch.items(), reverse=True) for ms, ch in children.items()}
+    # by (g-part, q), the g-part's Taylor value scaled by q as (g, DgaElem)
+    # pairs, shared by the words with other a-parts
+    scaled = {}
 
-    dim_g = len(g_range)
     # by c, the a with c * a != 0: a prefix product can only grow by an a
     # that some basis element of its support multiplies to nonzero
     right = [{a for a in range(len(A)) if A.table[c][a]} for c in range(len(A))]
@@ -739,37 +746,44 @@ def extend_multilinear(psi: LinfMorphism, A: CoeffDGA, W=math.inf,
     tabs = {j: {} for j in taylor.maps}
     # Depth-first over the canonical words, each order in words(j) order (the
     # children of a prefix are pushed largest letter first).  A stack entry is
-    # (word, g-part, a_1...a_k in A, Koszul sign, suspended degrees crossed);
-    # each a_k crosses the suspended g_1..g_{k-1}.  A prefix is dropped when
-    # its product is zero (right multiplication keeps it zero) or no Taylor
-    # word contains its g-multiset (every extension then evaluates to {}).
-    # Letters are numbered a-major (tensor_module), so the children sharing
-    # an a form one block, and its product is formed once for the block.
+    # (word, g-part, its sorted multiset, a_1...a_k in A, Koszul sign,
+    # suspended degrees crossed); each a_k crosses the suspended g_1..g_{k-1}.
+    # A prefix is dropped when its product is zero (right multiplication
+    # keeps it zero) or its multiset has no children.  An entry's value on
+    # target letter (a, g), numbered a * dim_t + g as in tensor_module, is
+    # the g-part's value scaled by q = the product's coefficient on a times
+    # the sign, read from the (g-part, q) memo: no coefficient is rescaled
+    # per entry.  Letters are numbered a-major, so the children sharing an a
+    # form one block, and its product is formed once for the block.
     # The stack is explicit: a recursive closure would be a reference cycle
     # left to the garbage collector on every call.
-    stack = [((), (), {A.unit_index: 1}, 1, 0)]
+    stack = [((), (), (), {A.unit_index: 1}, 1, 0)]
     while stack:
-        w, g_part, prod, sign, crossing = stack.pop()
+        w, g_part, multiset, prod, sign, crossing = stack.pop()
         tab = tabs.get(len(w))
         if tab is not None:
-            base = values.get(g_part)
-            if base is None:
-                base = values[g_part] = taylor.eval_word(g_part)
-            # (ares, gi) -> key is one-to-one, so no two terms share a key
-            if base:
-                tab[w] = {t_pair_index[(ares, gi)]: c.scale(q * sign)
-                          for ares, q in prod.items() for gi, c in base.items()}
-        if len(w) == top:
-            continue
-        grows = [g for g in reversed(g_range) if tuple(sorted(g_part + (g,))) in wanted]
+            # (ares, gi) -> ares * dim_t + gi is one-to-one: no two terms share a key
+            row = {}
+            for ares, q in prod.items():
+                q *= sign
+                v = scaled.get((g_part, q))
+                if v is None:
+                    v = scaled[(g_part, q)] = [(gi, c.scale(q))
+                                               for gi, c in taylor.eval_word(g_part).items()]
+                ares *= dim_t
+                for gi, c in v:
+                    row[ares + gi] = c
+            if row:
+                tab[w] = row
+        grows = children.get(multiset)
         if not grows:
             continue
         a_first, g_first = s_pairs[w[-1]] if w else (0, 0)
         # the letters of a_first's block below the last one are out of order,
         # and the last one itself is a repeated odd letter when it is odd
-        g_low = g_first + 1 if w and sh_src.degree(w[-1]) % 2 else g_first
+        g_low = g_first + 1 if w and w[-1] in sh_src.odd else g_first
         for a in sorted({a for c in prod for a in right[c] if a >= a_first}, reverse=True):
-            gs = grows if a > a_first else [g for g in grows if g >= g_low]
+            gs = grows if a > a_first else [gc for gc in grows if gc[0] >= g_low]
             if not gs:
                 continue
             nxt = {}
@@ -779,9 +793,9 @@ def extend_multilinear(psi: LinfMorphism, A: CoeffDGA, W=math.inf,
             if not nxt:
                 continue
             a_sign = sign * ksign(A.degrees[a] * crossing)
-            for g in gs:
-                stack.append((w + (a * dim_g + g,), g_part + (g,), nxt, a_sign,
-                              crossing + g_deg(g) - 1))
+            for g, child in gs:
+                stack.append((w + (a * dim_g + g,), g_part + (g,), child, nxt, a_sign,
+                              crossing + g_sdeg[g]))
     maps = {j: tab for j, tab in tabs.items() if tab}
     T = _taylor(sh_src, tgt_ext.shifted, maps, "morphism")
     return LinfMorphism(src_ext, tgt_ext, T, check=False)

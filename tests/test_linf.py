@@ -20,8 +20,8 @@ from linfty.linf import (LinfAlgebra, LinfMorphism, MCElement, _scaled_powers,
 from linfty.samples import (default_coefficients, sample_abelian_pair,
                             sample_dgla, sample_mc, sample_non_mc,
                             strict_base_change_morphism)
-from linfty.scalars import (CoeffDGA, _acc, dga_tensor, ksign, make_truncated_poly_dga,
-                            rational_field)
+from linfty.scalars import (CoeffDGA, _acc, dga_check, dga_tensor, ksign,
+                            make_truncated_poly_dga, rational_field)
 from reference_checks import intertwine_witnesses, square_zero_witnesses
 
 HERE = os.path.dirname(__file__)
@@ -612,6 +612,14 @@ _CANCELLING = CoeffDGA(
      (1, 1): {3: 1, 4: -1}, (2, 2): {4: 1}, (2, 3): {5: 1}, (3, 2): {5: 1},
      (2, 4): {5: 1}, (4, 2): {5: 1}},
     {i: {} for i in range(6)}, 0, range(1, 6))
+# Q[h]/(h^3) on the basis 1, h, k = h^2/2: h h = 2k, a structure constant
+# other than +-1, so the walk scales Taylor values by q = +-2
+_HALF_SQUARE = CoeffDGA(
+    ["1", "h", "k"], [0] * 3,
+    {**{(i, j): {} for i in range(3) for j in range(3)},
+     **{(0, i): {i: 1} for i in range(3)}, **{(i, 0): {i: 1} for i in range(3)},
+     (1, 1): {2: 2}},
+    {i: {} for i in range(3)}, 0, range(1, 3))
 EXTENSION_ALGEBRAS = (
     dga_tensor(make_truncated_poly_dga([1, 1], 2, names=["th1", "th2"]),
                make_truncated_poly_dga([0], 3)),                 # Λ(θ1,θ2)⊗Q[h]/(h^3)
@@ -620,6 +628,7 @@ EXTENSION_ALGEBRAS = (
                             differential={"b": {"c": 1}}),        # odd a, b of degree -1
     _ODD_SQUARE,   # only the odd-repeat guard keeps (e|g)(e|g) out of the table
     _CANCELLING,   # s s t = 0 although p t and r t are not: the t-block cancels
+    _HALF_SQUARE,  # h h = 2k: the walk scales values by q other than +-1
 )
 
 
@@ -631,6 +640,7 @@ class TestExtensionWalk:
     @example(EXTENSION_ALGEBRAS[2], [-1, 0, 2], 3, 0.7, 0)
     @example(_ODD_SQUARE, [1], 2, 1.0, 1)
     @example(_CANCELLING, [0, 1], 3, 1.0, 0)
+    @example(_HALF_SQUARE, [1, 1], 3, 1.0, 0)
     @settings(max_examples=60, deadline=None)
     def test_matches_whole_module_reference(self, A, degs, top, density, seed):
         # same keys, values and order as the loop over every word of words(j);
@@ -639,6 +649,9 @@ class TestExtensionWalk:
         ext = extend_multilinear(psi, A, check=False)
         ref = reference_extension(psi, A, ext.source, ext.target)
         assert _listed(ext.taylor) == _listed(ref)
+
+    def test_half_square_is_a_dga(self):
+        assert dga_check(_HALF_SQUARE).ok and _HALF_SQUARE.nilpotency_order == 3
 
     def test_leaves_no_reference_cycles(self):
         # a recursive closure in the walk would leave cycles for the collector

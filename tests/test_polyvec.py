@@ -50,6 +50,17 @@ class TestWedge:
         assert w.is_zero()
 
 
+class TestArithmetic:
+    def test_subtraction_negates_every_term_of_the_right_side(self):
+        a = PolyVec.basis((1,), 2, coeff=Poly.var(1, 2))
+        b = PolyVec.basis((1,), 2, coeff=Poly.var(2, 2)) + d(2, 2)
+        diff = a - b
+        assert diff == PolyVec(2, {(1,): Poly.var(1, 2) + Poly.monomial((0, 1), -1),
+                                   (2,): Poly.monomial((0, 0), -1)})
+        assert repr(diff) == "-t2*d1 + t1*d1 - d2"
+        assert (a - a).is_zero() and (a - b) + b == a
+
+
 class TestSchoutenExamples:
     def test_derivation_on_function(self):
         f = PolyVec.from_function(Poly.monomial((2, 0, 0)))

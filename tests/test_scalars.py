@@ -60,6 +60,14 @@ class TestDgaCheck:
         assert not rep.ok
         assert any(v["witness"] == ["th", "th"] for v in rep.violations)
 
+    def test_nilpotency_witness_is_the_support_of_m_to_the_order(self):
+        # Q[h]/(h^5) claimed nilpotent of order 3: m^3 is spanned by h^3, h^4
+        A = make_truncated_poly_dga([0], 5)
+        bad = CoeffDGA(A.basis, A.degrees, A.mul, A.diff, A.unit_index, A.ideal, 3)
+        rep = dga_check(bad)
+        assert [(v["axiom"], v["witness"]) for v in rep.violations] == \
+            [("nilpotency", ["h^3", "h^4"])]
+
     @pytest.mark.parametrize("order", [0, -1])
     def test_nilpotency_order_below_one_rejected(self, order):
         A = make_truncated_poly_dga([0], 3)
