@@ -335,14 +335,14 @@ def hochschild_d(phi: PolyDiffOp) -> PolyDiffOp:
         p = len(w) - 1
         _acc(out, w + (z,), c)
         (_acc if p % 2 == 0 else _acc_neg)(out, (z,) + w, c)
+        scaled = {1: c}  # m * c, built once per multiplier m of this term
         for i in range(p + 1):
             sgn = ksign(p) * ksign(i)
             for (a, b), coef in _splits(w[i], 2):
-                word = w[:i] + (a, b) + w[i + 1:]
-                if coef == 1:
-                    (_acc_neg if sgn == 1 else _acc)(out, word, c)
-                else:
-                    _acc(out, word, c.scale(-sgn * coef))
+                m = -sgn * coef
+                if m not in scaled:
+                    scaled[m] = c.scale(m)
+                _acc(out, w[:i] + (a, b) + w[i + 1:], scaled[m])
     return _op(n, phi.alg, out)
 
 

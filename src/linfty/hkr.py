@@ -118,6 +118,8 @@ class TruncationSpec:
     def d_slice_words(self, p):
         if p < -1:
             return []
+        if p == -1:
+            return [()]
         mis = monomials_up_to(self.n, self.max_operator_order)
         return list(itertools.product(mis, repeat=p + 1))
 

@@ -152,6 +152,20 @@ class TestHochschild:
         assert d_op.apply([t1, t1]) == Poly.const(n, -2)
         assert hochschild_apply_oracle(op, [t1, t1]) == Poly.const(n, -2)
 
+    def test_scales_each_coefficient_once_per_multiplier(self, monkeypatch):
+        # (2, 1) splits into two parts six ways, with multinomials 1, 2, 1 (times 1, 1)
+        op = PolyDiffOp.basis(((2, 1),), 2)
+        calls = []
+        for name in ("scale", "__neg__"):
+            def counted(*args, _name=name, _f=getattr(Poly, name)):
+                calls.append((_name, *args[1:]))
+                return _f(*args)
+            monkeypatch.setattr(Poly, name, counted)
+        d_op = hochschild_d(op)
+        assert sorted(calls) == [("scale", -2), ("scale", -1)]
+        monkeypatch.undo()
+        assert d_op == gerstenhaber(mu(2), op)
+
     def test_d_squared_and_mu_bracket_agreement(self):
         rng = random.Random(41)
         for _ in range(60):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import linfty
+from linfty import hkr
 from linfty.cli import run
 from linfty.diffop import PolyDiffOp, gerstenhaber, hochschild_d
 from linfty.hkr import (FormalityPlugin, TruncationSpec, cohomology_rank,
@@ -95,6 +96,7 @@ class TestCohomologyRank:
         ker, im, h = cohomology_rank(spec, -1)
         assert (ker, im, h) == (3, 0, 3)
         assert h == len(full_basis(spec, spec.t_slice_words(-1)))
+        assert spec.d_slice_words(-1) == [()] and spec.d_slice_words(-2) == []
 
     def test_degree_zero_against_cocycle_oracle(self):
         # oracle: solve a phi(b) - phi(ab) + phi(a) b = 0 by brute force
@@ -240,6 +242,27 @@ class TestHkrReportCli:
         doc = json.loads(out)
         assert not any(r["window_reliable"] for r in doc["rows"])
         assert (code, doc["ok"]) == (1, False)
+
+
+class TestSamplers:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_random_polyvec_reaches_every_degree(self, n):
+        degrees = set()
+        for seed in range(40):
+            degrees.update(random_polyvec(n, random.Random(seed)).degrees())
+        assert degrees == set(range(-1, n))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_kontsevich_conditions_draws_every_degree(self, n, monkeypatch):
+        drawn = []
+
+        def recording(n, rng, p=None):
+            drawn.append(p)
+            return random_polyvec(n, rng, p=p)
+
+        monkeypatch.setattr(hkr, "random_polyvec", recording)
+        kontsevich_conditions(trivial_plugin(), n=n, samples=12, seed=7)
+        assert {p for p in drawn if p is not None} == set(range(-1, n))
 
 
 class TestKontsevichConditions:

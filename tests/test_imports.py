@@ -1,21 +1,22 @@
 """Every name a library module, test file or demo imports is used in that
 file, every function the library defines is named somewhere else, and every
 defaulted parameter is passed by some call.  Only ``jsonio`` imports ``json``,
-and ``scalars`` imports no ``re``.
-
-``__init__.py`` is skipped by the import check: its imports are the package's
-re-exports.
+and ``scalars`` imports no ``re``.  ``import linfty`` loads no layer, and each
+name the package exports loads its own module when it is first read.
 """
 
 import ast
 import collections
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "linfty"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
 
 
@@ -192,3 +193,43 @@ def test_only_jsonio_reads_or_writes_json(path):
     # one module owns every JSON schema and reader; scalars parses no text
     banned = {"json"} | ({"re"} if path.name == "scalars.py" else set())
     assert path.name == "jsonio.py" or not imported_modules(path.read_text()) & banned
+
+
+def fresh(code):
+    """The stdout of `code` run in a fresh interpreter that imports linfty from src/."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=60).stdout
+
+
+LOADED = "import sys\nprint(sorted(m for m in sys.modules if m.startswith('linfty.')))"
+
+
+def test_import_linfty_loads_no_submodule():
+    assert fresh("import linfty\n" + LOADED) == "[]\n"
+
+
+def test_import_diffop_loads_its_layers_alone():
+    assert fresh("import linfty.diffop\n" + LOADED) == (
+        "['linfty.diffop', 'linfty.poly', 'linfty.scalars']\n")
+
+
+def test_every_export_is_its_submodules_object():
+    code = ("import importlib, linfty\n"
+            "print([n for m, names in linfty._EXPORTS.items() for n in names"
+            " if getattr(linfty, n) is not getattr(importlib.import_module('linfty.' + m), n)])\n"
+            "print(linfty.__all__ == [n for names in linfty._EXPORTS.values() for n in names])\n"
+            "print(linfty.Poly is linfty.poly.Poly)")
+    assert fresh(code) == "[]\nTrue\nTrue\n"
+
+
+def test_an_unknown_name_raises_attribute_error():
+    code = ("import linfty\n"
+            "try:\n    linfty.no_such_name\nexcept AttributeError as ex:\n    print(ex)")
+    assert fresh(code) == "module 'linfty' has no attribute 'no_such_name'\n"
+
+
+def test_star_import_binds_every_export():
+    code = ("from linfty import *\nimport linfty\n"
+            "print(len(linfty.__all__), [n for n in linfty.__all__ if n not in globals()])")
+    assert fresh(code) == "57 []\n"
