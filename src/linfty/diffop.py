@@ -11,7 +11,8 @@ Two independent code paths exist on purpose:
 * ``gerstenhaber`` builds brackets from signed slot insertions, with one
   coefficient product per Leibniz head and one scalar accumulator per bracket,
 * ``hochschild_d`` builds the shifted differential from the alternating sum
-  (slot append/prepend + Leibniz merges).
+  (slot append/prepend + Leibniz merges) of the signed terms ``_d_terms``
+  lists; ``hkr.d_matrix`` reads the same terms, ``gerstenhaber`` none of them.
 
 Their consistency d(phi) = [mu, phi] (global sign +1), and the agreement of
 both with plain ``apply``-level evaluation, are part of the test harness:
@@ -321,29 +322,35 @@ def gerstenhaber(phi: PolyDiffOp, psi: PolyDiffOp) -> PolyDiffOp:
 # shifted Hochschild differential (independent code path)
 # ---------------------------------------------------------------------------
 
+def _d_terms(w, z):
+    """The signed terms (word, m) of d(D[w]) for a degree-p word, unmerged: the
+    append w + (z,) with m = 1, the prepend (z,) + w with (-1)^p, then each
+    Leibniz split w[i] = a + b with -(-1)^{p+i} * multinomial; z is the zero
+    multi-index.  ``hochschild_d`` and ``hkr.d_matrix`` read it."""
+    p = len(w) - 1
+    out = [(w + (z,), 1), ((z,) + w, ksign(p))]
+    for i in range(p + 1):
+        sgn = ksign(p) * ksign(i)
+        for (a, b), coef in _splits(w[i], 2):
+            out.append((w[:i] + (a, b) + w[i + 1:], -sgn * coef))
+    return out
+
+
 def hochschild_d(phi: PolyDiffOp) -> PolyDiffOp:
-    """d(phi) as the alternating sum; equals gerstenhaber(mu, phi) exactly.
+    """d(phi) as the alternating sum of ``_d_terms``; equals gerstenhaber(mu, phi).
 
     On a degree-p component:
       d(phi)(a_0..a_{p+1}) = phi(a_0..a_p) a_{p+1} + (-1)^p a_0 phi(a_1..a_{p+1})
                              - (-1)^p sum_i (-1)^i phi(.., a_i a_{i+1}, ..)
     """
-    n = phi.n
-    z = _zero_mi(n)
-    out = {}
+    z, out = _zero_mi(phi.n), {}
     for w, c in phi.terms.items():
-        p = len(w) - 1
-        _acc(out, w + (z,), c)
-        (_acc if p % 2 == 0 else _acc_neg)(out, (z,) + w, c)
         scaled = {1: c}  # m * c, built once per multiplier m of this term
-        for i in range(p + 1):
-            sgn = ksign(p) * ksign(i)
-            for (a, b), coef in _splits(w[i], 2):
-                m = -sgn * coef
-                if m not in scaled:
-                    scaled[m] = c.scale(m)
-                _acc(out, w[:i] + (a, b) + w[i + 1:], scaled[m])
-    return _op(n, phi.alg, out)
+        for word, m in _d_terms(w, z):
+            if m not in scaled:
+                scaled[m] = c.scale(m)
+            _acc(out, word, scaled[m])
+    return _op(phi.n, phi.alg, out)
 
 
 def filtration_check(phi: PolyDiffOp, psi: PolyDiffOp) -> bool:
@@ -408,14 +415,15 @@ def adic_continuity_check(phi: PolyDiffOp, d, i, samples, rng) -> bool:
         return True
 
     def rand_poly(min_deg=0):
-        out = Poly.zero(phi.n, phi.alg)
+        terms = {}
         for _ in range(rng.randint(1, 3)):
             e = [rng.randint(0, 2) for _ in range(phi.n)]
             short = min_deg - sum(e)
             if short > 0:
                 e[rng.randrange(phi.n)] += short
-            out = out + Poly(phi.n, {tuple(e): rng.randint(-3, 3)}, alg=phi.alg)
-        return out
+            if q := rng.randint(-3, 3):
+                _acc(terms, tuple(e), q)
+        return Poly(phi.n, terms, alg=phi.alg)
 
     for _ in range(samples):
         for deep in range(arity):

@@ -24,7 +24,7 @@ import itertools
 import math
 import random
 
-from .diffop import PolyDiffOp, _op, gerstenhaber, hochschild_d, transform as d_transform
+from .diffop import PolyDiffOp, _d_terms, _op, gerstenhaber, hochschild_d, transform as d_transform
 from .linalg import rank
 from .linf import identity_terms
 from .poly import Poly, monomials_up_to
@@ -159,13 +159,20 @@ def op_coords(op: PolyDiffOp, spec: TruncationSpec, p, where=""):
 def d_matrix(spec: TruncationSpec, p):
     """Rows = d of each degree-p slice word, in slice-(p+1) coordinates.
 
-    One row per constant-coefficient word D[w], through the closure check in
-    op_coords; the full slice matrix is ``spec.multiplicity`` copies of it.
+    One integer row {(0, word): m} per constant-coefficient word D[w], summed
+    from the signed terms of d(D[w]) and then closure-checked as a whole; the
+    full slice matrix is ``spec.multiplicity`` copies of it.
     """
-    one = Poly.one(spec.n)
-    return [op_coords(hochschild_d(_op(spec.n, one.alg, {w: one})), spec, p + 1,
-                      where=f"(d of degree {p})")
-            for w in spec.d_slice_words(p)]
+    z, cap, rows = (0,) * spec.n, spec.max_operator_order, []
+    for w in spec.d_slice_words(p):
+        row = {}
+        for word, m in _d_terms(w, z):
+            _acc(row, (z, word), m)
+        bad = next((k for k in row if len(k[1]) != p + 2 or max(map(sum, k[1])) > cap), None)
+        if bad:
+            raise ValueError(f"operator leaves the declared slice at {bad} (d of degree {p})")
+        rows.append(row)
+    return rows
 
 
 def _ranked_d(spec, p, memo):

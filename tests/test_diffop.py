@@ -152,6 +152,13 @@ class TestHochschild:
         assert d_op.apply([t1, t1]) == Poly.const(n, -2)
         assert hochschild_apply_oracle(op, [t1, t1]) == Poly.const(n, -2)
 
+    def test_terms_come_in_split_order(self):
+        # d(D[3]) = -3 D[1;2] - 3 D[2;1]: the outer splits cancel the append
+        # and the prepend, and the inner ones keep the order of _splits
+        d_op = hochschild_d(PolyDiffOp.basis(((3,),), 1))
+        assert list(d_op.terms.items()) == [(((1,), (2,)), Poly.const(1, -3)),
+                                            (((2,), (1,)), Poly.const(1, -3))]
+
     def test_scales_each_coefficient_once_per_multiplier(self, monkeypatch):
         # (2, 1) splits into two parts six ways, with multinomials 1, 2, 1 (times 1, 1)
         op = PolyDiffOp.basis(((2, 1),), 2)
@@ -238,6 +245,22 @@ class TestAdicContinuity:
         phi = rand_op(rng, 2, 1, max_order=2)
         for i in range(5):
             assert adic_continuity_check(phi, 2, i, samples=20, rng=rng)
+
+    def test_sampled_coefficients_span_both_signs(self, monkeypatch):
+        # each input is a sum of at most three terms drawn from -3 ... 3 (equal
+        # exponents add up: this seed meets a -5), and both signs must occur
+        seen = []
+        apply = PolyDiffOp.apply
+
+        def recording(op, args):
+            seen.extend(c.rational_part() for a in args for c in a.terms.values())
+            return apply(op, args)
+
+        monkeypatch.setattr(PolyDiffOp, "apply", recording)
+        phi = rand_op(random.Random(61), 2, 1, max_order=2)
+        assert adic_continuity_check(phi, 2, 1, samples=10, rng=random.Random(5))
+        assert set(seen) <= set(range(-9, 10))
+        assert min(seen) < 0 < max(seen)
 
     def test_operator_off_q(self):
         phi = PolyDiffOp(1, {((1,),): Poly(1, {(0,): 1}, alg=H3)}, alg=H3)

@@ -145,6 +145,28 @@ class TestCohomologyRank:
             with pytest.raises(ValueError, match="leaves the declared slice"):
                 op_coords(op, spec, p)
 
+    def test_d_matrix_rows_equal_the_operator_path(self):
+        # the integer rows against hochschild_d read back through op_coords,
+        # insertion order included
+        for n, order, p in itertools.product((1, 2, 3), range(4), range(-1, 3)):
+            spec = TruncationSpec(n, 0, order, -1, 3)
+            words = spec.d_slice_words(p)
+            rows = hkr.d_matrix(spec, p)
+            assert len(rows) == len(words)
+            for w, row in zip(words, rows):
+                op = hochschild_d(PolyDiffOp(n, {w: Poly.one(n)}))
+                assert list(row.items()) == list(op_coords(op, spec, p + 1).items())
+
+    @pytest.mark.parametrize("stray", [((2, 0), (0, 0)),  # above the order cap
+                                       ((0, 1),)])  # of the wrong arity
+    def test_d_matrix_closure_names_the_stray_word(self, stray, monkeypatch):
+        d_terms = hkr._d_terms
+        monkeypatch.setattr(hkr, "_d_terms", lambda w, z: d_terms(w, z) + [(stray, 1)])
+        with pytest.raises(ValueError) as err:
+            hkr.d_matrix(TruncationSpec(2, 0, 1, -1, 1), 0)
+        assert str(err.value) == ("operator leaves the declared slice at "
+                                  f"{((0, 0), stray)} (d of degree 0)")
+
     @given(st.data(), st.integers(1, 3), st.integers(-1, 2))
     @settings(max_examples=60, deadline=None)
     def test_d_and_u1_are_c_t_linear(self, data, n, p):
