@@ -27,12 +27,12 @@ import time
 from . import hkr, jsonio, selftest as selftest_mod
 from .coalg import CoalgElem, exp as coalg_exp, ln as coalg_ln
 from .diffop import gerstenhaber, hochschild_d
-from .grammar import ParseError, parse_element
+from .grammar import parse_element
 from .linf import (conjugation_twist, extend_multilinear, linf_identity_check, mc_push,
                    mc_residue, operators_agree, twist_coder, twist_morphism,
                    MCElement)
 from .polyvec import is_poisson, schouten, wedge
-from .scalars import dga_check
+from .scalars import ParseError, dga_check
 
 USAGE_ERROR, CHECK_FAILED, OK = 2, 1, 0
 

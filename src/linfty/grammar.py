@@ -15,15 +15,7 @@ from __future__ import annotations
 from .diffop import PolyDiffOp
 from .poly import Poly
 from .polyvec import PolyVec
-from .scalars import _acc, frac
-
-
-class ParseError(ValueError):
-    """Malformed input; `pos` is the offset into an element's text, if there is one."""
-
-    def __init__(self, message, pos=None):
-        super().__init__(message if pos is None else f"{message} (line 1, column {pos + 1})")
-        self.pos = pos
+from .scalars import ParseError, _acc, frac
 
 
 class _Scanner:

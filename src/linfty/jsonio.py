@@ -34,9 +34,8 @@ import re
 import sys
 
 from .coalg import CoalgElem, GradedBasisModule, TaylorSeq
-from .grammar import ParseError
 from .linf import LinfAlgebra, LinfMorphism, MCElement
-from .scalars import CoeffDGA, DgaElem, _acc, frac, frac_str, rational_field
+from .scalars import CoeffDGA, DgaElem, ParseError, _acc, frac, frac_str, rational_field
 
 
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",

@@ -19,6 +19,11 @@ coalgebra elements through it, one ``DgaElem`` product per pair of words,
 added whole; it shares with ``CoalgElem.__mul__``, which adds each pair's
 terms straight into the sums, only the ring's term product ``_mul_acc``.
 
+The coefficient-algebra loop forms every product of basis elements as a
+``DgaElem``, on every pair and every triple, the unit's included, where
+``dga_check`` leaves the unit rows to the ``CoeffDGA`` constructor and sums
+flat residues; it shares no code with ``dga_check``.
+
 The DGLA-axiom loop rebuilds every bracket for every ordered pair and
 triple, where ``dgla_check`` skips the pairs and triples whose checks have no
 nonzero term; it shares no code with ``linfty.linf``.
@@ -55,7 +60,7 @@ from linfty.hkr import op_coords, u1
 from linfty.linalg import rank
 from linfty.poly import Poly
 from linfty.polyvec import PolyVec
-from linfty.scalars import _acc, _acc_neg, ksign
+from linfty.scalars import DgaElem, _acc, _acc_neg, ksign
 
 
 def is_exact(q):
@@ -172,6 +177,78 @@ def intertwine_witnesses(psi_taylor, source_taylor, target_taylor, max_order):
         x = CoalgElem(module, {w: module.coeff.one()})
         if _reference_morph(psi_taylor, Q(x)) != Q_t(_reference_morph(psi_taylor, x)):
             bad.append([module.gen_name(i) for i in w])
+    return bad
+
+
+def dga_violations(A):
+    """Every violation of the CoeffDGA axioms as {"axiom", "witness", "detail"},
+    in the order dga_check reports them, from DgaElem products of the basis
+    elements over every pair and every triple."""
+    bad = []
+    n = len(A.basis)
+
+    def add(axiom, witness, detail):
+        bad.append({"axiom": axiom, "witness": witness, "detail": detail})
+
+    def degree(x):
+        """The common degree of x's support, or None when x is zero or mixed."""
+        degs = {A.degrees[i] for i in x.coeffs}
+        return degs.pop() if len(degs) == 1 else None
+
+    for i, j in itertools.product(range(n), repeat=2):
+        if (i, j) not in A.mul:
+            add("structural", [A.basis[i], A.basis[j]], "missing product entry")
+    for i in range(n):
+        if i not in A.diff:
+            add("structural", [A.basis[i]], "missing differential entry")
+    if bad:
+        return bad
+    b = [A.basis_elem(i) for i in range(n)]
+
+    def prod(i, j):
+        return DgaElem(A, A.mul[(i, j)])
+
+    for i, j in itertools.product(range(n), repeat=2):
+        p, want = prod(i, j), A.degrees[i] + A.degrees[j]
+        if p and degree(p) != want:
+            add("grading", [A.basis[i], A.basis[j]], f"product not homogeneous of degree {want}")
+    for i in range(n):
+        if b[i].d() and degree(b[i].d()) != A.degrees[i] + 1:
+            add("grading", [A.basis[i]], "differential is not degree +1")
+    u = A.unit_index
+    for i in range(n):
+        if prod(u, i) != b[i] or prod(i, u) != b[i]:
+            add("unit", [A.basis[i]], "1*a != a or a*1 != a")
+    if b[u].d():
+        add("unit", ["1"], "d(1) != 0")
+    for i, j in itertools.product(range(n), repeat=2):
+        if prod(j, i) != prod(i, j).scale(ksign(A.degrees[i] * A.degrees[j])):
+            add("commutativity", [A.basis[i], A.basis[j]], "b*a != (-1)^{deg a deg b} a*b")
+    for i in range(n):
+        if A.degrees[i] % 2 == 1 and prod(i, i):
+            add("commutativity", [A.basis[i], A.basis[i]], "odd c with c^2 != 0")
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if prod(i, j) * b[k] != b[i] * prod(j, k):
+            add("associativity", [A.basis[i], A.basis[j], A.basis[k]], "(ab)c != a(bc)")
+    for i in range(n):
+        if b[i].d().d():
+            add("d_squared", [A.basis[i]], "d(d(a)) != 0")
+    for i, j in itertools.product(range(n), repeat=2):
+        if prod(i, j).d() != b[i].d() * b[j] + (b[i] * b[j].d()).scale(ksign(A.degrees[i])):
+            add("leibniz", [A.basis[i], A.basis[j]], "d(ab) != d(a)b + (-1)^{deg a} a d(b)")
+    for i in A.ideal:
+        for j in range(n):
+            for p in (prod(i, j), prod(j, i)):
+                if not p.in_ideal():
+                    add("ideal", [A.basis[i], A.basis[j]], "product leaves the ideal span")
+    # the supports of m, m^2, ..., m^order, each from the products of the last
+    powers = [set(A.ideal)]
+    while len(powers) < A.nilpotency_order:
+        powers.append({k for i in powers[-1] for j in A.ideal for k in (b[i] * b[j]).coeffs})
+    if powers[-1]:
+        add("nilpotency", sorted(A.basis[i] for i in powers[-1]), f"m^{A.nilpotency_order} != 0")
+    elif A.nilpotency_order > 1 and not powers[-2]:
+        add("nilpotency", [], "nilpotency_order is not minimal")
     return bad
 
 

@@ -132,6 +132,14 @@ class TestGerstenhaber:
             val = got.apply(args) if got.terms else Poly.zero(n)
             assert val == gerstenhaber_apply_oracle(a, b, args)
 
+    def test_apply_oracle_reads_a_zero_operator_as_degree_minus_one(self):
+        # [0, psi] and [psi, 0] take p + q + 1 = q arguments and vanish
+        psi = PolyDiffOp.basis([(1,), (0,)], 1)  # degree 1
+        zero = PolyDiffOp.zero(1)
+        args = [Poly.var(1, 1)]
+        for phi, chi in ((zero, psi), (psi, zero)):
+            assert gerstenhaber_apply_oracle(phi, chi, args) == Poly.zero(1)
+
 
 class TestHochschild:
     def test_functions_are_cocycles(self):

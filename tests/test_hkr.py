@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -126,7 +127,8 @@ class TestCohomologyRank:
 
     def test_edge_degree_error(self):
         spec = TruncationSpec(1, 2, 2, -1, 1)
-        with pytest.raises(ValueError, match="edge degree"):
+        with pytest.raises(ValueError, match=re.escape(
+                "edge degree: H^1 needs window [0, 2] inside [-1, 1]")):
             cohomology_rank(spec, 1)
 
     def test_closure_check_guards_slices(self):

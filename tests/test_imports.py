@@ -1,8 +1,9 @@
 """Every name a library module, test file or demo imports is used in that
 file, every function the library defines is named somewhere else, and every
 defaulted parameter is passed by some call.  Only ``jsonio`` imports ``json``,
-and ``scalars`` imports no ``re``.  ``import linfty`` loads no layer, and each
-name the package exports loads its own module when it is first read.
+and ``scalars`` imports no ``re``.  ``import linfty`` loads no layer, each
+layer loads only the layers its row of ``LAYERS`` names, and each name the
+package exports loads its own module when it is first read.
 """
 
 import ast
@@ -209,9 +210,36 @@ def test_import_linfty_loads_no_submodule():
     assert fresh("import linfty\n" + LOADED) == "[]\n"
 
 
-def test_import_diffop_loads_its_layers_alone():
-    assert fresh("import linfty.diffop\n" + LOADED) == (
-        "['linfty.diffop', 'linfty.poly', 'linfty.scalars']\n")
+# what importing each layer loads, in a fresh interpreter: an import edge
+# that points up the layers adds a module to its row
+LAYERS = {
+    "scalars": "scalars",
+    "poly": "poly scalars",
+    "polyvec": "poly polyvec scalars",
+    "diffop": "diffop poly scalars",
+    "grammar": "diffop grammar poly polyvec scalars",
+    "linalg": "linalg scalars",
+    "coalg": "coalg scalars",
+    "linf": "coalg linf scalars",
+    "jsonio": "coalg jsonio linf scalars",
+    "samples": "coalg linf samples scalars",
+    "hkr": "coalg diffop hkr linalg linf poly polyvec scalars",
+    "selftest": "coalg diffop grammar hkr linalg linf poly polyvec samples scalars selftest",
+    "cli": "cli coalg diffop grammar hkr jsonio linalg linf poly polyvec samples scalars selftest",
+}
+
+
+@pytest.mark.parametrize("layer", [p.stem for p in MODULES if p.stem != "__init__"])
+def test_import_loads_its_layers_alone(layer):
+    want = [f"linfty.{m}" for m in LAYERS[layer].split()]
+    assert fresh(f"import linfty.{layer}\n" + LOADED) == f"{want}\n"
+
+
+def test_parse_error_is_one_class_below_the_grammar():
+    import linfty
+    from linfty import cli, grammar, jsonio, scalars
+    assert linfty.ParseError is grammar.ParseError is jsonio.ParseError is cli.ParseError
+    assert cli.ParseError is scalars.ParseError
 
 
 def test_every_export_is_its_submodules_object():

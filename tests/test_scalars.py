@@ -1,4 +1,5 @@
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from linfty import jsonio
 from linfty.scalars import (CoeffDGA, dga_check, dga_tensor, ksign,
                             make_truncated_poly_dga, rational_field)
-from reference_checks import is_exact
+from reference_checks import dga_violations, is_exact
 
 rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 4)
 
@@ -41,7 +42,55 @@ class TestRationals:
         assert Fraction(b.numerator, b.denominator) == b
 
 
+def builder_algebras():
+    """Q, Q[h]/(h^4), Lambda(th), Lambda(th) x Q[h]/(h^3), Lambda(x,y,z) with
+    dz = xy, and Lambda(th) x Q[h]/(h^3) with d th = h (th of degree -1)."""
+    return [rational_field(), make_truncated_poly_dga([0], 4), make_truncated_poly_dga([1], 2),
+            dga_tensor(make_truncated_poly_dga([1], 2), make_truncated_poly_dga([0], 3)),
+            make_truncated_poly_dga([1, 1, 1], 2, names=["x", "y", "z"],
+                                    differential={"z": {"x*y": 1}}),
+            make_truncated_poly_dga([-1, 0], 3, names=["th", "h"], differential={"th": {"h": 1}})]
+
+
+def perturbed(rng, A):
+    """A with one entry tampered: a product off the unit rows or a d value
+    gains a term (or loses one, when the term cancels), of the right degree
+    half the time, an entry goes missing, or the nilpotency order is wrong."""
+    n, u = len(A), A.unit_index
+    mul, diff, order = dict(A.mul), dict(A.diff), A.nilpotency_order
+    off_unit = [(i, j) for i in range(n) for j in range(n) if u not in (i, j)]
+    kind = rng.choice(["mul", "d", "missing mul", "missing d", "order"] if off_unit
+                      else ["d", "missing d", "order"])
+    table, key = (mul, rng.choice(off_unit)) if "mul" in kind else (diff, rng.randrange(n))
+    if kind.startswith("missing"):
+        del table[key]
+    elif kind == "order":
+        order = rng.choice([m for m in range(1, order + 3) if m != order])
+    else:
+        want = sum(A.degrees[i] for i in key) if "mul" in kind else A.degrees[key] + 1
+        graded = [k for k in range(n) if A.degrees[k] == want]
+        k = rng.choice(graded if graded and rng.random() < 0.5 else range(n))
+        q = rng.choice((-2, -1, 1, 2, Fraction(1, 2)))
+        table[key] = {**table[key], k: table[key].get(k, 0) + q}
+    return CoeffDGA(A.basis, A.degrees, mul, diff, u, A.ideal, order)
+
+
 class TestDgaCheck:
+    def test_reports_what_the_dense_loop_reports(self):
+        # every violation, in order, as the DgaElem loop over every pair and
+        # triple: on the builder algebras and on 40 tamperings of each
+        rng = random.Random(29)
+        axioms = set()
+        for A in builder_algebras():
+            assert dga_check(A).violations == dga_violations(A) == [], A
+            for _ in range(40):
+                B = perturbed(rng, A)
+                got = dga_check(B).violations
+                assert got == dga_violations(B), (A, B.mul, B.diff, B.nilpotency_order)
+                axioms.update(v["axiom"] for v in got)
+        assert axioms == {"structural", "grading", "unit", "commutativity", "associativity",
+                          "d_squared", "leibniz", "ideal", "nilpotency"}
+
     def test_base_field_passes(self):
         assert dga_check(rational_field()).ok
 
