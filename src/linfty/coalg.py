@@ -86,16 +86,20 @@ class GradedBasisModule:
 
     def words(self, order):
         """All canonical words of exactly this order (odd repeats excluded)."""
-        out = []
-        for w in itertools.combinations_with_replacement(range(len(self.gens)), order):
-            ok = True
-            for a, b in zip(w, w[1:]):
-                if a == b and self.degree(a) % 2 == 1:
-                    ok = False
-                    break
-            if ok:
-                out.append(w)
-        return out
+        return [w for w in itertools.combinations_with_replacement(range(len(self.gens)), order)
+                if self.is_canonical(w)]
+
+    def is_canonical(self, word):
+        """Whether word is one that words(len(word)) lists: a tuple of int
+        letters in range, sorted, with no odd letter repeated."""
+        if type(word) is not tuple:
+            return False
+        prev, n, odd = -1, len(self.gens), self.odd
+        for i in word:
+            if type(i) is not int or not (prev < i < n or i == prev >= 0 and i not in odd):
+                return False
+            prev = i
+        return True
 
     def words_up_to(self, max_order):
         out = []

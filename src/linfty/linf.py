@@ -39,6 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
+from collections.abc import Mapping
 
 from .coalg import (CoalgElem, CoalgOperator, GradedBasisModule, TaylorSeq, _taylor,
                     coder_from_taylor, exp, morph_from_taylor, vect_acc,
@@ -706,98 +707,88 @@ def tensor_dgla(A: CoeffDGA, algebra: LinfAlgebra, W=math.inf, check=True):
     return alg
 
 
+class _ExtendedTable(Mapping):
+    """Order j of Psi_A's Taylor table: ``get`` evaluates a word on its first
+    read and keeps the value, zero too; a key that is not a canonical order-j
+    word reads as absent.  Iteration, ``len`` and ``==`` read every word of
+    ``words(j)`` in order.  Never empty: a nonzero word g of Psi_j gives the
+    nonzero word of unit letters (1|g)."""
+
+    def __init__(self, module, j, value):
+        self._module, self._j, self._value = module, j, value
+        self._memo = {}  # word read -> its value, {} for zero
+
+    def get(self, w, default=None):
+        try:
+            v = self._memo[w]
+        except KeyError:
+            if not (self._module.is_canonical(w) and len(w) == self._j):
+                return default
+            v = self._memo[w] = self._value(w)
+        return v or default
+
+    def __getitem__(self, w):
+        v = self.get(w)
+        if v is None:
+            raise KeyError(w)
+        return v
+
+    def __iter__(self):
+        return (w for w in self._module.words(self._j) if self.get(w))
+
+    def __len__(self):
+        return sum(1 for _ in self)
+
+    def __bool__(self):
+        return True
+
+
 def extend_multilinear(psi: LinfMorphism, A: CoeffDGA, W=math.inf,
                        check=True) -> LinfMorphism:
     """A-multilinear extension of a morphism between DGLAs over the base field.
 
-    The j-th extended coefficient sends (a_1 g_1)...(a_j g_j) to
-    ± a_1...a_j x (d^j Psi)(g_1...g_j), the sign moving each a_k left past the
-    suspended g_1..g_{k-1}.  The walk emits canonical words with nonzero
-    values, homogeneous when A passes dga_check, so the table is not re-validated.
-    """
+    The j-th extended coefficient sends the canonical word w = (a_1|g_1)...(a_j|g_j) to
+
+        eps(w) * sum over c of [a_1...a_j]_c * (c | Psi_j(g_1...g_j)),
+
+    with eps(w) = prod_k (-1)^{|a_k| (s_1 + ... + s_{k-1})} moving each a_k
+    left past the suspended degrees s_i of g_1..g_{k-1}, the product formed
+    left to right, and target letter (c, g) numbered c * dim_t + g as in
+    tensor_module.  A word is evaluated on its first read, so a caller pays
+    for the words it reads.  Listing a table evaluates every canonical word
+    of its order, most of them zero; so does check_intertwines, which reads
+    every word of order up to max_j.  Values are homogeneous when A passes
+    dga_check: not re-validated."""
     if not psi.source.module.coeff.is_rational_field:
         raise ValueError("extension starts from a morphism over the base field")
     src_ext = tensor_dgla(A, psi.source, W, check=check)
     tgt_ext = tensor_dgla(A, psi.target, W, check=check)
-    s_pairs = src_ext.tensor_pairs
-    sh_src = src_ext.shifted
     g_sdeg = [d for _, d in psi.source.shifted.gens]  # suspended degrees
     dim_g, dim_t = len(psi.source.module), len(psi.target.module)
-    taylor = psi.taylor
-    # by sorted g-multiset, the (g, multiset + g) for each letter g that keeps
-    # it inside some Taylor word, largest g first: a multiset outside every
-    # Taylor word evaluates to {} on all its extensions
-    children = {}
-    for table in taylor.maps.values():
-        for cw in table:
-            for k in range(1, len(cw) + 1):
-                for sub in itertools.combinations(cw, k):
-                    for i in range(k):
-                        children.setdefault(sub[:i] + sub[i + 1:], {})[sub[i]] = sub
-    children = {ms: sorted(ch.items(), reverse=True) for ms, ch in children.items()}
-    # by (g-part, q), the g-part's Taylor value scaled by q as (g, DgaElem)
-    # pairs, shared by the words with other a-parts
-    scaled = {}
+    taylor, a_deg, a_table = psi.taylor, A.degrees, A.table
 
-    # by c, the a with c * a != 0: a prefix product can only grow by an a
-    # that some basis element of its support multiplies to nonzero
-    right = [{a for a in range(len(A)) if A.table[c][a]} for c in range(len(A))]
-
-    tabs = {j: {} for j in taylor.maps}
-    # Depth-first over the canonical words, each order in words(j) order (the
-    # children of a prefix are pushed largest letter first).  A stack entry is
-    # (word, g-part, its sorted multiset, a_1...a_k in A, Koszul sign,
-    # suspended degrees crossed); each a_k crosses the suspended g_1..g_{k-1}.
-    # A prefix is dropped when its product is zero (right multiplication
-    # keeps it zero) or its multiset has no children.  An entry's value on
-    # target letter (a, g), numbered a * dim_t + g as in tensor_module, is
-    # the g-part's value scaled by q = the product's coefficient on a times
-    # the sign, read from the (g-part, q) memo: no coefficient is rescaled
-    # per entry.  Letters are numbered a-major, so the children sharing an a
-    # form one block, and its product is formed once for the block.
-    # The stack is explicit: a recursive closure would be a reference cycle
-    # left to the garbage collector on every call.
-    stack = [((), (), (), {A.unit_index: 1}, 1, 0)]
-    while stack:
-        w, g_part, multiset, prod, sign, crossing = stack.pop()
-        tab = tabs.get(len(w))
-        if tab is not None:
-            # (ares, gi) -> ares * dim_t + gi is one-to-one: no two terms share a key
-            row = {}
-            for ares, q in prod.items():
-                q *= sign
-                v = scaled.get((g_part, q))
-                if v is None:
-                    v = scaled[(g_part, q)] = [(gi, c.scale(q))
-                                               for gi, c in taylor.eval_word(g_part).items()]
-                ares *= dim_t
-                for gi, c in v:
-                    row[ares + gi] = c
-            if row:
-                tab[w] = row
-        grows = children.get(multiset)
-        if not grows:
-            continue
-        a_first, g_first = s_pairs[w[-1]] if w else (0, 0)
-        # the letters of a_first's block below the last one are out of order,
-        # and the last one itself is a repeated odd letter when it is odd
-        g_low = g_first + 1 if w and w[-1] in sh_src.odd else g_first
-        for a in sorted({a for c in prod for a in right[c] if a >= a_first}, reverse=True):
-            gs = grows if a > a_first else [gc for gc in grows if gc[0] >= g_low]
-            if not gs:
-                continue
+    def value(w):
+        # letter a * dim_g + g is (a|g), as in tensor_module
+        prod, sign, crossing, g_part = {A.unit_index: 1}, 1, 0, []
+        for letter in w:
+            a, g = divmod(letter, dim_g)
+            sign *= ksign(a_deg[a] * crossing)
+            crossing += g_sdeg[g]
+            g_part.append(g)
             nxt = {}
             for cur, q in prod.items():
-                for res, q2 in A.table[cur][a]:
+                for res, q2 in a_table[cur][a]:
                     _acc(nxt, res, q * q2)
             if not nxt:
-                continue
-            a_sign = sign * ksign(A.degrees[a] * crossing)
-            for g, child in gs:
-                stack.append((w + (a * dim_g + g,), g_part + (g,), child, nxt, a_sign,
-                              crossing + g_sdeg[g]))
-    maps = {j: tab for j, tab in tabs.items() if tab}
-    T = _taylor(sh_src, tgt_ext.shifted, maps, "morphism")
+                return {}
+            prod = nxt
+        base = taylor.eval_word(tuple(g_part))
+        # (c, gi) -> c * dim_t + gi is one-to-one: no two terms share a key
+        return {c * dim_t + gi: v.scale(q * sign)
+                for c, q in prod.items() for gi, v in base.items()}
+
+    maps = {j: _ExtendedTable(src_ext.shifted, j, value) for j in taylor.maps}
+    T = _taylor(src_ext.shifted, tgt_ext.shifted, maps, "morphism")
     return LinfMorphism(src_ext, tgt_ext, T, check=False)
 
 

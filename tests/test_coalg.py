@@ -39,6 +39,20 @@ def module(C):
     return GradedBasisModule("g", [("a", 0), ("b", 0), ("c", 1), ("e", -1)], C)
 
 
+def test_is_canonical_accepts_the_listed_words_alone(module):
+    # every letter tuple over -1..n in lexicographic order, the order of words,
+    # and words as the sorted tuples with no letter of odd degree repeated
+    n = len(module)
+    for j in range(4):
+        keys = itertools.product(range(-1, n + 1), repeat=j)
+        assert [w for w in keys if module.is_canonical(w)] == module.words(j)
+        assert module.words(j) == [
+            w for w in itertools.combinations_with_replacement(range(n), j)
+            if not any(a == b and module.degree(a) % 2 for a, b in zip(w, w[1:]))]
+    for key in ([0], (0.0,), (True,), "a", None):
+        assert not module.is_canonical(key)
+
+
 def rand_vect(rng, module, degree):
     out = {}
     for i in range(len(module)):

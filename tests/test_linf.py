@@ -648,13 +648,44 @@ class TestExtensionWalk:
         psi = random_morphism(random.Random(seed), degs, top, density, range(-5, 5))
         ext = extend_multilinear(psi, A, check=False)
         ref = reference_extension(psi, A, ext.source, ext.target)
+        # reads in any order before the listing: every word up to top + 1,
+        # shuffled, and through maps[j].get a permutation of each word, a key
+        # of the wrong order and one with a negative letter, which read as
+        # absent unless canonical
+        words = ext.source.shifted.words_up_to(top + 1)
+        random.Random(seed).shuffle(words)
+        for w in words:
+            assert ext.taylor.eval_word(w) == ref.eval_word(w)
+            if w and len(w) in ext.taylor.maps:
+                tab, ref_tab = ext.taylor.maps[len(w)], ref.maps[len(w)]
+                for key in (w[::-1], w + w[-1:], (-1,) + w[1:]):
+                    assert tab.get(key) == ref_tab.get(key)
         assert _listed(ext.taylor) == _listed(ref)
+
+    def test_a_read_evaluates_only_the_word_read(self):
+        # building the extension, max_j() and bool() evaluate no word, and one
+        # read evaluates at most the one base word under it
+        psi = random_morphism(random.Random(3), [0, 1, 1], 3, 1.0)
+        calls = []
+        base_eval = psi.taylor.eval_word
+        psi.taylor.eval_word = lambda w: calls.append(w) or base_eval(w)
+        ext = extend_multilinear(psi, EXTENSION_ALGEBRAS[0], check=False)
+        assert ext.taylor.max_j() == 3
+        assert all(ext.taylor.maps[j] for j in (1, 2, 3))
+        assert not calls
+        words = ext.source.shifted.words_up_to(3)
+        for w in random.Random(4).sample(words, 40):
+            for key in (w, w[::-1]):
+                ext.taylor.eval_word(key)
+                assert len(calls) <= 1
+                calls.clear()
 
     def test_half_square_is_a_dga(self):
         assert dga_check(_HALF_SQUARE).ok and _HALF_SQUARE.nilpotency_order == 3
 
     def test_leaves_no_reference_cycles(self):
-        # a recursive closure in the walk would leave cycles for the collector
+        # a table, its memo or its evaluator referring back to the TaylorSeq
+        # would leave cycles for the collector
         rng = random.Random(71)
         A = EXTENSION_ALGEBRAS[0]
         inputs = [random_morphism(rng, sorted(rng.choice([0, 1]) for _ in range(dim)), 3, 0.8)
@@ -663,7 +694,13 @@ class TestExtensionWalk:
         gc.disable()
         try:
             for psi in inputs:
-                extend_multilinear(psi, A, check=False)
+                # reads fill the memo of each table, and a listing walks one
+                ext = extend_multilinear(psi, A, check=False)
+                for w in ext.source.shifted.words_up_to(2)[::7]:
+                    ext.taylor.eval_word(w)
+                    ext.psi.column(w)
+                assert dict(ext.taylor.maps[1])
+            del ext
             assert gc.collect() == 0
         finally:
             gc.enable()
