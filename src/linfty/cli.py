@@ -14,6 +14,14 @@ or a verb given the wrong number of operands (verbs other than the element
 verbs take none).  An operand that begins with '-' goes after '--'.  Each
 check walks to the word order its identity needs, read off the Taylor
 lengths; no option caps it.
+
+Importing this module loads ``scalars`` alone, for ParseError and dga_check.
+Each handler imports the layers its verb uses when it runs, and reads their
+functions as module attributes at call time, so a verb loads only what it
+calls and a function replaced on its module is the one called.  Those
+imports name the module in full (``import linfty.linf as linf``): a relative
+import statement runs importlib's Python code on every call, which costs
+about 1 % of an hkr-report job.
 """
 
 from __future__ import annotations
@@ -24,14 +32,6 @@ import functools
 import sys
 import time
 
-from . import hkr, jsonio, selftest as selftest_mod
-from .coalg import CoalgElem, exp as coalg_exp, ln as coalg_ln
-from .diffop import gerstenhaber, hochschild_d
-from .grammar import parse_element
-from .linf import (conjugation_twist, extend_multilinear, linf_identity_check, mc_push,
-                   mc_residue, operators_agree, twist_coder, twist_morphism,
-                   MCElement)
-from .polyvec import is_poisson, schouten, wedge
 from .scalars import ParseError, dga_check
 
 USAGE_ERROR, CHECK_FAILED, OK = 2, 1, 0
@@ -39,6 +39,7 @@ USAGE_ERROR, CHECK_FAILED, OK = 2, 1, 0
 
 def _read_document(args):
     """The JSON document named by --instance; '-' reads stdin."""
+    import linfty.jsonio as jsonio
     if args.instance is None:
         raise ParseError(f"{args.verb} needs --instance (a JSON file path, or - for stdin)")
     with _loading():
@@ -66,6 +67,7 @@ def _load_instance(args, doc=None, need_omega=False, need_morphism=False):
     A morphism must intertwine, except for linf-check, which reports whether
     it does.  A missing entry that the verb needs is a parse error.
     """
+    import linfty.jsonio as jsonio
     if doc is None:
         doc = _read_document(args)
     with _loading():
@@ -80,11 +82,17 @@ def _load_instance(args, doc=None, need_omega=False, need_morphism=False):
 
 
 def _emit(doc, args):
+    import linfty.jsonio as jsonio
     sys.stdout.write(jsonio.dumps(doc, pretty=(args.format == "pretty")) + "\n")
 
 
 def _element_verb(args, op, kind):
-    result = op(*(parse_element(t, kind, args.n) for t in args.exprs))
+    """op is the name of a package export, read from the package when the verb
+    runs, so that the verb loads its own layer alone."""
+    import linfty
+    import linfty.grammar as grammar
+    result = getattr(linfty, op)(
+        *(grammar.parse_element(t, kind, args.n) for t in args.exprs))
     doc = {"verb": args.verb, "n": args.n, "result": result.text()}
     if kind == "polyvec":
         # report both gradings to prevent off-by-one confusion
@@ -94,46 +102,57 @@ def _element_verb(args, op, kind):
 
 
 def cmd_u1(args):
+    import linfty.grammar as grammar
+    import linfty.hkr as hkr
     n = args.n
-    alpha = parse_element(args.exprs[0], "polyvec", n)
+    alpha = grammar.parse_element(args.exprs[0], "polyvec", n)
     op = hkr.u1(alpha)
     return True, {"verb": "u1", "n": n, "result": op.text(),
                   "normalized": op.is_normalized(), "order": op.order()}
 
 
 def cmd_apply(args):
+    import linfty.grammar as grammar
     n = args.n
-    op = parse_element(args.exprs[0], "polydiffop", n)
-    polys = [parse_element(t, "poly", n) for t in args.exprs[1:]]
+    op = grammar.parse_element(args.exprs[0], "polydiffop", n)
+    polys = [grammar.parse_element(t, "poly", n) for t in args.exprs[1:]]
     return True, {"verb": "apply", "n": n, "result": op.apply(polys).text()}
 
 
 def cmd_poisson_check(args):
+    import linfty.grammar as grammar
+    import linfty.polyvec as polyvec
     n = args.n
-    pi = parse_element(args.exprs[0], "polyvec", n)
-    ok = is_poisson(pi)
+    pi = grammar.parse_element(args.exprs[0], "polyvec", n)
+    ok = polyvec.is_poisson(pi)
     return ok, {
         "verb": "poisson-check", "n": n, "poisson": ok,
-        "self_bracket": schouten(pi, pi).text()}
+        "self_bracket": polyvec.schouten(pi, pi).text()}
 
 
 def cmd_exp(args):
+    import linfty.coalg as coalg
+    import linfty.jsonio as jsonio
     algebra, omega, _ = _load_instance(args, need_omega=True)
-    e = coalg_exp(CoalgElem.from_vect(algebra.shifted, omega))
+    e = coalg.exp(coalg.CoalgElem.from_vect(algebra.shifted, omega))
     return True, {"verb": "exp", "result": jsonio.element_to_json(e)}
 
 
 def cmd_ln(args):
+    import linfty.coalg as coalg
+    import linfty.jsonio as jsonio
     doc = _read_document(args)
     algebra, _, _ = _load_instance(args, doc)
     with _loading():
         elem = jsonio.element_from_json(algebra.shifted, doc["element"])
-    return True, {"verb": "ln", "result": jsonio.element_to_json(coalg_ln(elem))}
+    return True, {"verb": "ln", "result": jsonio.element_to_json(coalg.ln(elem))}
 
 
 def _mc_gate(verb, algebra, omega):
     """The failing verdict when omega is not Maurer-Cartan, else None."""
-    res = mc_residue(algebra, omega)
+    import linfty.jsonio as jsonio
+    import linfty.linf as linf
+    res = linf.mc_residue(algebra, omega)
     if not res:
         return None
     return False, {"verb": verb, "mc": False,
@@ -155,12 +174,14 @@ def cmd_mc_check(args):
 
 
 def cmd_mc_push(args):
+    import linfty.jsonio as jsonio
+    import linfty.linf as linf
     algebra, omega, morphism = _load_instance(args, need_omega=True, need_morphism=True)
     gate = _mc_gate("mc-push", algebra, omega)
     if gate:
         return gate
-    om = MCElement(algebra, omega, check=False)  # the gate has checked it
-    pushed = mc_push(morphism, om)
+    om = linf.MCElement(algebra, omega, check=False)  # the gate has checked it
+    pushed = linf.mc_push(morphism, om)
     naturality = morphism.psi(om.exp()) == pushed.exp()  # mc_push asserts MC-ness
     return naturality, {
         "verb": "mc-push",
@@ -175,24 +196,26 @@ def cmd_twist(args):
     twisted morphism, if the instance has one.  The two twists are compared
     column for column up to max(2, top): both are coderivations, fixed by
     their Taylor coefficients, of which the longest has order top."""
+    import linfty.jsonio as jsonio
+    import linfty.linf as linf
     algebra, omega, morphism = _load_instance(args, need_omega=True)
     gate = not args.allow_non_mc and _mc_gate(args.verb, algebra, omega)
     if gate:
         return gate
-    tw = twist_coder(algebra, omega, allow_non_mc=True)
+    tw = linf.twist_coder(algebra, omega, allow_non_mc=True)
     doc = {"verb": args.verb}
     ok = _record(doc, "square_zero", tw.check_square_zero())
     if args.verb == "twist":
         doc["twisted_taylor"] = jsonio.taylor_to_json(tw.taylor)
         return ok, doc
     if ok:
-        conj = conjugation_twist(algebra, omega)
+        conj = linf.conjugation_twist(algebra, omega)
         ok = _record(doc, "conjugation_agrees",
-                     operators_agree(tw.Q, conj, algebra.shifted,
-                                     max(2, algebra.taylor.max_j())))
+                     linf.operators_agree(tw.Q, conj, algebra.shifted,
+                                          max(2, algebra.taylor.max_j())))
     if ok and morphism is not None:
-        om = MCElement(algebra, omega, check=args.allow_non_mc)  # else the gate did
-        tm = twist_morphism(morphism, om, twisted_source=tw)
+        om = linf.MCElement(algebra, omega, check=args.allow_non_mc)  # else the gate did
+        tm = linf.twist_morphism(morphism, om, twisted_source=tw)
         ok = _record(doc, "morphism_intertwines", tm.check_intertwines())
     return ok, doc
 
@@ -200,9 +223,10 @@ def cmd_twist(args):
 def cmd_linf_check(args):
     """Both identity paths on every word up to check_order() + 1, one order
     past the bound where both residuals must vanish, then check_intertwines."""
+    import linfty.linf as linf
     algebra, _, morphism = _load_instance(args, need_morphism=True)
     words = algebra.shifted.words_up_to(morphism.check_order() + 1)
-    rep = linf_identity_check(morphism.taylor, algebra, morphism.target, words)
+    rep = linf.linf_identity_check(morphism.taylor, algebra, morphism.target, words)
     doc = {"verb": "linf-check"}
     paths = _record(doc, "identity_paths_agree", rep)
     inter = _record(doc, "is_linf_morphism", morphism.check_intertwines())  # its witness wins
@@ -210,6 +234,8 @@ def cmd_linf_check(args):
 
 
 def cmd_extend(args):
+    import linfty.jsonio as jsonio
+    import linfty.linf as linf
     _, _, morphism = _load_instance(args, need_morphism=True)
     if args.coeff_algebra is None:
         raise ParseError("extend needs --coeff-algebra")
@@ -221,12 +247,13 @@ def cmd_extend(args):
         raise ParseError(f"coefficient algebra axioms fail: {v['axiom']} at {v['witness']}")
     # the base DGLAs passed dgla_check at load and A passes dga_check, so both
     # tensor DGLAs satisfy the axioms by construction
-    ext = extend_multilinear(morphism, A, check=False)
+    ext = linf.extend_multilinear(morphism, A, check=False)
     doc = {"verb": "extend", "extended_dim": len(ext.source.module)}
     return _record(doc, "morphism_axiom", ext.check_intertwines()), doc
 
 
 def cmd_hkr_report(args):
+    import linfty.hkr as hkr
     spec = hkr.TruncationSpec(args.n, args.trunc, args.order,
                               args.window[0], args.window[1])
     rep = hkr.hkr_report(spec)
@@ -234,6 +261,7 @@ def cmd_hkr_report(args):
 
 
 def cmd_kontsevich_check(args):
+    import linfty.hkr as hkr
     rep = hkr.kontsevich_conditions(hkr.trivial_plugin(), n=args.n,
                                     samples=args.samples, seed=args.seed,
                                     max_arity=args.max_arity)
@@ -241,7 +269,8 @@ def cmd_kontsevich_check(args):
 
 
 def cmd_selftest(args):
-    rep = selftest_mod.run(seed=args.seed)
+    import linfty.selftest as selftest
+    rep = selftest.run(seed=args.seed)
     return rep["ok"], rep
 
 
@@ -263,7 +292,7 @@ OPTIONS = {
     "trunc": dict(type=int, default=2, help="polynomial degree cap for slices"),
     "order": dict(type=int, default=2, help="operator order cap"),
     "window": dict(type=int, nargs=2, default=[-1, 1], help="cohomological degree window"),
-    "seed": dict(type=int, default=selftest_mod.DEFAULT_SEED, help="random seed"),
+    "seed": dict(type=int, default=1729, help="random seed"),
     "samples": dict(type=positive, default=20, help="random inputs per condition (>= 1)"),
     "max_arity": dict(type=positive, default=2,
                       help="largest arity of the identity checked (>= 1)"),
@@ -277,13 +306,13 @@ _TWIST = _INSTANCE + ("allow_non_mc",)
 # verb: (handler, help, (least, most) operands with most None for no bound,
 # the OPTIONS the verb reads); every verb also takes --format.
 VERBS = {
-    "schouten": (functools.partial(_element_verb, op=schouten, kind="polyvec"),
+    "schouten": (functools.partial(_element_verb, op="schouten", kind="polyvec"),
                  "Schouten bracket of two poly vector fields", (2, 2), _ELEMENT),
-    "wedge": (functools.partial(_element_verb, op=wedge, kind="polyvec"),
+    "wedge": (functools.partial(_element_verb, op="wedge", kind="polyvec"),
               "wedge product of two poly vector fields", (2, 2), _ELEMENT),
-    "gerstenhaber": (functools.partial(_element_verb, op=gerstenhaber, kind="polydiffop"),
+    "gerstenhaber": (functools.partial(_element_verb, op="gerstenhaber", kind="polydiffop"),
                      "Gerstenhaber bracket of two operators", (2, 2), _ELEMENT),
-    "hochschild": (functools.partial(_element_verb, op=hochschild_d, kind="polydiffop"),
+    "hochschild": (functools.partial(_element_verb, op="hochschild_d", kind="polydiffop"),
                    "shifted Hochschild differential", (1, 1), _ELEMENT),
     "apply": (cmd_apply, "apply an operator to polynomials", (1, None), _ELEMENT),
     "u1": (cmd_u1, "antisymmetrization map into operators", (1, 1), _ELEMENT),
@@ -307,7 +336,9 @@ VERBS = {
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(prog="linfty", description=__doc__)
+    # --help shows the module docstring up to its last paragraph, which is
+    # about how the module loads the layers, not about the verbs
+    ap = argparse.ArgumentParser(prog="linfty", description=__doc__.rsplit("\n\n", 1)[0])
     sub = ap.add_subparsers(dest="verb")
     for verb, (_, help_text, _, options) in VERBS.items():
         p = sub.add_parser(verb, help=help_text)

@@ -26,7 +26,6 @@ import random
 
 from .diffop import PolyDiffOp, _d_terms, _op, gerstenhaber, hochschild_d, transform as d_transform
 from .linalg import rank
-from .linf import identity_terms
 from .poly import Poly, monomials_up_to
 from .polyvec import PolyVec, schouten, transform as t_transform
 from .scalars import CoeffDGA, _acc, frac, frac_str, ideal_powers, koszul_sort, ksign
@@ -291,6 +290,7 @@ def formality_identity_residual(plugin: FormalityPlugin, polyvecs):
     ``identity_terms`` with the Schouten bracket and zero differential
     upstairs, the Hochschild differential and Gerstenhaber bracket downstairs.
     """
+    import linfty.linf as linf  # the one use of the coalgebra layers here
     args = list(polyvecs)
     sdegs = []
     for a in args:
@@ -299,8 +299,8 @@ def formality_identity_residual(plugin: FormalityPlugin, polyvecs):
             raise ValueError("identity residual needs homogeneous inputs")
         sdegs.append(ds[0] - 1)
     out = PolyDiffOp.zero(args[0].n)
-    for sign, v in identity_terms(args, sdegs, plugin.eval, hochschild_d, gerstenhaber,
-                                  lambda a: None, schouten):
+    for sign, v in linf.identity_terms(args, sdegs, plugin.eval, hochschild_d, gerstenhaber,
+                                       lambda a: None, schouten):
         out = out + v.scale(sign)
     return out
 

@@ -33,8 +33,6 @@ import json
 import re
 import sys
 
-from .coalg import CoalgElem, GradedBasisModule, TaylorSeq
-from .linf import LinfAlgebra, LinfMorphism, MCElement
 from .scalars import CoeffDGA, DgaElem, ParseError, _acc, frac, frac_str, rational_field
 
 
@@ -191,7 +189,7 @@ def vect_from_json(module, doc, where="vector"):
             for name, val in _expect(doc, dict, where).items()}
 
 
-def algebra_to_json(alg: LinfAlgebra) -> dict:
+def algebra_to_json(alg) -> dict:
     module = alg.module
     d_table, bracket = alg.dgla_tables()
     return {
@@ -209,8 +207,12 @@ def _entries(doc, where):
     return (_array(entry, 2, "{} entry", where) for entry in _array(doc, None, where))
 
 
-def algebra_from_json(doc, C: CoeffDGA) -> LinfAlgebra:
-    module = GradedBasisModule(doc.get("name", "g"), _basis(doc["basis"], "algebra basis"), C)
+def algebra_from_json(doc, C: CoeffDGA):
+    """The LinfAlgebra of an algebra document over C."""
+    import linfty.coalg as coalg
+    import linfty.linf as linf
+    module = coalg.GradedBasisModule(doc.get("name", "g"),
+                                     _basis(doc["basis"], "algebra basis"), C)
     d_table, bracket = {}, {}
     for key, val in _entries(doc.get("d", []), "d"):
         _put(d_table, module.index[_expect(key, str, f"d key {key!r}", "a generator name")],
@@ -218,10 +220,10 @@ def algebra_from_json(doc, C: CoeffDGA) -> LinfAlgebra:
     for pair, val in _entries(doc.get("bracket", []), "bracket"):
         _put(bracket, word_from_json(module, pair, f"bracket pair {pair!r}", 2),
              vect_from_json(module, val, f"bracket of {pair}"), "bracket pair {!r}", pair)
-    return LinfAlgebra.from_dgla(module, d_table, bracket)
+    return linf.LinfAlgebra.from_dgla(module, d_table, bracket)
 
 
-def taylor_to_json(T: TaylorSeq) -> list:
+def taylor_to_json(T) -> list:
     src = T.source
     out = []
     for j, tab in sorted(T.maps.items()):
@@ -231,7 +233,9 @@ def taylor_to_json(T: TaylorSeq) -> list:
     return out
 
 
-def taylor_from_json(doc, source_shifted, target_shifted, intent) -> TaylorSeq:
+def taylor_from_json(doc, source_shifted, target_shifted, intent):
+    """The TaylorSeq of a morphism's "taylor" entry."""
+    import linfty.coalg as coalg
     maps = {}
     for j, entries in _entries(doc, "morphism taylor"):
         if type(j) is not int or j < 1:
@@ -242,32 +246,36 @@ def taylor_from_json(doc, source_shifted, target_shifted, intent) -> TaylorSeq:
             _put(tab, word_from_json(source_shifted, word_names, f"taylor word {word_names!r}"),
                  vect_from_json(target_shifted, val, f"taylor value on {word_names}"),
                  "taylor word {!r} of order {}", word_names, j)
-    return TaylorSeq(source_shifted, target_shifted, maps, intent)
+    return coalg.TaylorSeq(source_shifted, target_shifted, maps, intent)
 
 
-def element_to_json(x: CoalgElem) -> list:
+def element_to_json(x) -> list:
     module = x.module
     return [{"coeff": coeff_to_json(x.words[w]), "word": [module.gen_name(i) for i in w]}
             for w in sorted(x.words)]
 
 
-def element_from_json(module, doc) -> CoalgElem:
-    """The element of S(module) that an array of {"word", "coeff"} entries spells."""
+def element_from_json(module, doc):
+    """The CoalgElem of S(module) that an array of {"word", "coeff"} entries spells."""
+    import linfty.coalg as coalg
     words = {}
     for entry in _objects(doc, "element"):
         c = coeff_from_json(module.coeff, entry["coeff"])
         w = word_from_json(module, entry["word"], f"element word {entry['word']!r}")
         if c:
             _acc(words, w, c)
-    return CoalgElem(module, words)
+    return coalg.CoalgElem(module, words)
 
 
-def instance_to_json(algebra: LinfAlgebra, omega=None, morphism: LinfMorphism = None) -> dict:
+def instance_to_json(algebra, omega=None, morphism=None) -> dict:
+    """The instance document of a LinfAlgebra, an omega (a vect or an
+    MCElement) and a LinfMorphism."""
+    import linfty.linf as linf
     C = algebra.module.coeff
     doc = {"coeff": "Q" if C.is_rational_field else coeff_algebra_to_json(C),
            "algebra": algebra_to_json(algebra)}
     if omega is not None:
-        v = omega.vect if isinstance(omega, MCElement) else omega
+        v = omega.vect if isinstance(omega, linf.MCElement) else omega
         doc["omega"] = vect_to_json(algebra.module, v)
     if morphism is not None:
         doc["morphism"] = {"target": algebra_to_json(morphism.target),
@@ -281,6 +289,7 @@ def instance_from_json(doc):
     The algebras are checked; the morphism is not (see
     LinfMorphism.check_intertwines).
     """
+    import linfty.linf as linf
     cdoc = _expect(doc, dict, "instance document").get("coeff", "Q")
     C = rational_field() if cdoc == "Q" else \
         coeff_algebra_from_json(_expect(cdoc, dict, "coeff", 'an object or "Q"'))
@@ -294,7 +303,7 @@ def instance_from_json(doc):
         target = algebra_from_json(_expect(mdoc["target"], dict, "morphism target"), C)
         T = taylor_from_json(mdoc["taylor"], algebra.shifted,
                              target.shifted, "morphism")
-        morphism = LinfMorphism(algebra, target, T, check=False)
+        morphism = linf.LinfMorphism(algebra, target, T, check=False)
     return algebra, omega, morphism
 
 

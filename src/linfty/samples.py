@@ -14,7 +14,7 @@ import itertools
 
 from .coalg import GradedBasisModule, TaylorSeq, vect_acc, word_degree
 from .linf import LinfAlgebra, LinfMorphism, MCElement, mc_residue
-from .scalars import CoeffDGA, _acc, frac, make_truncated_poly_dga
+from .scalars import CoeffDGA, _acc, frac, make_truncated_poly_dga, rational_field
 
 
 FAMILIES = {
@@ -168,6 +168,19 @@ def strict_base_change_morphism(rng, algebra: LinfAlgebra) -> LinfMorphism:
              if Pinv[j][i]}
         table[j] = v
     return LinfMorphism.strict(algebra, target, table, check=True)
+
+
+def split_line_morphism() -> LinfMorphism:
+    """The non-strict endomorphism of split_line over Q (d x = y) that
+    demos/07_extension.py extends: Psi_1 = id, Psi_2(x y) = x, Psi_2(y y) = y,
+    Psi_3(x y y) = x, Psi_3(y y y) = y."""
+    gens, d, bracket = FAMILIES["split_line"]
+    alg = LinfAlgebra.from_dgla(GradedBasisModule("split_line", gens, rational_field()),
+                                d, bracket)
+    x, y = alg.module.index["x"], alg.module.index["y"]
+    maps = {1: {(x,): {x: 1}, (y,): {y: 1}}, 2: {(x, y): {x: 1}, (y, y): {y: 1}},
+            3: {(x, y, y): {x: 1}, (y, y, y): {y: 1}}}
+    return LinfMorphism(alg, alg, TaylorSeq(alg.shifted, alg.shifted, maps, "morphism"))
 
 
 def sample_abelian_pair(rng, C):

@@ -1,7 +1,7 @@
 """Deterministic self-verification suite, shared by the CLI and the tests.
 
 Every check is a compact version of a module invariant; all randomness flows
-from one explicit seed (default DEFAULT_SEED), so two runs with the same seed
+from one explicit seed (the CLI's --seed), so two runs with the same seed
 produce identical reports.
 """
 
@@ -16,13 +16,11 @@ from .coalg import (CoalgElem, GradedBasisModule, TaylorSeq, exp, is_grouplike,
 from .diffop import (PolyDiffOp, filtration_check, gerstenhaber,
                      gerstenhaber_apply_oracle, hochschild_d, mu)
 from .grammar import parse_element
-from .linf import (conjugation_twist, linf_identity_check, mc_push, mc_residue,
-                   mc_residue_dgla, operators_agree, twist_coder, twist_morphism)
+from .linf import (conjugation_twist, extend_multilinear, linf_identity_check, mc_push,
+                   mc_residue, mc_residue_dgla, operators_agree, twist_coder, twist_morphism)
 from .poly import Poly
 from .polyvec import PolyVec, schouten
 from .scalars import _acc, dga_check, frac, ksign, make_truncated_poly_dga
-
-DEFAULT_SEED = 1729
 
 
 def _rand_poly(rng, n):
@@ -193,6 +191,21 @@ def check_identity_paths(rng):
     return True, "6 random Taylor datasets, both identity paths agree"
 
 
+def check_extension(rng):
+    # Q != 0 on both ends, and th1 * th2 != 0 with both odd, so the crossing
+    # signs and the order of the coefficient product all reach the axiom
+    psi = samples.split_line_morphism()
+    A = make_truncated_poly_dga([-1, 1, 0], 2, names=["th1", "th2", "h"],
+                                differential={"th1": {"h": 1}})
+    ext = extend_multilinear(psi, A)
+    sh, one = ext.source.shifted, ext.source.module.coeff.one()
+    for w in rng.sample(sh.words_up_to(3), 60):
+        x = CoalgElem(sh, {w: one})
+        if ext.psi(ext.source.Q(x)) != ext.target.Q(ext.psi(x)):
+            return False, f"extended morphism axiom at {[sh.gen_name(i) for i in w]}"
+    return True, "split_line morphism over Lambda(th1,th2)xQ[h]/(h^2), d th1 = h: 60 words"
+
+
 def check_hkr(rng):
     rep = hkr.u1_chain_check(2, 20, seed=rng.randint(0, 10 ** 6))
     if not rep["ok"]:
@@ -229,12 +242,13 @@ CHECKS = [
     ("mc_twist", check_mc_twist),
     ("morphisms", check_morphisms),
     ("identity_paths", check_identity_paths),
+    ("extension", check_extension),
     ("hkr", check_hkr),
     ("grammar", check_grammar),
 ]
 
 
-def run(seed=DEFAULT_SEED) -> dict:
+def run(seed) -> dict:
     results = []
     for name, fn in CHECKS:
         rng = random.Random((seed, name).__repr__())

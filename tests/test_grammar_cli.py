@@ -280,7 +280,7 @@ class TestCli:
         # g has d(g) != 0: only the corestriction at w changes, by d(g), so the
         # complete check exits 1 with w as the witness, where words of order <= 2
         # would all pass
-        from linfty import cli
+        from linfty import linf
         from linfty.coalg import TaylorSeq, word_degree
         from linfty.linf import LinfMorphism
         from linfty.scalars import make_truncated_poly_dga, rational_field
@@ -291,7 +291,7 @@ class TestCli:
         phi = samples.strict_base_change_morphism(random.Random(12), alg)
         ipath = tmp_path / "inst.json"
         ipath.write_text(json.dumps(jsonio.instance_to_json(alg, morphism=phi)))
-        real, added = cli.extend_multilinear, []
+        real, added = linf.extend_multilinear, []
 
         def corrupted(psi, A, check):
             ext = real(psi, A, check=check)
@@ -304,7 +304,8 @@ class TestCli:
             return LinfMorphism(ext.source, ext.target,
                                 TaylorSeq(sh_s, sh_t, maps, "morphism"), check=False)
 
-        monkeypatch.setattr(cli, "extend_multilinear", corrupted)
+        # the verb reads extend_multilinear from linf when it runs
+        monkeypatch.setattr(linf, "extend_multilinear", corrupted)
         code, out = capture(["extend", "--instance", str(ipath), "--coeff-algebra", str(apath)])
         doc = json.loads(out)
         assert (code, doc["morphism_axiom"], doc["witness"]) == (1, False, added[0])

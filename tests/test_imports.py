@@ -2,12 +2,14 @@
 file, every function the library defines is named somewhere else, and every
 defaulted parameter is passed by some call.  Only ``jsonio`` imports ``json``,
 and ``scalars`` imports no ``re``.  ``import linfty`` loads no layer, each
-layer loads only the layers its row of ``LAYERS`` names, and each name the
-package exports loads its own module when it is first read.
+layer loads only the layers its row of ``LAYERS`` names, each CLI verb only
+those its row of ``VERB_LAYERS`` names, and each name the package exports
+loads its own module when it is first read.
 """
 
 import ast
 import collections
+import json
 import os
 import pathlib
 import subprocess
@@ -196,10 +198,11 @@ def test_only_jsonio_reads_or_writes_json(path):
     assert path.name == "jsonio.py" or not imported_modules(path.read_text()) & banned
 
 
-def fresh(code):
-    """The stdout of `code` run in a fresh interpreter that imports linfty from src/."""
+def fresh(code, *argv, cwd=None):
+    """The stdout of `code` run with `argv` in a fresh interpreter that imports
+    linfty from src/."""
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True, cwd=cwd,
                           capture_output=True, text=True, timeout=60).stdout
 
 
@@ -221,11 +224,11 @@ LAYERS = {
     "linalg": "linalg scalars",
     "coalg": "coalg scalars",
     "linf": "coalg linf scalars",
-    "jsonio": "coalg jsonio linf scalars",
+    "jsonio": "jsonio scalars",
     "samples": "coalg linf samples scalars",
-    "hkr": "coalg diffop hkr linalg linf poly polyvec scalars",
+    "hkr": "diffop hkr linalg poly polyvec scalars",
     "selftest": "coalg diffop grammar hkr linalg linf poly polyvec samples scalars selftest",
-    "cli": "cli coalg diffop grammar hkr jsonio linalg linf poly polyvec samples scalars selftest",
+    "cli": "cli scalars",
 }
 
 
@@ -233,6 +236,77 @@ LAYERS = {
 def test_import_loads_its_layers_alone(layer):
     want = [f"linfty.{m}" for m in LAYERS[layer].split()]
     assert fresh(f"import linfty.{layer}\n" + LOADED) == f"{want}\n"
+
+
+# what one run of each verb loads, in a fresh interpreter: a verb imports
+# the layers it uses when it is dispatched, not when linfty.cli is imported
+VERB_LAYERS = {
+    **dict.fromkeys(["schouten", "wedge", "gerstenhaber", "hochschild", "apply",
+                     "poisson-check"], "cli diffop grammar jsonio poly polyvec scalars"),
+    "u1": "cli diffop grammar hkr jsonio linalg poly polyvec scalars",
+    **dict.fromkeys(["exp", "ln", "mc-check", "mc-push", "twist", "twist-check", "linf-check",
+                     "extend"], "cli coalg jsonio linf scalars"),
+    "hkr-report": "cli diffop hkr jsonio linalg poly polyvec scalars",
+    "kontsevich-check": "cli coalg diffop hkr jsonio linalg linf poly polyvec scalars",
+    "selftest": ("cli coalg diffop grammar hkr jsonio linalg linf poly polyvec samples "
+                 "scalars selftest"),
+}
+# operands and options of one run of each verb; inst.json, q.json and A.json
+# are written by test_each_verb_loads_its_layers_alone
+VERB_ARGV = {
+    "schouten": ["d1/\\d2", "t1*t2"], "wedge": ["d1", "t1*d2"],
+    "gerstenhaber": ["t1*D[1,0]", "D[0,1]"], "hochschild": ["D[2,0]"],
+    "apply": ["t1*D[2,0]", "t1^3"], "poisson-check": ["d1/\\d2"], "u1": ["t1*d1/\\d2"],
+    **{verb: ["--instance", "inst.json"] for verb in [
+        "exp", "ln", "mc-check", "mc-push", "twist", "twist-check", "linf-check"]},
+    "extend": ["--instance", "q.json", "--coeff-algebra", "A.json"],
+    "hkr-report": [], "kontsevich-check": [], "selftest": [],
+}
+# runs cli.run on each argv of the JSON list in argv[1]; prints each exit code
+# with whether the run wrote to stdout, then the linfty modules loaded
+RUN_VERBS = ("import contextlib, io, json, sys\nfrom linfty import cli\nruns = []\n"
+             "for argv in json.loads(sys.argv[1]):\n"
+             "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+             "        runs.append([cli.run(argv), bool(out.getvalue())])\n"
+             "print(json.dumps(runs))\n"
+             "print(' '.join(sorted(m[7:] for m in sys.modules if m.startswith('linfty.'))))\n")
+
+
+def run_fresh(argvs, cwd=None):
+    """([exit code, wrote stdout] of each argv, the linfty layers loaded), from
+    one fresh interpreter that runs each argv through cli.run in turn."""
+    runs, loaded = fresh(RUN_VERBS, json.dumps(argvs), cwd=cwd).splitlines()
+    return json.loads(runs), loaded
+
+
+def test_verb_tables_name_every_verb():
+    from linfty import cli
+    assert VERB_LAYERS.keys() == VERB_ARGV.keys() == cli.VERBS.keys()
+
+
+@pytest.mark.parametrize("verb", list(VERB_LAYERS))
+def test_each_verb_loads_its_layers_alone(verb, tmp_path):
+    golden = json.loads((ROOT / "tests" / "golden" / "twist_strict_morphism.json").read_text())
+    (tmp_path / "inst.json").write_text(json.dumps(
+        {**golden["instance"], "element": [{"word": ["a"], "coeff": {"h": "1"}}]}))
+    base = {"basis": [{"name": "x", "degree": 0}, {"name": "y", "degree": 1}],
+            "d": [["x", {"y": "1"}]]}
+    (tmp_path / "q.json").write_text(json.dumps({"coeff": "Q", "algebra": base, "morphism": {
+        "target": base, "taylor": [[1, [[["x"], {"x": "1"}], [["y"], {"y": "1"}]]]]}}))
+    (tmp_path / "A.json").write_text(json.dumps(  # the exterior algebra on th
+        {"basis": [{"name": "1", "degree": 0}, {"name": "th", "degree": 1}],
+         "mul": [[0, 0, [[0, "1"]]], [0, 1, [[1, "1"]]], [1, 0, [[1, "1"]]], [1, 1, []]],
+         "d": [[0, []], [1, []]], "unit": 0, "ideal": [1]}))
+    [(code, wrote)], loaded = run_fresh([[verb, *VERB_ARGV[verb]]], cwd=tmp_path)
+    assert code in (0, 1) and wrote, (verb, code)  # a verdict, not a usage error
+    assert loaded == VERB_LAYERS[verb]
+
+
+def test_help_loads_no_verb_layer():
+    from linfty import cli
+    runs, loaded = run_fresh([[], ["--help"]] + [[verb, "--help"] for verb in cli.VERBS])
+    assert runs == [[2, False]] + [[0, True]] * (1 + len(cli.VERBS))
+    assert loaded == "cli scalars"
 
 
 def test_parse_error_is_one_class_below_the_grammar():
